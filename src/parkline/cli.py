@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (InputError, StrictTableError, ValueError, OSError, KeyError) as e:
+    except (InputError, StrictTableError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     sys.stdout.write(render(report, args.format))

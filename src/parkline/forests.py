@@ -44,13 +44,17 @@ def tree_to_str(t: Tree | None) -> str:
 
 
 def tree_from_str(text: str) -> Tree | None:
+    def expect(s: str, pos: int, char: str) -> None:
+        if pos >= len(s) or s[pos] != char:
+            raise ValueError(f"bad shape string {text!r}: expected {char!r} at {pos}")
+
     def parse(s: str, pos: int) -> tuple[Tree | None, int]:
         if pos >= len(s) or s[pos] != "(":
             return None, pos
         left, pos = parse(s, pos + 1)
-        assert s[pos] == "|", f"bad shape string at {pos}"
+        expect(s, pos, "|")
         right, pos = parse(s, pos + 1)
-        assert s[pos] == ")", f"bad shape string at {pos}"
+        expect(s, pos, ")")
         return Tree(left, right), pos + 1
 
     tree, end = parse(text, 0)

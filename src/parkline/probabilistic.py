@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .procedures import Block, Direction, Procedure
+from .procedures import Block, Direction, Procedure, walk_chosen, walk_occupied
 from .words import SpotSet, Word, as_word, block_of, orbit_representative
 
 DEFAULT_PROB_CAP = 6
@@ -183,15 +183,32 @@ def parking_probability(pp: ProbProcedure, word: Iterable[int]) -> Fraction:
 
 
 def total_parking_mass(
-    pp: ProbProcedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
+    pp: ProbProcedure,
+    r: int,
+    *,
+    cap: int | None = DEFAULT_PROB_CAP,
+    via: str | None = None,
 ) -> Fraction:
-    """Sum of parking probabilities over all words in {1..r+1}^r."""
+    """Sum of parking probabilities over all words in {1..r+1}^r.
+
+    via="dp" walks occupied subsets of {1..r} with the rule's branch
+    probabilities as weights (`walk_occupied`) and needs a memoryless
+    rule; via="brute" sums `parking_probability` word by word. Left unset,
+    memoryless rules walk and the rest go word by word.
+    """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if cap is not None and r > cap:
         from .enumeration import CapExceededError
 
         raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
+    if walk_chosen(pp, via):
+        state = pp.init_state()
+
+        def moves(occ: frozenset, a: int):
+            return ((spot, pr) for spot, pr, _ in _branches(pp, state, (), occ, a))
+
+        return Fraction(walk_occupied(r, moves))
     total = ZERO
     for word in itertools.product(range(1, r + 2), repeat=r):
         total += parking_probability(pp, word)
@@ -284,17 +301,28 @@ def from_procedure(p: Procedure) -> ProbProcedure:
     )
 
 
+# the one parameter each probabilistic catalog rule takes
+_PROB_PARAMS = {"kw": "q", "kwseq": "qs", "pq": "q"}
+
+
 def parse_prob_spec(spec: str) -> ProbProcedure:
     """Parse "kw:q=1/2", "kwseq:qs=1/2+1/3", "pq:q=2" or any deterministic
     catalog spec (embedded as 0/1 probabilities)."""
     name, _, tail = spec.partition(":")
-    params = dict(item.partition("=")[::2] for item in tail.split(",")) if tail else {}
-    if name == "kw":
-        return kw_procedure(parse_q(params["q"]))
-    if name == "kwseq":
-        return kw_sequence_procedure(parse_q(v) for v in params["qs"].split("+"))
-    if name == "pq":
-        return pq_procedure(parse_q(params["q"]))
+    wanted = _PROB_PARAMS.get(name)
+    if wanted is not None:
+        params = dict(item.partition("=")[::2] for item in tail.split(",")) if tail else {}
+        for key in params:
+            if key != wanted:
+                raise ValueError(f"{name} takes no parameter {key!r}")
+        if wanted not in params:
+            raise ValueError(f"{name} requires parameter {wanted!r}")
+        value = params[wanted]
+        if name == "kw":
+            return kw_procedure(parse_q(value))
+        if name == "kwseq":
+            return kw_sequence_procedure(parse_q(v) for v in value.split("+"))
+        return pq_procedure(parse_q(value))
     from .procedures import parse_proc_spec
 
     return from_procedure(parse_proc_spec(spec))

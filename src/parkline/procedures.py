@@ -9,6 +9,7 @@ procedure's decision function.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -114,6 +115,50 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
     return RunResult(letters, frozenset(occupied), tuple(parked))
 
 
+# moves(occupied, letter) -> (spot, weight) pairs for the arriving car
+MovesFn = Callable[[frozenset, int], Iterable[tuple[int, Any]]]
+
+
+def walk_occupied(r: int, moves: MovesFn):
+    """Total weight of the runs of r cars that end on exactly {1..r},
+    summed over occupied sets instead of words.
+
+    `moves` must depend on (occupied, letter) alone, as a memoryless rule
+    does. A car parked outside {1..r} never leaves, so only letters and
+    spots inside {1..r} are followed: at most 2^r sets times r letters per
+    car, against (r+1)^r words. Weights multiply along a run and add over
+    runs, so int weights give an exact count and Fraction weights an exact
+    mass.
+    """
+    inside = range(1, r + 1)
+    level = {frozenset(): 1}
+    for _ in inside:
+        nxt: dict[frozenset, Any] = {}
+        for occ, weight in level.items():
+            for a in inside:
+                for spot, w in moves(occ, a):
+                    if 1 <= spot <= r:
+                        key = occ | {spot}
+                        nxt[key] = nxt.get(key, 0) + weight * w
+        level = nxt
+    return level.get(frozenset(inside), 0)
+
+
+def walk_chosen(rule, via: str | None, backend: str | None = None) -> bool:
+    """Whether a count or mass walks occupied sets ("dp") or enumerates
+    words ("brute"). Left unset, it walks for memoryless rules unless a
+    backend is named, since naming one asks for word enumeration on it."""
+    if via is None:
+        return rule.is_memoryless and backend is None
+    if via == "dp":
+        if not rule.is_memoryless:
+            raise ValueError(f"{rule.name} is not memoryless; via='dp' needs a memoryless rule")
+        return True
+    if via == "brute":
+        return False
+    raise ValueError(f"unknown mode {via!r}")
+
+
 def run(p: Procedure, word: Iterable[int]) -> RunResult:
     return run_engine(p, as_word(word))
 
@@ -209,8 +254,8 @@ def evenodd_procedure() -> Procedure:
 def naples_procedure(k: int) -> Procedure:
     """Back up at most k spots looking for a free one, but never to a spot
     below 1; otherwise go right."""
-    if k < 1:
-        raise ValueError("naples requires k >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"naples requires an integer k >= 1, got {k!r}")
 
     def decide(st, h, occ, blk, a):
         return LEFT if blk.lo > 1 and a - blk.lo < k else RIGHT
@@ -334,8 +379,11 @@ class DirTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DirTable":
-        if doc.get("type") != "memoryless_local":
-            raise ValueError(f"unsupported table type {doc.get('type')!r}")
+        kind = doc.get("type") if isinstance(doc, dict) else None
+        if kind != "memoryless_local":
+            raise ValueError(f"unsupported table type {kind!r}")
+        if "rows" not in doc:
+            raise ValueError("direction table has no 'rows'")
         rows = tuple(
             tuple(Direction(entry) for entry in row) for row in doc["rows"]
         )
@@ -413,6 +461,13 @@ def builtin(name: str, **params) -> Procedure:
         factory = _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown procedure {name!r}") from None
+    accepted = inspect.signature(factory).parameters
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"{name} takes no parameter {key!r}")
+    for key, param in accepted.items():
+        if param.default is param.empty and key not in params:
+            raise ValueError(f"{name} requires parameter {key!r}")
     return factory(**params)
 
 

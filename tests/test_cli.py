@@ -45,6 +45,16 @@ class TestEnumerate:
         code, _, _ = invoke(capsys, "enumerate", "--r", "2")
         assert code == 3
 
+    def test_missing_parameter_exit_3(self, capsys):
+        code, _, err = invoke(capsys, "enumerate", "--proc", "naples", "--r", "3")
+        assert code == 3
+        assert "requires parameter 'k'" in err
+
+    def test_unknown_parameter_exit_3(self, capsys):
+        code, _, err = invoke(capsys, "enumerate", "--proc", "right:z=1", "--r", "3")
+        assert code == 3
+        assert "no parameter 'z'" in err
+
 
 class TestOrbits:
     def test_far_lists_empty_orbits(self, capsys):
@@ -99,6 +109,11 @@ class TestProb:
     def test_word_and_mass_conflict(self, capsys):
         code, _, _ = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--word", "1", "--mass", "2")
         assert code == 3
+
+    def test_missing_parameter_exit_3(self, capsys):
+        code, _, err = invoke(capsys, "prob", "--proc", "kw", "--mass", "2")
+        assert code == 3
+        assert "requires parameter 'q'" in err
 
     def test_prob_cap(self, capsys):
         code, _, _ = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--mass", "6")

@@ -10,7 +10,16 @@ from parkline.enumeration import (
     count_words_to_set,
     orbit_audit,
 )
-from parkline.procedures import builtin, is_parking, table_procedure
+from conftest import random_dir_tables
+from parkline.procedures import (
+    LEFT,
+    RIGHT,
+    builtin,
+    index_rule_procedure,
+    is_parking,
+    parse_proc_spec,
+    table_procedure,
+)
 
 LOCAL = ["right", "left", "closest", "prime", "lbs"]
 
@@ -66,6 +75,58 @@ class TestCountParking:
             count_parking(strict, 4)
         loose = table_procedure(table)
         assert count_parking(loose, 4) == 125
+
+
+MEMORYLESS = [
+    parse_proc_spec(s)
+    for s in ("right", "left", "closest", "prime", "evenodd", "naples:k=2", "far")
+]
+MEMORYLESS.append(index_rule_procedure((RIGHT, LEFT, LEFT, RIGHT, LEFT, RIGHT)))
+MEMORYLESS += random_dir_tables(3, 6, seed=11)
+
+
+class TestWalk:
+    """count_parking's walk over occupied sets against word enumeration."""
+
+    @pytest.mark.parametrize("p", MEMORYLESS, ids=lambda p: p.name)
+    def test_walk_equals_brute(self, p):
+        for r in range(1, 7):
+            backend = "python" if r <= 4 else None
+            brute = count_parking(p, r, via="brute", backend=backend)
+            walked = count_parking(p, r, via="dp")
+            assert type(walked) is int
+            assert walked == brute, (p.name, r)
+            assert count_parking(p, r) == walked
+
+    def test_walk_beyond_word_cap(self):
+        assert count_parking(builtin("right"), 12, cap=None) == 13**11
+
+    def test_lbs_is_not_memoryless(self):
+        lbs = builtin("lbs")
+        with pytest.raises(ValueError, match="memoryless"):
+            count_parking(lbs, 3, via="dp")
+        assert count_parking(lbs, 4) == 125
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            count_parking(builtin("right"), 3, via="nonsense")
+
+    def test_named_backend_enumerates_words(self, monkeypatch):
+        import parkline.enumeration as enumeration
+
+        walks = []
+        monkeypatch.setattr(
+            enumeration, "walk_occupied", lambda r, moves: walks.append(r) or 0
+        )
+        for backend in ("numpy", "python"):
+            assert count_parking(builtin("right"), 3, backend=backend) == 16
+        assert walks == []
+        count_parking(builtin("right"), 3)
+        assert walks == [3]
+
+    def test_caps_still_apply(self):
+        with pytest.raises(CapExceededError):
+            count_parking(builtin("right"), 9, via="dp")
 
 
 class TestOrbitAudit:

@@ -50,6 +50,25 @@ class TestTrees:
         for t in iter_tree_shapes(4):
             assert tree_from_str(tree_to_str(t)) == t
 
+    @pytest.mark.parametrize("text", ["(x)", "(|", "(", "(||)", "(|)(|)"])
+    def test_bad_shape_string_raises(self, text):
+        with pytest.raises(ValueError, match="shape string"):
+            tree_from_str(text)
+
+    def test_bad_shape_string_raises_under_optimize(self):
+        # the check must not be an assert, which `python -O` strips
+        import subprocess
+        import sys
+
+        code = (
+            "from parkline.forests import tree_from_str\n"
+            "try:\n    tree_from_str('(x)')\nexcept ValueError:\n    print('ValueError')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "ValueError"
+
     def test_node_intervals_left_comb(self):
         t = decreasing_tree((1, 2, 3))  # left comb: root is spot 3
         assert node_intervals(t, 1) == {3: (1, 3), 2: (1, 2), 1: (1, 1)}

@@ -133,5 +133,5 @@ class TestCountsAcrossBackends:
 
     def test_jobs_split_is_exact(self):
         p = builtin("closest")
-        single = count_parking(p, 5, jobs=1)
-        assert count_parking(p, 5, jobs=4) == single
+        single = count_parking(p, 5, jobs=1, via="brute")
+        assert count_parking(p, 5, jobs=4, via="brute") == single

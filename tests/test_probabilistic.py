@@ -125,6 +125,55 @@ class TestTotalMass:
 
         with pytest.raises(CapExceededError):
             total_parking_mass(kw_procedure(HALF), 7)
+        with pytest.raises(CapExceededError):
+            total_parking_mass(kw_procedure(HALF), 7, via="dp")
+
+
+WALKED = [pq_procedure(q) for q in (F(0), HALF, F(1), F(2), INFINITY)]
+WALKED += [kw_procedure(F(1, 3)), kw_procedure(F(1))]
+WALKED += [kw_sequence_procedure([F(1, 3), F(3, 4), HALF, F(1, 5)])]
+
+
+class TestMassWalk:
+    """total_parking_mass's walk over occupied sets against the per-word
+    sum of parking probabilities."""
+
+    @pytest.mark.parametrize("pp", WALKED, ids=lambda pp: pp.name)
+    def test_walk_equals_per_word_mass(self, pp):
+        for r in range(1, 5):
+            per_word = sum(
+                (parking_probability(pp, w) for w in itertools.product(range(1, r + 2), repeat=r)),
+                F(0),
+            )
+            walked = total_parking_mass(pp, r, via="dp")
+            assert type(walked) is F
+            assert walked == per_word == total_parking_mass(pp, r, via="brute"), (pp.name, r)
+            assert total_parking_mass(pp, r) == walked
+
+    def test_embedded_deterministic_rule_matches_count(self):
+        from parkline.enumeration import count_parking
+
+        for name in ("closest", "far"):
+            for r in range(1, 5):
+                mass = total_parking_mass(from_procedure(builtin(name)), r)
+                assert mass == count_parking(builtin(name), r)
+
+    def test_lbs_is_not_memoryless(self):
+        pp = from_procedure(builtin("lbs"))
+        with pytest.raises(ValueError, match="memoryless"):
+            total_parking_mass(pp, 3, via="dp")
+        assert total_parking_mass(pp, 3) == 16
+
+    def test_probability_check_holds_on_the_walk(self):
+        from parkline.probabilistic import ProbProcedure
+
+        bad = ProbProcedure("bad", decide_prob=lambda st, h, occ, blk, a: F(3, 2))
+        with pytest.raises(ValueError, match="outside"):
+            total_parking_mass(bad, 2, via="dp")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            total_parking_mass(kw_procedure(HALF), 2, via="nonsense")
 
 
 class TestQIntegers:
@@ -238,6 +287,18 @@ class TestParseSpec:
     def test_deterministic_fallback(self):
         pp = parse_prob_spec("lbs")
         assert probs_of(measure(pp, (1, 2, 1))) == {(0, 1, 2): F(1)}
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("kw", "requires parameter 'q'"),
+            ("pq:z=2", "takes no parameter 'z'"),
+            ("kwseq:q=1/2", "takes no parameter 'q'"),
+        ],
+    )
+    def test_bad_parameters_name_the_parameter(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_prob_spec(spec)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,21 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin("unknown")
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("naples", "naples requires parameter 'k'"),
+            ("right:z=1", "right takes no parameter 'z'"),
+            ("far:k=2", "far takes no parameter 'k'"),
+            ("naples:k=x", "integer k"),
+        ],
+    )
+    def test_bad_parameters_name_the_parameter(self, spec, message):
+        from parkline.procedures import parse_proc_spec
+
+        with pytest.raises(ValueError, match=message):
+            parse_proc_spec(spec)
+
     def test_far_conventions_differ(self):
         prose = make("far")
         other = make("far", convention="notation")
@@ -237,6 +252,12 @@ class TestDirTable:
     def test_from_json_rejects_bad_type(self):
         with pytest.raises(ValueError):
             DirTable.from_json({"type": "nope", "rows": []})
+        with pytest.raises(ValueError):
+            DirTable.from_json([["R"]])
+
+    def test_from_json_requires_rows(self):
+        with pytest.raises(ValueError, match="rows"):
+            DirTable.from_json({"type": "memoryless_local"})
 
     def test_default_beyond(self):
         table = DirTable(((LEFT,),), RIGHT)
