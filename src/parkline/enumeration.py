@@ -13,15 +13,8 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .procedures import (
-    LEFT,
-    Procedure,
-    is_parking,
-    run,
-    walk_chosen,
-    walk_occupied,
-)
-from .words import Word, block_of, blocks, multinomial, rotate
+from .procedures import Procedure, bumped_spot, is_parking, run, walk_occupied
+from .words import Word, blocks, multinomial, rotate
 
 DEFAULT_CAP = 8
 # hard guard on brute-force word counts regardless of cap
@@ -88,27 +81,23 @@ def count_parking(
     cap: int | None = DEFAULT_CAP,
     jobs: int = 1,
     backend: str | None = None,
-    via: str | None = None,
 ) -> int:
     """Number of words of length r whose run occupies exactly {1..r}.
 
-    via="dp" walks occupied subsets of {1..r} (`walk_occupied`) and needs
-    a memoryless rule. via="brute" enumerates the words {1..r+1}^r on
-    `backend`, split over `jobs` threads; any word occupying {1..r} has
-    all its letters in {1..r}, so the window is exhaustive. Left unset,
-    memoryless rules walk unless a backend is named, and the rest
-    enumerate words; `jobs` and the backend matter only to enumeration.
+    A memoryless rule with no `update` walks occupied subsets of {1..r}
+    (`walk_occupied`) unless a `backend` is named. Otherwise the words
+    {1..r+1}^r are enumerated on `backend`, split over `jobs` threads;
+    any word occupying {1..r} has all its letters in {1..r}, so the
+    window is exhaustive. `jobs` matters only to enumeration.
     """
     _check_r(p, r, cap)
-    if walk_chosen(p, via, backend):
+    if p.is_memoryless and p.update is None and backend is None:
         state = p.init_state()
 
         def moves(occ: frozenset, a: int):
             if a not in occ:
                 return ((a, 1),)
-            blk = block_of(occ, a)
-            d = p.decide(state, (), occ, blk, a)
-            return ((blk.lo - 1 if d is LEFT else blk.hi + 1, 1),)
+            return ((bumped_spot(p, state, (), occ, a, a), 1),)
 
         return walk_occupied(r, moves)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .procedures import Block, Direction, Procedure, walk_chosen, walk_occupied
+from .procedures import Block, Direction, Procedure, walk_occupied
 from .words import SpotSet, Word, as_word, block_of, orbit_representative
 
 DEFAULT_PROB_CAP = 6
@@ -75,7 +75,12 @@ def pq_right_prob(r: int, i: int, q: QValue) -> Fraction:
 
 @dataclass(frozen=True)
 class ProbProcedure:
-    """A bilateral rule whose decision is a probability of going right."""
+    """A bilateral rule whose decision is a probability of going right.
+
+    As for `Procedure`, a rule whose `decide_prob` reads state or history
+    must set `is_memoryless` False: `total_parking_mass` walks occupied
+    sets for a rule flagged memoryless that has no `update`.
+    """
 
     name: str
     decide_prob: Callable[[Any, Word, frozenset, Block, int], Fraction]
@@ -183,18 +188,13 @@ def parking_probability(pp: ProbProcedure, word: Iterable[int]) -> Fraction:
 
 
 def total_parking_mass(
-    pp: ProbProcedure,
-    r: int,
-    *,
-    cap: int | None = DEFAULT_PROB_CAP,
-    via: str | None = None,
+    pp: ProbProcedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
 ) -> Fraction:
     """Sum of parking probabilities over all words in {1..r+1}^r.
 
-    via="dp" walks occupied subsets of {1..r} with the rule's branch
-    probabilities as weights (`walk_occupied`) and needs a memoryless
-    rule; via="brute" sums `parking_probability` word by word. Left unset,
-    memoryless rules walk and the rest go word by word.
+    A memoryless rule with no `update` walks occupied subsets of {1..r}
+    with its branch probabilities as weights (`walk_occupied`); any other
+    rule sums `parking_probability` word by word.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -202,7 +202,7 @@ def total_parking_mass(
         from .enumeration import CapExceededError
 
         raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
-    if walk_chosen(pp, via):
+    if pp.is_memoryless and pp.update is None:
         state = pp.init_state()
 
         def moves(occ: frozenset, a: int):

@@ -45,7 +45,10 @@ class Procedure:
     """A deterministic bilateral parking rule.
 
     Memoryless rules must ignore `state` and `history` and depend only on
-    (occupied, letter). `dir_rule`, when set, gives the direction chosen on
+    (occupied, letter). `count_parking` and `total_parking_mass` walk
+    occupied sets for a rule flagged memoryless that has no `update`, so
+    a rule whose `decide` reads state or history must set the flag False
+    or its counts and masses come out wrong. `dir_rule`, when set, gives the direction chosen on
     the standard block {1..r} for a car preferring i, for any r; it exists
     exactly for the memoryless shift-invariant locally-decided rules and
     enables the fast table kernels.
@@ -90,6 +93,17 @@ class RunResult:
         return {spot: i + 1 for i, spot in enumerate(self.parked)}
 
 
+def bumped_spot(p, state, history, occupied, a, spot_pref) -> int:
+    """Spot taken by car `a` whose preferred spot `spot_pref` is occupied:
+    the free spot just left or right of its block, as `p.decide` says."""
+    blk = block_of(occupied, spot_pref)
+    d = p.decide(state, history, occupied, blk, a)
+    spot = blk.lo - 1 if d is LEFT else blk.hi + 1
+    # the block is maximal, so the adjacent spot is free
+    assert spot not in occupied
+    return spot
+
+
 def run_engine(p, letters: tuple, value_of=None) -> RunResult:
     """Shared run loop; `value_of` maps a letter to its preferred spot
     (identity for plain integer letters)."""
@@ -102,11 +116,7 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
         if spot_pref not in occupied:
             spot = spot_pref
         else:
-            blk = block_of(occupied, spot_pref)
-            d = p.decide(state, history, occupied, blk, a)
-            spot = blk.lo - 1 if d is LEFT else blk.hi + 1
-            # the block is maximal, so the adjacent spot is free
-            assert spot not in occupied
+            spot = bumped_spot(p, state, history, occupied, a, spot_pref)
         occupied.add(spot)
         parked.append(spot)
         if p.update is not None:
@@ -142,21 +152,6 @@ def walk_occupied(r: int, moves: MovesFn):
                         nxt[key] = nxt.get(key, 0) + weight * w
         level = nxt
     return level.get(frozenset(inside), 0)
-
-
-def walk_chosen(rule, via: str | None, backend: str | None = None) -> bool:
-    """Whether a count or mass walks occupied sets ("dp") or enumerates
-    words ("brute"). Left unset, it walks for memoryless rules unless a
-    backend is named, since naming one asks for word enumeration on it."""
-    if via is None:
-        return rule.is_memoryless and backend is None
-    if via == "dp":
-        if not rule.is_memoryless:
-            raise ValueError(f"{rule.name} is not memoryless; via='dp' needs a memoryless rule")
-        return True
-    if via == "brute":
-        return False
-    raise ValueError(f"unknown mode {via!r}")
 
 
 def run(p: Procedure, word: Iterable[int]) -> RunResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from parkline.procedures import Direction, DirTable, table_procedure
+from parkline.procedures import Direction, DirTable, Procedure, table_procedure
 
 
 def _nearest_free_left(occ: set[int], a: int) -> int:
@@ -101,3 +101,15 @@ def random_dir_tables(count: int, r_max: int, seed: int) -> list:
         table = DirTable(rows, rng.choice((Direction.LEFT, Direction.RIGHT)))
         out.append(table_procedure(table, name=f"rand{i}"))
     return out
+
+
+def alternating_rule() -> Procedure:
+    """Goes right for odd-numbered cars and left for even ones. Its
+    `decide` reads the state, yet it keeps the default is_memoryless=True,
+    so counts and masses must notice its `update` and enumerate words."""
+    return Procedure(
+        "alternating",
+        decide=lambda st, h, occ, blk, a: Direction.LEFT if st % 2 else Direction.RIGHT,
+        init_state=lambda: 0,
+        update=lambda st, a, spot: st + 1,
+    )

@@ -10,7 +10,7 @@ from parkline.enumeration import (
     count_words_to_set,
     orbit_audit,
 )
-from conftest import random_dir_tables
+from conftest import alternating_rule, random_dir_tables
 from parkline.procedures import (
     LEFT,
     RIGHT,
@@ -91,42 +91,36 @@ class TestWalk:
     @pytest.mark.parametrize("p", MEMORYLESS, ids=lambda p: p.name)
     def test_walk_equals_brute(self, p):
         for r in range(1, 7):
-            backend = "python" if r <= 4 else None
-            brute = count_parking(p, r, via="brute", backend=backend)
-            walked = count_parking(p, r, via="dp")
+            brute = count_parking(p, r, backend="python" if r <= 4 else "numpy")
+            walked = count_parking(p, r)
             assert type(walked) is int
             assert walked == brute, (p.name, r)
-            assert count_parking(p, r) == walked
 
     def test_walk_beyond_word_cap(self):
         assert count_parking(builtin("right"), 12, cap=None) == 13**11
 
-    def test_lbs_is_not_memoryless(self):
-        lbs = builtin("lbs")
-        with pytest.raises(ValueError, match="memoryless"):
-            count_parking(lbs, 3, via="dp")
-        assert count_parking(lbs, 4) == 125
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            count_parking(builtin("right"), 3, via="nonsense")
-
-    def test_named_backend_enumerates_words(self, monkeypatch):
+    def test_which_counts_walk(self, monkeypatch):
         import parkline.enumeration as enumeration
 
         walks = []
+        real = enumeration.walk_occupied
         monkeypatch.setattr(
-            enumeration, "walk_occupied", lambda r, moves: walks.append(r) or 0
+            enumeration, "walk_occupied", lambda r, moves: walks.append(r) or real(r, moves)
         )
+        assert count_parking(builtin("right"), 3) == 16
+        assert walks == [3]
         for backend in ("numpy", "python"):
             assert count_parking(builtin("right"), 3, backend=backend) == 16
-        assert walks == []
-        count_parking(builtin("right"), 3)
+        assert count_parking(builtin("lbs"), 4) == 125
+        alternating = alternating_rule()
+        for r in range(1, 5):
+            words = itertools.product(range(1, r + 2), repeat=r)
+            assert count_parking(alternating, r) == sum(is_parking(alternating, w) for w in words)
         assert walks == [3]
 
     def test_caps_still_apply(self):
         with pytest.raises(CapExceededError):
-            count_parking(builtin("right"), 9, via="dp")
+            count_parking(builtin("right"), 9)
 
 
 class TestOrbitAudit:

@@ -133,5 +133,7 @@ class TestCountsAcrossBackends:
 
     def test_jobs_split_is_exact(self):
         p = builtin("closest")
-        single = count_parking(p, 5, jobs=1, via="brute")
-        assert count_parking(p, 5, jobs=4, via="brute") == single
+        # name the default backend so that the count enumerates words
+        backend = _kernels.default_backend()
+        single = count_parking(p, 5, jobs=1, backend=backend)
+        assert count_parking(p, 5, jobs=4, backend=backend) == single

@@ -125,8 +125,6 @@ class TestTotalMass:
 
         with pytest.raises(CapExceededError):
             total_parking_mass(kw_procedure(HALF), 7)
-        with pytest.raises(CapExceededError):
-            total_parking_mass(kw_procedure(HALF), 7, via="dp")
 
 
 WALKED = [pq_procedure(q) for q in (F(0), HALF, F(1), F(2), INFINITY)]
@@ -145,10 +143,9 @@ class TestMassWalk:
                 (parking_probability(pp, w) for w in itertools.product(range(1, r + 2), repeat=r)),
                 F(0),
             )
-            walked = total_parking_mass(pp, r, via="dp")
+            walked = total_parking_mass(pp, r)
             assert type(walked) is F
-            assert walked == per_word == total_parking_mass(pp, r, via="brute"), (pp.name, r)
-            assert total_parking_mass(pp, r) == walked
+            assert walked == per_word, (pp.name, r)
 
     def test_embedded_deterministic_rule_matches_count(self):
         from parkline.enumeration import count_parking
@@ -158,22 +155,31 @@ class TestMassWalk:
                 mass = total_parking_mass(from_procedure(builtin(name)), r)
                 assert mass == count_parking(builtin(name), r)
 
-    def test_lbs_is_not_memoryless(self):
-        pp = from_procedure(builtin("lbs"))
-        with pytest.raises(ValueError, match="memoryless"):
-            total_parking_mass(pp, 3, via="dp")
-        assert total_parking_mass(pp, 3) == 16
+    def test_which_masses_walk(self, monkeypatch):
+        import parkline.probabilistic as probabilistic
+        from conftest import alternating_rule
+
+        walks = []
+        real = probabilistic.walk_occupied
+        monkeypatch.setattr(
+            probabilistic, "walk_occupied", lambda r, moves: walks.append(r) or real(r, moves)
+        )
+        assert total_parking_mass(kw_procedure(HALF), 3) == 16
+        assert walks == [3]
+        assert total_parking_mass(from_procedure(builtin("lbs")), 3) == 16
+        alternating = from_procedure(alternating_rule())
+        for r in range(1, 4):
+            words = itertools.product(range(1, r + 2), repeat=r)
+            per_word = sum((parking_probability(alternating, w) for w in words), F(0))
+            assert total_parking_mass(alternating, r) == per_word
+        assert walks == [3]
 
     def test_probability_check_holds_on_the_walk(self):
         from parkline.probabilistic import ProbProcedure
 
         bad = ProbProcedure("bad", decide_prob=lambda st, h, occ, blk, a: F(3, 2))
         with pytest.raises(ValueError, match="outside"):
-            total_parking_mass(bad, 2, via="dp")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            total_parking_mass(kw_procedure(HALF), 2, via="nonsense")
+            total_parking_mass(bad, 2)
 
 
 class TestQIntegers:
