@@ -1,234 +1,92 @@
 """Hot simulation kernels for exhaustive enumeration.
 
 Two rules have dedicated kernels: direction-table rules (memoryless, shift
-invariant, locally decided) and the last-block-setter rule. Each kernel
-exists twice, as a numba @njit scalar loop and as a vectorized pure-numpy
-lockstep simulation over a whole batch of words.
+invariant, locally decided) and the last-block-setter rule. Each kernel is
+a vectorized numpy lockstep simulation over a whole batch of words; the
+per-word engine in procedures.py is the reference they are tested against.
 
-numba is optional (the `numba` extra). Without it `njit` is an identity
-shim and the numba backend is unavailable.
-
-Backend selection: the PARKING_BACKEND environment variable picks the
-default: "numba" (default when importable), "numpy", or "python" (no
-kernels; everything goes through the reference engine in procedures.py).
-PARKING_BACKEND=numba without numba falls back to numpy with a warning.
-Call sites may override per call via the `backend=` argument; an explicit
-backend="numba" without numba raises ValueError rather than fall back.
+Backends: "numpy" (the default) runs these kernels, "python" runs the
+per-word engine for every word. Call sites choose one via `backend=`.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
+BACKENDS = ("numpy", "python")
+# words simulated at once by default
+CHUNK = 1 << 15
 
 
-BACKENDS = ("numba", "numpy", "python")
-
-
-def default_backend() -> str:
-    choice = os.environ.get("PARKING_BACKEND", "").strip().lower()
-    if choice in BACKENDS:
-        if choice == "numba" and not _HAVE_NUMBA:
-            warnings.warn("numba unavailable, falling back to numpy")
-            return "numpy"
-        return choice
-    if choice:
-        warnings.warn(f"unknown PARKING_BACKEND={choice!r}, using default")
-    return "numba" if _HAVE_NUMBA else "numpy"
+class RadixOverflowError(OverflowError):
+    """Mixed-radix word indices or orbit keys would not fit in int64."""
 
 
 def resolve_backend(backend: str | None) -> str:
     if backend is None:
-        return default_backend()
+        return "numpy"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is unavailable")
     return backend
 
 
-def word_space_size(r: int, lo: int = 1, hi: int | None = None) -> int:
-    hi = r + 1 if hi is None else hi
-    return (hi - lo + 1) ** r
+def radix_weights(base: int, r: int) -> np.ndarray:
+    """int64 place values base^(r-1), ..., base, 1 of length-r numbers in
+    radix `base`. Raises RadixOverflowError unless every such number,
+    up to base^r - 1, fits in int64."""
+    if base**r - 1 > np.iinfo(np.int64).max:
+        raise RadixOverflowError(
+            f"{base}^{r} words overflow int64 indices and keys"
+        )
+    return base ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
 
-def alphabet_chunks(alphabet, r: int, chunk: int = 1 << 15):
+def alphabet_chunks(alphabet, r: int, chunk: int = CHUNK):
     """Yield all length-r words over the given letters as (m, r) int64
     arrays, in mixed-radix order (last letter fastest)."""
     letters = np.asarray(sorted(alphabet), dtype=np.int64)
     base = len(letters)
+    weights = radix_weights(base, r)
     total = base**r
-    weights = base ** np.arange(r - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         yield letters[(idx[:, None] // weights[None, :]) % base]
 
 
-def word_chunks(r: int, lo: int = 1, hi: int | None = None, chunk: int = 1 << 15):
+def word_chunks(r: int, lo: int = 1, hi: int | None = None, chunk: int = CHUNK):
     """Yield the word space {lo..hi}^r as (m, r) int64 arrays."""
     hi = r + 1 if hi is None else hi
     yield from alphabet_chunks(range(lo, hi + 1), r, chunk)
 
 
 # ---------------------------------------------------------------------------
-# direction-table rule
+# lockstep simulation
 #
 # words hold absolute spots; positions are offset by `base` so that every
 # reachable cell, including the scan sentinels, stays inside the buffer.
 
 
-@njit(cache=True, nogil=True)
-def _table_parked_numba(words, rights, default_right, base, width):
-    n, r = words.shape
-    nrows = rights.shape[0]
-    parked = np.empty((n, r), np.int64)
-    occ = np.zeros(width, np.uint8)
-    touched = np.empty(r, np.int64)
-    for w in range(n):
-        for j in range(r):
-            pos = words[w, j] - base
-            if occ[pos] == 0:
-                spot = pos
-            else:
-                t = pos
-                while occ[t - 1] == 1:
-                    t -= 1
-                u = pos
-                while occ[u + 1] == 1:
-                    u += 1
-                size = u - t + 1
-                if size <= nrows:
-                    go_right = rights[size - 1, pos - t]
-                else:
-                    go_right = default_right
-                spot = u + 1 if go_right else t - 1
-            occ[spot] = 1
-            touched[j] = spot
-            parked[w, j] = spot + base
-        for j in range(r):
-            occ[touched[j]] = 0
-    return parked
+def _window(words: np.ndarray) -> tuple[int, int]:
+    r = words.shape[1]
+    lo = int(words.min()) if words.size else 0
+    hi = int(words.max()) if words.size else 0
+    # cars drift at most r cells past the letter range; +2 for scan sentinels
+    base = lo - r - 1
+    width = (hi - lo + 1) + 2 * r + 2
+    return base, width
 
 
-def _table_parked_numpy(words, rights, default_right, base, width):
-    n, r = words.shape
-    nrows = rights.shape[0]
-    occ = np.zeros((n, width), bool)
-    parked = np.empty((n, r), np.int64)
-    cols = np.arange(width)
-    rows_idx = np.arange(n)
-    for j in range(r):
-        pos = words[:, j] - base
-        bumped = occ[rows_idx, pos]
-        free = ~occ
-        # nearest free cell at or left/right of each column
-        lf = np.maximum.accumulate(np.where(free, cols, -1), axis=1)
-        nf = np.minimum.accumulate(np.where(free, cols, width)[:, ::-1], axis=1)[:, ::-1]
-        lfp = lf[rows_idx, pos]  # == t-1 where bumped (pos itself is occupied)
-        nfp = nf[rows_idx, pos]  # == u+1 where bumped
-        size = nfp - lfp - 1
-        i = pos - lfp
-        lookup = rights[
-            np.clip(size, 1, nrows) - 1, np.clip(i, 1, nrows) - 1
-        ].astype(bool)
-        go_right = np.where(size <= nrows, lookup, default_right)
-        spot = np.where(bumped, np.where(go_right, nfp, lfp), pos)
-        occ[rows_idx, spot] = True
-        parked[:, j] = spot + base
-    return parked
-
-
-# ---------------------------------------------------------------------------
-# last-block-setter rule
-#
-# rec[·] holds, at the two endpoints of every block, the preference of the
-# last car that parked on that block; interior entries may be stale.
-
-
-@njit(cache=True, nogil=True)
-def _lbs_parked_numba(words, base, width):
-    n, r = words.shape
-    parked = np.empty((n, r), np.int64)
-    occ = np.zeros(width, np.uint8)
-    rec = np.zeros(width, np.int64)
-    touched = np.empty(r, np.int64)
-    for w in range(n):
-        for j in range(r):
-            a = words[w, j]
-            pos = a - base
-            if occ[pos] == 0:
-                spot = pos
-            else:
-                t = pos
-                while occ[t - 1] == 1:
-                    t -= 1
-                u = pos
-                while occ[u + 1] == 1:
-                    u += 1
-                spot = u + 1 if a >= rec[t] else t - 1
-            occ[spot] = 1
-            t2 = spot
-            while occ[t2 - 1] == 1:
-                t2 -= 1
-            u2 = spot
-            while occ[u2 + 1] == 1:
-                u2 += 1
-            rec[t2] = a
-            rec[u2] = a
-            touched[j] = spot
-            parked[w, j] = spot + base
-        for j in range(r):
-            occ[touched[j]] = 0
-    return parked
-
-
-def _lbs_parked_numpy(words, base, width):
-    n, r = words.shape
-    occ = np.zeros((n, width), bool)
-    rec = np.zeros((n, width), np.int64)
-    parked = np.empty((n, r), np.int64)
-    cols = np.arange(width)
-    rows_idx = np.arange(n)
-
-    def free_bounds(pos):
-        free = ~occ
-        lf = np.maximum.accumulate(np.where(free, cols, -1), axis=1)
-        nf = np.minimum.accumulate(np.where(free, cols, width)[:, ::-1], axis=1)[:, ::-1]
-        return lf[rows_idx, pos], nf[rows_idx, pos]
-
-    for j in range(r):
-        a = words[:, j]
-        pos = a - base
-        bumped = occ[rows_idx, pos]
-        lfp, nfp = free_bounds(pos)
-        block_rec = rec[rows_idx, np.clip(lfp + 1, 0, width - 1)]
-        spot = np.where(bumped, np.where(a >= block_rec, nfp, lfp), pos)
-        occ[rows_idx, spot] = True
-        # endpoints of the (possibly merged) block around the parked spot
-        lf2, nf2 = free_bounds(spot)
-        rec[rows_idx, lf2 + 1] = a
-        rec[rows_idx, nf2 - 1] = a
-        parked[:, j] = spot + base
-    return parked
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+def _free_bounds(occ: np.ndarray, rows: np.ndarray, pos: np.ndarray):
+    """Nearest free cell at or left of, and at or right of, column pos[k]
+    of occupancy row k. Where pos is occupied these are the cells just
+    outside its block."""
+    width = occ.shape[1]
+    # the smallest signed type holding -1..width keeps both scans small
+    cols = np.arange(width, dtype=np.min_scalar_type(-width - 1))
+    free = ~occ
+    lf = np.maximum.accumulate(np.where(free, cols, -1), axis=1)
+    nf = np.minimum.accumulate(np.where(free, cols, width)[:, ::-1], axis=1)[:, ::-1]
+    return lf[rows, pos].astype(np.int64), nf[rows, pos].astype(np.int64)
 
 
 def rights_array(dir_rule, r_max: int) -> np.ndarray:
@@ -243,37 +101,58 @@ def rights_array(dir_rule, r_max: int) -> np.ndarray:
     return out
 
 
-def _window(words: np.ndarray) -> tuple[int, int]:
-    r = words.shape[1]
-    lo = int(words.min()) if words.size else 0
-    hi = int(words.max()) if words.size else 0
-    # cars drift at most r cells past the letter range; +2 for scan sentinels
-    base = lo - r - 1
-    width = (hi - lo + 1) + 2 * r + 2
-    return base, width
+def table_parked(words: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Parked spot of every car for every word under a table rule.
 
-
-def table_parked(
-    words: np.ndarray,
-    rights: np.ndarray,
-    default_right: bool,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Parked spot of every car for every word under a table rule."""
+    `rights` is `rights_array(dir_rule, r)` for words of length r: a car
+    is bumped off a block of at most r-1 cars, so the rows cover it."""
     words = np.ascontiguousarray(words, dtype=np.int64)
     base, width = _window(words)
-    if resolve_backend(backend) == "numba":
-        return _table_parked_numba(
-            words, rights, np.uint8(default_right), base, width
-        )
-    return _table_parked_numpy(words, rights, bool(default_right), base, width)
+    n, r = words.shape
+    occ = np.zeros((n, width), bool)
+    parked = np.empty((n, r), np.int64)
+    rows = np.arange(n)
+    for j in range(r):
+        pos = words[:, j] - base
+        bumped = occ[rows, pos]
+        lfp, nfp = _free_bounds(occ, rows, pos)
+        # where bumped, the block spans lfp+1..nfp-1 and pos is its
+        # (pos-lfp)-th cell; elsewhere size and index clip to row 1, cell 1
+        size = nfp - lfp - 1
+        go_right = rights[
+            np.maximum(size, 1) - 1, np.maximum(pos - lfp, 1) - 1
+        ].astype(bool)
+        spot = np.where(bumped, np.where(go_right, nfp, lfp), pos)
+        occ[rows, spot] = True
+        parked[:, j] = spot + base
+    return parked
 
 
-def lbs_parked(words: np.ndarray, backend: str | None = None) -> np.ndarray:
+def lbs_parked(words: np.ndarray) -> np.ndarray:
     """Parked spot of every car for every word under the last-block-setter
-    rule."""
+    rule.
+
+    rec[·] holds, at the two endpoints of every block, the preference of
+    the last car that parked on that block; interior entries may be stale.
+    """
     words = np.ascontiguousarray(words, dtype=np.int64)
     base, width = _window(words)
-    if resolve_backend(backend) == "numba":
-        return _lbs_parked_numba(words, base, width)
-    return _lbs_parked_numpy(words, base, width)
+    n, r = words.shape
+    occ = np.zeros((n, width), bool)
+    rec = np.zeros((n, width), np.int64)
+    parked = np.empty((n, r), np.int64)
+    rows = np.arange(n)
+    for j in range(r):
+        a = words[:, j]
+        pos = a - base
+        bumped = occ[rows, pos]
+        lfp, nfp = _free_bounds(occ, rows, pos)
+        block_rec = rec[rows, np.clip(lfp + 1, 0, width - 1)]
+        spot = np.where(bumped, np.where(a >= block_rec, nfp, lfp), pos)
+        occ[rows, spot] = True
+        # endpoints of the (possibly merged) block around the parked spot
+        lf2, nf2 = _free_bounds(occ, rows, spot)
+        rec[rows, lf2 + 1] = a
+        rec[rows, nf2 - 1] = a
+        parked[:, j] = spot + base
+    return parked

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from ._kernels import RadixOverflowError
 from .enumeration import (
     CapExceededError,
     StrictTableError,
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
         if getattr(args, "word", None) is None and args.command == "encode":
             raise InputError("--word is required")
         report = args.handler(args)
-    except CapExceededError as e:
+    except (CapExceededError, RadixOverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (InputError, StrictTableError, ValueError, OSError) as e:

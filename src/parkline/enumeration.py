@@ -4,7 +4,7 @@ decomposition of words landing on a given spot set."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,24 +54,37 @@ def parked_matrix(
 ) -> np.ndarray:
     """(n, r) matrix of parked spots, one row per word. Dispatches to a
     kernel when the procedure has one and the backend allows it."""
-    if _kernels.resolve_backend(backend) != "python":
+    if _kernels.resolve_backend(backend) == "numpy":
         if p.kernel == "table":
-            rights = _rights_for(p, max(1, words.shape[1]))
-            return _kernels.table_parked(words, rights, True, backend)
+            return _kernels.table_parked(words, _rights_for(p, max(1, words.shape[1])))
         if p.kernel == "lbs":
-            return _kernels.lbs_parked(words, backend)
+            return _kernels.lbs_parked(words)
     out = np.empty(words.shape, np.int64)
     for i, row in enumerate(words.tolist()):
         out[i] = run(p, tuple(row)).parked
     return out
 
 
-def _map_chunks(alphabet, r, fn, jobs: int, chunk: int = 1 << 15) -> list:
-    chunks = _kernels.alphabet_chunks(alphabet, r, chunk)
+def _map_chunks(alphabet, r: int, fn, jobs: int) -> list:
+    """fn over every chunk of the length-r words on `alphabet`, in order.
+
+    Over `jobs` threads the chunks shrink to CHUNK // jobs words and at
+    most `jobs` of them are read ahead of the results collected, so the
+    words in flight stay about CHUNK however many threads share them.
+    """
+    size = max(1, _kernels.CHUNK // max(1, jobs))
+    chunks = _kernels.alphabet_chunks(alphabet, r, size)
     if jobs <= 1:
         return [fn(w) for w in chunks]
+    results = []
     with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, chunks))
+        pending: deque = deque()
+        for words in chunks:
+            pending.append(ex.submit(fn, words))
+            if len(pending) == jobs:
+                results.append(pending.popleft().result())
+        results.extend(f.result() for f in pending)
+    return results
 
 
 def count_parking(
@@ -115,7 +128,7 @@ def count_parking(
 def _canonical_keys(words: np.ndarray, r: int) -> np.ndarray:
     """Mixed-radix key of the lexicographically smallest rotation."""
     base = r + 1
-    weights = base ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    weights = _kernels.radix_weights(base, r)
     digits = words - 1
     best = digits @ weights
     for k in range(1, base):

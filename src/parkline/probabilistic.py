@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .procedures import Block, Direction, Procedure, walk_occupied
+from .procedures import Block, Direction, Procedure, checked_decide, walk_occupied
 from .words import SpotSet, Word, as_word, block_of, orbit_representative
 
 DEFAULT_PROB_CAP = 6
@@ -287,7 +287,8 @@ def from_procedure(p: Procedure) -> ProbProcedure:
     """Embed a deterministic rule as 0/1 right-probabilities."""
 
     def decide(st, h, occ, blk, a):
-        return ONE if p.decide(st, h, occ, blk, a) is Direction.RIGHT else ZERO
+        d = checked_decide(p, st, h, occ, blk, a)
+        return ONE if d is Direction.RIGHT else ZERO
 
     return ProbProcedure(
         name=p.name,

@@ -93,11 +93,20 @@ class RunResult:
         return {spot: i + 1 for i, spot in enumerate(self.parked)}
 
 
+def checked_decide(p, state, history, occupied, blk, a) -> Direction:
+    """`p.decide(state, history, occupied, blk, a)`, refusing any answer
+    that is not a Direction."""
+    d = p.decide(state, history, occupied, blk, a)
+    if not isinstance(d, Direction):
+        raise ValueError(f"{p.name}: decide returned {d!r}, not a Direction")
+    return d
+
+
 def bumped_spot(p, state, history, occupied, a, spot_pref) -> int:
     """Spot taken by car `a` whose preferred spot `spot_pref` is occupied:
     the free spot just left or right of its block, as `p.decide` says."""
     blk = block_of(occupied, spot_pref)
-    d = p.decide(state, history, occupied, blk, a)
+    d = checked_decide(p, state, history, occupied, blk, a)
     spot = blk.lo - 1 if d is LEFT else blk.hi + 1
     # the block is maximal, so the adjacent spot is free
     assert spot not in occupied
@@ -422,7 +431,9 @@ def dir_of(p: Procedure, r: int, i: int) -> Direction:
         raise ValueError(f"{p.name} is not memoryless")
     if not 1 <= i <= r:
         raise ValueError(f"position {i} outside 1..{r}")
-    return p.decide(p.init_state(), (), frozenset(range(1, r + 1)), Block(1, r), i)
+    return checked_decide(
+        p, p.init_state(), (), frozenset(range(1, r + 1)), Block(1, r), i
+    )
 
 
 def dir_of_set(p: Procedure, occupied: Iterable[int], a: int) -> Direction:
@@ -430,7 +441,7 @@ def dir_of_set(p: Procedure, occupied: Iterable[int], a: int) -> Direction:
     if not p.is_memoryless:
         raise ValueError(f"{p.name} is not memoryless")
     occ = frozenset(occupied)
-    return p.decide(p.init_state(), (), occ, block_of(occ, a), a)
+    return checked_decide(p, p.init_state(), (), occ, block_of(occ, a), a)
 
 
 # ---------------------------------------------------------------------------

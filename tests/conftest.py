@@ -31,10 +31,20 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, n))
 
 
-def oracle_spot(rule: str, occ: set[int], a: int, k: int = 1) -> int:
-    """Spot chosen for a car preferring the occupied spot `a`."""
+def oracle_spot(
+    rule: str, occ: set[int], a: int, k: int = 1, table: DirTable | None = None
+) -> int:
+    """Spot chosen for a car preferring the occupied spot `a`; the "table"
+    rule reads its direction from `table`."""
     left = _nearest_free_left(occ, a)
     right = _nearest_free_right(occ, a)
+    if rule == "table":
+        size = right - left - 1
+        if size <= len(table.rows):
+            d = table.rows[size - 1][a - left - 1]
+        else:
+            d = table.default_beyond
+        return right if d is Direction.RIGHT else left
     if rule == "right":
         return right
     if rule == "left":
@@ -57,11 +67,13 @@ def oracle_spot(rule: str, occ: set[int], a: int, k: int = 1) -> int:
     raise ValueError(rule)
 
 
-def oracle_run(rule: str, word, k: int = 1) -> tuple[set[int], list[int]]:
+def oracle_run(
+    rule: str, word, k: int = 1, table: DirTable | None = None
+) -> tuple[set[int], list[int]]:
     occ: set[int] = set()
     parked: list[int] = []
     for a in word:
-        spot = a if a not in occ else oracle_spot(rule, occ, a, k)
+        spot = a if a not in occ else oracle_spot(rule, occ, a, k, table)
         occ.add(spot)
         parked.append(spot)
     return occ, parked

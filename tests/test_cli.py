@@ -68,6 +68,14 @@ class TestOrbits:
         members = {tuple(v["members"]) for v in doc["results"]["violations"]}
         assert ("1,3,1", "2,4,2", "3,1,3", "4,2,4") in members
 
+    def test_word_space_overflow_exit_2(self, capsys):
+        # 17^16 words overflow int64 keys; refused before any enumeration
+        code, _, err = invoke(
+            capsys, "orbits", "--proc", "right", "--r", "16", "--cap-unsafe"
+        )
+        assert code == 2
+        assert "overflow" in err
+
     def test_closest_all_one(self, capsys):
         code, out, _ = invoke(
             capsys, "orbits", "--proc", "closest", "--r", "4", "--format", "json"

@@ -1,71 +1,37 @@
-import os
-import subprocess
-import sys
-from importlib.util import find_spec
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_dir_tables
+from conftest import oracle_run, random_dir_tables
 from parkline import _kernels
-from parkline.enumeration import count_parking, parked_matrix
-from parkline.procedures import builtin
+from parkline.enumeration import (
+    _canonical_keys,
+    _map_chunks,
+    count_parking,
+    expected_parking_count,
+    parked_matrix,
+)
+from parkline.procedures import Direction, DirTable, builtin, run, table_procedure
 
 TABLE_PROCS = [builtin(n) for n in ("right", "left", "closest", "prime")]
 TABLE_PROCS += random_dir_tables(3, 6, seed=42)
-
-# numba is an optional extra: its cases run only where it is installed, and
-# an explicit request for it must still raise where it is not.
-HAVE_NUMBA = find_spec("numba") is not None
-NUMBA = pytest.param(
-    "numba",
-    marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba is not installed"),
-)
-AVAILABLE_BACKENDS = (("numba",) if HAVE_NUMBA else ()) + ("numpy", "python")
 
 
 def full_space(r):
     return np.vstack(list(_kernels.word_chunks(r)))
 
 
-def default_backend_under(env_value):
-    env = dict(os.environ, PARKING_BACKEND=env_value)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from parkline._kernels import default_backend; print(default_backend())"],
-        capture_output=True, text=True, env=env,
-    )
-
-
 class TestBackendSelection:
     def test_resolve_explicit(self):
+        assert _kernels.resolve_backend(None) == "numpy"
         assert _kernels.resolve_backend("numpy") == "numpy"
         assert _kernels.resolve_backend("python") == "python"
-        with pytest.raises(ValueError):
-            _kernels.resolve_backend("fortran")
-
-    def test_resolve_numba_follows_availability(self):
-        if HAVE_NUMBA:
-            assert _kernels.resolve_backend("numba") == "numba"
-        else:
-            with pytest.raises(ValueError, match="numba"):
-                _kernels.resolve_backend("numba")
-
-    def test_env_flag_selects_numpy(self):
-        assert default_backend_under("numpy").stdout.strip() == "numpy"
-
-    def test_env_flag_selects_python(self):
-        assert default_backend_under("python").stdout.strip() == "python"
-
-    def test_env_flag_numba_follows_availability(self):
-        # the environment default degrades with a warning, unlike an explicit
-        # backend= request
-        out = default_backend_under("numba")
-        if HAVE_NUMBA:
-            assert out.stdout.strip() == "numba"
-        else:
-            assert out.stdout.strip() == "numpy"
-            assert "falling back to numpy" in out.stderr
+        for name in ("fortran", "numba"):
+            with pytest.raises(ValueError):
+                _kernels.resolve_backend(name)
 
 
 class TestWordChunks:
@@ -89,7 +55,21 @@ class TestWordChunks:
         }
 
 
-@pytest.mark.parametrize("backend", [NUMBA, "numpy"])
+class TestRadixOverflow:
+    # 17^16 > 2^63: indices and orbit keys of length-16 words wrap in int64
+    def test_chunks_refuse_before_the_first_chunk(self):
+        with pytest.raises(_kernels.RadixOverflowError):
+            next(_kernels.alphabet_chunks(range(1, 18), 16))
+        assert next(_kernels.word_chunks(15)).shape == (_kernels.CHUNK, 15)
+
+    def test_canonical_keys_refuse(self):
+        with pytest.raises(_kernels.RadixOverflowError):
+            _canonical_keys(np.full((1, 16), 17, np.int64), 16)
+        # the largest word of the widest safe space rotates to key 0
+        assert _canonical_keys(np.full((1, 15), 16, np.int64), 15).tolist() == [0]
+
+
+@pytest.mark.parametrize("backend", ["numpy"])
 class TestKernelEquivalence:
     @pytest.mark.parametrize("p", TABLE_PROCS, ids=lambda p: p.name)
     def test_table_kernel_matches_engine(self, backend, p):
@@ -122,18 +102,81 @@ class TestKernelEquivalence:
         assert (parked_matrix(table_p, words, backend=backend) == ref).all()
 
 
+DIRECTIONS = st.sampled_from((Direction.LEFT, Direction.RIGHT))
+
+
+@st.composite
+def dir_tables(draw):
+    r_max = draw(st.integers(1, 6))
+    rows = tuple(
+        tuple(draw(st.lists(DIRECTIONS, min_size=r, max_size=r)))
+        for r in range(1, r_max + 1)
+    )
+    return DirTable(rows, draw(DIRECTIONS))
+
+
+@st.composite
+def word_batches(draw):
+    """Words of one length, letters in a window that may be negative."""
+    length = draw(st.integers(1, 6))
+    lo = draw(st.integers(-8, 4))
+    letters = st.integers(lo, lo + draw(st.integers(0, 6)))
+    word = st.lists(letters, min_size=length, max_size=length).map(tuple)
+    return draw(st.lists(word, min_size=1, max_size=12))
+
+
+class TestRandomTables:
+    @given(table=dir_tables(), words=word_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_engine_and_oracle_agree(self, table, words):
+        p = table_procedure(table)
+        fast = parked_matrix(p, np.array(words, np.int64), backend="numpy")
+        for word, spots in zip(words, fast.tolist()):
+            assert list(run(p, word).parked) == spots, word
+            assert oracle_run("table", word, table=table)[1] == spots, word
+
+    @given(table=dir_tables())
+    @settings(max_examples=10, deadline=None)
+    def test_walked_count_matches_enumeration(self, table):
+        p = table_procedure(table)
+        for r in range(1, 6):
+            counts = {
+                count_parking(p, r),
+                count_parking(p, r, backend="numpy"),
+                count_parking(p, r, backend="python"),
+            }
+            assert counts == {expected_parking_count(r)}, r
+
+
 class TestCountsAcrossBackends:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_right_counts_agree(self, r):
         counts = {
             b: count_parking(builtin("right"), r, backend=b)
-            for b in AVAILABLE_BACKENDS
+            for b in ("numpy", "python")
         }
         assert set(counts.values()) == {(r + 1) ** (r - 1)}, counts
 
     def test_jobs_split_is_exact(self):
         p = builtin("closest")
-        # name the default backend so that the count enumerates words
-        backend = _kernels.default_backend()
-        single = count_parking(p, 5, jobs=1, backend=backend)
-        assert count_parking(p, 5, jobs=4, backend=backend) == single
+        # name the backend so that the count enumerates words
+        single = count_parking(p, 5, jobs=1, backend="numpy")
+        assert count_parking(p, 5, jobs=4, backend="numpy") == single
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_jobs_read_at_most_jobs_chunks_ahead(self, monkeypatch, jobs):
+        finished, ahead = [], []
+
+        def chunks(alphabet, r, size):
+            for i in range(4 * jobs):
+                ahead.append(i + 1 - len(finished))
+                yield i
+
+        def work(i):
+            time.sleep(0.005)
+            finished.append(i)
+            return i
+
+        monkeypatch.setattr(_kernels, "alphabet_chunks", chunks)
+        assert _map_chunks(range(1, 3), 2, work, jobs) == list(range(4 * jobs))
+        assert max(ahead) <= jobs

@@ -23,7 +23,7 @@ from parkline.probabilistic import (
     right_prob_table,
     total_parking_mass,
 )
-from parkline.procedures import builtin, run
+from parkline.procedures import Procedure, builtin, run
 
 HALF = F(1, 2)
 
@@ -68,6 +68,13 @@ class TestMeasure:
         p = builtin(name)
         m = measure(from_procedure(p), word)
         assert m.probs == {run(p, word).spots: F(1)}
+
+
+    @pytest.mark.parametrize("answer", ["L", None])
+    def test_embedding_refuses_a_non_direction(self, answer):
+        pp = from_procedure(Procedure("bad", decide=lambda *_: answer))
+        with pytest.raises(ValueError, match=f"bad: decide returned {answer!r}"):
+            measure(pp, (1, 1))
 
 
 class TestParkingProbability:

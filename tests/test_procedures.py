@@ -9,6 +9,7 @@ from parkline.procedures import (
     LEFT,
     RIGHT,
     DirTable,
+    Procedure,
     builtin,
     check_flags,
     dir_of,
@@ -41,6 +42,12 @@ class TestRun:
     def test_lbs_words(self):
         assert run(make("lbs"), (1, 2, 1)).spots == frozenset({0, 1, 2})
         assert run(make("lbs"), (2, 1, 1)).spots == frozenset({1, 2, 3})
+
+    @pytest.mark.parametrize("answer", ["L", None])
+    def test_decide_must_return_a_direction(self, answer):
+        p = Procedure("bad", decide=lambda *_: answer)
+        with pytest.raises(ValueError, match=f"bad: decide returned {answer!r}"):
+            run(p, (1, 1))
 
     def test_empty_word(self):
         assert run(make("right"), ()).spots == frozenset()
