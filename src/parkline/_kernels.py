@@ -134,6 +134,8 @@ def lbs_parked(words: np.ndarray) -> np.ndarray:
 
     rec[·] holds, at the two endpoints of every block, the preference of
     the last car that parked on that block; interior entries may be stale.
+    This is the block-record invariant of `procedures.record_parked`,
+    which the per-word engine and the walk keep as (lo, hi, record).
     """
     words = np.ascontiguousarray(words, dtype=np.int64)
     base, width = _window(words)

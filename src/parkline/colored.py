@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import OrbitReport, OrbitViolation
-from .procedures import Direction, RunResult, run_engine
+from .procedures import (
+    Direction,
+    RunResult,
+    block_record,
+    record_parked,
+    run_engine,
+)
 
 
 class ColoredLetter(NamedTuple):
@@ -80,26 +86,22 @@ class ColoredProcedure:
 
 def colored_lbs_procedure() -> ColoredProcedure:
     """Last-block-setter with lexicographic comparison of full letters;
-    defined where the new letter differs from the block record."""
+    defined where the new letter differs from the block record. The state
+    is a block-record state keyed by spot values (see `block_record`)."""
 
     def decide(state, h, occ, blk, letter):
-        _, last = max(state[s] for s in blk.spots())
+        last = block_record(state, blk)
         if letter == last:
             raise UndefinedRuleError(
                 f"letter {letter} equals the block record; rule undefined"
             )
         return Direction.RIGHT if letter > last else Direction.LEFT
 
-    def update(state, letter, spot):
-        nxt = dict(state)
-        nxt[spot] = (len(state) + 1, letter)
-        return nxt
-
     return ColoredProcedure(
         name="colored-lbs",
         decide=decide,
-        init_state=dict,
-        update=update,
+        init_state=tuple,
+        update=record_parked,
         language=distinct_letters_language(),
         is_memoryless=False,
     )

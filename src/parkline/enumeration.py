@@ -97,22 +97,21 @@ def count_parking(
 ) -> int:
     """Number of words of length r whose run occupies exactly {1..r}.
 
-    A memoryless rule with no `update` walks occupied subsets of {1..r}
-    (`walk_occupied`) unless a `backend` is named. Otherwise the words
+    A rule flagged memoryless or having an `update` walks (occupied
+    subset of {1..r}, rule state) pairs (`walk_occupied`) unless a
+    `backend` is named. Otherwise the words
     {1..r+1}^r are enumerated on `backend`, split over `jobs` threads;
     any word occupying {1..r} has all its letters in {1..r}, so the
     window is exhaustive. `jobs` matters only to enumeration.
     """
     _check_r(p, r, cap)
-    if p.is_memoryless and p.update is None and backend is None:
-        state = p.init_state()
+    if (p.is_memoryless or p.update is not None) and backend is None:
 
-        def moves(occ: frozenset, a: int):
-            if a not in occ:
-                return ((a, 1),)
-            return ((bumped_spot(p, state, (), occ, a, a), 1),)
+        def moves(occ: frozenset, state, a: int):
+            spot = a if a not in occ else bumped_spot(p, state, (), occ, a, a)
+            return ((spot, 1, state if p.update is None else p.update(state, a, spot)),)
 
-        return walk_occupied(r, moves)
+        return walk_occupied(r, moves, p.init_state())
 
     def work(words: np.ndarray) -> int:
         parked = parked_matrix(p, words, backend)

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .procedures import Block, Direction, Procedure, checked_decide, walk_occupied
+from .procedures import (
+    Block,
+    Direction,
+    Procedure,
+    checked_decide,
+    state_key,
+    walk_occupied,
+)
 from .words import SpotSet, Word, as_word, block_of, orbit_representative
 
 DEFAULT_PROB_CAP = 6
@@ -77,9 +84,15 @@ def pq_right_prob(r: int, i: int, q: QValue) -> Fraction:
 class ProbProcedure:
     """A bilateral rule whose decision is a probability of going right.
 
-    As for `Procedure`, a rule whose `decide_prob` reads state or history
-    must set `is_memoryless` False: `total_parking_mass` walks occupied
-    sets for a rule flagged memoryless that has no `update`.
+    As for `Procedure`, `total_parking_mass` walks (occupied set, state)
+    pairs for every rule flagged memoryless or having an `update`, with an
+    empty history. Its answer is right only if:
+    - a rule with an `update` keeps everything `decide_prob` reads in
+      `state`, and `update` returns a new state instead of changing its
+      argument;
+    - `state` is hashable or a dict;
+    - `decide_prob` never reads `history`.
+    A rule flagged not memoryless with no `update` sums word by word.
     """
 
     name: str
@@ -118,20 +131,17 @@ class Measure:
 def _branches(pp: ProbProcedure, state, history, occ: frozenset, a: int):
     """(spot, prob, next state) triples for one arriving car."""
     if a not in occ:
-        yield a, ONE, state
-        return
-    blk = block_of(occ, a)
-    pr = pp.decide_prob(state, history, occ, blk, a)
-    if not ZERO <= pr <= ONE:
-        raise ValueError(f"{pp.name} returned probability {pr} outside [0,1]")
-    if pr > 0:
-        yield blk.hi + 1, pr, state
-    if pr < 1:
-        yield blk.lo - 1, ONE - pr, state
-
-
-def _state_key(state: Any):
-    return frozenset(state.items()) if isinstance(state, dict) else state
+        branches = ((a, ONE),)
+    else:
+        blk = block_of(occ, a)
+        pr = pp.decide_prob(state, history, occ, blk, a)
+        if not ZERO <= pr <= ONE:
+            raise ValueError(f"{pp.name} returned probability {pr} outside [0,1]")
+        branches = ((blk.hi + 1, pr), (blk.lo - 1, ONE - pr))
+    update = pp.update
+    for spot, prob in branches:
+        if prob:  # in [0, 1], so nonzero means positive
+            yield spot, prob, state if update is None else update(state, a, spot)
 
 
 def measure(pp: ProbProcedure, word: Iterable[int]) -> Measure:
@@ -141,20 +151,20 @@ def measure(pp: ProbProcedure, word: Iterable[int]) -> Measure:
     weights.
     """
     word = as_word(word)
+    init = pp.init_state()
     current: dict[tuple[frozenset, Any], tuple[Fraction, Any]] = {
-        (frozenset(), _state_key(pp.init_state())): (ONE, pp.init_state())
+        (frozenset(), state_key(init)): (ONE, init)
     }
     for idx, a in enumerate(word):
         history = word[:idx]
         nxt: dict[tuple[frozenset, Any], tuple[Fraction, Any]] = {}
         for (occ, _), (weight, state) in current.items():
             for spot, pr, st in _branches(pp, state, history, occ, a):
-                new_state = st if pp.update is None else pp.update(st, a, spot)
-                key = (occ | {spot}, _state_key(new_state))
+                key = (occ | {spot}, state_key(st))
                 prev = nxt.get(key)
                 nxt[key] = (
                     weight * pr if prev is None else prev[0] + weight * pr,
-                    new_state,
+                    st,
                 )
         current = nxt
     probs: dict[SpotSet, Fraction] = defaultdict(lambda: ZERO)
@@ -175,8 +185,7 @@ def path_distribution(pp: ProbProcedure, word: Iterable[int]) -> dict[tuple[int,
         for parked, (weight, state) in current.items():
             occ = frozenset(parked)
             for spot, pr, st in _branches(pp, state, history, occ, a):
-                new_state = st if pp.update is None else pp.update(st, a, spot)
-                nxt[parked + (spot,)] = (weight * pr, new_state)
+                nxt[parked + (spot,)] = (weight * pr, st)
         current = nxt
     return {parked: weight for parked, (weight, _) in current.items()}
 
@@ -192,9 +201,10 @@ def total_parking_mass(
 ) -> Fraction:
     """Sum of parking probabilities over all words in {1..r+1}^r.
 
-    A memoryless rule with no `update` walks occupied subsets of {1..r}
-    with its branch probabilities as weights (`walk_occupied`); any other
-    rule sums `parking_probability` word by word.
+    A rule flagged memoryless or having an `update` walks (occupied
+    subset of {1..r}, rule state) pairs with its branch probabilities as
+    weights (`walk_occupied`); any other rule sums `parking_probability`
+    word by word.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -202,13 +212,12 @@ def total_parking_mass(
         from .enumeration import CapExceededError
 
         raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
-    if pp.is_memoryless and pp.update is None:
-        state = pp.init_state()
+    if pp.is_memoryless or pp.update is not None:
 
-        def moves(occ: frozenset, a: int):
-            return ((spot, pr) for spot, pr, _ in _branches(pp, state, (), occ, a))
+        def moves(occ: frozenset, state, a: int):
+            return _branches(pp, state, (), occ, a)
 
-        return Fraction(walk_occupied(r, moves))
+        return Fraction(walk_occupied(r, moves, pp.init_state()))
     total = ZERO
     for word in itertools.product(range(1, r + 2), repeat=r):
         total += parking_probability(pp, word)

@@ -44,14 +44,20 @@ def _no_state() -> None:
 class Procedure:
     """A deterministic bilateral parking rule.
 
-    Memoryless rules must ignore `state` and `history` and depend only on
+    Memoryless rules ignore `state` and `history` and depend only on
     (occupied, letter). `count_parking` and `total_parking_mass` walk
-    occupied sets for a rule flagged memoryless that has no `update`, so
-    a rule whose `decide` reads state or history must set the flag False
-    or its counts and masses come out wrong. `dir_rule`, when set, gives the direction chosen on
-    the standard block {1..r} for a car preferring i, for any r; it exists
-    exactly for the memoryless shift-invariant locally-decided rules and
-    enables the fast table kernels.
+    (occupied set, state) pairs for every rule flagged memoryless or
+    having an `update`, and pass `decide` an empty history. Their answers
+    are right only if:
+    - a rule with an `update` keeps everything `decide` reads in `state`,
+      and `update` returns a new state instead of changing its argument;
+    - `state` is hashable or a dict;
+    - `decide` never reads `history`.
+    A rule flagged not memoryless with no `update` enumerates words.
+    `dir_rule`, when set, gives the direction chosen on the standard
+    block {1..r} for a car preferring i, for any r; it exists exactly for
+    the memoryless shift-invariant locally-decided rules and enables the
+    fast table kernels.
     """
 
     name: str
@@ -134,33 +140,82 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
     return RunResult(letters, frozenset(occupied), tuple(parked))
 
 
-# moves(occupied, letter) -> (spot, weight) pairs for the arriving car
-MovesFn = Callable[[frozenset, int], Iterable[tuple[int, Any]]]
+def state_key(state: Any):
+    """Hashable stand-in for a rule state: a dict by its items, any
+    other state as itself. Runs that agree on (occupied set, state key)
+    continue alike and are merged."""
+    return frozenset(state.items()) if isinstance(state, dict) else state
 
 
-def walk_occupied(r: int, moves: MovesFn):
+# moves(occupied, state, letter) -> (spot, weight, next state) triples for
+# the arriving car
+MovesFn = Callable[[frozenset, Any, int], Iterable[tuple[int, Any, Any]]]
+
+
+def walk_occupied(r: int, moves: MovesFn, init_state: Any):
     """Total weight of the runs of r cars that end on exactly {1..r},
-    summed over occupied sets instead of words.
+    summed over (occupied set, rule state) pairs instead of words.
 
-    `moves` must depend on (occupied, letter) alone, as a memoryless rule
-    does. A car parked outside {1..r} never leaves, so only letters and
-    spots inside {1..r} are followed: at most 2^r sets times r letters per
-    car, against (r+1)^r words. Weights multiply along a run and add over
-    runs, so int weights give an exact count and Fraction weights an exact
-    mass.
+    `moves` must depend on (occupied, state, letter) alone; memoryless
+    rules carry state None. A car parked outside {1..r} never leaves, so
+    only letters and spots inside {1..r} are followed: for a memoryless
+    rule at most 2^r sets times r letters per car, against (r+1)^r words.
+    Runs that agree on (occupied, `state_key(state)`) are merged. Weights
+    multiply along a run and add over runs, so int weights give an exact
+    count and Fraction weights an exact mass.
     """
     inside = range(1, r + 1)
-    level = {frozenset(): 1}
+    level = {(frozenset(), state_key(init_state)): (1, init_state)}
     for _ in inside:
-        nxt: dict[frozenset, Any] = {}
-        for occ, weight in level.items():
+        nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
+        for (occ, _), (weight, state) in level.items():
             for a in inside:
-                for spot, w in moves(occ, a):
+                for spot, w, st in moves(occ, state, a):
                     if 1 <= spot <= r:
-                        key = occ | {spot}
-                        nxt[key] = nxt.get(key, 0) + weight * w
+                        key = (occ | {spot}, state_key(st))
+                        prev = nxt.get(key)
+                        nxt[key] = (
+                            weight * w if prev is None else prev[0] + weight * w,
+                            st,
+                        )
         level = nxt
-    return level.get(frozenset(inside), 0)
+    # every surviving run parked r distinct cars inside {1..r}
+    return sum(weight for weight, _ in level.values())
+
+
+# ---------------------------------------------------------------------------
+# block records
+#
+# A block-record state is a sorted tuple of (lo, hi, record), one entry per
+# maximal block lo..hi of occupied spots, where record is the letter of the
+# last car that parked on the block. `_kernels.lbs_parked` keeps the same
+# invariant in its arrays at block endpoints.
+
+
+def block_record(state: tuple, blk: Block):
+    """Record of block `blk` in a block-record state."""
+    for lo, _, rec in state:
+        if lo == blk.lo:
+            return rec
+    raise ValueError(f"no record for block {blk.lo}..{blk.hi}")
+
+
+def record_parked(state: tuple, letter, spot: int) -> tuple:
+    """Block-record state after a car with `letter` parks on the free
+    `spot`: the blocks next to it merge with it and take `letter` as
+    their record."""
+    lo = hi = spot
+    kept = []
+    for entry in state:
+        if entry[1] == spot - 1:
+            lo = entry[0]
+        elif entry[0] == spot + 1:
+            hi = entry[1]
+        else:
+            kept.append(entry)
+    kept.append((lo, hi, letter))
+    # block starts are distinct, so sorting never compares records
+    return tuple(sorted(kept))
 
 
 def run(p: Procedure, word: Iterable[int]) -> RunResult:
@@ -300,24 +355,17 @@ def lbs_procedure() -> Procedure:
     """Compare against the last car that parked on the block: park right
     iff the new preference is >= that car's preference.
 
-    State maps each occupied spot to (arrival step, preference); the block
-    record is the entry with the largest step among the block's spots.
+    The state is a block-record state (see `block_record`).
     """
 
     def decide(state, h, occ, blk, a):
-        _, pref = max(state[s] for s in blk.spots())
-        return RIGHT if a >= pref else LEFT
-
-    def update(state, letter, spot):
-        nxt = dict(state)
-        nxt[spot] = (len(state) + 1, letter)
-        return nxt
+        return RIGHT if a >= block_record(state, blk) else LEFT
 
     return Procedure(
         name="lbs",
         decide=decide,
-        init_state=dict,
-        update=update,
+        init_state=tuple,
+        update=record_parked,
         is_memoryless=False,
         kernel="lbs",
     )

@@ -117,11 +117,36 @@ def random_dir_tables(count: int, r_max: int, seed: int) -> list:
 
 def alternating_rule() -> Procedure:
     """Goes right for odd-numbered cars and left for even ones. Its
-    `decide` reads the state, yet it keeps the default is_memoryless=True,
-    so counts and masses must notice its `update` and enumerate words."""
+    `decide` reads the state that its `update` keeps, so counts and masses
+    walk (occupied set, state) pairs."""
     return Procedure(
         "alternating",
         decide=lambda st, h, occ, blk, a: Direction.LEFT if st % 2 else Direction.RIGHT,
         init_state=lambda: 0,
         update=lambda st, a, spot: st + 1,
+    )
+
+
+def history_parity_rule() -> Procedure:
+    """Goes right iff the letters of the earlier cars have an odd sum. Its
+    `decide` reads `history`, and it is flagged not memoryless with no
+    `update`, so counts and masses must enumerate words: a walk, which
+    passes an empty history, would always go left."""
+    return Procedure(
+        "history-parity",
+        decide=lambda st, h, occ, blk, a: Direction.RIGHT if sum(h) % 2 else Direction.LEFT,
+        is_memoryless=False,
+    )
+
+
+def state_parity_rule() -> Procedure:
+    """`history_parity_rule` with its memory in state: `update` keeps the
+    parity of the letters so far. It walks, and its counts and masses must
+    equal the history rule's."""
+    return Procedure(
+        "state-parity",
+        decide=lambda st, h, occ, blk, a: Direction.RIGHT if st else Direction.LEFT,
+        init_state=lambda: 0,
+        update=lambda st, a, spot: (st + a) % 2,
+        is_memoryless=False,
     )

@@ -10,7 +10,13 @@ from parkline.enumeration import (
     count_words_to_set,
     orbit_audit,
 )
-from conftest import alternating_rule, random_dir_tables
+from conftest import (
+    alternating_rule,
+    history_parity_rule,
+    oracle_lbs_run,
+    random_dir_tables,
+    state_parity_rule,
+)
 from parkline.procedures import (
     LEFT,
     RIGHT,
@@ -105,22 +111,59 @@ class TestWalk:
         walks = []
         real = enumeration.walk_occupied
         monkeypatch.setattr(
-            enumeration, "walk_occupied", lambda r, moves: walks.append(r) or real(r, moves)
+            enumeration,
+            "walk_occupied",
+            lambda r, moves, init_state: walks.append(r) or real(r, moves, init_state),
         )
         assert count_parking(builtin("right"), 3) == 16
         assert walks == [3]
         for backend in ("numpy", "python"):
             assert count_parking(builtin("right"), 3, backend=backend) == 16
-        assert count_parking(builtin("lbs"), 4) == 125
-        alternating = alternating_rule()
-        for r in range(1, 5):
-            words = itertools.product(range(1, r + 2), repeat=r)
-            assert count_parking(alternating, r) == sum(is_parking(alternating, w) for w in words)
         assert walks == [3]
+        # rules with an `update` walk (occupied set, state) pairs
+        for p in (builtin("lbs"), alternating_rule(), state_parity_rule()):
+            for r in range(1, 6):
+                words = itertools.product(range(1, r + 2), repeat=r)
+                per_word = sum(is_parking(p, w) for w in words)
+                walks.clear()
+                assert count_parking(p, r) == per_word, (p.name, r)
+                assert walks == [r]
+        # a rule reading history without an `update` enumerates words
+        history = history_parity_rule()
+        walks.clear()
+        counts = [count_parking(history, r) for r in range(1, 6)]
+        assert counts == [1, 4, 14, 126, 1164]
+        for r, count in enumerate(counts, start=1):
+            words = itertools.product(range(1, r + 2), repeat=r)
+            assert count == sum(is_parking(history, w) for w in words)
+        assert walks == []
+        assert counts == [count_parking(state_parity_rule(), r) for r in range(1, 6)]
 
     def test_caps_still_apply(self):
         with pytest.raises(CapExceededError):
             count_parking(builtin("right"), 9)
+
+
+class TestLbsWalk:
+    """count_parking walks lbs over (occupied set, block records)."""
+
+    def test_walk_equals_kernel_engine_and_oracle(self):
+        p = builtin("lbs")
+        for r in range(1, 7):
+            full = set(range(1, r + 1))
+            words = itertools.product(range(1, r + 2), repeat=r)
+            oracle = sum(oracle_lbs_run(w)[0] == full for w in words)
+            counts = {
+                count_parking(p, r),
+                count_parking(p, r, backend="numpy"),
+                count_parking(p, r, backend="python"),
+                oracle,
+            }
+            assert counts == {(r + 1) ** (r - 1)}, r
+
+    def test_walk_beyond_word_enumeration(self):
+        for r in range(7, 10):
+            assert count_parking(builtin("lbs"), r, cap=None) == (r + 1) ** (r - 1)
 
 
 class TestOrbitAudit:

@@ -154,6 +154,13 @@ class TestMassWalk:
             assert type(walked) is F
             assert walked == per_word, (pp.name, r)
 
+    def test_lbs_walk_equals_per_word_mass(self):
+        pp = from_procedure(builtin("lbs"))
+        for r in range(1, 5):
+            words = itertools.product(range(1, r + 2), repeat=r)
+            per_word = sum((parking_probability(pp, w) for w in words), F(0))
+            assert total_parking_mass(pp, r) == per_word == (r + 1) ** (r - 1), r
+
     def test_embedded_deterministic_rule_matches_count(self):
         from parkline.enumeration import count_parking
 
@@ -164,22 +171,36 @@ class TestMassWalk:
 
     def test_which_masses_walk(self, monkeypatch):
         import parkline.probabilistic as probabilistic
-        from conftest import alternating_rule
+        from conftest import alternating_rule, history_parity_rule, state_parity_rule
 
         walks = []
         real = probabilistic.walk_occupied
         monkeypatch.setattr(
-            probabilistic, "walk_occupied", lambda r, moves: walks.append(r) or real(r, moves)
+            probabilistic,
+            "walk_occupied",
+            lambda r, moves, init_state: walks.append(r) or real(r, moves, init_state),
         )
         assert total_parking_mass(kw_procedure(HALF), 3) == 16
         assert walks == [3]
-        assert total_parking_mass(from_procedure(builtin("lbs")), 3) == 16
-        alternating = from_procedure(alternating_rule())
-        for r in range(1, 4):
+        # rules with an `update` walk (occupied set, state) pairs
+        for p in (builtin("lbs"), alternating_rule(), state_parity_rule()):
+            pp = from_procedure(p)
+            for r in range(1, 4):
+                words = itertools.product(range(1, r + 2), repeat=r)
+                per_word = sum((parking_probability(pp, w) for w in words), F(0))
+                walks.clear()
+                assert total_parking_mass(pp, r) == per_word, (p.name, r)
+                assert walks == [r]
+        # a rule reading history without an `update` sums word by word
+        history = from_procedure(history_parity_rule())
+        walks.clear()
+        for r, count in enumerate([1, 4, 14, 126], start=1):
             words = itertools.product(range(1, r + 2), repeat=r)
-            per_word = sum((parking_probability(alternating, w) for w in words), F(0))
-            assert total_parking_mass(alternating, r) == per_word
-        assert walks == [3]
+            per_word = sum((parking_probability(history, w) for w in words), F(0))
+            assert total_parking_mass(history, r) == per_word == count
+        assert walks == []
+        state = from_procedure(state_parity_rule())
+        assert [total_parking_mass(state, r) for r in range(1, 5)] == [1, 4, 14, 126]
 
     def test_probability_check_holds_on_the_walk(self):
         from parkline.probabilistic import ProbProcedure

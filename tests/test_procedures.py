@@ -10,6 +10,7 @@ from parkline.procedures import (
     RIGHT,
     DirTable,
     Procedure,
+    block_record,
     builtin,
     check_flags,
     dir_of,
@@ -19,6 +20,7 @@ from parkline.procedures import (
     last_spot,
     outcome,
     parse_proc_spec,
+    record_parked,
     run,
 )
 from parkline.words import Block, block_of, shift
@@ -99,6 +101,32 @@ class TestRun:
             for word in itertools.product(range(1, n + 2), repeat=n):
                 occ, parked = oracle_lbs_run(word)
                 assert list(run(p, word).parked) == parked, word
+
+
+class TestBlockRecords:
+    def test_parking_merges_neighbour_blocks(self):
+        state = record_parked(record_parked((), "x", 1), "y", 2)
+        assert state == ((1, 2, "y"),)
+        state = record_parked(record_parked(state, "z", 4), "w", 7)
+        assert state == ((1, 2, "y"), (4, 4, "z"), (7, 7, "w"))
+        assert record_parked(state, "v", 3) == ((1, 4, "v"), (7, 7, "w"))
+        assert block_record(state, Block(4, 4)) == "z"
+
+    def test_unknown_block_raises(self):
+        with pytest.raises(ValueError, match="no record"):
+            block_record(((1, 2, "y"),), Block(2, 2))
+
+    @given(
+        st.integers(-6, 2).flatmap(
+            lambda lo: st.lists(st.integers(lo, lo + 8), min_size=1, max_size=7)
+        ).map(tuple)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lbs_engine_matches_trace_oracle(self, word):
+        occ, parked = oracle_lbs_run(word)
+        res = run(make("lbs"), word)
+        assert list(res.parked) == parked
+        assert res.spots == frozenset(occ)
 
 
 class TestLastSpot:
