@@ -1,12 +1,14 @@
-"""Hot simulation kernels for exhaustive enumeration.
+"""Word chunks and the table kernel for exhaustive word enumeration.
 
-Two rules have dedicated kernels: direction-table rules (memoryless, shift
-invariant, locally decided) and the last-block-setter rule. Each kernel is
-a vectorized numpy lockstep simulation over a whole batch of words; the
-per-word engine in procedures.py is the reference they are tested against.
+Direction-table rules (memoryless, shift invariant, locally decided; a
+`Procedure` with a `dir_rule`) have one kernel, a vectorized numpy
+lockstep simulation over a whole batch of words. The per-word engine in
+procedures.py is the reference it is tested against, and it runs every
+other rule.
 
-Backends: "numpy" (the default) runs these kernels, "python" runs the
-per-word engine for every word. Call sites choose one via `backend=`.
+Backends: "numpy" (the default) runs the table kernel where a rule has
+one, "python" runs the per-word engine for every word. Call sites choose
+one via `backend=`.
 """
 
 from __future__ import annotations
@@ -124,37 +126,5 @@ def table_parked(words: np.ndarray, rights: np.ndarray) -> np.ndarray:
         ].astype(bool)
         spot = np.where(bumped, np.where(go_right, nfp, lfp), pos)
         occ[rows, spot] = True
-        parked[:, j] = spot + base
-    return parked
-
-
-def lbs_parked(words: np.ndarray) -> np.ndarray:
-    """Parked spot of every car for every word under the last-block-setter
-    rule.
-
-    rec[·] holds, at the two endpoints of every block, the preference of
-    the last car that parked on that block; interior entries may be stale.
-    This is the block-record invariant of `procedures.record_parked`,
-    which the per-word engine and the walk keep as (lo, hi, record).
-    """
-    words = np.ascontiguousarray(words, dtype=np.int64)
-    base, width = _window(words)
-    n, r = words.shape
-    occ = np.zeros((n, width), bool)
-    rec = np.zeros((n, width), np.int64)
-    parked = np.empty((n, r), np.int64)
-    rows = np.arange(n)
-    for j in range(r):
-        a = words[:, j]
-        pos = a - base
-        bumped = occ[rows, pos]
-        lfp, nfp = _free_bounds(occ, rows, pos)
-        block_rec = rec[rows, np.clip(lfp + 1, 0, width - 1)]
-        spot = np.where(bumped, np.where(a >= block_rec, nfp, lfp), pos)
-        occ[rows, spot] = True
-        # endpoints of the (possibly merged) block around the parked spot
-        lf2, nf2 = _free_bounds(occ, rows, spot)
-        rec[rows, lf2 + 1] = a
-        rec[rows, nf2 - 1] = a
         parked[:, j] = spot + base
     return parked

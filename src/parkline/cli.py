@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -138,7 +137,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
 def cmd_enumerate(args) -> Report:
     p = _resolve_proc(args)
     t0 = time.perf_counter()
-    count = count_parking(p, args.r, cap=_cap(args, DETERMINISTIC_CAP), jobs=args.jobs)
+    count = count_parking(p, args.r, cap=_cap(args, DETERMINISTIC_CAP))
     expected = expected_parking_count(args.r)
     results = {"count": count, "expected_universal": expected, "universal": count == expected}
     return Report(
@@ -153,7 +152,7 @@ def cmd_enumerate(args) -> Report:
 def cmd_orbits(args) -> Report:
     p = _resolve_proc(args)
     t0 = time.perf_counter()
-    report = orbit_audit(p, args.r, cap=_cap(args, DETERMINISTIC_CAP), jobs=args.jobs)
+    report = orbit_audit(p, args.r, cap=_cap(args, DETERMINISTIC_CAP))
     results = {
         "orbit_count": report.orbit_count,
         "parking_total": report.parking_total,
@@ -212,11 +211,8 @@ def cmd_fibers(args) -> Report:
     p = _resolve_proc(args)
     if not (p.is_memoryless and p.is_locally_decided):
         raise InputError(f"{p.name} is not memoryless+locally decided; no fiber formula")
-    cap = _cap(args, DETERMINISTIC_CAP)
-    if cap is not None and args.r > cap:
-        raise CapExceededError(f"r={args.r} exceeds cap {cap}")
     t0 = time.perf_counter()
-    brute = fiber_counts_brute(p, args.r)
+    brute = fiber_counts_brute(p, args.r, cap=_cap(args, DETERMINISTIC_CAP))
     if args.sigma:
         sigmas = [_parse_word(args.sigma)]
     else:
@@ -274,7 +270,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--proc-file", help="path to a direction-table JSON document")
         sp.add_argument("--strict", action="store_true", help="refuse r beyond the table's r_max")
         sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        sp.add_argument("--jobs", type=int, default=int(os.environ.get("PARKING_JOBS", "1")))
         sp.add_argument("--cap-unsafe", action="store_true", help="disable the exhaustive-size cap")
         if r:
             sp.add_argument("--r", type=int, required=True)

@@ -1,11 +1,16 @@
-"""Exhaustive enumeration over the word space {1..r+1}^r: parking-word
-counts, universality checks, cyclic-orbit audits, and the shuffle
-decomposition of words landing on a given spot set."""
+"""Exhaustive answers about the words of length r: parking-word counts,
+universality checks, cyclic-orbit audits, and the shuffle decomposition
+of words landing on a given spot set.
+
+Counts walk (occupied set, rule state) pairs and orbit audits grow only
+the parking words (`procedures.walk_occupied`, `procedures.parking_runs`).
+The word space {1..r+1}^r is enumerated only where it is the reference:
+`count_words_to_set(..., "brute")` and counts that name a `backend`.
+"""
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -13,8 +18,8 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .procedures import Procedure, bumped_spot, is_parking, run, walk_occupied
-from .words import Word, blocks, multinomial, rotate
+from .procedures import Procedure, bumped_spot, parking_runs, run, walk_occupied
+from .words import Word, blocks, multinomial, orbit_representative, rotate
 
 DEFAULT_CAP = 8
 # hard guard on brute-force word counts regardless of cap
@@ -52,39 +57,15 @@ def _rights_for(p: Procedure, r: int) -> np.ndarray:
 def parked_matrix(
     p: Procedure, words: np.ndarray, backend: str | None = None
 ) -> np.ndarray:
-    """(n, r) matrix of parked spots, one row per word. Dispatches to a
-    kernel when the procedure has one and the backend allows it."""
-    if _kernels.resolve_backend(backend) == "numpy":
-        if p.kernel == "table":
-            return _kernels.table_parked(words, _rights_for(p, max(1, words.shape[1])))
-        if p.kernel == "lbs":
-            return _kernels.lbs_parked(words)
+    """(n, r) matrix of parked spots, one row per word. A table rule (one
+    with a `dir_rule`) runs the table kernel unless the backend is
+    "python"; every other rule runs the per-word engine."""
+    if p.dir_rule is not None and _kernels.resolve_backend(backend) == "numpy":
+        return _kernels.table_parked(words, _rights_for(p, max(1, words.shape[1])))
     out = np.empty(words.shape, np.int64)
     for i, row in enumerate(words.tolist()):
         out[i] = run(p, tuple(row)).parked
     return out
-
-
-def _map_chunks(alphabet, r: int, fn, jobs: int) -> list:
-    """fn over every chunk of the length-r words on `alphabet`, in order.
-
-    Over `jobs` threads the chunks shrink to CHUNK // jobs words and at
-    most `jobs` of them are read ahead of the results collected, so the
-    words in flight stay about CHUNK however many threads share them.
-    """
-    size = max(1, _kernels.CHUNK // max(1, jobs))
-    chunks = _kernels.alphabet_chunks(alphabet, r, size)
-    if jobs <= 1:
-        return [fn(w) for w in chunks]
-    results = []
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        pending: deque = deque()
-        for words in chunks:
-            pending.append(ex.submit(fn, words))
-            if len(pending) == jobs:
-                results.append(pending.popleft().result())
-        results.extend(f.result() for f in pending)
-    return results
 
 
 def count_parking(
@@ -92,17 +73,15 @@ def count_parking(
     r: int,
     *,
     cap: int | None = DEFAULT_CAP,
-    jobs: int = 1,
     backend: str | None = None,
 ) -> int:
     """Number of words of length r whose run occupies exactly {1..r}.
 
     A rule flagged memoryless or having an `update` walks (occupied
     subset of {1..r}, rule state) pairs (`walk_occupied`) unless a
-    `backend` is named. Otherwise the words
-    {1..r+1}^r are enumerated on `backend`, split over `jobs` threads;
-    any word occupying {1..r} has all its letters in {1..r}, so the
-    window is exhaustive. `jobs` matters only to enumeration.
+    `backend` is named. Otherwise the words {1..r+1}^r are enumerated on
+    `backend`; any word occupying {1..r} has all its letters in {1..r},
+    so the window is exhaustive.
     """
     _check_r(p, r, cap)
     if (p.is_memoryless or p.update is not None) and backend is None:
@@ -117,31 +96,11 @@ def count_parking(
         parked = parked_matrix(p, words, backend)
         return int(((parked.min(axis=1) >= 1) & (parked.max(axis=1) <= r)).sum())
 
-    return sum(_map_chunks(range(1, r + 2), r, work, jobs))
+    return sum(work(words) for words in _kernels.alphabet_chunks(range(1, r + 2), r))
 
 
 # ---------------------------------------------------------------------------
 # cyclic orbits
-
-
-def _canonical_keys(words: np.ndarray, r: int) -> np.ndarray:
-    """Mixed-radix key of the lexicographically smallest rotation."""
-    base = r + 1
-    weights = _kernels.radix_weights(base, r)
-    digits = words - 1
-    best = digits @ weights
-    for k in range(1, base):
-        np.minimum(best, ((digits + k) % base) @ weights, out=best)
-    return best
-
-
-def _key_to_word(key: int, r: int) -> Word:
-    base = r + 1
-    letters = []
-    for _ in range(r):
-        letters.append(key % base + 1)
-        key //= base
-    return tuple(reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -170,49 +129,45 @@ class OrbitReport:
 
 
 def orbit_audit(
-    p: Procedure,
-    r: int,
-    *,
-    cap: int | None = DEFAULT_CAP,
-    jobs: int = 1,
-    backend: str | None = None,
+    p: Procedure, r: int, *, cap: int | None = DEFAULT_CAP
 ) -> OrbitReport:
-    """Count parking words in every cyclic orbit of {1..r+1}^r."""
+    """Count parking words in every cyclic orbit of {1..r+1}^r.
+
+    An orbit holds the r+1 letterwise rotations of a word mod r+1, so
+    exactly one member starts with 1; its letters 2..r, read in radix
+    r+1, index the orbit. Only the parking words are built
+    (`parking_runs`), and a violating orbit lists those among them.
+    """
     _check_r(p, r, cap)
+    base = r + 1
+    # refuse a word space beyond int64 indices before any prefix is grown
+    _kernels.radix_weights(base, r)
+    words = np.fromiter(
+        (a for word, _ in parking_runs(p, r) for a in word), np.int8
+    ).reshape(-1, r)
+    weights = _kernels.radix_weights(base, r - 1)
+    keys = ((words[:, 1:] - words[:, :1]) % base) @ weights
+    per_orbit = np.bincount(keys, minlength=base ** (r - 1))
 
-    def work(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        parked = parked_matrix(p, words, backend)
-        flags = (parked.min(axis=1) >= 1) & (parked.max(axis=1) <= r)
-        keys = _canonical_keys(words, r)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inv[flags], minlength=len(uniq))
-        return uniq, sums
-
-    per_orbit: Counter[int] = Counter()
-    for uniq, sums in _map_chunks(range(1, r + 2), r, work, jobs):
-        for key, s in zip(uniq.tolist(), sums.tolist()):
-            per_orbit[key] += s
-
-    histogram = Counter(per_orbit.values())
+    # parking words of the violating orbits; orbits are disjoint
+    found = set(map(tuple, words[per_orbit[keys] != 1].tolist()))
+    bad = np.flatnonzero(per_orbit != 1)
     violations = []
-    for key, count in sorted(per_orbit.items()):
-        if count == 1:
-            continue
-        rep = _key_to_word(key, r)
+    for key, rest in zip(bad.tolist(), ((bad[:, None] // weights) % base + 1).tolist()):
+        rep = orbit_representative((1, *rest), r)
         members = [rep]
-        w = rep
         for _ in range(r):
-            w = rotate(w, r)
-            members.append(w)
-        parking = tuple(w for w in members if is_parking(p, w))
+            members.append(rotate(members[-1], r))
+        parking = tuple(w for w in members if w in found)
         violations.append(
-            OrbitViolation(rep, tuple(members), count, parking)
+            OrbitViolation(rep, tuple(members), int(per_orbit[key]), parking)
         )
+    violations.sort(key=lambda v: v.representative)
     return OrbitReport(
         procedure=p.name,
         r=r,
         orbit_count=len(per_orbit),
-        histogram=dict(sorted(histogram.items())),
+        histogram=dict(sorted(Counter(per_orbit.tolist()).items())),
         violations=tuple(violations),
     )
 
@@ -251,14 +206,13 @@ def check_universal(
     r_max: int,
     *,
     cap: int | None = DEFAULT_CAP,
-    jobs: int = 1,
     backend: str | None = None,
 ) -> UniversalityReport:
     """Compare parking-word counts against (r+1)^(r-1) for r = 1..r_max."""
     entries = tuple(
         UniversalityEntry(
             r,
-            count_parking(p, r, cap=cap, jobs=jobs, backend=backend),
+            count_parking(p, r, cap=cap, backend=backend),
             expected_parking_count(r),
         )
         for r in range(1, r_max + 1)
@@ -277,7 +231,6 @@ def count_words_to_set(
     *,
     pad: int = 0,
     cap: int | None = DEFAULT_CAP,
-    jobs: int = 1,
     backend: str | None = None,
 ) -> int:
     """Number of words of length |S| whose run occupies exactly S.
@@ -301,7 +254,7 @@ def count_words_to_set(
         sizes = [b.size for b in blocks(target)]
         out = multinomial(sizes)
         for s in sizes:
-            out *= count_parking(p, s, cap=cap, jobs=jobs, backend=backend)
+            out *= count_parking(p, s, cap=cap, backend=backend)
         return out
     if via != "brute":
         raise ValueError(f"unknown mode {via!r}")
@@ -326,4 +279,4 @@ def count_words_to_set(
         parked = parked_matrix(p, words, backend)
         return int(np.all(np.sort(parked, axis=1) == goal, axis=1).sum())
 
-    return sum(_map_chunks(alphabet, n, work, jobs))
+    return sum(work(words) for words in _kernels.alphabet_chunks(alphabet, n))

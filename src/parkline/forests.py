@@ -21,7 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .procedures import Direction, Procedure, dir_of_set, run
+from . import _kernels
+from .enumeration import DEFAULT_CAP, _check_r
+from .procedures import Direction, Procedure, dir_of_set, parking_runs, run
 from .words import Block, SpotSet, Word, as_word, blocks
 
 
@@ -228,21 +230,19 @@ def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
 
 
 def fiber_counts_brute(
-    p: Procedure, r: int, backend: str | None = None
+    p: Procedure, r: int, *, cap: int | None = DEFAULT_CAP
 ) -> dict[tuple[int, ...], int]:
-    """Outcome histogram of all parking words of length r, by enumeration."""
-    from . import _kernels
-    from .enumeration import parked_matrix
-
+    """Outcome histogram of all parking words of length r, read from the
+    runs of `parking_runs`."""
+    _check_r(p, r, cap)
+    # refuse a word space beyond int64 indices before any prefix is grown
+    _kernels.radix_weights(r + 1, r)
     counts: Counter[tuple[int, ...]] = Counter()
-    for words in _kernels.word_chunks(r, 1, r + 1):
-        parked = parked_matrix(p, words, backend)
-        ok = (parked.min(axis=1) >= 1) & (parked.max(axis=1) <= r)
-        for row in parked[ok].tolist():
-            sigma = [0] * r
-            for idx, spot in enumerate(row):
-                sigma[spot - 1] = idx + 1
-            counts[tuple(sigma)] += 1
+    for _, parked in parking_runs(p, r):
+        sigma = [0] * r
+        for idx, spot in enumerate(parked):
+            sigma[spot - 1] = idx + 1
+        counts[tuple(sigma)] += 1
     return dict(counts)
 
 

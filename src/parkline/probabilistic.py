@@ -13,6 +13,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from .procedures import (
@@ -20,6 +21,7 @@ from .procedures import (
     Direction,
     Procedure,
     checked_decide,
+    merge_step,
     state_key,
     walk_occupied,
 )
@@ -128,8 +130,9 @@ class Measure:
         return sorted(self.probs, key=sorted)
 
 
-def _branches(pp: ProbProcedure, state, history, occ: frozenset, a: int):
-    """(spot, prob, next state) triples for one arriving car."""
+def _branches(pp: ProbProcedure, history, occ: frozenset, state, a: int):
+    """(spot, prob, next state) triples for one car arriving after
+    `history`. `partial(_branches, pp, history)` is a `merge_step` move."""
     if a not in occ:
         branches = ((a, ONE),)
     else:
@@ -152,21 +155,9 @@ def measure(pp: ProbProcedure, word: Iterable[int]) -> Measure:
     """
     word = as_word(word)
     init = pp.init_state()
-    current: dict[tuple[frozenset, Any], tuple[Fraction, Any]] = {
-        (frozenset(), state_key(init)): (ONE, init)
-    }
+    current = {(frozenset(), state_key(init)): (ONE, init)}
     for idx, a in enumerate(word):
-        history = word[:idx]
-        nxt: dict[tuple[frozenset, Any], tuple[Fraction, Any]] = {}
-        for (occ, _), (weight, state) in current.items():
-            for spot, pr, st in _branches(pp, state, history, occ, a):
-                key = (occ | {spot}, state_key(st))
-                prev = nxt.get(key)
-                nxt[key] = (
-                    weight * pr if prev is None else prev[0] + weight * pr,
-                    st,
-                )
-        current = nxt
+        current = merge_step(current, partial(_branches, pp, word[:idx]), (a,))
     probs: dict[SpotSet, Fraction] = defaultdict(lambda: ZERO)
     for (occ, _), (weight, _) in current.items():
         probs[occ] += weight
@@ -184,7 +175,7 @@ def path_distribution(pp: ProbProcedure, word: Iterable[int]) -> dict[tuple[int,
         nxt: dict[tuple[int, ...], tuple[Fraction, Any]] = {}
         for parked, (weight, state) in current.items():
             occ = frozenset(parked)
-            for spot, pr, st in _branches(pp, state, history, occ, a):
+            for spot, pr, st in _branches(pp, history, occ, state, a):
                 nxt[parked + (spot,)] = (weight * pr, st)
         current = nxt
     return {parked: weight for parked, (weight, _) in current.items()}
@@ -213,11 +204,7 @@ def total_parking_mass(
 
         raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
     if pp.is_memoryless or pp.update is not None:
-
-        def moves(occ: frozenset, state, a: int):
-            return _branches(pp, state, (), occ, a)
-
-        return Fraction(walk_occupied(r, moves, pp.init_state()))
+        return Fraction(walk_occupied(r, partial(_branches, pp, ()), pp.init_state()))
     total = ZERO
     for word in itertools.product(range(1, r + 2), repeat=r):
         total += parking_probability(pp, word)
@@ -227,15 +214,37 @@ def total_parking_mass(
 def orbit_parking_mass(
     pp: ProbProcedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
 ) -> dict[Word, Fraction]:
-    """Parking mass of each cyclic orbit, keyed by its representative."""
+    """Parking mass of each cyclic orbit, keyed by its representative;
+    orbits of mass zero included.
+
+    Only a word whose letters all lie in {1..r} can park, so measures are
+    grown over prefixes in {1..r}^k, restricted to occupied sets inside
+    {1..r}; words that share a prefix share its work.
+    """
     if cap is not None and r > cap:
         from .enumeration import CapExceededError
 
         raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
-    masses: dict[Word, Fraction] = defaultdict(lambda: ZERO)
-    for word in itertools.product(range(1, r + 2), repeat=r):
-        masses[orbit_representative(word, r)] += parking_probability(pp, word)
-    return dict(masses)
+    # each orbit has exactly one member starting with 1
+    masses = {
+        orbit_representative((1, *rest), r): ZERO
+        for rest in itertools.product(range(1, r + 2), repeat=r - 1)
+    }
+    inside = range(1, r + 1)
+
+    def grow(prefix: Word, level: dict) -> None:
+        if len(prefix) == r:
+            masses[orbit_representative(prefix, r)] += sum(w for w, _ in level.values())
+            return
+        moves = partial(_branches, pp, prefix)
+        for a in inside:
+            nxt = merge_step(level, moves, (a,), r)
+            if nxt:
+                grow(prefix + (a,), nxt)
+
+    init = pp.init_state()
+    grow((), {(frozenset(), state_key(init)): (ONE, init)})
+    return dict(sorted(masses.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class Procedure:
     `dir_rule`, when set, gives the direction chosen on the standard
     block {1..r} for a car preferring i, for any r; it exists exactly for
     the memoryless shift-invariant locally-decided rules and enables the
-    fast table kernels.
+    table kernel.
     """
 
     name: str
@@ -73,7 +73,6 @@ class Procedure:
     # word-per-orbit property.
     extended_cyclic: bool = False
     dir_rule: Callable[[int, int], Direction] | None = None
-    kernel: str | None = None  # "table" | "lbs" fast-path tag
     strict_r_max: int | None = None  # refuse enumeration beyond this length
 
     @property
@@ -152,6 +151,31 @@ def state_key(state: Any):
 MovesFn = Callable[[frozenset, Any, int], Iterable[tuple[int, Any, Any]]]
 
 
+def merge_step(
+    level: dict, moves: MovesFn, letters: Iterable[int], r: int | None = None
+) -> dict:
+    """One car's step over runs keyed by (occupied set, `state_key(state)`)
+    with values (weight, state).
+
+    Every run takes each of `moves(occupied, state, a)` for every letter a
+    in `letters`; with `r` given, moves to spots outside {1..r} are
+    dropped. Weights multiply along a run, and runs that agree on
+    (occupied, state key) afterwards are merged by adding their weights.
+    """
+    nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
+    for (occ, _), (weight, state) in level.items():
+        for a in letters:
+            for spot, w, st in moves(occ, state, a):
+                if r is None or 1 <= spot <= r:
+                    key = (occ | {spot}, state_key(st))
+                    prev = nxt.get(key)
+                    nxt[key] = (
+                        weight * w if prev is None else prev[0] + weight * w,
+                        st,
+                    )
+    return nxt
+
+
 def walk_occupied(r: int, moves: MovesFn, init_state: Any):
     """Total weight of the runs of r cars that end on exactly {1..r},
     summed over (occupied set, rule state) pairs instead of words.
@@ -160,27 +184,45 @@ def walk_occupied(r: int, moves: MovesFn, init_state: Any):
     rules carry state None. A car parked outside {1..r} never leaves, so
     only letters and spots inside {1..r} are followed: for a memoryless
     rule at most 2^r sets times r letters per car, against (r+1)^r words.
-    Runs that agree on (occupied, `state_key(state)`) are merged. Weights
-    multiply along a run and add over runs, so int weights give an exact
-    count and Fraction weights an exact mass.
+    Int weights give an exact count and Fraction weights an exact mass.
     """
     inside = range(1, r + 1)
     level = {(frozenset(), state_key(init_state)): (1, init_state)}
     for _ in inside:
-        nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
-        for (occ, _), (weight, state) in level.items():
-            for a in inside:
-                for spot, w, st in moves(occ, state, a):
-                    if 1 <= spot <= r:
-                        key = (occ | {spot}, state_key(st))
-                        prev = nxt.get(key)
-                        nxt[key] = (
-                            weight * w if prev is None else prev[0] + weight * w,
-                            st,
-                        )
-        level = nxt
+        level = merge_step(level, moves, inside, r)
     # every surviving run parked r distinct cars inside {1..r}
     return sum(weight for weight, _ in level.values())
+
+
+def parking_runs(p: Procedure, r: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
+    """Yield (word, parked spots) for every parking word of length r, in
+    lexicographic order of the words.
+
+    Prefixes grow one car at a time over letters in {1..r} and carry the
+    real history and rule state, so no flag of the rule is trusted; an
+    `update` must return a new state instead of changing its argument. A
+    car parked outside {1..r} never leaves, so a prefix is dropped as soon
+    as one does, and every letter of a parking word is in {1..r}. Only
+    the prefixes still to be grown are held, never the runs yielded.
+    """
+    update = p.update
+    # letters pushed in reverse pop in increasing order
+    letters = range(r, 0, -1)
+    stack = [((), (), frozenset(), p.init_state())]
+    while stack:
+        word, parked, occ, state = stack.pop()
+        if len(word) == r:
+            yield word, parked
+            continue
+        for a in letters:
+            spot = a if a not in occ else bumped_spot(p, state, word, occ, a, a)
+            if 1 <= spot <= r:
+                stack.append((
+                    word + (a,),
+                    parked + (spot,),
+                    occ | {spot},
+                    state if update is None else update(state, a, spot),
+                ))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +230,7 @@ def walk_occupied(r: int, moves: MovesFn, init_state: Any):
 #
 # A block-record state is a sorted tuple of (lo, hi, record), one entry per
 # maximal block lo..hi of occupied spots, where record is the letter of the
-# last car that parked on the block. `_kernels.lbs_parked` keeps the same
-# invariant in its arrays at block endpoints.
+# last car that parked on the block.
 
 
 def block_record(state: tuple, blk: Block):
@@ -260,7 +301,6 @@ def right_procedure() -> Procedure:
         name="right",
         decide=lambda st, h, occ, blk, a: RIGHT,
         dir_rule=lambda r, i: RIGHT,
-        kernel="table",
     )
 
 
@@ -269,7 +309,6 @@ def left_procedure() -> Procedure:
         name="left",
         decide=lambda st, h, occ, blk, a: LEFT,
         dir_rule=lambda r, i: LEFT,
-        kernel="table",
     )
 
 
@@ -282,7 +321,6 @@ def closest_procedure() -> Procedure:
         name="closest",
         decide=decide,
         dir_rule=lambda r, i: RIGHT if (r + 1 - i) <= i else LEFT,
-        kernel="table",
     )
 
 
@@ -295,7 +333,6 @@ def prime_procedure() -> Procedure:
         name="prime",
         decide=decide,
         dir_rule=lambda r, i: RIGHT if _is_prime(r) else LEFT,
-        kernel="table",
     )
 
 
@@ -367,7 +404,6 @@ def lbs_procedure() -> Procedure:
         init_state=tuple,
         update=record_parked,
         is_memoryless=False,
-        kernel="lbs",
     )
 
 
@@ -464,7 +500,6 @@ def table_procedure(
         name=name or f"table(r_max={table.r_max})",
         decide=decide,
         dir_rule=table.direction,
-        kernel="table",
         strict_r_max=table.r_max if strict else None,
     )
 

@@ -157,6 +157,14 @@ class TestFibers:
         code, _, err = invoke(capsys, "fibers", "--proc", "lbs", "--r", "2")
         assert code == 3
 
+    def test_word_space_overflow_exit_2(self, capsys):
+        # refused before any parking word is grown, as for orbits
+        code, _, err = invoke(
+            capsys, "fibers", "--proc", "right", "--r", "16", "--cap-unsafe"
+        )
+        assert code == 2
+        assert "overflow" in err
+
 
 class TestEncode:
     def test_lbs_121(self, capsys):
@@ -205,6 +213,16 @@ class TestTableFile:
         assert code == 3
         assert "strict" in err
 
+    def test_fibers_strict_refuses(self, tmp_path, capsys):
+        table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table.to_json()))
+        code, _, err = invoke(
+            capsys, "fibers", "--proc-file", str(path), "--strict", "--r", "4"
+        )
+        assert code == 3
+        assert "strict" in err
+
     def test_malformed_table(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"type": "memoryless_local", "rows": [["R", "L"]]}))
@@ -238,20 +256,18 @@ class TestFormats:
         assert out.startswith("enumerate")
 
 
-class TestJobs:
-    def test_jobs_flag(self, capsys):
-        code, out, _ = invoke(
-            capsys, "enumerate", "--proc", "closest", "--r", "5", "--jobs", "3"
-        )
+class TestParser:
+    def test_calls_share_no_flags(self, tmp_path, capsys):
+        # every main() call parses afresh, whatever it shares with the last
+        table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table.to_json()))
+        argv = ["enumerate", "--proc-file", str(path)]
+        code, out, _ = invoke(capsys, *argv, "--r", "2", "--strict", "--format", "json")
+        assert code == 0 and json.loads(out)["results"]["count"] == 3
+        code, out, _ = invoke(capsys, *argv, "--r", "3")
         assert code == 0
-        assert "count: 1296" in out
-
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARKING_JOBS", "2")
-        from parkline.cli import build_parser
-
-        args = build_parser().parse_args(["enumerate", "--proc", "right", "--r", "2"])
-        assert args.jobs == 2
+        assert out.startswith("enumerate") and "count: 16" in out
 
     def test_cap_unsafe_lifts_cap(self):
         from parkline.cli import _cap, build_parser

@@ -57,15 +57,26 @@ class TestTrees:
 
     def test_bad_shape_string_raises_under_optimize(self):
         # the check must not be an assert, which `python -O` strips
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import parkline
+
+        # the child imports the same package, wherever pytest found it
+        src = str(Path(parkline.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "from parkline.forests import tree_from_str\n"
             "try:\n    tree_from_str('(x)')\nexcept ValueError:\n    print('ValueError')\n"
         )
         out = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.stdout.strip() == "ValueError"
 

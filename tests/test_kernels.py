@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +6,6 @@ from hypothesis import strategies as st
 from conftest import oracle_run, random_dir_tables
 from parkline import _kernels
 from parkline.enumeration import (
-    _canonical_keys,
-    _map_chunks,
     count_parking,
     expected_parking_count,
     parked_matrix,
@@ -56,17 +52,11 @@ class TestWordChunks:
 
 
 class TestRadixOverflow:
-    # 17^16 > 2^63: indices and orbit keys of length-16 words wrap in int64
+    # 17^16 > 2^63: indices of the words {1..17}^16 wrap in int64
     def test_chunks_refuse_before_the_first_chunk(self):
         with pytest.raises(_kernels.RadixOverflowError):
             next(_kernels.alphabet_chunks(range(1, 18), 16))
         assert next(_kernels.word_chunks(15)).shape == (_kernels.CHUNK, 15)
-
-    def test_canonical_keys_refuse(self):
-        with pytest.raises(_kernels.RadixOverflowError):
-            _canonical_keys(np.full((1, 16), 17, np.int64), 16)
-        # the largest word of the widest safe space rotates to key 0
-        assert _canonical_keys(np.full((1, 15), 16, np.int64), 15).tolist() == [0]
 
 
 @pytest.mark.parametrize("backend", ["numpy"])
@@ -78,14 +68,6 @@ class TestKernelEquivalence:
             ref = parked_matrix(p, words, backend="python")
             fast = parked_matrix(p, words, backend=backend)
             assert (ref == fast).all(), (p.name, r)
-
-    def test_lbs_kernel_matches_engine(self, backend):
-        p = builtin("lbs")
-        for r in range(1, 6):
-            words = full_space(r)
-            ref = parked_matrix(p, words, backend="python")
-            fast = parked_matrix(p, words, backend=backend)
-            assert (ref == fast).all(), r
 
     def test_negative_letters(self, backend):
         # kernels must cope with windows away from the origin
@@ -156,27 +138,3 @@ class TestCountsAcrossBackends:
             for b in ("numpy", "python")
         }
         assert set(counts.values()) == {(r + 1) ** (r - 1)}, counts
-
-    def test_jobs_split_is_exact(self):
-        p = builtin("closest")
-        # name the backend so that the count enumerates words
-        single = count_parking(p, 5, jobs=1, backend="numpy")
-        assert count_parking(p, 5, jobs=4, backend="numpy") == single
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_jobs_read_at_most_jobs_chunks_ahead(self, monkeypatch, jobs):
-        finished, ahead = [], []
-
-        def chunks(alphabet, r, size):
-            for i in range(4 * jobs):
-                ahead.append(i + 1 - len(finished))
-                yield i
-
-        def work(i):
-            time.sleep(0.005)
-            finished.append(i)
-            return i
-
-        monkeypatch.setattr(_kernels, "alphabet_chunks", chunks)
-        assert _map_chunks(range(1, 3), 2, work, jobs) == list(range(4 * jobs))
-        assert max(ahead) <= jobs
