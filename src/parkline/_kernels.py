@@ -55,12 +55,6 @@ def alphabet_chunks(alphabet, r: int, chunk: int = CHUNK):
         yield letters[(idx[:, None] // weights[None, :]) % base]
 
 
-def word_chunks(r: int, lo: int = 1, hi: int | None = None, chunk: int = CHUNK):
-    """Yield the word space {lo..hi}^r as (m, r) int64 arrays."""
-    hi = r + 1 if hi is None else hi
-    yield from alphabet_chunks(range(lo, hi + 1), r, chunk)
-
-
 # ---------------------------------------------------------------------------
 # lockstep simulation
 #

@@ -1,7 +1,11 @@
 """Colored letters: each car carries (preferred spot, color). Occupancy is
 decided on the spot value alone; colors feed the parking rule, which may
 be partial, defined only on a language of words closed under subwords and
-value rotations."""
+value rotations.
+
+A colored rule is a `Procedure` whose `decide` receives the whole colored
+letter and whose `language` names the words it is defined on; `colored_run`
+runs it on the shared engine with spot values as preferences."""
 
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .enumeration import OrbitReport, OrbitViolation
 from .procedures import (
     Direction,
+    Procedure,
     RunResult,
     block_record,
     record_parked,
@@ -72,19 +77,10 @@ def distinct_letters_language() -> Language:
     )
 
 
-@dataclass(frozen=True)
-class ColoredProcedure:
-    name: str
-    decide: Callable  # (state, history, occupied, block, letter) -> Direction
-    init_state: Callable = lambda: None
-    update: Callable | None = None
-    language: Language | None = None
-    is_memoryless: bool = True
-    is_shift_invariant: bool = True
-    is_locally_decided: bool = True
+ColoredProcedure = Procedure  # alias kept for callers that name it
 
 
-def colored_lbs_procedure() -> ColoredProcedure:
+def colored_lbs_procedure() -> Procedure:
     """Last-block-setter with lexicographic comparison of full letters;
     defined where the new letter differs from the block record. The state
     is a block-record state keyed by spot values (see `block_record`)."""
@@ -97,7 +93,7 @@ def colored_lbs_procedure() -> ColoredProcedure:
             )
         return Direction.RIGHT if letter > last else Direction.LEFT
 
-    return ColoredProcedure(
+    return Procedure(
         name="colored-lbs",
         decide=decide,
         init_state=tuple,
@@ -107,7 +103,7 @@ def colored_lbs_procedure() -> ColoredProcedure:
     )
 
 
-def colored_run(p: ColoredProcedure, word: Iterable) -> RunResult:
+def colored_run(p: Procedure, word: Iterable) -> RunResult:
     """Run with occupancy keyed on letter values."""
     word = tuple(
         a if isinstance(a, ColoredLetter) else ColoredLetter(*a) for a in word
@@ -130,7 +126,7 @@ def rotate_values(word: ColoredWord, r: int) -> ColoredWord:
     return tuple(ColoredLetter(a.value % n + 1, a.color) for a in word)
 
 
-def is_parking_colored(p: ColoredProcedure, word) -> bool:
+def is_parking_colored(p: Procedure, word) -> bool:
     word = tuple(
         a if isinstance(a, ColoredLetter) else ColoredLetter(*a) for a in word
     )
@@ -185,7 +181,7 @@ def verify_closures(
 
 
 def colored_orbit_audit(
-    p: ColoredProcedure,
+    p: Procedure,
     language: Language,
     r: int,
     colors: Iterable,

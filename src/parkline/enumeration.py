@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .procedures import Procedure, bumped_spot, parking_runs, run, walk_occupied
+from .procedures import Procedure, parking_runs, run, step_moves, walk_occupied
 from .words import Word, blocks, multinomial, orbit_representative, rotate
 
 DEFAULT_CAP = 8
@@ -77,20 +77,19 @@ def count_parking(
 ) -> int:
     """Number of words of length r whose run occupies exactly {1..r}.
 
-    A rule flagged memoryless or having an `update` walks (occupied
-    subset of {1..r}, rule state) pairs (`walk_occupied`) unless a
-    `backend` is named. Otherwise the words {1..r+1}^r are enumerated on
-    `backend`; any word occupying {1..r} has all its letters in {1..r},
-    so the window is exhaustive.
+    A rule that `can_walk` walks (occupied subset of {1..r}, rule state)
+    pairs (`walk_occupied`) unless a `backend` is named. Otherwise the
+    words {1..r+1}^r are enumerated on `backend`; any word occupying
+    {1..r} has all its letters in {1..r}, so the window is exhaustive.
+    A rule that branches on the way to {1..r} raises ValueError.
     """
     _check_r(p, r, cap)
-    if (p.is_memoryless or p.update is not None) and backend is None:
-
-        def moves(occ: frozenset, state, a: int):
-            spot = a if a not in occ else bumped_spot(p, state, (), occ, a, a)
-            return ((spot, 1, state if p.update is None else p.update(state, a, spot)),)
-
-        return walk_occupied(r, moves, p.init_state())
+    if p.can_walk and backend is None:
+        count = walk_occupied(r, step_moves(p), p.init_state())
+        # a run weighs an int 1 unless one of its decisions branched
+        if type(count) is not int:
+            raise ValueError(f"{p.name} branches; total_parking_mass weighs its runs")
+        return count
 
     def work(words: np.ndarray) -> int:
         parked = parked_matrix(p, words, backend)

@@ -2,8 +2,11 @@
 measures, parking probabilities, total-mass identities, the q-deformed
 family, and abelianity checks.
 
-Everything here is exact Fraction arithmetic; floats never enter. The
-branching run is expanded depth first with merging keyed on (occupied
+A probabilistic rule is a `Procedure` whose `decide` returns an exact
+right-probability; a deterministic rule is the case where every decision
+is a Direction, 0 or 1, so every function here takes both. Everything is
+exact Fraction arithmetic; `procedures.branches` refuses floats. The
+branching run is expanded car by car with merging keyed on (occupied
 set, rule state), so distributions compare by strict equality.
 """
 
@@ -13,19 +16,18 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .procedures import (
-    Block,
-    Direction,
     Procedure,
-    checked_decide,
+    branches,
     merge_step,
+    parse_proc_spec,
     state_key,
+    step_moves,
     walk_occupied,
 )
-from .words import SpotSet, Word, as_word, block_of, orbit_representative
+from .words import SpotSet, Word, as_word, orbit_representative
 
 DEFAULT_PROB_CAP = 6
 
@@ -82,36 +84,7 @@ def pq_right_prob(r: int, i: int, q: QValue) -> Fraction:
     return q_integer(i, q) / q_integer(r + 1, q)
 
 
-@dataclass(frozen=True)
-class ProbProcedure:
-    """A bilateral rule whose decision is a probability of going right.
-
-    As for `Procedure`, `total_parking_mass` walks (occupied set, state)
-    pairs for every rule flagged memoryless or having an `update`, with an
-    empty history. Its answer is right only if:
-    - a rule with an `update` keeps everything `decide_prob` reads in
-      `state`, and `update` returns a new state instead of changing its
-      argument;
-    - `state` is hashable or a dict;
-    - `decide_prob` never reads `history`.
-    A rule flagged not memoryless with no `update` sums word by word.
-    """
-
-    name: str
-    decide_prob: Callable[[Any, Word, frozenset, Block, int], Fraction]
-    init_state: Callable[[], Any] = lambda: None
-    update: Callable[[Any, int, int], Any] | None = None
-    is_memoryless: bool = True
-    is_shift_invariant: bool = True
-    is_locally_decided: bool = True
-    extended_cyclic: bool = False
-
-    @property
-    def is_local(self) -> bool:
-        return self.is_shift_invariant and self.is_locally_decided
-
-    def __repr__(self) -> str:
-        return f"ProbProcedure({self.name!r})"
+ProbProcedure = Procedure  # alias kept for callers that name it
 
 
 @dataclass
@@ -130,24 +103,7 @@ class Measure:
         return sorted(self.probs, key=sorted)
 
 
-def _branches(pp: ProbProcedure, history, occ: frozenset, state, a: int):
-    """(spot, prob, next state) triples for one car arriving after
-    `history`. `partial(_branches, pp, history)` is a `merge_step` move."""
-    if a not in occ:
-        branches = ((a, ONE),)
-    else:
-        blk = block_of(occ, a)
-        pr = pp.decide_prob(state, history, occ, blk, a)
-        if not ZERO <= pr <= ONE:
-            raise ValueError(f"{pp.name} returned probability {pr} outside [0,1]")
-        branches = ((blk.hi + 1, pr), (blk.lo - 1, ONE - pr))
-    update = pp.update
-    for spot, prob in branches:
-        if prob:  # in [0, 1], so nonzero means positive
-            yield spot, prob, state if update is None else update(state, a, spot)
-
-
-def measure(pp: ProbProcedure, word: Iterable[int]) -> Measure:
+def measure(pp: Procedure, word: Iterable[int]) -> Measure:
     """Exact distribution of the occupied set after the whole word.
 
     Branches agreeing on (occupied set, rule state) are merged with summed
@@ -157,45 +113,43 @@ def measure(pp: ProbProcedure, word: Iterable[int]) -> Measure:
     init = pp.init_state()
     current = {(frozenset(), state_key(init)): (ONE, init)}
     for idx, a in enumerate(word):
-        current = merge_step(current, partial(_branches, pp, word[:idx]), (a,))
+        current = merge_step(current, step_moves(pp, word[:idx]), (a,))
     probs: dict[SpotSet, Fraction] = defaultdict(lambda: ZERO)
     for (occ, _), (weight, _) in current.items():
         probs[occ] += weight
     return Measure(dict(probs))
 
 
-def path_distribution(pp: ProbProcedure, word: Iterable[int]) -> dict[tuple[int, ...], Fraction]:
+def path_distribution(pp: Procedure, word: Iterable[int]) -> dict[tuple[int, ...], Fraction]:
     """Weight of every full parking trace (tuple of parked spots)."""
     word = as_word(word)
     current: dict[tuple[int, ...], tuple[Fraction, Any]] = {
         (): (ONE, pp.init_state())
     }
     for idx, a in enumerate(word):
-        history = word[:idx]
+        moves = step_moves(pp, word[:idx])
         nxt: dict[tuple[int, ...], tuple[Fraction, Any]] = {}
         for parked, (weight, state) in current.items():
-            occ = frozenset(parked)
-            for spot, pr, st in _branches(pp, history, occ, state, a):
+            for spot, pr, st in moves(frozenset(parked), state, a):
                 nxt[parked + (spot,)] = (weight * pr, st)
         current = nxt
     return {parked: weight for parked, (weight, _) in current.items()}
 
 
-def parking_probability(pp: ProbProcedure, word: Iterable[int]) -> Fraction:
+def parking_probability(pp: Procedure, word: Iterable[int]) -> Fraction:
     """Probability that the run occupies exactly {1..r}."""
     word = as_word(word)
     return measure(pp, word).prob(range(1, len(word) + 1))
 
 
 def total_parking_mass(
-    pp: ProbProcedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
+    pp: Procedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
 ) -> Fraction:
     """Sum of parking probabilities over all words in {1..r+1}^r.
 
-    A rule flagged memoryless or having an `update` walks (occupied
-    subset of {1..r}, rule state) pairs with its branch probabilities as
-    weights (`walk_occupied`); any other rule sums `parking_probability`
-    word by word.
+    A rule that `can_walk` walks (occupied subset of {1..r}, rule state)
+    pairs with its branch probabilities as weights (`walk_occupied`); any
+    other rule sums `parking_probability` word by word.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -203,8 +157,8 @@ def total_parking_mass(
         from .enumeration import CapExceededError
 
         raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
-    if pp.is_memoryless or pp.update is not None:
-        return Fraction(walk_occupied(r, partial(_branches, pp, ()), pp.init_state()))
+    if pp.can_walk:
+        return Fraction(walk_occupied(r, step_moves(pp), pp.init_state()))
     total = ZERO
     for word in itertools.product(range(1, r + 2), repeat=r):
         total += parking_probability(pp, word)
@@ -212,7 +166,7 @@ def total_parking_mass(
 
 
 def orbit_parking_mass(
-    pp: ProbProcedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
+    pp: Procedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
 ) -> dict[Word, Fraction]:
     """Parking mass of each cyclic orbit, keyed by its representative;
     orbits of mass zero included.
@@ -236,7 +190,7 @@ def orbit_parking_mass(
         if len(prefix) == r:
             masses[orbit_representative(prefix, r)] += sum(w for w, _ in level.values())
             return
-        moves = partial(_branches, pp, prefix)
+        moves = step_moves(pp, prefix)
         for a in inside:
             nxt = merge_step(level, moves, (a,), r)
             if nxt:
@@ -251,18 +205,18 @@ def orbit_parking_mass(
 # catalog
 
 
-def kw_procedure(q: Fraction) -> ProbProcedure:
+def kw_procedure(q: Fraction) -> Procedure:
     """Constant coin: go right with probability q whenever bumped."""
     q = Fraction(q)
     if not ZERO <= q <= ONE:
         raise ValueError(f"q must be in [0,1], got {q}")
-    return ProbProcedure(
+    return Procedure(
         name=f"kw:q={q}",
-        decide_prob=lambda st, h, occ, blk, a: q,
+        decide=lambda st, h, occ, blk, a: q,
     )
 
 
-def kw_sequence_procedure(qs: Iterable[Fraction]) -> ProbProcedure:
+def kw_sequence_procedure(qs: Iterable[Fraction]) -> Procedure:
     """Per-car coins: the i-th car goes right with probability qs[i-1].
 
     The coin depends only on the car's index (= |occupied|+1), which makes
@@ -279,15 +233,15 @@ def kw_sequence_procedure(qs: Iterable[Fraction]) -> ProbProcedure:
             raise ValueError(f"no coin for car {i}")
         return qs[i - 1]
 
-    return ProbProcedure(
+    return Procedure(
         name="kwseq:qs=" + "+".join(str(q) for q in qs),
-        decide_prob=decide,
+        decide=decide,
         is_locally_decided=False,
         extended_cyclic=True,
     )
 
 
-def pq_procedure(q: QValue) -> ProbProcedure:
+def pq_procedure(q: QValue) -> Procedure:
     """Right-probability [i]/[r+1] on the standard block; q=0 degenerates
     to the deterministic right rule and q=inf to the left rule."""
     if not isinstance(q, _Infinity):
@@ -298,35 +252,16 @@ def pq_procedure(q: QValue) -> ProbProcedure:
     def decide(st, h, occ, blk, a):
         return pq_right_prob(blk.size, a - blk.lo + 1, q)
 
-    return ProbProcedure(name=f"pq:q={q}", decide_prob=decide)
-
-
-def from_procedure(p: Procedure) -> ProbProcedure:
-    """Embed a deterministic rule as 0/1 right-probabilities."""
-
-    def decide(st, h, occ, blk, a):
-        d = checked_decide(p, st, h, occ, blk, a)
-        return ONE if d is Direction.RIGHT else ZERO
-
-    return ProbProcedure(
-        name=p.name,
-        decide_prob=decide,
-        init_state=p.init_state,
-        update=p.update,
-        is_memoryless=p.is_memoryless,
-        is_shift_invariant=p.is_shift_invariant,
-        is_locally_decided=p.is_locally_decided,
-        extended_cyclic=p.extended_cyclic,
-    )
+    return Procedure(name=f"pq:q={q}", decide=decide)
 
 
 # the one parameter each probabilistic catalog rule takes
 _PROB_PARAMS = {"kw": "q", "kwseq": "qs", "pq": "q"}
 
 
-def parse_prob_spec(spec: str) -> ProbProcedure:
+def parse_prob_spec(spec: str) -> Procedure:
     """Parse "kw:q=1/2", "kwseq:qs=1/2+1/3", "pq:q=2" or any deterministic
-    catalog spec (embedded as 0/1 probabilities)."""
+    catalog spec, which is returned as it is."""
     name, _, tail = spec.partition(":")
     wanted = _PROB_PARAMS.get(name)
     if wanted is not None:
@@ -342,16 +277,14 @@ def parse_prob_spec(spec: str) -> ProbProcedure:
         if name == "kwseq":
             return kw_sequence_procedure(parse_q(v) for v in value.split("+"))
         return pq_procedure(parse_q(value))
-    from .procedures import parse_proc_spec
-
-    return from_procedure(parse_proc_spec(spec))
+    return parse_proc_spec(spec)
 
 
 # ---------------------------------------------------------------------------
 # abelianity
 
 
-def right_prob_table(pp: ProbProcedure, r_max: int) -> dict[tuple[int, int], Fraction]:
+def right_prob_table(pp: Procedure, r_max: int) -> dict[tuple[int, int], Fraction]:
     """Probe p(r, i) on the standard blocks {1..r}, r <= r_max."""
     if not pp.is_memoryless:
         raise ValueError(f"{pp.name} is not memoryless")
@@ -359,7 +292,8 @@ def right_prob_table(pp: ProbProcedure, r_max: int) -> dict[tuple[int, int], Fra
     for r in range(1, r_max + 1):
         occ = frozenset(range(1, r + 1))
         for i in range(1, r + 1):
-            table[(r, i)] = pp.decide_prob(pp.init_state(), (), occ, Block(1, r), i)
+            choices = branches(pp, pp.init_state(), (), occ, i, i)
+            table[(r, i)] = Fraction(sum(w for spot, w in choices if spot > i))
     return table
 
 
@@ -371,7 +305,7 @@ class AbelianReport:
     witness: tuple[Word, Word] | None  # two orderings with different measures
 
 
-def is_abelian(pp: ProbProcedure, r_max: int) -> AbelianReport:
+def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
     """Exhaustively compare measures across reorderings of every word with
     letters in {1..r+1}, length r <= r_max."""
     for r in range(1, r_max + 1):

@@ -3,8 +3,12 @@ and the run/outcome machinery.
 
 A procedure processes a preference word car by car. A car whose preferred
 spot is free parks there; otherwise it parks immediately left or right of
-the block of occupied spots containing its preference, as chosen by the
-procedure's decision function.
+the block of occupied spots containing its preference. One rule type,
+`Procedure`, serves deterministic, probabilistic and colored procedures:
+its decision is a Direction or an exact probability of going right, and
+`branches` is the one step that turns a decision into the car's choices.
+Runs follow rules that never branch; `probabilistic.measure` follows
+every choice with its weight.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import inspect
 import json
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
 from .words import Block, SpotSet, Word, as_word, block_of, shift
@@ -29,9 +34,10 @@ class Direction(Enum):
 LEFT = Direction.LEFT
 RIGHT = Direction.RIGHT
 
-# decide(state, history, occupied, block, letter) -> Direction
-# Consulted only when `letter` is occupied; `block` is its block.
-DecideFn = Callable[[Any, Word, frozenset, Block, Any], Direction]
+# decide(state, history, occupied, block, letter) -> Direction or an exact
+# right-probability (see `branches`). Consulted only when the letter's
+# preferred spot is occupied; `block` is the block containing it.
+DecideFn = Callable[[Any, Word, frozenset, Block, Any], Direction | int | Fraction]
 # update(state, letter, parked_spot) -> new state
 UpdateFn = Callable[[Any, Any, int], Any]
 
@@ -42,22 +48,17 @@ def _no_state() -> None:
 
 @dataclass(frozen=True)
 class Procedure:
-    """A deterministic bilateral parking rule.
+    """A bilateral parking rule: deterministic, probabilistic or colored.
 
-    Memoryless rules ignore `state` and `history` and depend only on
-    (occupied, letter). `count_parking` and `total_parking_mass` walk
-    (occupied set, state) pairs for every rule flagged memoryless or
-    having an `update`, and pass `decide` an empty history. Their answers
-    are right only if:
-    - a rule with an `update` keeps everything `decide` reads in `state`,
-      and `update` returns a new state instead of changing its argument;
-    - `state` is hashable or a dict;
-    - `decide` never reads `history`.
-    A rule flagged not memoryless with no `update` enumerates words.
+    `decide` returns a Direction or an exact right-probability; a
+    deterministic rule is one whose decisions are all Directions or
+    probabilities 0 and 1 (see `branches`). Memoryless rules ignore
+    `state` and `history` and depend only on (occupied, letter).
     `dir_rule`, when set, gives the direction chosen on the standard
     block {1..r} for a car preferring i, for any r; it exists exactly for
     the memoryless shift-invariant locally-decided rules and enables the
-    table kernel.
+    table kernel. `language`, when set, is the `colored.Language` of
+    colored words on which a partial colored rule is defined.
     """
 
     name: str
@@ -74,10 +75,27 @@ class Procedure:
     extended_cyclic: bool = False
     dir_rule: Callable[[int, int], Direction] | None = None
     strict_r_max: int | None = None  # refuse enumeration beyond this length
+    language: Any = None
 
     @property
     def is_local(self) -> bool:
         return self.is_shift_invariant and self.is_locally_decided
+
+    @property
+    def can_walk(self) -> bool:
+        """Whether counts and masses walk (occupied set, rule state) pairs
+        (`walk_occupied`) instead of words: true for a rule flagged
+        memoryless or having an `update`. The walk passes `decide` an
+        empty history, so its answers are right only if:
+        - a rule with an `update` keeps everything `decide` reads in
+          `state`, and `update` returns a new state instead of changing
+          its argument;
+        - `state` is hashable or a dict;
+        - `decide` never reads `history`.
+        A rule flagged not memoryless with no `update` could remember only
+        through `history`, so its counts and masses go word by word.
+        """
+        return self.is_memoryless or self.update is not None
 
     def __repr__(self) -> str:
         return f"Procedure({self.name!r})"
@@ -98,29 +116,50 @@ class RunResult:
         return {spot: i + 1 for i, spot in enumerate(self.parked)}
 
 
-def checked_decide(p, state, history, occupied, blk, a) -> Direction:
-    """`p.decide(state, history, occupied, blk, a)`, refusing any answer
-    that is not a Direction."""
+def branches(p: Procedure, state, history, occupied, a, pref) -> tuple:
+    """(spot, weight) choices of car `a` whose preferred spot `pref` is
+    taken, as `p.decide` says: just right of the block containing `pref`
+    with the right-probability, just left with the rest.
+
+    A decision is a Direction (RIGHT counts as 1, LEFT as 0), an int 0 or
+    1, or a Fraction in [0, 1]. A probability of exactly 0 or 1 gives one
+    choice with int weight 1. Anything else, floats and bools included,
+    raises ValueError, so weights stay exact.
+    """
+    # block_of returns a maximal block, so both spots next to it are free
+    blk = block_of(occupied, pref)
     d = p.decide(state, history, occupied, blk, a)
-    if not isinstance(d, Direction):
-        raise ValueError(f"{p.name}: decide returned {d!r}, not a Direction")
-    return d
+    if d is RIGHT:
+        return ((blk.hi + 1, 1),)
+    if d is LEFT:
+        return ((blk.lo - 1, 1),)
+    if type(d) is not int and not isinstance(d, Fraction):
+        raise ValueError(
+            f"{p.name}: decide returned {d!r}, not a Direction or an exact probability"
+        )
+    if d == 1:
+        return ((blk.hi + 1, 1),)
+    if d == 0:
+        return ((blk.lo - 1, 1),)
+    if not 0 < d < 1:
+        raise ValueError(f"{p.name}: decide returned probability {d} outside [0, 1]")
+    return ((blk.hi + 1, d), (blk.lo - 1, 1 - d))
 
 
-def bumped_spot(p, state, history, occupied, a, spot_pref) -> int:
-    """Spot taken by car `a` whose preferred spot `spot_pref` is occupied:
-    the free spot just left or right of its block, as `p.decide` says."""
-    blk = block_of(occupied, spot_pref)
-    d = checked_decide(p, state, history, occupied, blk, a)
-    spot = blk.lo - 1 if d is LEFT else blk.hi + 1
-    # the block is maximal, so the adjacent spot is free
-    assert spot not in occupied
-    return spot
+def _sure_spot(p: Procedure, choices: tuple) -> int:
+    """The spot of a decision that does not branch."""
+    if len(choices) > 1:
+        raise ValueError(
+            f"{p.name}: a decision branches with right-probability "
+            f"{choices[0][1]}; measure() follows both choices"
+        )
+    return choices[0][0]
 
 
 def run_engine(p, letters: tuple, value_of=None) -> RunResult:
     """Shared run loop; `value_of` maps a letter to its preferred spot
-    (identity for plain integer letters)."""
+    (identity for plain integer letters). A decision that branches raises
+    ValueError."""
     occupied: set[int] = set()
     state = p.init_state()
     parked: list[int] = []
@@ -130,7 +169,7 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
         if spot_pref not in occupied:
             spot = spot_pref
         else:
-            spot = bumped_spot(p, state, history, occupied, a, spot_pref)
+            spot = _sure_spot(p, branches(p, state, history, occupied, a, spot_pref))
         occupied.add(spot)
         parked.append(spot)
         if p.update is not None:
@@ -149,6 +188,27 @@ def state_key(state: Any):
 # moves(occupied, state, letter) -> (spot, weight, next state) triples for
 # the arriving car
 MovesFn = Callable[[frozenset, Any, int], Iterable[tuple[int, Any, Any]]]
+
+
+def step_moves(p: Procedure, history: Word = ()) -> MovesFn:
+    """The `merge_step` move of rule `p` for a car arriving after
+    `history`: each of its choices with its weight and the next state."""
+    update = p.update
+
+    def moves(occ: frozenset, state, a: int):
+        spot = a
+        if a in occ:
+            choices = branches(p, state, history, occ, a, a)
+            if len(choices) > 1:
+                return [
+                    (spot, w, state if update is None else update(state, a, spot))
+                    for spot, w in choices
+                ]
+            spot = choices[0][0]
+        # a single choice has weight 1
+        return ((spot, 1, state if update is None else update(state, a, spot)),)
+
+    return moves
 
 
 def merge_step(
@@ -203,7 +263,8 @@ def parking_runs(p: Procedure, r: int) -> Iterator[tuple[Word, tuple[int, ...]]]
     `update` must return a new state instead of changing its argument. A
     car parked outside {1..r} never leaves, so a prefix is dropped as soon
     as one does, and every letter of a parking word is in {1..r}. Only
-    the prefixes still to be grown are held, never the runs yielded.
+    the prefixes still to be grown are held, never the runs yielded. A
+    decision that branches raises ValueError.
     """
     update = p.update
     # letters pushed in reverse pop in increasing order
@@ -215,7 +276,7 @@ def parking_runs(p: Procedure, r: int) -> Iterator[tuple[Word, tuple[int, ...]]]
             yield word, parked
             continue
         for a in letters:
-            spot = a if a not in occ else bumped_spot(p, state, word, occ, a, a)
+            spot = a if a not in occ else _sure_spot(p, branches(p, state, word, occ, a, a))
             if 1 <= spot <= r:
                 stack.append((
                     word + (a,),
@@ -510,21 +571,18 @@ def table_procedure(
 
 def dir_of(p: Procedure, r: int, i: int) -> Direction:
     """Direction chosen when {1..r} is occupied and the car prefers i."""
-    if not p.is_memoryless:
-        raise ValueError(f"{p.name} is not memoryless")
     if not 1 <= i <= r:
         raise ValueError(f"position {i} outside 1..{r}")
-    return checked_decide(
-        p, p.init_state(), (), frozenset(range(1, r + 1)), Block(1, r), i
-    )
+    return dir_of_set(p, range(1, r + 1), i)
 
 
 def dir_of_set(p: Procedure, occupied: Iterable[int], a: int) -> Direction:
-    """Direction chosen on an arbitrary occupied set (memoryless rules)."""
+    """Direction chosen on an arbitrary occupied set (memoryless rules
+    that do not branch there)."""
     if not p.is_memoryless:
         raise ValueError(f"{p.name} is not memoryless")
-    occ = frozenset(occupied)
-    return checked_decide(p, p.init_state(), (), occ, block_of(occ, a), a)
+    spot = _sure_spot(p, branches(p, p.init_state(), (), frozenset(occupied), a, a))
+    return RIGHT if spot > a else LEFT
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from parkline.colored import (
     rotate_values,
     verify_closures,
 )
-from parkline.procedures import builtin, run
+from parkline.procedures import Procedure, builtin, run
 
 CLBS = colored_lbs_procedure()
 DISTINCT = distinct_letters_language()
@@ -37,6 +37,19 @@ class TestColoredRun:
     def test_smaller_color_goes_left(self):
         word = colored_word([(1, 2), (1, 1)])
         assert colored_run(CLBS, word).spots == frozenset({0, 1})
+
+    def test_one_rule_type(self):
+        from parkline.colored import ColoredProcedure
+        from parkline.probabilistic import ProbProcedure
+
+        assert ColoredProcedure is Procedure and ProbProcedure is Procedure
+        assert type(CLBS) is Procedure
+        assert CLBS.language.name == "distinct-letters"
+
+    def test_a_sure_probability_runs_on_values(self):
+        sure_right = Procedure("sure-right", decide=lambda *_: 1)
+        word = colored_word([(1, "a"), (1, "b"), (1, "c")])
+        assert colored_run(sure_right, word).parked == (1, 2, 3)
 
     def test_language_violation(self):
         with pytest.raises(UndefinedRuleError):

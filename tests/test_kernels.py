@@ -17,7 +17,7 @@ TABLE_PROCS += random_dir_tables(3, 6, seed=42)
 
 
 def full_space(r):
-    return np.vstack(list(_kernels.word_chunks(r)))
+    return np.vstack(list(_kernels.alphabet_chunks(range(1, r + 2), r)))
 
 
 class TestBackendSelection:
@@ -40,7 +40,7 @@ class TestWordChunks:
 
     def test_chunking_is_seamless(self):
         whole = full_space(3)
-        chunked = np.vstack(list(_kernels.word_chunks(3, chunk=7)))
+        chunked = np.vstack(list(_kernels.alphabet_chunks(range(1, 5), 3, chunk=7)))
         assert (whole == chunked).all()
 
     def test_alphabet_words(self):
@@ -56,7 +56,7 @@ class TestRadixOverflow:
     def test_chunks_refuse_before_the_first_chunk(self):
         with pytest.raises(_kernels.RadixOverflowError):
             next(_kernels.alphabet_chunks(range(1, 18), 16))
-        assert next(_kernels.word_chunks(15)).shape == (_kernels.CHUNK, 15)
+        assert next(_kernels.alphabet_chunks(range(1, 17), 15)).shape == (_kernels.CHUNK, 15)
 
 
 @pytest.mark.parametrize("backend", ["numpy"])

@@ -19,7 +19,6 @@ from conftest import (
 from parkline.enumeration import OrbitReport, OrbitViolation, count_parking, orbit_audit
 from parkline.forests import fiber_counts_brute
 from parkline.probabilistic import (
-    from_procedure,
     kw_procedure,
     kw_sequence_procedure,
     orbit_parking_mass,
@@ -120,7 +119,7 @@ def test_fibers_equal_word_space(p):
         assert fiber_counts_brute(p, r, cap=None) == dict(expected), r
 
 
-PROB_RULES = [from_procedure(p) for p in RULES] + [
+PROB_RULES = RULES + [
     pq_procedure(Fraction(2)),
     pq_procedure(Fraction(1, 3)),
     kw_procedure(Fraction(1, 3)),

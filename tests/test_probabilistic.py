@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from parkline.probabilistic import (
     INFINITY,
     abelian_uniqueness_check,
-    from_procedure,
     is_abelian,
     kw_procedure,
     kw_sequence_procedure,
@@ -23,7 +22,7 @@ from parkline.probabilistic import (
     right_prob_table,
     total_parking_mass,
 )
-from parkline.procedures import Procedure, builtin, run
+from parkline.procedures import Procedure, builtin, dir_of, parking_runs, run
 
 HALF = F(1, 2)
 
@@ -66,15 +65,31 @@ class TestMeasure:
     @settings(max_examples=30, deadline=None)
     def test_deterministic_embedding_is_point_mass(self, name, word):
         p = builtin(name)
-        m = measure(from_procedure(p), word)
+        m = measure(p, word)
         assert m.probs == {run(p, word).spots: F(1)}
-
+        assert all(type(v) is F for v in m.probs.values())
 
     @pytest.mark.parametrize("answer", ["L", None])
     def test_embedding_refuses_a_non_direction(self, answer):
-        pp = from_procedure(Procedure("bad", decide=lambda *_: answer))
+        p = Procedure("bad", decide=lambda *_: answer)
         with pytest.raises(ValueError, match=f"bad: decide returned {answer!r}"):
-            measure(pp, (1, 1))
+            measure(p, (1, 1))
+
+    @pytest.mark.parametrize("answer", [0.5, 1.0, 0.0, True, False])
+    def test_inexact_probabilities_are_refused(self, answer):
+        p = Procedure("inexact", decide=lambda *_: answer)
+        with pytest.raises(ValueError, match=f"inexact: decide returned {answer!r}"):
+            measure(p, (1, 1))
+        with pytest.raises(ValueError, match=f"inexact: decide returned {answer!r}"):
+            parking_probability(p, (1, 1, 2))
+        with pytest.raises(ValueError, match=f"inexact: decide returned {answer!r}"):
+            total_parking_mass(p, 2)
+
+    @pytest.mark.parametrize("answer", [0, 1, F(0), F(1), F(1, 3)])
+    def test_exact_probabilities_keep_fraction_results(self, answer):
+        m = measure(Procedure("exact", decide=lambda *_: answer), (1, 1))
+        assert m.total() == 1
+        assert all(type(v) is F for v in m.probs.values())
 
 
 class TestParkingProbability:
@@ -155,7 +170,7 @@ class TestMassWalk:
             assert walked == per_word, (pp.name, r)
 
     def test_lbs_walk_equals_per_word_mass(self):
-        pp = from_procedure(builtin("lbs"))
+        pp = builtin("lbs")
         for r in range(1, 5):
             words = itertools.product(range(1, r + 2), repeat=r)
             per_word = sum((parking_probability(pp, w) for w in words), F(0))
@@ -166,7 +181,8 @@ class TestMassWalk:
 
         for name in ("closest", "far"):
             for r in range(1, 5):
-                mass = total_parking_mass(from_procedure(builtin(name)), r)
+                mass = total_parking_mass(builtin(name), r)
+                assert type(mass) is F
                 assert mass == count_parking(builtin(name), r)
 
     def test_which_masses_walk(self, monkeypatch):
@@ -183,29 +199,26 @@ class TestMassWalk:
         assert total_parking_mass(kw_procedure(HALF), 3) == 16
         assert walks == [3]
         # rules with an `update` walk (occupied set, state) pairs
-        for p in (builtin("lbs"), alternating_rule(), state_parity_rule()):
-            pp = from_procedure(p)
+        for pp in (builtin("lbs"), alternating_rule(), state_parity_rule()):
             for r in range(1, 4):
                 words = itertools.product(range(1, r + 2), repeat=r)
                 per_word = sum((parking_probability(pp, w) for w in words), F(0))
                 walks.clear()
-                assert total_parking_mass(pp, r) == per_word, (p.name, r)
+                assert total_parking_mass(pp, r) == per_word, (pp.name, r)
                 assert walks == [r]
         # a rule reading history without an `update` sums word by word
-        history = from_procedure(history_parity_rule())
+        history = history_parity_rule()
         walks.clear()
         for r, count in enumerate([1, 4, 14, 126], start=1):
             words = itertools.product(range(1, r + 2), repeat=r)
             per_word = sum((parking_probability(history, w) for w in words), F(0))
             assert total_parking_mass(history, r) == per_word == count
         assert walks == []
-        state = from_procedure(state_parity_rule())
+        state = state_parity_rule()
         assert [total_parking_mass(state, r) for r in range(1, 5)] == [1, 4, 14, 126]
 
     def test_probability_check_holds_on_the_walk(self):
-        from parkline.probabilistic import ProbProcedure
-
-        bad = ProbProcedure("bad", decide_prob=lambda st, h, occ, blk, a: F(3, 2))
+        bad = Procedure("bad", decide=lambda st, h, occ, blk, a: F(3, 2))
         with pytest.raises(ValueError, match="outside"):
             total_parking_mass(bad, 2)
 
@@ -248,6 +261,40 @@ class TestPqDegenerate:
         table = right_prob_table(pq_procedure(F(1)), 4)
         assert all(table[(r, i)] == F(i, r + 1) for r, i in table)
 
+    def test_deterministic_table(self):
+        table = right_prob_table(builtin("closest"), 4)
+        assert table == {
+            (r, i): F(1) if r + 1 - i <= i else F(0) for r, i in table
+        }
+        assert all(type(v) is F for v in table.values())
+
+    def test_degenerate_rules_run_as_directions(self):
+        right, left = builtin("right"), builtin("left")
+        q0, qinf = pq_procedure(F(0)), pq_procedure(INFINITY)
+        for n in range(5):
+            for word in itertools.product(range(1, 5), repeat=n):
+                assert run(q0, word) == run(right, word)
+                assert run(qinf, word) == run(left, word)
+
+    def test_degenerate_rule_counts(self):
+        from parkline.enumeration import count_parking
+
+        for r in range(1, 6):
+            count = count_parking(pq_procedure(F(0)), r)
+            assert type(count) is int and count == (r + 1) ** (r - 1)
+
+    def test_a_branching_rule_refuses_to_run(self):
+        from parkline.enumeration import count_parking
+
+        with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
+            run(kw_procedure(HALF), (1, 1))
+        with pytest.raises(ValueError, match="kw:q=1/2 branches"):
+            count_parking(kw_procedure(HALF), 2)
+        with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
+            list(parking_runs(kw_procedure(HALF), 2))
+        with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
+            dir_of(kw_procedure(HALF), 2, 1)
+
 
 class TestAbelian:
     @pytest.mark.parametrize("q", [F(1), F(2)])
@@ -255,7 +302,7 @@ class TestAbelian:
         assert is_abelian(pq_procedure(q), 3).abelian
 
     def test_deterministic_right_is_abelian(self):
-        assert is_abelian(from_procedure(builtin("right")), 3).abelian
+        assert is_abelian(builtin("right"), 3).abelian
 
     def test_kw_half_is_not(self):
         report = is_abelian(kw_procedure(HALF), 3)
@@ -321,6 +368,9 @@ class TestParseSpec:
     def test_deterministic_fallback(self):
         pp = parse_prob_spec("lbs")
         assert probs_of(measure(pp, (1, 2, 1))) == {(0, 1, 2): F(1)}
+        # returned as it is: the deterministic run engine takes it
+        assert pp.name == "lbs" and pp.update is not None
+        assert run(pp, (1, 2, 1)).spots == {0, 1, 2}
 
     @pytest.mark.parametrize(
         "spec,message",
