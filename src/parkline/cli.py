@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, orbits, prob, fibers, encode. Output formats:
 table (default), json (canonical: sorted keys, compact separators), csv.
-Exit codes: 0 success, 1 expectation failure, 2 resource cap exceeded,
-3 input error.
+Exit codes: 0 success, 1 expectation failure, 2 over the work budget
+(`--cap-unsafe` lifts it) or beyond int64 word indices, 3 input error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from itertools import permutations
 
 from ._kernels import RadixOverflowError
 from .enumeration import (
+    WORK_BUDGET,
     CapExceededError,
     StrictTableError,
     count_parking,
@@ -43,9 +44,6 @@ from .probabilistic import (
 )
 from .procedures import load_dir_table, parse_proc_spec, table_procedure
 
-DETERMINISTIC_CAP = 7
-PROBABILISTIC_CAP = 5
-
 
 class InputError(ValueError):
     pass
@@ -61,7 +59,7 @@ class Report:
     command: str
     params: dict
     results: dict
-    elapsed_s: float
+    elapsed_s: float = 0.0
     failed_expectation: bool = False
 
 
@@ -119,8 +117,8 @@ def _resolve_proc(args):
     return parse_proc_spec(args.proc)
 
 
-def _cap(args, default: int) -> int | None:
-    return None if args.cap_unsafe else default
+def _cap(args) -> int | None:
+    return None if args.cap_unsafe else WORK_BUDGET
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -136,23 +134,20 @@ def _parse_word(text: str) -> tuple[int, ...]:
 
 def cmd_enumerate(args) -> Report:
     p = _resolve_proc(args)
-    t0 = time.perf_counter()
-    count = count_parking(p, args.r, cap=_cap(args, DETERMINISTIC_CAP))
+    count = count_parking(p, args.r, cap=_cap(args))
     expected = expected_parking_count(args.r)
     results = {"count": count, "expected_universal": expected, "universal": count == expected}
     return Report(
         command="enumerate",
         params={"proc": p.name, "r": args.r},
         results=results,
-        elapsed_s=round(time.perf_counter() - t0, 6),
         failed_expectation=args.expect_universal and count != expected,
     )
 
 
 def cmd_orbits(args) -> Report:
     p = _resolve_proc(args)
-    t0 = time.perf_counter()
-    report = orbit_audit(p, args.r, cap=_cap(args, DETERMINISTIC_CAP))
+    report = orbit_audit(p, args.r, cap=_cap(args))
     results = {
         "orbit_count": report.orbit_count,
         "parking_total": report.parking_total,
@@ -172,7 +167,6 @@ def cmd_orbits(args) -> Report:
         command="orbits",
         params={"proc": p.name, "r": args.r},
         results=results,
-        elapsed_s=round(time.perf_counter() - t0, 6),
     )
 
 
@@ -182,7 +176,6 @@ def cmd_prob(args) -> Report:
     pp = parse_prob_spec(args.proc) if args.proc else None
     if pp is None:
         raise InputError("--proc is required")
-    t0 = time.perf_counter()
     params = {"proc": pp.name}
     results = {}
     if args.word is not None:
@@ -191,7 +184,7 @@ def cmd_prob(args) -> Report:
         results["parking_probability"] = frac_str(parking_probability(pp, word))
     else:
         params["mass_r"] = args.mass
-        cap = _cap(args, PROBABILISTIC_CAP)
+        cap = _cap(args)
         results["total_parking_mass"] = frac_str(total_parking_mass(pp, args.mass, cap=cap))
         results["expected_universal"] = expected_parking_count(args.mass)
         if args.per_orbit:
@@ -203,7 +196,6 @@ def cmd_prob(args) -> Report:
         command="prob",
         params=params,
         results=results,
-        elapsed_s=round(time.perf_counter() - t0, 6),
     )
 
 
@@ -211,8 +203,7 @@ def cmd_fibers(args) -> Report:
     p = _resolve_proc(args)
     if not (p.is_memoryless and p.is_locally_decided):
         raise InputError(f"{p.name} is not memoryless+locally decided; no fiber formula")
-    t0 = time.perf_counter()
-    brute = fiber_counts_brute(p, args.r, cap=_cap(args, DETERMINISTIC_CAP))
+    brute = fiber_counts_brute(p, args.r, cap=_cap(args))
     if args.sigma:
         sigmas = [_parse_word(args.sigma)]
     else:
@@ -238,14 +229,12 @@ def cmd_fibers(args) -> Report:
         command="fibers",
         params={"proc": p.name, "r": args.r, "sigma": args.sigma or ""},
         results=results,
-        elapsed_s=round(time.perf_counter() - t0, 6),
     )
 
 
 def cmd_encode(args) -> Report:
     p = _resolve_proc(args)
     word = _parse_word(args.word)
-    t0 = time.perf_counter()
     pair = encode(p, word)
     results = dict(pair_to_json(pair))
     results["displacement"] = total_displacement(p, word)
@@ -253,7 +242,6 @@ def cmd_encode(args) -> Report:
         command="encode",
         params={"proc": p.name, "word": word_str(word)},
         results=results,
-        elapsed_s=round(time.perf_counter() - t0, 6),
     )
 
 
@@ -270,7 +258,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--proc-file", help="path to a direction-table JSON document")
         sp.add_argument("--strict", action="store_true", help="refuse r beyond the table's r_max")
         sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        sp.add_argument("--cap-unsafe", action="store_true", help="disable the exhaustive-size cap")
+        sp.add_argument("--cap-unsafe", action="store_true", help="lift the work budget")
         if r:
             sp.add_argument("--r", type=int, required=True)
         if word:
@@ -310,7 +298,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "word", None) is None and args.command == "encode":
             raise InputError("--word is required")
+        t0 = time.perf_counter()
         report = args.handler(args)
+        report.elapsed_s = round(time.perf_counter() - t0, 6)
     except (CapExceededError, RadixOverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

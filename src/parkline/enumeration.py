@@ -4,8 +4,10 @@ of words landing on a given spot set.
 
 Counts walk (occupied set, rule state) pairs and orbit audits grow only
 the parking words (`procedures.walk_occupied`, `procedures.parking_runs`).
-The word space {1..r+1}^r is enumerated only where it is the reference:
+Words are enumerated only where they are the reference:
 `count_words_to_set(..., "brute")` and counts that name a `backend`.
+Every query estimates its work in car steps before any car is placed and
+is refused beyond one budget, `WORK_BUDGET` (see `check_budget`).
 """
 
 from __future__ import annotations
@@ -21,32 +23,62 @@ from . import _kernels
 from .procedures import Procedure, parking_runs, run, step_moves, walk_occupied
 from .words import Word, blocks, multinomial, orbit_representative, rotate
 
-DEFAULT_CAP = 8
-# hard guard on brute-force word counts regardless of cap
-MAX_BRUTE_WORDS = 80_000_000
+# car steps one query may take unless `cap` says otherwise; None lifts it
+WORK_BUDGET = 10_000_000
 
 
 class CapExceededError(RuntimeError):
-    """Exhaustive search would exceed the configured cap."""
+    """A query's estimated work exceeds the work budget."""
 
 
 class StrictTableError(ValueError):
     """A strict table procedure was asked about blocks beyond its table."""
 
 
+def check_budget(path: str, steps: int, cap: int | None) -> None:
+    """Refuse `steps` car steps along `path` beyond `cap`; None lifts it."""
+    if cap is not None and steps > cap:
+        raise CapExceededError(
+            f"{path}: {steps:,} car steps exceed the work budget {cap:,}"
+            " (--cap-unsafe or cap=None lifts it)"
+        )
+
+
+def walk_weight(p: Procedure, target: frozenset, cap: int | None):
+    """Total weight of the runs of `p` ending on exactly `target` (`walk_occupied`),
+    estimated at 2^n * n car steps over n spots before any car is placed; a rule
+    state can multiply the pairs, so the walk also counts its steps car by car."""
+    n = len(target)
+    path = f"walk over {n} spots"
+    check_budget(path, 2**n * n, cap)
+    return walk_occupied(
+        target, step_moves(p), p.init_state(), lambda steps: check_budget(path, steps, cap)
+    )
+
+
 def expected_parking_count(r: int) -> int:
     return (r + 1) ** (r - 1)
 
 
-def _check_r(p: Procedure, r: int, cap: int | None) -> None:
+def _check_r(r: int) -> None:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if cap is not None and r > cap:
-        raise CapExceededError(f"r={r} exceeds exhaustive cap {cap}")
-    if p.strict_r_max is not None and r > p.strict_r_max:
+
+
+def _check_strict(p: Procedure, n: int) -> None:
+    if p.strict_r_max is not None and n > p.strict_r_max:
         raise StrictTableError(
-            f"{p.name} is strict with r_max={p.strict_r_max}; refusing r={r}"
+            f"{p.name} is strict with r_max={p.strict_r_max}; refusing r={n}"
         )
+
+
+def _check_runs(p: Procedure, r: int, cap: int | None) -> None:
+    """Checks before the parking words of length r are grown: r >= 1, a strict
+    table's rows, the budget, and int64 word indices, kept if the budget is lifted."""
+    _check_r(r)
+    _check_strict(p, r)
+    check_budget(f"parking runs of length {r}", r**r * r, cap)
+    _kernels.radix_weights(r + 1, r)
 
 
 @lru_cache(maxsize=256)
@@ -72,30 +104,13 @@ def count_parking(
     p: Procedure,
     r: int,
     *,
-    cap: int | None = DEFAULT_CAP,
+    cap: int | None = WORK_BUDGET,
     backend: str | None = None,
 ) -> int:
-    """Number of words of length r whose run occupies exactly {1..r}.
-
-    A rule that `can_walk` walks (occupied subset of {1..r}, rule state)
-    pairs (`walk_occupied`) unless a `backend` is named. Otherwise the
-    words {1..r+1}^r are enumerated on `backend`; any word occupying
-    {1..r} has all its letters in {1..r}, so the window is exhaustive.
-    A rule that branches on the way to {1..r} raises ValueError.
-    """
-    _check_r(p, r, cap)
-    if p.can_walk and backend is None:
-        count = walk_occupied(r, step_moves(p), p.init_state())
-        # a run weighs an int 1 unless one of its decisions branched
-        if type(count) is not int:
-            raise ValueError(f"{p.name} branches; total_parking_mass weighs its runs")
-        return count
-
-    def work(words: np.ndarray) -> int:
-        parked = parked_matrix(p, words, backend)
-        return int(((parked.min(axis=1) >= 1) & (parked.max(axis=1) <= r)).sum())
-
-    return sum(work(words) for words in _kernels.alphabet_chunks(range(1, r + 2), r))
+    """Number of words of length r whose run occupies exactly {1..r}: the
+    spot set {1..r} of `count_words_to_set`, walked or enumerated alike."""
+    _check_r(r)
+    return count_words_to_set(p, range(1, r + 1), cap=cap, backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +143,7 @@ class OrbitReport:
 
 
 def orbit_audit(
-    p: Procedure, r: int, *, cap: int | None = DEFAULT_CAP
+    p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> OrbitReport:
     """Count parking words in every cyclic orbit of {1..r+1}^r.
 
@@ -137,10 +152,8 @@ def orbit_audit(
     r+1, index the orbit. Only the parking words are built
     (`parking_runs`), and a violating orbit lists those among them.
     """
-    _check_r(p, r, cap)
+    _check_runs(p, r, cap)
     base = r + 1
-    # refuse a word space beyond int64 indices before any prefix is grown
-    _kernels.radix_weights(base, r)
     words = np.fromiter(
         (a for word, _ in parking_runs(p, r) for a in word), np.int8
     ).reshape(-1, r)
@@ -204,7 +217,7 @@ def check_universal(
     p: Procedure,
     r_max: int,
     *,
-    cap: int | None = DEFAULT_CAP,
+    cap: int | None = WORK_BUDGET,
     backend: str | None = None,
 ) -> UniversalityReport:
     """Compare parking-word counts against (r+1)^(r-1) for r = 1..r_max."""
@@ -226,22 +239,30 @@ def check_universal(
 def count_words_to_set(
     p: Procedure,
     spots: Iterable[int],
-    via: str = "brute",
+    via: str | None = None,
     *,
     pad: int = 0,
-    cap: int | None = DEFAULT_CAP,
+    cap: int | None = WORK_BUDGET,
     backend: str | None = None,
 ) -> int:
     """Number of words of length |S| whose run occupies exactly S.
 
-    "brute" enumerates candidate words with letters from S itself when
-    pad=0, which is already exhaustive: every word landing exactly on S
-    has all its letters in S (a letter outside the final set would park
-    there and stay). pad>0 widens the alphabet to the full interval
-    [min(S)-pad, max(S)+pad], gaps included, which re-verifies that claim
-    empirically. "formula" multiplies shuffle counts with per-block
-    parking counts and requires a local procedure.
+    Every word landing exactly on S has all its letters in S: a letter
+    outside the final set would park there and stay. By default a rule
+    that `can_walk` walks (occupied subset of S, rule state) pairs
+    (`walk_occupied`) unless a `backend` is named; a rule that branches
+    on the way to S raises ValueError. Otherwise, and with "brute", the
+    words with letters in S are enumerated on `backend`; pad>0 widens
+    that alphabet to the full interval [min(S)-pad, max(S)+pad], gaps
+    included, which re-verifies the claim above empirically. "formula"
+    multiplies shuffle counts with per-block parking counts and requires
+    a local procedure.
     """
+    if via not in (None, "brute", "formula"):
+        raise ValueError(f"unknown mode {via!r}")
+    walk = via is None and p.can_walk and backend is None
+    if pad and (walk or via == "formula"):
+        raise ValueError("pad widens the alphabet of word enumeration only")
     target = frozenset(spots)
     n = len(target)
     if n == 0:
@@ -255,23 +276,17 @@ def count_words_to_set(
         for s in sizes:
             out *= count_parking(p, s, cap=cap, backend=backend)
         return out
-    if via != "brute":
-        raise ValueError(f"unknown mode {via!r}")
 
-    if cap is not None and n > cap:
-        raise CapExceededError(f"|S|={n} exceeds exhaustive cap {cap}")
-    if p.strict_r_max is not None and n > p.strict_r_max:
-        raise StrictTableError(
-            f"{p.name} is strict with r_max={p.strict_r_max}; refusing |S|={n}"
-        )
-    if pad == 0:
-        alphabet = sorted(target)
-    else:
-        alphabet = range(min(target) - pad, max(target) + pad + 1)
-    if len(alphabet) ** n > MAX_BRUTE_WORDS:
-        raise CapExceededError(
-            f"{len(alphabet)} letters ^ {n} exceeds {MAX_BRUTE_WORDS} words"
-        )
+    _check_strict(p, n)
+    if walk:
+        count = walk_weight(p, target, cap)
+        # a run weighs an int 1 unless one of its decisions branched
+        if type(count) is not int:
+            raise ValueError(f"{p.name} branches; total_parking_mass weighs its runs")
+        return count
+
+    alphabet = range(min(target) - pad, max(target) + pad + 1) if pad else sorted(target)
+    check_budget(f"words over {len(alphabet)} letters", len(alphabet) ** n * n, cap)
     goal = np.array(sorted(target), np.int64)
 
     def work(words: np.ndarray) -> int:

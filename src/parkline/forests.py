@@ -21,8 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import _kernels
-from .enumeration import DEFAULT_CAP, _check_r
+from .enumeration import WORK_BUDGET, _check_runs
 from .procedures import Direction, Procedure, dir_of_set, parking_runs, run
 from .words import Block, SpotSet, Word, as_word, blocks
 
@@ -230,13 +229,11 @@ def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
 
 
 def fiber_counts_brute(
-    p: Procedure, r: int, *, cap: int | None = DEFAULT_CAP
+    p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[tuple[int, ...], int]:
     """Outcome histogram of all parking words of length r, read from the
     runs of `parking_runs`."""
-    _check_r(p, r, cap)
-    # refuse a word space beyond int64 indices before any prefix is grown
-    _kernels.radix_weights(r + 1, r)
+    _check_runs(p, r, cap)
     counts: Counter[tuple[int, ...]] = Counter()
     for _, parked in parking_runs(p, r):
         sigma = [0] * r

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
+from .enumeration import WORK_BUDGET, _check_r, _check_runs, check_budget, walk_weight
 from .procedures import (
     Procedure,
     branches,
@@ -25,11 +26,8 @@ from .procedures import (
     parse_proc_spec,
     state_key,
     step_moves,
-    walk_occupied,
 )
 from .words import SpotSet, Word, as_word, orbit_representative
-
-DEFAULT_PROB_CAP = 6
 
 
 class _Infinity:
@@ -143,7 +141,7 @@ def parking_probability(pp: Procedure, word: Iterable[int]) -> Fraction:
 
 
 def total_parking_mass(
-    pp: Procedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
+    pp: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> Fraction:
     """Sum of parking probabilities over all words in {1..r+1}^r.
 
@@ -151,22 +149,16 @@ def total_parking_mass(
     pairs with its branch probabilities as weights (`walk_occupied`); any
     other rule sums `parking_probability` word by word.
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if cap is not None and r > cap:
-        from .enumeration import CapExceededError
-
-        raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
+    _check_r(r)
     if pp.can_walk:
-        return Fraction(walk_occupied(r, step_moves(pp), pp.init_state()))
-    total = ZERO
-    for word in itertools.product(range(1, r + 2), repeat=r):
-        total += parking_probability(pp, word)
-    return total
+        return Fraction(walk_weight(pp, frozenset(range(1, r + 1)), cap))
+    check_budget(f"words over {r + 1} letters", (r + 1) ** r * r, cap)
+    words = itertools.product(range(1, r + 2), repeat=r)
+    return sum((parking_probability(pp, word) for word in words), ZERO)
 
 
 def orbit_parking_mass(
-    pp: Procedure, r: int, *, cap: int | None = DEFAULT_PROB_CAP
+    pp: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[Word, Fraction]:
     """Parking mass of each cyclic orbit, keyed by its representative;
     orbits of mass zero included.
@@ -175,16 +167,13 @@ def orbit_parking_mass(
     grown over prefixes in {1..r}^k, restricted to occupied sets inside
     {1..r}; words that share a prefix share its work.
     """
-    if cap is not None and r > cap:
-        from .enumeration import CapExceededError
-
-        raise CapExceededError(f"r={r} exceeds probabilistic cap {cap}")
+    _check_runs(pp, r, cap)
     # each orbit has exactly one member starting with 1
     masses = {
         orbit_representative((1, *rest), r): ZERO
         for rest in itertools.product(range(1, r + 2), repeat=r - 1)
     }
-    inside = range(1, r + 1)
+    inside = frozenset(range(1, r + 1))
 
     def grow(prefix: Word, level: dict) -> None:
         if len(prefix) == r:
@@ -192,7 +181,7 @@ def orbit_parking_mass(
             return
         moves = step_moves(pp, prefix)
         for a in inside:
-            nxt = merge_step(level, moves, (a,), r)
+            nxt = merge_step(level, moves, (a,), inside)
             if nxt:
                 grow(prefix + (a,), nxt)
 

@@ -212,21 +212,21 @@ def step_moves(p: Procedure, history: Word = ()) -> MovesFn:
 
 
 def merge_step(
-    level: dict, moves: MovesFn, letters: Iterable[int], r: int | None = None
+    level: dict, moves: MovesFn, letters: Iterable[int], inside: frozenset | None = None
 ) -> dict:
     """One car's step over runs keyed by (occupied set, `state_key(state)`)
     with values (weight, state).
 
     Every run takes each of `moves(occupied, state, a)` for every letter a
-    in `letters`; with `r` given, moves to spots outside {1..r} are
-    dropped. Weights multiply along a run, and runs that agree on
+    in `letters`; with the spot set `inside` given, moves to spots outside
+    it are dropped. Weights multiply along a run, and runs that agree on
     (occupied, state key) afterwards are merged by adding their weights.
     """
     nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
     for (occ, _), (weight, state) in level.items():
         for a in letters:
             for spot, w, st in moves(occ, state, a):
-                if r is None or 1 <= spot <= r:
+                if inside is None or spot in inside:
                     key = (occ | {spot}, state_key(st))
                     prev = nxt.get(key)
                     nxt[key] = (
@@ -236,21 +236,28 @@ def merge_step(
     return nxt
 
 
-def walk_occupied(r: int, moves: MovesFn, init_state: Any):
-    """Total weight of the runs of r cars that end on exactly {1..r},
-    summed over (occupied set, rule state) pairs instead of words.
+def walk_occupied(
+    target: frozenset, moves: MovesFn, init_state: Any, check_steps: Callable[[int], None]
+):
+    """Total weight of the runs of |target| cars that end on exactly the
+    spot set `target`, summed over (occupied set, rule state) pairs
+    instead of words.
 
     `moves` must depend on (occupied, state, letter) alone; memoryless
-    rules carry state None. A car parked outside {1..r} never leaves, so
-    only letters and spots inside {1..r} are followed: for a memoryless
-    rule at most 2^r sets times r letters per car, against (r+1)^r words.
+    rules carry state None. A car parked outside the target never leaves,
+    so only letters and spots inside it are followed: for a memoryless
+    rule at most 2^n sets times n letters per car, against n^n words.
     Int weights give an exact count and Fraction weights an exact mass.
+    Before each car, `check_steps` is passed the car steps taken so far
+    and about to be taken, and may refuse them.
     """
-    inside = range(1, r + 1)
     level = {(frozenset(), state_key(init_state)): (1, init_state)}
-    for _ in inside:
-        level = merge_step(level, moves, inside, r)
-    # every surviving run parked r distinct cars inside {1..r}
+    steps = 0
+    for _ in target:
+        steps += len(level) * len(target)
+        check_steps(steps)
+        level = merge_step(level, moves, target, target)
+    # every surviving run parked |target| distinct cars inside the target
     return sum(weight for weight, _ in level.values())
 
 

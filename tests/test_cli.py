@@ -33,9 +33,18 @@ class TestEnumerate:
         assert code == 1
 
     def test_cap_exit_2(self, capsys):
-        code, _, err = invoke(capsys, "enumerate", "--proc", "right", "--r", "8")
+        # a walk over 30 spots is refused before any car is placed
+        code, _, err = invoke(capsys, "enumerate", "--proc", "right", "--r", "30")
         assert code == 2
         assert "cap" in err
+        assert "budget" in err and "32,212,254,720 car steps" in err
+
+    def test_walk_within_budget(self, capsys):
+        code, out, _ = invoke(
+            capsys, "enumerate", "--proc", "right", "--r", "8", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["count"] == 4_782_969
 
     def test_bad_proc_exit_3(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "--proc", "bogus", "--r", "2")
@@ -124,8 +133,14 @@ class TestProb:
         assert "requires parameter 'q'" in err
 
     def test_prob_cap(self, capsys):
-        code, _, _ = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--mass", "6")
+        code, _, err = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--mass", "30")
         assert code == 2
+        assert "budget" in err
+
+    def test_mass_walk_within_budget(self, capsys):
+        code, out, _ = invoke(capsys, "prob", "--proc", "pq:q=2", "--mass", "6")
+        assert code == 0
+        assert "total_parking_mass: 16807/1" in out
 
 
 class TestFibers:
@@ -271,8 +286,9 @@ class TestParser:
 
     def test_cap_unsafe_lifts_cap(self):
         from parkline.cli import _cap, build_parser
+        from parkline.enumeration import WORK_BUDGET
 
-        args = build_parser().parse_args(
-            ["enumerate", "--proc", "right", "--r", "9", "--cap-unsafe"]
-        )
-        assert _cap(args, 7) is None
+        argv = ["enumerate", "--proc", "right", "--r", "9"]
+        assert _cap(build_parser().parse_args(argv)) == WORK_BUDGET
+        args = build_parser().parse_args([*argv, "--cap-unsafe"])
+        assert _cap(args) is None

@@ -64,7 +64,7 @@ class TestCountParking:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            count_parking(builtin("right"), 9)
+            count_parking(builtin("right"), 30)
         with pytest.raises(ValueError):
             count_parking(builtin("right"), 0)
 
@@ -113,13 +113,13 @@ class TestWalk:
         monkeypatch.setattr(
             enumeration,
             "walk_occupied",
-            lambda r, moves, init_state: walks.append(r) or real(r, moves, init_state),
+            lambda target, *args, **kw: walks.append(target) or real(target, *args, **kw),
         )
         assert count_parking(builtin("right"), 3) == 16
-        assert walks == [3]
+        assert walks == [{1, 2, 3}]
         for backend in ("numpy", "python"):
             assert count_parking(builtin("right"), 3, backend=backend) == 16
-        assert walks == [3]
+        assert walks == [{1, 2, 3}]
         # rules with an `update` walk (occupied set, state) pairs
         for p in (builtin("lbs"), alternating_rule(), state_parity_rule()):
             for r in range(1, 6):
@@ -127,7 +127,7 @@ class TestWalk:
                 per_word = sum(is_parking(p, w) for w in words)
                 walks.clear()
                 assert count_parking(p, r) == per_word, (p.name, r)
-                assert walks == [r]
+                assert walks == [set(range(1, r + 1))]
         # a rule reading history without an `update` enumerates words
         history = history_parity_rule()
         walks.clear()
@@ -139,9 +139,33 @@ class TestWalk:
         assert walks == []
         assert counts == [count_parking(state_parity_rule(), r) for r in range(1, 6)]
 
+    def test_over_budget_refused_before_any_car(self, monkeypatch):
+        import parkline.enumeration as enumeration
+
+        def refuse(*args, **kw):
+            raise AssertionError("no car may be placed over the budget")
+
+        monkeypatch.setattr(enumeration, "walk_occupied", refuse)
+        monkeypatch.setattr(enumeration, "parking_runs", refuse)
+        with pytest.raises(CapExceededError, match="walk over 30 spots"):
+            count_parking(builtin("right"), 30)
+        with pytest.raises(CapExceededError, match="words over 9 letters"):
+            count_parking(builtin("right"), 9, backend="python")
+        with pytest.raises(CapExceededError, match="parking runs of length 9"):
+            orbit_audit(builtin("right"), 9)
+
+    def test_walk_levels_count_against_budget(self):
+        # the estimate 2^6 * 6 = 384 bounds a memoryless walk; lbs visits
+        # 1+6+20+40+48+30 (occupied set, state) pairs, 870 car steps
+        estimate = 2**6 * 6
+        assert count_parking(builtin("right"), 6, cap=estimate) == 7**5
+        with pytest.raises(CapExceededError, match="walk over 6 spots: 402 car steps"):
+            count_parking(builtin("lbs"), 6, cap=estimate)
+        assert count_parking(builtin("lbs"), 6, cap=870) == 7**5
+
     def test_caps_still_apply(self):
         with pytest.raises(CapExceededError):
-            count_parking(builtin("right"), 9)
+            count_parking(builtin("right"), 30)
 
 
 class TestLbsWalk:
@@ -251,6 +275,43 @@ class TestCountWordsToSet:
         for S in ({1, 2}, {1, 3}, {2, 3, 5}):
             base = count_words_to_set(p, S, "brute", pad=0)
             assert count_words_to_set(p, S, "brute", pad=2) == base
+
+    @pytest.mark.parametrize(
+        "spec", ["right", "prime", "evenodd", "far", "lbs", "naples:k=2"]
+    )
+    def test_walk_equals_brute(self, spec):
+        p = parse_proc_spec(spec)
+        for n in range(1, 5):
+            for S in itertools.combinations(range(-1, 7), n):
+                walked = count_words_to_set(p, S)
+                assert type(walked) is int
+                assert walked == count_words_to_set(p, S, "brute"), (spec, S)
+
+    def test_fallbacks(self, monkeypatch):
+        from fractions import Fraction
+
+        import parkline.enumeration as enumeration
+        from parkline.probabilistic import kw_procedure
+        from parkline.procedures import run
+
+        # a rule that cannot walk enumerates words, and walks nothing
+        monkeypatch.setattr(enumeration, "walk_occupied", None)
+        history = history_parity_rule()
+        for S in ({1, 2, 3}, {-1, 0, 2, 4}, {2, 5}):
+            words = itertools.product(sorted(S), repeat=len(S))
+            per_word = sum(run(history, w).spots == S for w in words)
+            assert count_words_to_set(history, S) == per_word, S
+        monkeypatch.undo()
+        # a rule that branches on the way to S has no word count
+        with pytest.raises(ValueError, match="kw:q=1/2 branches"):
+            count_words_to_set(kw_procedure(Fraction(1, 2)), {1, 2})
+
+    def test_pad_only_with_brute(self):
+        p = builtin("right")
+        assert count_words_to_set(p, {1, 2}, "brute", pad=3) == 3
+        for via in (None, "formula"):
+            with pytest.raises(ValueError, match="pad"):
+                count_words_to_set(p, {1, 2}, via, pad=3)
 
     def test_formula_requires_local(self):
         with pytest.raises(ValueError):

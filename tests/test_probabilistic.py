@@ -146,7 +146,12 @@ class TestTotalMass:
         from parkline.enumeration import CapExceededError
 
         with pytest.raises(CapExceededError):
-            total_parking_mass(kw_procedure(HALF), 7)
+            total_parking_mass(kw_procedure(HALF), 30)
+
+    def test_r_below_one(self):
+        for mass in (total_parking_mass, orbit_parking_mass):
+            with pytest.raises(ValueError, match="r must be >= 1, got 0"):
+                mass(kw_procedure(HALF), 0)
 
 
 WALKED = [pq_procedure(q) for q in (F(0), HALF, F(1), F(2), INFINITY)]
@@ -186,15 +191,15 @@ class TestMassWalk:
                 assert mass == count_parking(builtin(name), r)
 
     def test_which_masses_walk(self, monkeypatch):
-        import parkline.probabilistic as probabilistic
+        import parkline.enumeration as enumeration
         from conftest import alternating_rule, history_parity_rule, state_parity_rule
 
         walks = []
-        real = probabilistic.walk_occupied
+        real = enumeration.walk_occupied
         monkeypatch.setattr(
-            probabilistic,
+            enumeration,
             "walk_occupied",
-            lambda r, moves, init_state: walks.append(r) or real(r, moves, init_state),
+            lambda target, *args, **kw: walks.append(len(target)) or real(target, *args, **kw),
         )
         assert total_parking_mass(kw_procedure(HALF), 3) == 16
         assert walks == [3]
