@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .enumeration import OrbitReport, OrbitViolation
+from .enumeration import WORK_BUDGET, OrbitReport, OrbitViolation, check_budget
 from .procedures import (
     Direction,
     Procedure,
@@ -185,12 +185,20 @@ def colored_orbit_audit(
     language: Language,
     r: int,
     colors: Iterable,
+    *,
+    cap: int | None = WORK_BUDGET,
 ) -> OrbitReport:
     """Count parking words in every value-rotation class of the language
-    slice with values in {1..r+1} and colors in the window."""
+    slice with values in {1..r+1} and colors in the window.
+
+    Every colored word of length r is listed before the language filters
+    it, so the work is estimated at |alphabet|^r * r car steps and refused
+    beyond `cap` before the first word is listed."""
     if not (language.subword_closed and language.rotation_closed):
         raise ValueError(f"{language.name} lacks declared closure properties")
     colors = tuple(colors)
+    letters = (r + 1) * len(colors)
+    check_budget(f"colored words over {letters} letters", letters**r * r, cap)
     words = list(iter_language_words(language, r, colors))
     verify_closures(language, words, r)
 

@@ -2,8 +2,10 @@
 universality checks, cyclic-orbit audits, and the shuffle decomposition
 of words landing on a given spot set.
 
-Counts walk (occupied set, rule state) pairs and orbit audits grow only
-the parking words (`procedures.walk_occupied`, `procedures.parking_runs`).
+Counts walk (occupied set, rule state) pairs (`procedures.walk_occupied`).
+Orbit audits read the parking words from `procedures.parking_runs`, which
+grows them level by level over the same pairs as numpy arrays, so the
+rule is consulted once per pair and letter, not once per prefix.
 Words are enumerated only where they are the reference:
 `count_words_to_set(..., "brute")` and counts that name a `backend`.
 Every query estimates its work in car steps before any car is placed and
@@ -12,7 +14,6 @@ is refused beyond one budget, `WORK_BUDGET` (see `check_budget`).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -154,9 +155,7 @@ def orbit_audit(
     """
     _check_runs(p, r, cap)
     base = r + 1
-    words = np.fromiter(
-        (a for word, _ in parking_runs(p, r) for a in word), np.int8
-    ).reshape(-1, r)
+    words, _ = parking_runs(p, r)
     weights = _kernels.radix_weights(base, r - 1)
     keys = ((words[:, 1:] - words[:, :1]) % base) @ weights
     per_orbit = np.bincount(keys, minlength=base ** (r - 1))
@@ -179,7 +178,7 @@ def orbit_audit(
         procedure=p.name,
         r=r,
         orbit_count=len(per_orbit),
-        histogram=dict(sorted(Counter(per_orbit.tolist()).items())),
+        histogram={k: v for k, v in enumerate(np.bincount(per_orbit).tolist()) if v},
         violations=tuple(violations),
     )
 

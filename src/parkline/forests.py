@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
+from . import _kernels
 from .enumeration import WORK_BUDGET, _check_runs
 from .procedures import Direction, Procedure, dir_of_set, parking_runs, run
 from .words import Block, SpotSet, Word, as_word, blocks
@@ -190,12 +193,16 @@ def is_decreasing(pair: ForestPair) -> bool:
 # label sets and fibers
 
 
+def _check_label_rule(p: Procedure) -> None:
+    if not (p.is_memoryless and p.is_locally_decided):
+        raise ValueError(f"{p.name} must be memoryless and locally decided")
+
+
 def label_set(p: Procedure, node: int, lo: int, hi: int) -> frozenset[int]:
     """Preferences that can label `node` when its subtree spans [lo, hi]:
     the node itself, plus the left-span spots bounced right onto it, plus
     the right-span spots bounced left onto it."""
-    if not (p.is_memoryless and p.is_locally_decided):
-        raise ValueError(f"{p.name} must be memoryless and locally decided")
+    _check_label_rule(p)
     if not lo <= node <= hi:
         raise ValueError(f"node {node} outside [{lo}, {hi}]")
     out = {node}
@@ -220,11 +227,20 @@ def _as_sigma(sigma: Sequence[int]) -> tuple[int, ...]:
 def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
     """Number of parking words whose outcome is sigma (sigma[i-1] = arrival
     index of the car at spot i), from the label-set product."""
-    sigma = _as_sigma(sigma)
-    tree = decreasing_tree(sigma)
+    return _label_product(p, decreasing_tree(_as_sigma(sigma)))
+
+
+@lru_cache(maxsize=512)
+def _label_set_size(p: Procedure, node: int, lo: int, hi: int) -> int:
+    return len(label_set(p, node, lo, hi))
+
+
+def _label_product(p: Procedure, t: Tree | None) -> int:
+    """Product of the label-set sizes of the nodes of `t` on {1..size(t)}."""
+    # a rule without label sets is refused before the cache is consulted
+    _check_label_rule(p)
     return math.prod(
-        len(label_set(p, node, lo, hi))
-        for node, (lo, hi) in node_intervals(tree, 1).items()
+        _label_set_size(p, node, lo, hi) for node, (lo, hi) in node_intervals(t, 1).items()
     )
 
 
@@ -232,15 +248,18 @@ def fiber_counts_brute(
     p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[tuple[int, ...], int]:
     """Outcome histogram of all parking words of length r, read from the
-    runs of `parking_runs`."""
+    parked spots of `parking_runs`: each outcome sigma is keyed in radix
+    r+1 and the keys are counted with np.unique."""
     _check_runs(p, r, cap)
-    counts: Counter[tuple[int, ...]] = Counter()
-    for _, parked in parking_runs(p, r):
-        sigma = [0] * r
-        for idx, spot in enumerate(parked):
-            sigma[spot - 1] = idx + 1
-        counts[tuple(sigma)] += 1
-    return dict(counts)
+    _, parked = parking_runs(p, r)
+    weights = _kernels.radix_weights(r + 1, r)
+    # car i parked on spot s sets sigma[s-1] = i, digit s-1 of the key
+    keys = np.zeros(len(parked), np.int64)
+    for i in range(r):
+        keys += (i + 1) * weights[parked[:, i] - 1]
+    keys, counts = np.unique(keys, return_counts=True)
+    sigmas = (keys[:, None] // weights) % (r + 1)
+    return dict(zip(map(tuple, sigmas.tolist()), counts.tolist()))
 
 
 def decreasing_labelings_count(t: Tree | None) -> int:
@@ -258,11 +277,7 @@ def decreasing_labelings_count(t: Tree | None) -> int:
 def shape_count(p: Procedure, t: Tree) -> int:
     """Number of parking words of length size(t) whose pair has this tree
     as its shape (label-set product times decreasing labelings)."""
-    labelings = math.prod(
-        len(label_set(p, node, lo, hi))
-        for node, (lo, hi) in node_intervals(t, 1).items()
-    )
-    return labelings * decreasing_labelings_count(t)
+    return _label_product(p, t) * decreasing_labelings_count(t)
 
 
 def iter_tree_shapes(r: int) -> Iterator[Tree | None]:

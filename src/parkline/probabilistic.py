@@ -16,9 +16,9 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from .enumeration import WORK_BUDGET, _check_r, _check_runs, check_budget, walk_weight
+from .enumeration import WORK_BUDGET, _check_r, _check_runs, walk_weight
 from .procedures import (
     Procedure,
     branches,
@@ -147,25 +147,44 @@ def total_parking_mass(
 
     A rule that `can_walk` walks (occupied subset of {1..r}, rule state)
     pairs with its branch probabilities as weights (`walk_occupied`); any
-    other rule sums `parking_probability` word by word.
+    other rule sums the parking masses of `_parking_masses`.
     """
     _check_r(r)
     if pp.can_walk:
         return Fraction(walk_weight(pp, frozenset(range(1, r + 1)), cap))
-    check_budget(f"words over {r + 1} letters", (r + 1) ** r * r, cap)
-    words = itertools.product(range(1, r + 2), repeat=r)
-    return sum((parking_probability(pp, word) for word in words), ZERO)
+    _check_runs(pp, r, cap)
+    return sum((mass for _, mass in _parking_masses(pp, r)), ZERO)
+
+
+def _parking_masses(pp: Procedure, r: int) -> Iterator[tuple[Word, Fraction]]:
+    """(word, parking probability) of the words in {1..r}^r that can park.
+
+    Only a word whose letters all lie in {1..r} can park, so measures are
+    grown over prefixes in {1..r}^k with their real history, restricted
+    to occupied sets inside {1..r}; words that share a prefix share its
+    work, and a prefix is dropped once no branch of it stays inside.
+    """
+    inside = frozenset(range(1, r + 1))
+    init = pp.init_state()
+    stack = [((), {(frozenset(), state_key(init)): (ONE, init)})]
+    while stack:
+        prefix, level = stack.pop()
+        if len(prefix) == r:
+            yield prefix, sum(w for w, _ in level.values())
+            continue
+        moves = step_moves(pp, prefix)
+        # letters pushed in reverse pop in increasing order
+        for a in range(r, 0, -1):
+            nxt = merge_step(level, moves, (a,), inside)
+            if nxt:
+                stack.append((prefix + (a,), nxt))
 
 
 def orbit_parking_mass(
     pp: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[Word, Fraction]:
     """Parking mass of each cyclic orbit, keyed by its representative;
-    orbits of mass zero included.
-
-    Only a word whose letters all lie in {1..r} can park, so measures are
-    grown over prefixes in {1..r}^k, restricted to occupied sets inside
-    {1..r}; words that share a prefix share its work.
+    orbits of mass zero included, summed from `_parking_masses`.
     """
     _check_runs(pp, r, cap)
     # each orbit has exactly one member starting with 1
@@ -173,20 +192,8 @@ def orbit_parking_mass(
         orbit_representative((1, *rest), r): ZERO
         for rest in itertools.product(range(1, r + 2), repeat=r - 1)
     }
-    inside = frozenset(range(1, r + 1))
-
-    def grow(prefix: Word, level: dict) -> None:
-        if len(prefix) == r:
-            masses[orbit_representative(prefix, r)] += sum(w for w, _ in level.values())
-            return
-        moves = step_moves(pp, prefix)
-        for a in inside:
-            nxt = merge_step(level, moves, (a,), inside)
-            if nxt:
-                grow(prefix + (a,), nxt)
-
-    init = pp.init_state()
-    grow((), {(frozenset(), state_key(init)): (ONE, init)})
+    for word, mass in _parking_masses(pp, r):
+        masses[orbit_representative(word, r)] += mass
     return dict(sorted(masses.items()))
 
 

@@ -8,7 +8,10 @@ the block of occupied spots containing its preference. One rule type,
 its decision is a Direction or an exact probability of going right, and
 `branches` is the one step that turns a decision into the car's choices.
 Runs follow rules that never branch; `probabilistic.measure` follows
-every choice with its weight.
+every choice with its weight. `walk_occupied` and `parking_runs` follow
+(occupied set, rule state) pairs instead of words: the first sums the
+weights of runs ending on a spot set, the second grows every parking word
+of length r as numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .words import Block, SpotSet, Word, as_word, block_of, shift
 
@@ -83,17 +88,20 @@ class Procedure:
 
     @property
     def can_walk(self) -> bool:
-        """Whether counts and masses walk (occupied set, rule state) pairs
-        (`walk_occupied`) instead of words: true for a rule flagged
-        memoryless or having an `update`. The walk passes `decide` an
-        empty history, so its answers are right only if:
+        """Whether the rule is trusted to keep the walk contract: true for a
+        rule flagged memoryless or having an `update`. Counts and masses then walk
+        (occupied set, rule state) pairs (`walk_occupied`) instead of
+        words, and orbit audits and fibers grow their parking runs over
+        the same pairs (`parking_runs`). Both pass `decide` an empty
+        history, so their answers are right only if:
         - a rule with an `update` keeps everything `decide` reads in
           `state`, and `update` returns a new state instead of changing
           its argument;
         - `state` is hashable or a dict;
         - `decide` never reads `history`.
         A rule flagged not memoryless with no `update` could remember only
-        through `history`, so its counts and masses go word by word.
+        through `history`: its counts go word by word, its masses and
+        parking runs prefix by prefix with the real history.
         """
         return self.is_memoryless or self.update is not None
 
@@ -261,36 +269,58 @@ def walk_occupied(
     return sum(weight for weight, _ in level.values())
 
 
-def parking_runs(p: Procedure, r: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
-    """Yield (word, parked spots) for every parking word of length r, in
-    lexicographic order of the words.
+def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every parking word of length r and where its cars park, as two int8
+    (m, r) arrays `(words, parked)`, the words in lexicographic order.
 
-    Prefixes grow one car at a time over letters in {1..r} and carry the
-    real history and rule state, so no flag of the rule is trusted; an
-    `update` must return a new state instead of changing its argument. A
-    car parked outside {1..r} never leaves, so a prefix is dropped as soon
-    as one does, and every letter of a parking word is in {1..r}. Only
-    the prefixes still to be grown are held, never the runs yielded. A
-    decision that branches raises ValueError.
+    Prefixes grow one car (level) at a time over letters in {1..r}. A car
+    parked outside {1..r} never leaves, so a prefix is dropped as soon as
+    one does. Prefixes that agree on (occupied set, `state_key(state)`)
+    continue alike, as in `walk_occupied`: the rule is consulted once per
+    such node and letter, which fills the level's tables of next node and
+    parked spot, and numpy extends every prefix from the table row of its
+    node. A rule that cannot walk keeps its history in the node and gets
+    it in `decide`, so it grows prefix by prefix; a rule that can walk is
+    trusted to keep the walk contract (`Procedure.can_walk`). A decision
+    that branches raises ValueError. Callers check the work budget and
+    int64 word indices first (`enumeration._check_runs`), which also keeps
+    spots and letters inside int8.
     """
+    walks = p.can_walk
     update = p.update
-    # letters pushed in reverse pop in increasing order
-    letters = range(r, 0, -1)
-    stack = [((), (), frozenset(), p.init_state())]
-    while stack:
-        word, parked, occ, state = stack.pop()
-        if len(word) == r:
-            yield word, parked
-            continue
-        for a in letters:
-            spot = a if a not in occ else _sure_spot(p, branches(p, state, word, occ, a, a))
-            if 1 <= spot <= r:
-                stack.append((
-                    word + (a,),
-                    parked + (spot,),
-                    occ | {spot},
-                    state if update is None else update(state, a, spot),
-                ))
+    # (occupied set, state, history) of every node of the current level
+    nodes = [(frozenset(), p.init_state(), ())]
+    ids = np.zeros(1, np.int32)
+    words = parked = np.zeros((1, 0), np.int8)
+    for _ in range(r):
+        index: dict = {}
+        nodes_next = []
+        next_node = np.full((len(nodes), r), -1, np.int32)
+        spot_of = np.zeros((len(nodes), r), np.int8)
+        for i, (occ, state, history) in enumerate(nodes):
+            for a in range(1, r + 1):
+                spot = a if a not in occ else _sure_spot(p, branches(p, state, history, occ, a, a))
+                if not 1 <= spot <= r:
+                    continue
+                st = state if update is None else update(state, a, spot)
+                nxt_occ = occ | {spot}
+                # without an update the state never changes, so the
+                # history alone tells a non-walking rule's prefixes apart
+                key = (nxt_occ, state_key(st)) if walks else history + (a,)
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(index)
+                    nodes_next.append((nxt_occ, st, () if walks else key))
+                next_node[i, a - 1] = j
+                spot_of[i, a - 1] = spot
+        # nonzero scans row by row, so prefixes stay in lexicographic order
+        rows, cols = np.nonzero((next_node >= 0)[ids])
+        from_ids = ids[rows]
+        words = np.column_stack((words[rows], (cols + 1).astype(np.int8)))
+        parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
+        ids = next_node[from_ids, cols]
+        nodes = nodes_next
+    return words, parked
 
 
 # ---------------------------------------------------------------------------

@@ -292,3 +292,33 @@ class TestParser:
         assert _cap(build_parser().parse_args(argv)) == WORK_BUDGET
         args = build_parser().parse_args([*argv, "--cap-unsafe"])
         assert _cap(args) is None
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import parkline
+
+        # the child imports the same package, wherever pytest found it
+        src = str(Path(parkline.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["orbits", "--proc", "right", "--r", "3", "--format", "json"]
+        out = subprocess.run(
+            [sys.executable, "-m", "parkline", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["results"]["histogram"] == {"1": 16}
+        out = subprocess.run(
+            [sys.executable, "-m", "parkline", "orbits", "--proc", "right", "--r", "8"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 2 and "budget" in out.stderr

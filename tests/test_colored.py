@@ -136,6 +136,23 @@ class TestColoredOrbits:
         assert report.orbit_count == 84
         assert report.all_one
 
+    def test_budget_refuses_before_any_word(self, monkeypatch):
+        import parkline.colored as colored
+        from parkline.enumeration import CapExceededError
+
+        def refuse(*args, **kw):
+            raise AssertionError("no word may be listed over the budget")
+
+        real = colored.iter_language_words
+        monkeypatch.setattr(colored, "iter_language_words", refuse)
+        with pytest.raises(CapExceededError, match="colored words over 16 letters"):
+            colored_orbit_audit(CLBS, DISTINCT, 7, (1, 2))
+        # r=3 with 2 colors: 8^3 * 3 = 1,536 car steps
+        with pytest.raises(CapExceededError, match="1,536 car steps"):
+            colored_orbit_audit(CLBS, DISTINCT, 3, (1, 2), cap=1535)
+        monkeypatch.setattr(colored, "iter_language_words", real)
+        assert colored_orbit_audit(CLBS, DISTINCT, 3, (1, 2), cap=1536).all_one
+
     def test_requires_declared_closures(self):
         undeclared = Language("opaque", lambda w: True, subword_closed=False)
         with pytest.raises(ValueError):

@@ -241,6 +241,33 @@ class TestFibers:
             assert total == (r + 1) ** (r - 1)
 
 
+    def test_label_sets_probed_once_per_node_and_span(self, monkeypatch):
+        import parkline.forests as forests
+
+        p = builtin("closest")
+        probes = []
+        real = forests.label_set
+        monkeypatch.setattr(
+            forests, "label_set", lambda *args: probes.append(args[1:]) or real(*args)
+        )
+        sigmas = list(itertools.permutations(range(1, 5)))
+        first = [fiber_count(p, sigma) for sigma in sigmas]
+        shapes = [shape_count(p, t) for t in iter_tree_shapes(4)]
+        assert len(probes) == len(set(probes))
+        probes.clear()
+        assert [fiber_count(p, sigma) for sigma in sigmas] == first
+        assert [shape_count(p, t) for t in iter_tree_shapes(4)] == shapes
+        assert probes == []
+
+    def test_rules_without_label_sets_refused(self):
+        for name in ("lbs", "far"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="memoryless and locally decided"):
+                    fiber_count(builtin(name), (2, 1))
+                with pytest.raises(ValueError, match="memoryless and locally decided"):
+                    shape_count(builtin(name), Tree(None, None))
+
+
 class TestShapeCounts:
     def test_right_r3_multiset(self):
         counts = sorted(

@@ -8,7 +8,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     alternating_rule,
@@ -28,10 +31,12 @@ from parkline.probabilistic import (
 from parkline.procedures import (
     LEFT,
     RIGHT,
+    DirTable,
     index_rule_procedure,
     parking_runs,
     parse_proc_spec,
     run,
+    table_procedure,
 )
 from parkline.words import orbit_representative, rotate
 
@@ -78,10 +83,51 @@ def orbit_members(rep, r: int) -> tuple:
     return tuple(members)
 
 
+def as_runs(words: np.ndarray, parked: np.ndarray) -> tuple:
+    return tuple(zip(map(tuple, words.tolist()), map(tuple, parked.tolist())))
+
+
 @pytest.mark.parametrize("p", RULES, ids=ids)
 def test_runs_equal_the_engine(p):
     for r in range(1, 6):
-        assert tuple(parking_runs(p, r)) == reference_runs(p, r), r
+        words, parked = parking_runs(p, r)
+        assert words.dtype == parked.dtype == np.int8
+        assert words.shape == parked.shape == (len(reference_runs(p, r)), r)
+        assert as_runs(words, parked) == reference_runs(p, r), r
+
+
+DIRECTIONS = st.sampled_from((LEFT, RIGHT))
+
+
+@st.composite
+def frontier_cases(draw):
+    """A rule (a random direction table, or one that walks with a state)
+    and a length r <= 6."""
+    kind = draw(st.sampled_from(("table", "state-parity", "alternating")))
+    if kind == "table":
+        rows = tuple(
+            tuple(draw(st.lists(DIRECTIONS, min_size=k, max_size=k)))
+            for k in range(1, draw(st.integers(1, 6)) + 1)
+        )
+        p = table_procedure(DirTable(rows, draw(DIRECTIONS)))
+    else:
+        p = state_parity_rule() if kind == "state-parity" else alternating_rule()
+    return p, draw(st.integers(1, 6))
+
+
+@given(case=frontier_cases())
+@settings(max_examples=30, deadline=None)
+def test_frontier_equals_run_word_by_word(case):
+    p, r = case
+    words, parked = parking_runs(p, r)
+    words, parked = words.tolist(), parked.tolist()
+    for word, spots in zip(words, parked):
+        assert list(run(p, word).parked) == spots, word
+        assert sorted(spots) == list(range(1, r + 1)), word
+    # strictly increasing, so distinct: with the walked count, exactly the
+    # parking words
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert len(words) == count_parking(p, r, cap=None)
 
 
 @pytest.mark.parametrize("p", RULES, ids=ids)
@@ -148,4 +194,4 @@ def test_orbit_masses_equal_word_space(pp):
 def test_run_count_equals_walked_count(p):
     # the runs and the occupied-set walk count the same words independently
     for r in range(1, 8):
-        assert sum(1 for _ in parking_runs(p, r)) == count_parking(p, r, cap=None), r
+        assert len(parking_runs(p, r)[0]) == count_parking(p, r, cap=None), r

@@ -222,6 +222,24 @@ class TestMassWalk:
         state = state_parity_rule()
         assert [total_parking_mass(state, r) for r in range(1, 5)] == [1, 4, 14, 126]
 
+    def test_history_mass_grows_parking_prefixes(self, monkeypatch):
+        import parkline.probabilistic as probabilistic
+        from conftest import history_parity_rule
+        from parkline.enumeration import CapExceededError
+
+        def refuse(*args, **kw):
+            raise AssertionError("not on this path")
+
+        # a rule that cannot walk grows measures over parking prefixes,
+        # not word by word over {1..r+1}^r
+        monkeypatch.setattr(probabilistic, "parking_probability", refuse)
+        history = history_parity_rule()
+        assert total_parking_mass(history, 5) == 1164
+        assert total_parking_mass(history, 6) == 16954
+        monkeypatch.setattr(probabilistic, "_parking_masses", refuse)
+        with pytest.raises(CapExceededError, match="parking runs of length 9"):
+            total_parking_mass(history, 9)
+
     def test_probability_check_holds_on_the_walk(self):
         bad = Procedure("bad", decide=lambda st, h, occ, blk, a: F(3, 2))
         with pytest.raises(ValueError, match="outside"):
