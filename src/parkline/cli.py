@@ -29,7 +29,7 @@ from .enumeration import (
 )
 from .forests import (
     encode,
-    fiber_count,
+    fiber_counts,
     fiber_counts_brute,
     iter_tree_shapes,
     pair_to_json,
@@ -203,18 +203,19 @@ def cmd_fibers(args) -> Report:
     p = _resolve_proc(args)
     if not (p.is_memoryless and p.is_locally_decided):
         raise InputError(f"{p.name} is not memoryless+locally decided; no fiber formula")
-    brute = fiber_counts_brute(p, args.r, cap=_cap(args))
-    if args.sigma:
+    if args.sigma is not None:
         sigmas = [_parse_word(args.sigma)]
+        if len(sigmas[0]) != args.r:
+            raise InputError(f"--sigma {args.sigma} has length {len(sigmas[0])}, not --r {args.r}")
     else:
-        sigmas = sorted(permutations(range(1, args.r + 1)))
+        # lexicographic, as permutations of a sorted range come; listed
+        # only once the brute count below has passed the work budget
+        sigmas = permutations(range(1, args.r + 1))
+    brute = fiber_counts_brute(p, args.r, cap=_cap(args))
+    sigmas = list(sigmas)
     table = [
-        {
-            "sigma": word_str(s),
-            "formula": fiber_count(p, s),
-            "brute": brute.get(tuple(s), 0),
-        }
-        for s in sigmas
+        {"sigma": word_str(s), "formula": f, "brute": brute.get(s, 0)}
+        for s, f in zip(sigmas, fiber_counts(p, sigmas))
     ]
     shape_counts = sorted(
         (shape_count(p, t) for t in iter_tree_shapes(args.r)), reverse=True

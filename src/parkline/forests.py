@@ -11,6 +11,13 @@ keeping the support projects back onto the plain run.
 Serialized form (see pair_to_json): support as a sorted list, one shape
 string per block ("()" is a single node, "(L|R)" nests children) and
 the two label arrays in canonical (sorted-spot) order.
+
+Fibers: for a memoryless, locally decided rule, the parking words with
+outcome sigma number the product over spots i of the label-set size of
+i on its subtree span [lo, hi] in the decreasing tree of sigma. That
+span needs no tree: it runs from just past the nearest larger arrival
+left of spot i to just before the nearest larger arrival right of it.
+`fiber_counts` reads the spans of a whole batch of outcomes this way.
 """
 
 from __future__ import annotations
@@ -217,31 +224,75 @@ def label_set(p: Procedure, node: int, lo: int, hi: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _as_sigma(sigma: Sequence[int]) -> tuple[int, ...]:
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{len(sigma)}")
-    return sigma
+def _as_sigmas(sigmas: Iterable[Sequence[int]]) -> np.ndarray:
+    """The batch as an int64 (m, r) array; every row must be a permutation
+    of 1..r for one r."""
+    rows = [tuple(s) for s in sigmas]
+    lengths = sorted({len(s) for s in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"outcomes of different lengths {lengths} in one batch")
+    r = lengths[0] if rows else 0
+    s = np.array(rows).reshape(len(rows), r)
+    # compared by value, so a float or huge row is refused, never cast
+    bad = np.flatnonzero((np.sort(s, axis=1) != np.arange(1, r + 1)).any(axis=1))
+    if len(bad):
+        raise ValueError(f"{rows[bad[0]]} is not a permutation of 1..{r}")
+    return s.astype(np.int64, copy=False)
+
+
+def _spans(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subtree span [lo, hi] of every spot of every row's decreasing tree,
+    as `node_intervals(decreasing_tree(row), 1)` gives it: the subtree of
+    spot i is the run of smaller arrivals around it, so it starts just
+    past the nearest larger arrival on its left and ends just before the
+    nearest larger one on its right."""
+    m, r = s.shape
+    pos = np.arange(1, r + 1)
+    lo = np.empty((m, r), np.int64)
+    hi = np.empty((m, r), np.int64)
+    for i in range(r):
+        larger = s > s[:, i, None]
+        lo[:, i] = np.where(larger[:, :i], pos[:i], 0).max(axis=1, initial=0) + 1
+        hi[:, i] = np.where(larger[:, i + 1 :], pos[i + 1 :], r + 1).min(axis=1, initial=r + 1) - 1
+    return lo, hi
+
+
+def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]]) -> list[int]:
+    """Fiber size of each outcome in a batch (sigma[i-1] = arrival index of
+    the car at spot i, every sigma of one length r): the number of parking
+    words with that outcome, the product over spots i of the label-set
+    size of i on its subtree span (see `_spans`). The spans are read off
+    the batch without building any tree, and each distinct (spot, span)
+    is probed once through the label-set cache."""
+    s = _as_sigmas(sigmas)
+    _check_label_rule(p)
+    m, r = s.shape
+    lo, hi = _spans(s)
+    keys = (np.arange(1, r + 1) * (r + 1) + lo) * (r + 1) + hi
+    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+    node, rest = np.divmod(uniq, (r + 1) ** 2)
+    sizes = [
+        _label_set_size(p, *key)
+        for key in zip(node.tolist(), (rest // (r + 1)).tolist(), (rest % (r + 1)).tolist())
+    ]
+    # a label set lies inside its span, and the subtree sizes of an r-node
+    # tree multiply to at most r! (hook length formula), so below 2^63 the
+    # int64 product is exact; beyond it the product runs on Python ints
+    dtype = np.int64 if math.factorial(r) <= np.iinfo(np.int64).max else object
+    sizes = np.array(sizes, dtype=dtype)
+    return np.prod(sizes[inverse].reshape(m, r), axis=1, dtype=dtype).tolist()
 
 
 def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
     """Number of parking words whose outcome is sigma (sigma[i-1] = arrival
-    index of the car at spot i), from the label-set product."""
-    return _label_product(p, decreasing_tree(_as_sigma(sigma)))
+    index of the car at spot i): the product of the label-set sizes of
+    the spots on their subtree spans, as `fiber_counts` computes it."""
+    return fiber_counts(p, [sigma])[0]
 
 
 @lru_cache(maxsize=512)
 def _label_set_size(p: Procedure, node: int, lo: int, hi: int) -> int:
     return len(label_set(p, node, lo, hi))
-
-
-def _label_product(p: Procedure, t: Tree | None) -> int:
-    """Product of the label-set sizes of the nodes of `t` on {1..size(t)}."""
-    # a rule without label sets is refused before the cache is consulted
-    _check_label_rule(p)
-    return math.prod(
-        _label_set_size(p, node, lo, hi) for node, (lo, hi) in node_intervals(t, 1).items()
-    )
 
 
 def fiber_counts_brute(
@@ -277,7 +328,12 @@ def decreasing_labelings_count(t: Tree | None) -> int:
 def shape_count(p: Procedure, t: Tree) -> int:
     """Number of parking words of length size(t) whose pair has this tree
     as its shape (label-set product times decreasing labelings)."""
-    return _label_product(p, t) * decreasing_labelings_count(t)
+    # a rule without label sets is refused before the cache is consulted
+    _check_label_rule(p)
+    labels = math.prod(
+        _label_set_size(p, node, lo, hi) for node, (lo, hi) in node_intervals(t, 1).items()
+    )
+    return labels * decreasing_labelings_count(t)
 
 
 def iter_tree_shapes(r: int) -> Iterator[Tree | None]:

@@ -1,4 +1,5 @@
 import json
+import math
 
 from parkline.cli import canonical_json, main
 from parkline.procedures import DirTable, Direction
@@ -162,6 +163,42 @@ class TestFibers:
         )
         doc = json.loads(out)
         assert doc["results"]["fibers"] == [{"sigma": "1,2,3", "formula": 6, "brute": 6}]
+
+    def test_sigma_of_wrong_length_exit_3(self, capsys):
+        for sigma, length in (("1,2,3,4", 4), ("2,1", 2)):
+            code, out, err = invoke(
+                capsys, "fibers", "--proc", "right", "--r", "3", "--sigma", sigma
+            )
+            assert code == 3
+            assert out == ""
+            assert f"length {length}" in err and "--r 3" in err
+        # an empty --sigma is a bad outcome, not a request for all of them
+        code, out, err = invoke(capsys, "fibers", "--proc", "right", "--r", "3", "--sigma", "")
+        assert code == 3
+        assert out == ""
+
+    def test_formula_brute_and_shapes_agree(self, tmp_path, capsys):
+        table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table.to_json()))
+        sources = [["--proc", spec] for spec in ("right", "closest", "prime", "naples:k=2")]
+        sources.append(["--proc-file", str(path)])
+        for source in sources:
+            for r in range(1, 6):
+                _, out, _ = invoke(capsys, "enumerate", *source, "--r", str(r), "--format", "json")
+                count = json.loads(out)["results"]["count"]
+                # a naples car backs up before it tries the right, so more words park
+                if source[1] != "naples:k=2":
+                    assert count == (r + 1) ** (r - 1)
+                code, out, _ = invoke(
+                    capsys, "fibers", *source, "--r", str(r), "--format", "json"
+                )
+                assert code == 0
+                results = json.loads(out)["results"]
+                assert len(results["fibers"]) == math.factorial(r)
+                assert all(row["formula"] == row["brute"] for row in results["fibers"])
+                assert results["formula_total"] == results["shape_total"] == count
+                assert len(results["shape_counts"]) == math.comb(2 * r, r) // (r + 1)
 
     def test_r1(self, capsys):
         code, out, _ = invoke(capsys, "fibers", "--proc", "right", "--r", "1", "--format", "json")

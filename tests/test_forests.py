@@ -3,7 +3,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_dir_tables
 from parkline.forests import (
     ForestPair,
     Tree,
@@ -11,6 +14,7 @@ from parkline.forests import (
     decreasing_tree,
     encode,
     fiber_count,
+    fiber_counts,
     fiber_counts_brute,
     is_decreasing,
     is_good_correspondence,
@@ -29,9 +33,11 @@ from parkline.forests import (
     word_of_pair,
 )
 from parkline.probabilistic import kw_procedure, measure
-from parkline.procedures import builtin, is_parking, outcome, run
+from parkline.procedures import builtin, is_parking, outcome, parse_proc_spec, run
 
 CATALOG = ["right", "left", "closest", "prime", "evenodd", "far", "lbs"]
+LABEL_RULES = ["right", "left", "closest", "prime", "evenodd", "naples:k=1", "naples:k=2"]
+RANDOM_TABLES = {p.name: p for p in random_dir_tables(3, 5, seed=11)}
 
 
 def word_space(r, hi=None):
@@ -218,17 +224,90 @@ class TestFibers:
                 continue
             assert fiber_count(builtin(name), (1,)) == 1
 
-    @pytest.mark.parametrize(
-        "spec", ["right", "closest", "prime", "naples:k=1", "naples:k=2"]
-    )
+    @pytest.mark.parametrize("spec", [*LABEL_RULES, *RANDOM_TABLES])
     def test_formula_matches_brute(self, spec):
-        from parkline.procedures import parse_proc_spec
+        p = RANDOM_TABLES.get(spec) or parse_proc_spec(spec)
+        for r in range(1, 6):
+            brute = fiber_counts_brute(p, r)
+            sigmas = list(itertools.permutations(range(1, r + 1)))
+            expected = [brute.get(sigma, 0) for sigma in sigmas]
+            assert fiber_counts(p, sigmas) == expected, (spec, r)
+            assert [fiber_count(p, sigma) for sigma in sigmas] == expected, (spec, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(LABEL_RULES),
+        st.integers(0, 10).flatmap(
+            lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4)
+        ),
+    )
+    def test_batch_spans_and_products_equal_trees(self, spec, sigmas):
+        from parkline.forests import _as_sigmas, _spans
 
         p = parse_proc_spec(spec)
-        for r in range(1, 5):
-            brute = fiber_counts_brute(p, r)
-            for sigma in itertools.permutations(range(1, r + 1)):
-                assert fiber_count(p, sigma) == brute.get(sigma, 0), (spec, sigma)
+        lo, hi = _spans(_as_sigmas(sigmas))
+        products = []
+        for row, sigma in enumerate(sigmas):
+            intervals = node_intervals(decreasing_tree(tuple(sigma)), 1)
+            assert intervals == {
+                i + 1: (lo[row, i], hi[row, i]) for i in range(len(sigma))
+            }
+            products.append(
+                math.prod(len(label_set(p, i, a, b)) for i, (a, b) in intervals.items())
+            )
+        assert fiber_counts(p, sigmas) == products
+        assert fiber_counts(p, sigmas[:1]) == products[:1]
+
+    def test_products_beyond_int64_are_exact(self):
+        # r! passes 2^63 at r = 21; the product must not wrap
+        p = builtin("right")
+        for r in (21, 25):
+            identity = tuple(range(1, r + 1))
+            counts = fiber_counts(p, [identity, identity[::-1]])
+            assert counts == [math.factorial(r), 1]
+            assert all(type(c) is int for c in counts)
+            assert fiber_count(p, identity) == math.factorial(r)
+        assert math.factorial(21) > 2**63
+
+    def test_batch_probes_each_node_and_span_once(self, monkeypatch):
+        import parkline.forests as forests
+
+        p = parse_proc_spec("closest")
+        forests._label_set_size.cache_clear()
+        probes = []
+        real = forests.label_set
+        monkeypatch.setattr(
+            forests, "label_set", lambda *args: probes.append(args[1:]) or real(*args)
+        )
+        r = 6
+        counts = fiber_counts(p, itertools.permutations(range(1, r + 1)))
+        assert sum(counts) == (r + 1) ** (r - 1)
+        # every (node, lo, hi) with lo <= node <= hi is some spot's span
+        assert len(probes) == len(set(probes)) == r * (r + 1) * (r + 2) // 6 == 56
+
+    @pytest.mark.parametrize(
+        "name, sigmas, match",
+        [
+            ("right", [(1, 2, 3), (1, 1, 3)], "not a permutation"),
+            ("right", [(2, 1), (1, 2.5)], "not a permutation"),
+            ("right", [(1, 2), (1, 2, 3)], "different lengths"),
+            ("lbs", [(2, 1), (1, 2)], "memoryless and locally decided"),
+            ("far", [(2, 1), (1, 2)], "memoryless and locally decided"),
+        ],
+    )
+    def test_batch_refused_before_any_probe(self, monkeypatch, name, sigmas, match):
+        import parkline.forests as forests
+
+        probes = []
+        monkeypatch.setattr(forests, "label_set", lambda *args: probes.append(args))
+        with pytest.raises(ValueError, match=match):
+            fiber_counts(builtin(name), sigmas)
+        assert probes == []
+
+    def test_empty_batch_and_empty_outcome(self):
+        p = builtin("right")
+        assert fiber_counts(p, []) == []
+        assert fiber_counts(p, [(), ()]) == [1, 1]
 
     @pytest.mark.parametrize("name", ["right", "closest", "prime"])
     def test_fiber_sum_is_universal(self, name):
