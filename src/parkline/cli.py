@@ -173,6 +173,8 @@ def cmd_orbits(args) -> Report:
 def cmd_prob(args) -> Report:
     if (args.word is None) == (args.mass is None):
         raise InputError("exactly one of --word / --mass is required")
+    if args.per_orbit and args.mass is None:
+        raise InputError("--per-orbit needs --mass")
     pp = parse_prob_spec(args.proc) if args.proc else None
     if pp is None:
         raise InputError("--proc is required")

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .procedures import Procedure, parking_runs, run, step_moves, walk_occupied
+from .procedures import Procedure, parking_runs, run, walk_occupied
 from .words import Word, blocks, multinomial, orbit_representative, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
@@ -52,9 +52,7 @@ def walk_weight(p: Procedure, target: frozenset, cap: int | None):
     n = len(target)
     path = f"walk over {n} spots"
     check_budget(path, 2**n * n, cap)
-    return walk_occupied(
-        target, step_moves(p), p.init_state(), lambda steps: check_budget(path, steps, cap)
-    )
+    return walk_occupied(target, p, lambda steps: check_budget(path, steps, cap))
 
 
 def expected_parking_count(r: int) -> int:

@@ -7,7 +7,10 @@ right-probability; a deterministic rule is the case where every decision
 is a Direction, 0 or 1, so every function here takes both. Everything is
 exact Fraction arithmetic; `procedures.branches` refuses floats. The
 branching run is expanded car by car with merging keyed on (occupied
-set, rule state), so distributions compare by strict equality.
+set, rule state) (`procedures.merge_step`), so distributions compare by
+strict equality. Orbit masses and abelianity checks grow all their
+words at once (`procedures.grow_runs`) and read each word's measure off
+its node: words whose prefixes share a measure share its work.
 """
 
 from __future__ import annotations
@@ -16,16 +19,19 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
-from .enumeration import WORK_BUDGET, _check_r, _check_runs, walk_weight
+import numpy as np
+
+from . import _kernels
+from .enumeration import WORK_BUDGET, _check_r, _check_runs, check_budget, walk_weight
 from .procedures import (
     Procedure,
     branches,
+    grow_runs,
     merge_step,
     parse_proc_spec,
     state_key,
-    step_moves,
 )
 from .words import SpotSet, Word, as_word, orbit_representative
 
@@ -101,6 +107,14 @@ class Measure:
         return sorted(self.probs, key=sorted)
 
 
+def _occupancy(level: dict) -> dict[SpotSet, Fraction]:
+    """Weight of each occupied set of a `merge_step` level, over all states."""
+    probs: dict[SpotSet, Fraction] = defaultdict(lambda: ZERO)
+    for (occ, _), (weight, _) in level.items():
+        probs[occ] += weight
+    return dict(probs)
+
+
 def measure(pp: Procedure, word: Iterable[int]) -> Measure:
     """Exact distribution of the occupied set after the whole word.
 
@@ -111,11 +125,8 @@ def measure(pp: Procedure, word: Iterable[int]) -> Measure:
     init = pp.init_state()
     current = {(frozenset(), state_key(init)): (ONE, init)}
     for idx, a in enumerate(word):
-        current = merge_step(current, step_moves(pp, word[:idx]), (a,))
-    probs: dict[SpotSet, Fraction] = defaultdict(lambda: ZERO)
-    for (occ, _), (weight, _) in current.items():
-        probs[occ] += weight
-    return Measure(dict(probs))
+        current = merge_step(pp, current, (a,), None, word[:idx])
+    return Measure(_occupancy(current))
 
 
 def path_distribution(pp: Procedure, word: Iterable[int]) -> dict[tuple[int, ...], Fraction]:
@@ -125,11 +136,12 @@ def path_distribution(pp: Procedure, word: Iterable[int]) -> dict[tuple[int, ...
         (): (ONE, pp.init_state())
     }
     for idx, a in enumerate(word):
-        moves = step_moves(pp, word[:idx])
         nxt: dict[tuple[int, ...], tuple[Fraction, Any]] = {}
         for parked, (weight, state) in current.items():
-            for spot, pr, st in moves(frozenset(parked), state, a):
-                nxt[parked + (spot,)] = (weight * pr, st)
+            # a car's choices end on distinct occupied sets
+            occ = frozenset(parked)
+            step = merge_step(pp, {(occ, None): (weight, state)}, (a,), None, word[:idx])
+            nxt.update((parked + tuple(after - occ), value) for (after, _), value in step.items())
         current = nxt
     return {parked: weight for parked, (weight, _) in current.items()}
 
@@ -147,54 +159,37 @@ def total_parking_mass(
 
     A rule that `can_walk` walks (occupied subset of {1..r}, rule state)
     pairs with its branch probabilities as weights (`walk_occupied`); any
-    other rule sums the parking masses of `_parking_masses`.
+    other rule sums its orbit masses (`orbit_parking_mass`).
     """
     _check_r(r)
     if pp.can_walk:
         return Fraction(walk_weight(pp, frozenset(range(1, r + 1)), cap))
-    _check_runs(pp, r, cap)
-    return sum((mass for _, mass in _parking_masses(pp, r)), ZERO)
-
-
-def _parking_masses(pp: Procedure, r: int) -> Iterator[tuple[Word, Fraction]]:
-    """(word, parking probability) of the words in {1..r}^r that can park.
-
-    Only a word whose letters all lie in {1..r} can park, so measures are
-    grown over prefixes in {1..r}^k with their real history, restricted
-    to occupied sets inside {1..r}; words that share a prefix share its
-    work, and a prefix is dropped once no branch of it stays inside.
-    """
-    inside = frozenset(range(1, r + 1))
-    init = pp.init_state()
-    stack = [((), {(frozenset(), state_key(init)): (ONE, init)})]
-    while stack:
-        prefix, level = stack.pop()
-        if len(prefix) == r:
-            yield prefix, sum(w for w, _ in level.values())
-            continue
-        moves = step_moves(pp, prefix)
-        # letters pushed in reverse pop in increasing order
-        for a in range(r, 0, -1):
-            nxt = merge_step(level, moves, (a,), inside)
-            if nxt:
-                stack.append((prefix + (a,), nxt))
+    return sum(orbit_parking_mass(pp, r, cap=cap).values(), ZERO)
 
 
 def orbit_parking_mass(
     pp: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[Word, Fraction]:
     """Parking mass of each cyclic orbit, keyed by its representative;
-    orbits of mass zero included, summed from `_parking_masses`.
+    orbits of mass zero included. Only words in {1..r}^r can park, so
+    their measures are grown with the spots kept inside {1..r}
+    (`grow_runs`); each (orbit, node) pair, the orbit keyed as in
+    `enumeration.orbit_audit`, adds its word count times the node's mass.
     """
     _check_runs(pp, r, cap)
-    # each orbit has exactly one member starting with 1
-    masses = {
-        orbit_representative((1, *rest), r): ZERO
-        for rest in itertools.product(range(1, r + 2), repeat=r - 1)
-    }
-    for word, mass in _parking_masses(pp, r):
-        masses[orbit_representative(word, r)] += mass
-    return dict(sorted(masses.items()))
+    base = r + 1
+    words, _, ids, nodes = grow_runs(pp, r, range(1, r + 1), frozenset(range(1, r + 1)))
+    node_mass = [sum(weight for weight, _ in node.values()) for node in nodes]
+    keys = ((words[:, 1:] - words[:, :1]) % base) @ _kernels.radix_weights(base, r - 1)
+    pairs, counts = np.unique(keys * len(nodes) + ids, return_counts=True)
+    # each orbit has exactly one member starting with 1, whose letters
+    # 2..r in radix r+1 are its key
+    masses = [ZERO] * base ** (r - 1)
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        key, node = divmod(pair, len(nodes))
+        masses[key] += count * node_mass[node]
+    rests = itertools.product(range(1, r + 2), repeat=r - 1)
+    return dict(sorted(zip((orbit_representative((1, *rest), r) for rest in rests), masses)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +298,29 @@ class AbelianReport:
 
 def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
     """Exhaustively compare measures across reorderings of every word with
-    letters in {1..r+1}, length r <= r_max."""
+    letters in {1..r+1}, length r <= r_max, within `WORK_BUDGET`.
+
+    Each length grows every word once (`grow_runs`). Reorderings must have
+    the same occupancy; their nodes may differ in rule states. The witness
+    is the first multiset that fails, in `combinations_with_replacement`
+    order: its smallest ordering against the first one that differs.
+    """
+    _check_r(r_max)
+    steps = sum((r + 1) ** r * r for r in range(1, r_max + 1))
+    check_budget(f"abelian check up to length {r_max}", steps, WORK_BUDGET)
     for r in range(1, r_max + 1):
-        for multiset in itertools.combinations_with_replacement(range(1, r + 2), r):
-            orderings = sorted(set(itertools.permutations(multiset)))
-            if len(orderings) == 1:
-                continue
-            reference = measure(pp, orderings[0])
-            for other in orderings[1:]:
-                if measure(pp, other) != reference:
-                    return AbelianReport(pp.name, r_max, False, (orderings[0], other))
+        words, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
+        seen: dict = {}
+        marks = [seen.setdefault(frozenset(_occupancy(n).items()), len(seen)) for n in nodes]
+        classes = np.array(marks)[ids]
+        # every word is grown, so a word's row is its radix value: the
+        # sorted word, the smallest ordering, sits at row `smallest`
+        smallest = (np.sort(words, axis=1) - 1) @ _kernels.radix_weights(r + 1, r)
+        differ = np.flatnonzero(classes != classes[smallest])
+        if len(differ):
+            first = differ[np.argmin(smallest[differ])]
+            witness = (tuple(words[smallest[first]].tolist()), tuple(words[first].tolist()))
+            return AbelianReport(pp.name, r_max, False, witness)
     return AbelianReport(pp.name, r_max, True, None)
 
 

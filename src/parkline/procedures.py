@@ -7,11 +7,12 @@ the block of occupied spots containing its preference. One rule type,
 `Procedure`, serves deterministic, probabilistic and colored procedures:
 its decision is a Direction or an exact probability of going right, and
 `branches` is the one step that turns a decision into the car's choices.
-Runs follow rules that never branch; `probabilistic.measure` follows
-every choice with its weight. `walk_occupied` and `parking_runs` follow
-(occupied set, rule state) pairs instead of words: the first sums the
-weights of runs ending on a spot set, the second grows every parking word
-of length r as numpy arrays.
+Runs follow rules that never branch. `merge_step` is the one step over
+weighted (occupied set, rule state) pairs: `probabilistic.measure`
+follows a word's choices with it, `walk_occupied` sums the weights of
+runs ending on a spot set, and `grow_runs`, the one prefix-growth engine,
+grows words as numpy arrays, merging prefixes whose measures agree.
+`parking_runs` is that engine over the parking words of length r.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,9 +91,9 @@ class Procedure:
     def can_walk(self) -> bool:
         """Whether the rule is trusted to keep the walk contract: true for a
         rule flagged memoryless or having an `update`. Counts and masses then walk
-        (occupied set, rule state) pairs (`walk_occupied`) instead of
-        words, and orbit audits and fibers grow their parking runs over
-        the same pairs (`parking_runs`). Both pass `decide` an empty
+        (occupied set, rule state) pairs (`walk_occupied`) instead of words;
+        orbit audits, fibers, orbit masses and abelian checks merge prefixes
+        on the same weighted pairs (`grow_runs`). All pass `decide` an empty
         history, so their answers are right only if:
         - a rule with an `update` keeps everything `decide` reads in
           `state`, and `update` returns a new state instead of changing
@@ -100,8 +101,8 @@ class Procedure:
         - `state` is hashable or a dict;
         - `decide` never reads `history`.
         A rule flagged not memoryless with no `update` could remember only
-        through `history`: its counts go word by word, its masses and
-        parking runs prefix by prefix with the real history.
+        through `history`: its counts go word by word, and its masses,
+        abelian checks and parking runs prefix by prefix with the real history.
         """
         return self.is_memoryless or self.update is not None
 
@@ -193,133 +194,124 @@ def state_key(state: Any):
     return frozenset(state.items()) if isinstance(state, dict) else state
 
 
-# moves(occupied, state, letter) -> (spot, weight, next state) triples for
-# the arriving car
-MovesFn = Callable[[frozenset, Any, int], Iterable[tuple[int, Any, Any]]]
-
-
-def step_moves(p: Procedure, history: Word = ()) -> MovesFn:
-    """The `merge_step` move of rule `p` for a car arriving after
-    `history`: each of its choices with its weight and the next state."""
-    update = p.update
-
-    def moves(occ: frozenset, state, a: int):
-        spot = a
-        if a in occ:
-            choices = branches(p, state, history, occ, a, a)
-            if len(choices) > 1:
-                return [
-                    (spot, w, state if update is None else update(state, a, spot))
-                    for spot, w in choices
-                ]
-            spot = choices[0][0]
-        # a single choice has weight 1
-        return ((spot, 1, state if update is None else update(state, a, spot)),)
-
-    return moves
-
-
 def merge_step(
-    level: dict, moves: MovesFn, letters: Iterable[int], inside: frozenset | None = None
+    p: Procedure,
+    level: dict,
+    letters: Iterable[int],
+    inside: frozenset | None = None,
+    history: Word = (),
 ) -> dict:
-    """One car's step over runs keyed by (occupied set, `state_key(state)`)
-    with values (weight, state).
+    """One car's step of rule `p` over runs keyed by (occupied set,
+    `state_key(state)`) with values (weight, state).
 
-    Every run takes each of `moves(occupied, state, a)` for every letter a
-    in `letters`; with the spot set `inside` given, moves to spots outside
-    it are dropped. Weights multiply along a run, and runs that agree on
+    Every run takes each choice of a car preferring a, for every letter a
+    in `letters`: the free spot a, or the `branches` of `p` after
+    `history`. Choices outside the spot set `inside`, when given, are
+    dropped. Weights multiply along a run, and runs that agree on
     (occupied, state key) afterwards are merged by adding their weights.
     """
+    update = p.update
     nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
     for (occ, _), (weight, state) in level.items():
         for a in letters:
-            for spot, w, st in moves(occ, state, a):
-                if inside is None or spot in inside:
-                    key = (occ | {spot}, state_key(st))
-                    prev = nxt.get(key)
-                    nxt[key] = (
-                        weight * w if prev is None else prev[0] + weight * w,
-                        st,
-                    )
+            # a free spot is a choice of weight 1
+            for spot, w in ((a, 1),) if a not in occ else branches(p, state, history, occ, a, a):
+                if inside is not None and spot not in inside:
+                    continue
+                st = state if update is None else update(state, a, spot)
+                key = (occ | {spot}, state_key(st))
+                prev = nxt.get(key)
+                nxt[key] = (weight * w if prev is None else prev[0] + weight * w, st)
     return nxt
 
 
-def walk_occupied(
-    target: frozenset, moves: MovesFn, init_state: Any, check_steps: Callable[[int], None]
-):
-    """Total weight of the runs of |target| cars that end on exactly the
-    spot set `target`, summed over (occupied set, rule state) pairs
-    instead of words.
+def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], None]):
+    """Total weight of the runs of |target| cars of rule `p` that end on
+    exactly the spot set `target`, summed over (occupied set, rule state)
+    pairs instead of words, with an empty history (`Procedure.can_walk`).
 
-    `moves` must depend on (occupied, state, letter) alone; memoryless
-    rules carry state None. A car parked outside the target never leaves,
-    so only letters and spots inside it are followed: for a memoryless
-    rule at most 2^n sets times n letters per car, against n^n words.
-    Int weights give an exact count and Fraction weights an exact mass.
-    Before each car, `check_steps` is passed the car steps taken so far
-    and about to be taken, and may refuse them.
+    A car parked outside the target never leaves, so only letters and
+    spots inside it are followed: for a memoryless rule at most 2^n sets
+    times n letters per car, against n^n words. Int weights give an exact
+    count and Fraction weights an exact mass. Before each car,
+    `check_steps` is passed the car steps taken so far and about to be
+    taken, and may refuse them.
     """
-    level = {(frozenset(), state_key(init_state)): (1, init_state)}
+    init = p.init_state()
+    level = {(frozenset(), state_key(init)): (1, init)}
     steps = 0
     for _ in target:
         steps += len(level) * len(target)
         check_steps(steps)
-        level = merge_step(level, moves, target, target)
+        level = merge_step(p, level, target, target)
     # every surviving run parked |target| distinct cars inside the target
     return sum(weight for weight, _ in level.values())
 
 
-def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every parking word of length r and where its cars park, as two int8
-    (m, r) arrays `(words, parked)`, the words in lexicographic order.
+def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | None):
+    """Every word of length r over `letters` that keeps some weight inside
+    `inside` (every word when it is None), grown one car (level) at a
+    time: `(words, parked, ids, nodes)`.
 
-    Prefixes grow one car (level) at a time over letters in {1..r}. A car
-    parked outside {1..r} never leaves, so a prefix is dropped as soon as
-    one does. Prefixes that agree on (occupied set, `state_key(state)`)
-    continue alike, as in `walk_occupied`: the rule is consulted once per
-    such node and letter, which fills the level's tables of next node and
-    parked spot, and numpy extends every prefix from the table row of its
-    node. A rule that cannot walk keeps its history in the node and gets
-    it in `decide`, so it grows prefix by prefix; a rule that can walk is
-    trusted to keep the walk contract (`Procedure.can_walk`). A decision
-    that branches raises ValueError. Callers check the work budget and
-    int64 word indices first (`enumeration._check_runs`), which also keeps
-    spots and letters inside int8.
+    A prefix's node is its `merge_step` level, its measure restricted to
+    `inside`. Prefixes whose measures are the same ((occupied set, state
+    key), weight) pairs continue alike: `merge_step` runs once per node
+    and letter, and numpy extends every prefix from its node's row. A rule
+    that can walk gets an empty history (`Procedure.can_walk`); any other
+    gets the real one and keys its nodes on it, growing prefix by prefix.
+
+    `words` and `parked` are int8 (m, r) arrays in lexicographic order;
+    `parked` is each car's spot while every step went from a point mass of
+    weight 1 to another, and 0 from the first car whose step did not.
+    `ids` gives each word's node in `nodes`, the last level. Callers check
+    budget and indices first (`enumeration._check_runs`), so spots fit int8.
     """
     walks = p.can_walk
-    update = p.update
-    # (occupied set, state, history) of every node of the current level
-    nodes = [(frozenset(), p.init_state(), ())]
+    init = p.init_state()
+    nodes, histories = [{(frozenset(), state_key(init)): (1, init)}], [()]
+    # the sum of a node's occupied spots if it is a point mass of weight 1,
+    # else None: a car's spot is the difference
+    sums: list = [0]
     ids = np.zeros(1, np.int32)
     words = parked = np.zeros((1, 0), np.int8)
     for _ in range(r):
         index: dict = {}
-        nodes_next = []
-        next_node = np.full((len(nodes), r), -1, np.int32)
-        spot_of = np.zeros((len(nodes), r), np.int8)
-        for i, (occ, state, history) in enumerate(nodes):
-            for a in range(1, r + 1):
-                spot = a if a not in occ else _sure_spot(p, branches(p, state, history, occ, a, a))
-                if not 1 <= spot <= r:
+        nodes_next, histories_next, sums_next, table = [], [], [], []
+        for node, history, total in zip(nodes, histories, sums):
+            for a in letters:
+                nxt = merge_step(p, node, (a,), inside, history)
+                if not nxt:
+                    table.append((-1, 0))
                     continue
-                st = state if update is None else update(state, a, spot)
-                nxt_occ = occ | {spot}
-                # without an update the state never changes, so the
-                # history alone tells a non-walking rule's prefixes apart
-                key = (nxt_occ, state_key(st)) if walks else history + (a,)
-                j = index.get(key)
-                if j is None:
-                    j = index[key] = len(index)
-                    nodes_next.append((nxt_occ, st, () if walks else key))
-                next_node[i, a - 1] = j
-                spot_of[i, a - 1] = spot
+                key = frozenset([(k, v[0]) for k, v in nxt.items()]) if walks else history + (a,)
+                j = index.setdefault(key, len(nodes_next))
+                if j == len(nodes_next):
+                    nodes_next.append(nxt)
+                    histories_next.append(() if walks else key)
+                    ((occ, _), (weight, _)), *more = nxt.items()
+                    sums_next.append(None if more or weight != 1 else sum(occ))
+                after = sums_next[j]
+                table.append((j, 0 if total is None or after is None else after - total))
+        table = np.array(table, np.int32).reshape(len(nodes), len(letters), 2)
+        next_node, spot_of = table[..., 0], table[..., 1].astype(np.int8)
         # nonzero scans row by row, so prefixes stay in lexicographic order
         rows, cols = np.nonzero((next_node >= 0)[ids])
         from_ids = ids[rows]
-        words = np.column_stack((words[rows], (cols + 1).astype(np.int8)))
-        parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
         ids = next_node[from_ids, cols]
-        nodes = nodes_next
+        words = np.column_stack((words[rows], np.array(letters, np.int8)[cols]))
+        parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
+        nodes, histories, sums = nodes_next, histories_next, sums_next
+    return words, parked, ids, nodes
+
+
+def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every parking word of length r and where its cars park, as two int8
+    (m, r) arrays `(words, parked)` in lexicographic order: `grow_runs`
+    over {1..r}, since a car parked outside never leaves. A rule whose
+    decision branches raises ValueError."""
+    words, parked, _, _ = grow_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
+    if not parked.all():
+        raise ValueError(f"{p.name}: a decision branches; measure() follows both choices")
     return words, parked
 
 

@@ -124,6 +124,15 @@ class TestProb:
         doc = json.loads(out)
         assert doc["results"]["orbit_mass"] == {"1,1": "1/1", "1,2": "1/1", "1,3": "1/1"}
 
+    def test_per_orbit_needs_mass(self, capsys):
+        code, out, err = invoke(
+            capsys, "prob", "--proc", "pq:q=2", "--word", "1,2", "--per-orbit",
+            "--format", "json",
+        )
+        assert code == 3
+        assert out == ""
+        assert "--per-orbit" in err
+
     def test_word_and_mass_conflict(self, capsys):
         code, _, _ = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--word", "1", "--mass", "2")
         assert code == 3

@@ -24,6 +24,7 @@ from parkline.forests import fiber_counts_brute
 from parkline.probabilistic import (
     kw_procedure,
     kw_sequence_procedure,
+    measure,
     orbit_parking_mass,
     path_distribution,
     pq_procedure,
@@ -32,6 +33,8 @@ from parkline.procedures import (
     LEFT,
     RIGHT,
     DirTable,
+    Procedure,
+    grow_runs,
     index_rule_procedure,
     parking_runs,
     parse_proc_spec,
@@ -195,3 +198,49 @@ def test_run_count_equals_walked_count(p):
     # the runs and the occupied-set walk count the same words independently
     for r in range(1, 8):
         assert len(parking_runs(p, r)[0]) == count_parking(p, r, cap=None), r
+
+
+def test_measure_nodes_equal_history_nodes():
+    # state-parity walks, so prefixes merge on equal measures; history-parity
+    # keeps its history in the node, so each prefix is its own node
+    for r in range(1, 6):
+        assert orbit_parking_mass(state_parity_rule(), r, cap=None) == orbit_parking_mass(
+            history_parity_rule(), r, cap=None
+        ), r
+
+
+@pytest.mark.parametrize(
+    "pp,nodes",
+    [(pq_procedure(Fraction(2)), 430), (kw_procedure(Fraction(1, 3)), 157), (parse_proc_spec("lbs"), 6)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_prefixes_merge_on_equal_measures(pp, nodes):
+    words, _, ids, last = grow_runs(pp, 6, range(1, 7), frozenset(range(1, 7)))
+    assert len(last) == nodes and len(words) > 100 * nodes
+    assert sorted(set(ids.tolist())) == list(range(nodes))
+
+
+@pytest.mark.parametrize("pp", PROB_RULES, ids=ids)
+def test_unfiltered_nodes_are_the_measures(pp):
+    for r in range(1, 4):
+        words, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
+        assert words.tolist() == [list(w) for w in word_space(r)]
+        for word, i in zip(words.tolist(), ids.tolist()):
+            occupancy: dict = {}
+            for (occ, _), (weight, _) in nodes[i].items():
+                occupancy[occ] = occupancy.get(occ, 0) + weight
+            assert occupancy == measure(pp, word).probs, word
+
+
+def test_a_branch_that_merges_back_is_refused():
+    # only car 2 of a word starting 2,2 branches, onto {1,2} or {2,3}; car 3
+    # then fills {1,2,3} surely, so every word ends on a point mass of weight 1
+    def decide(st, h, occ, blk, a):
+        if occ == {2}:
+            return Fraction(1, 2)
+        return RIGHT if blk.lo == 1 else LEFT
+
+    p = Procedure("merge-back", decide=decide)
+    assert measure(p, (2, 2, 2)).probs == {frozenset({1, 2, 3}): 1}
+    with pytest.raises(ValueError, match="merge-back: a decision branches"):
+        parking_runs(p, 3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import history_parity_rule, state_parity_rule
 from parkline.probabilistic import (
     INFINITY,
     abelian_uniqueness_check,
@@ -236,9 +237,24 @@ class TestMassWalk:
         history = history_parity_rule()
         assert total_parking_mass(history, 5) == 1164
         assert total_parking_mass(history, 6) == 16954
-        monkeypatch.setattr(probabilistic, "_parking_masses", refuse)
+        monkeypatch.setattr(probabilistic, "grow_runs", refuse)
         with pytest.raises(CapExceededError, match="parking runs of length 9"):
             total_parking_mass(history, 9)
+
+    def test_engine_paths_build_no_measure(self, monkeypatch):
+        import parkline.probabilistic as probabilistic
+
+        def refuse(*args, **kw):
+            raise AssertionError("not on this path")
+
+        # orbit masses and abelian checks read their measures off the
+        # nodes of one growth, not one `measure` per word
+        monkeypatch.setattr(probabilistic, "measure", refuse)
+        monkeypatch.setattr(probabilistic, "parking_probability", refuse)
+        assert is_abelian(pq_procedure(F(2)), 4).abelian
+        assert is_abelian(kw_procedure(HALF), 4).witness == ((1, 1, 2), (1, 2, 1))
+        assert set(orbit_parking_mass(pq_procedure(F(3)), 4).values()) == {1}
+        assert total_parking_mass(history_parity_rule(), 4) == 126
 
     def test_probability_check_holds_on_the_walk(self):
         bad = Procedure("bad", decide=lambda st, h, occ, blk, a: F(3, 2))
@@ -319,6 +335,26 @@ class TestPqDegenerate:
             dir_of(kw_procedure(HALF), 2, 1)
 
 
+def abelian_by_orderings(pp, r_max):
+    """is_abelian's verdict and witness from one `measure` per ordering of
+    every multiset, in combinations_with_replacement order."""
+    for r in range(1, r_max + 1):
+        for multiset in itertools.combinations_with_replacement(range(1, r + 2), r):
+            orderings = sorted(set(itertools.permutations(multiset)))
+            reference = measure(pp, orderings[0])
+            for other in orderings[1:]:
+                if measure(pp, other) != reference:
+                    return False, (orderings[0], other)
+    return True, None
+
+
+ABELIAN_RULES = [pq_procedure(q) for q in (F(0), HALF, F(1), F(2), INFINITY)]
+ABELIAN_RULES += [kw_procedure(F(1, 3)), kw_procedure(HALF)]
+ABELIAN_RULES += [kw_sequence_procedure([F(1, 3), F(3, 4), HALF, F(1, 5)])]
+ABELIAN_RULES += [builtin(name) for name in ("right", "lbs", "far", "evenodd")]
+ABELIAN_RULES += [builtin("naples", k=2), state_parity_rule(), history_parity_rule()]
+
+
 class TestAbelian:
     @pytest.mark.parametrize("q", [F(1), F(2)])
     def test_pq_is_abelian(self, q):
@@ -333,6 +369,28 @@ class TestAbelian:
         w1, w2 = report.witness
         assert sorted(w1) == sorted(w2)
         assert measure(kw_procedure(HALF), w1) != measure(kw_procedure(HALF), w2)
+
+    @pytest.mark.parametrize("pp", ABELIAN_RULES, ids=lambda pp: pp.name)
+    def test_verdict_and_witness_equal_per_ordering_measures(self, pp):
+        for r_max in range(1, 5):
+            report = is_abelian(pp, r_max)
+            assert (report.abelian, report.witness) == abelian_by_orderings(pp, r_max), r_max
+            assert report.procedure == pp.name and report.r_max == r_max
+
+    def test_r_max_below_one(self):
+        with pytest.raises(ValueError, match="r must be >= 1, got 0"):
+            is_abelian(pq_procedure(F(2)), 0)
+
+    def test_budget_refuses_r_max_7_before_any_decision(self):
+        from parkline.enumeration import CapExceededError
+
+        decisions = []
+        pp = Procedure("counted", decide=lambda *args: decisions.append(args) or HALF)
+        with pytest.raises(CapExceededError, match="15,427,550 car steps"):
+            is_abelian(pp, 7)
+        assert decisions == []
+        # 747,486 car steps fit
+        assert is_abelian(builtin("right"), 6).abelian
 
     def test_pq_measures_depend_only_on_multiset(self):
         pp = pq_procedure(F(2))
