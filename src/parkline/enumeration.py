@@ -6,8 +6,10 @@ Counts walk (occupied set, rule state) pairs (`procedures.walk_occupied`).
 Orbit audits read the parking words from `procedures.parking_runs`, which
 grows them level by level over the same pairs as numpy arrays, so the
 rule is consulted once per pair and letter, not once per prefix.
-Words are enumerated only where they are the reference:
-`count_words_to_set(..., "brute")` and counts that name a `backend`.
+Every word over an alphabet is grown only where it is the reference,
+`count_words_to_set(..., "brute")` and counts that name a `backend`: on
+the same engine (`procedures.grow_runs`) by default, or word by word on
+the per-word engine with `backend="python"`.
 Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`).
 """
@@ -15,13 +17,20 @@ is refused beyond one budget, `WORK_BUDGET` (see `check_budget`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
-from .procedures import Procedure, parking_runs, run, walk_occupied
+from .procedures import (
+    Procedure,
+    grow_runs,
+    parking_runs,
+    refuse_branching,
+    run,
+    walk_occupied,
+)
 from .words import Word, blocks, multinomial, orbit_representative, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
@@ -78,25 +87,6 @@ def _check_runs(p: Procedure, r: int, cap: int | None) -> None:
     _check_strict(p, r)
     check_budget(f"parking runs of length {r}", r**r * r, cap)
     _kernels.radix_weights(r + 1, r)
-
-
-@lru_cache(maxsize=256)
-def _rights_for(p: Procedure, r: int) -> np.ndarray:
-    return _kernels.rights_array(p.dir_rule, r)
-
-
-def parked_matrix(
-    p: Procedure, words: np.ndarray, backend: str | None = None
-) -> np.ndarray:
-    """(n, r) matrix of parked spots, one row per word. A table rule (one
-    with a `dir_rule`) runs the table kernel unless the backend is
-    "python"; every other rule runs the per-word engine."""
-    if p.dir_rule is not None and _kernels.resolve_backend(backend) == "numpy":
-        return _kernels.table_parked(words, _rights_for(p, max(1, words.shape[1])))
-    out = np.empty(words.shape, np.int64)
-    for i, row in enumerate(words.tolist()):
-        out[i] = run(p, tuple(row)).parked
-    return out
 
 
 def count_parking(
@@ -248,12 +238,15 @@ def count_words_to_set(
     outside the final set would park there and stay. By default a rule
     that `can_walk` walks (occupied subset of S, rule state) pairs
     (`walk_occupied`) unless a `backend` is named; a rule that branches
-    on the way to S raises ValueError. Otherwise, and with "brute", the
-    words with letters in S are enumerated on `backend`; pad>0 widens
-    that alphabet to the full interval [min(S)-pad, max(S)+pad], gaps
-    included, which re-verifies the claim above empirically. "formula"
-    multiplies shuffle counts with per-block parking counts and requires
-    a local procedure.
+    on the way to S raises ValueError. Otherwise, and with "brute", every
+    word with letters in S is run: "numpy" (the default) grows them all
+    on `grow_runs`, asking the rule once per node and letter, and counts
+    those whose last node is S; "python" runs each word on the per-word
+    engine. Either raises ValueError if any word's run branches. pad>0
+    widens that alphabet to the full interval [min(S)-pad, max(S)+pad],
+    gaps included, which re-verifies the claim above empirically.
+    "formula" multiplies shuffle counts with per-block parking counts and
+    requires a local procedure.
     """
     if via not in (None, "brute", "formula"):
         raise ValueError(f"unknown mode {via!r}")
@@ -284,10 +277,12 @@ def count_words_to_set(
 
     alphabet = range(min(target) - pad, max(target) + pad + 1) if pad else sorted(target)
     check_budget(f"words over {len(alphabet)} letters", len(alphabet) ** n * n, cap)
-    goal = np.array(sorted(target), np.int64)
-
-    def work(words: np.ndarray) -> int:
-        parked = parked_matrix(p, words, backend)
-        return int(np.all(np.sort(parked, axis=1) == goal, axis=1).sum())
-
-    return sum(work(words) for words in _kernels.alphabet_chunks(alphabet, n))
+    # numpy indexes the words with int64, even with the budget lifted
+    _kernels.radix_weights(len(alphabet), n)
+    if _kernels.resolve_backend(backend) == "python":
+        return sum(run(p, word).spots == target for word in product(alphabet, repeat=n))
+    _, _, sure, ids, nodes = grow_runs(p, n, alphabet, None)
+    refuse_branching(p, sure)
+    # the last node of a run that never branched is a point mass of weight 1
+    lands = np.array([next(iter(node))[0] == target for node in nodes], bool)
+    return int(np.count_nonzero(lands[ids]))

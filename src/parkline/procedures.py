@@ -59,11 +59,9 @@ class Procedure:
     `decide` returns a Direction or an exact right-probability; a
     deterministic rule is one whose decisions are all Directions or
     probabilities 0 and 1 (see `branches`). Memoryless rules ignore
-    `state` and `history` and depend only on (occupied, letter).
-    `dir_rule`, when set, gives the direction chosen on the standard
-    block {1..r} for a car preferring i, for any r; it exists exactly for
-    the memoryless shift-invariant locally-decided rules and enables the
-    table kernel. `language`, when set, is the `colored.Language` of
+    `state` and `history` and depend only on (occupied, letter); `dir_of`
+    reads a memoryless rule's direction off `decide`. Every rule runs on
+    the same engines. `language`, when set, is the `colored.Language` of
     colored words on which a partial colored rule is defined.
     """
 
@@ -74,12 +72,6 @@ class Procedure:
     is_memoryless: bool = True
     is_shift_invariant: bool = True
     is_locally_decided: bool = True
-    # Decisions commute with letterwise rotation whenever the rotated run
-    # stays inside {1..r}; holds e.g. for rules that depend only on the
-    # car's index. Weaker than is_local but still forces the one-parking-
-    # word-per-orbit property.
-    extended_cyclic: bool = False
-    dir_rule: Callable[[int, int], Direction] | None = None
     strict_r_max: int | None = None  # refuse enumeration beyond this length
     language: Any = None
 
@@ -248,10 +240,17 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
     return sum(weight for weight, _ in level.values())
 
 
+def _spot_dtype(letters: Sequence[int], r: int) -> np.dtype:
+    """Smallest signed int type holding every spot of a run of r cars over
+    `letters`: a bumped car parks next to a block of at most r - 1 cars."""
+    bound = max(-min(letters), max(letters)) + r
+    return np.min_scalar_type(-bound - 1)
+
+
 def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | None):
     """Every word of length r over `letters` that keeps some weight inside
     `inside` (every word when it is None), grown one car (level) at a
-    time: `(words, parked, ids, nodes)`.
+    time: `(words, parked, sure, ids, nodes)`.
 
     A prefix's node is its `merge_step` level, its measure restricted to
     `inside`. Prefixes whose measures are the same ((occupied set, state
@@ -260,11 +259,13 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
     that can walk gets an empty history (`Procedure.can_walk`); any other
     gets the real one and keys its nodes on it, growing prefix by prefix.
 
-    `words` and `parked` are int8 (m, r) arrays in lexicographic order;
-    `parked` is each car's spot while every step went from a point mass of
-    weight 1 to another, and 0 from the first car whose step did not.
-    `ids` gives each word's node in `nodes`, the last level. Callers check
-    budget and indices first (`enumeration._check_runs`), so spots fit int8.
+    `words` and `parked` are (m, r) arrays in lexicographic order, of the
+    smallest signed int type that holds every spot. `sure[k]` says whether
+    every step of word k went from a point mass of weight 1 to another,
+    that is, whether its run never branched; if so, `parked[k]` holds each
+    car's spot (0 at a step that was not sure). A run can branch and merge
+    back into a point mass, so neither `parked` nor the last node tells
+    this. `ids` gives each word's node in `nodes`, the last level.
     """
     walks = p.can_walk
     init = p.init_state()
@@ -273,7 +274,9 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
     # else None: a car's spot is the difference
     sums: list = [0]
     ids = np.zeros(1, np.int32)
-    words = parked = np.zeros((1, 0), np.int8)
+    dtype = _spot_dtype(letters, r)
+    words = parked = np.zeros((1, 0), dtype)
+    sure = np.ones(1, bool)
     for _ in range(r):
         index: dict = {}
         nodes_next, histories_next, sums_next, table = [], [], [], []
@@ -281,7 +284,7 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
             for a in letters:
                 nxt = merge_step(p, node, (a,), inside, history)
                 if not nxt:
-                    table.append((-1, 0))
+                    table.append((-1, 0, 0))
                     continue
                 key = frozenset([(k, v[0]) for k, v in nxt.items()]) if walks else history + (a,)
                 j = index.setdefault(key, len(nodes_next))
@@ -291,17 +294,27 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
                     ((occ, _), (weight, _)), *more = nxt.items()
                     sums_next.append(None if more or weight != 1 else sum(occ))
                 after = sums_next[j]
-                table.append((j, 0 if total is None or after is None else after - total))
-        table = np.array(table, np.int32).reshape(len(nodes), len(letters), 2)
-        next_node, spot_of = table[..., 0], table[..., 1].astype(np.int8)
+                if total is None or after is None:
+                    table.append((j, 0, 0))
+                else:
+                    table.append((j, after - total, 1))
+        table = np.array(table, np.int64).reshape(len(nodes), len(letters), 3)
+        next_node, spot_of, sure_of = table[..., 0], table[..., 1].astype(dtype), table[..., 2] == 1
         # nonzero scans row by row, so prefixes stay in lexicographic order
         rows, cols = np.nonzero((next_node >= 0)[ids])
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
-        words = np.column_stack((words[rows], np.array(letters, np.int8)[cols]))
+        words = np.column_stack((words[rows], np.array(letters, dtype)[cols]))
         parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
+        sure = sure[rows] & sure_of[from_ids, cols]
         nodes, histories, sums = nodes_next, histories_next, sums_next
-    return words, parked, ids, nodes
+    return words, parked, sure, ids, nodes
+
+
+def refuse_branching(p: Procedure, sure: np.ndarray) -> None:
+    """Raise ValueError unless every run of `grow_runs` was sure."""
+    if not sure.all():
+        raise ValueError(f"{p.name}: a decision branches; measure() follows both choices")
 
 
 def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +322,8 @@ def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
     (m, r) arrays `(words, parked)` in lexicographic order: `grow_runs`
     over {1..r}, since a car parked outside never leaves. A rule whose
     decision branches raises ValueError."""
-    words, parked, _, _ = grow_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
-    if not parked.all():
-        raise ValueError(f"{p.name}: a decision branches; measure() follows both choices")
+    words, parked, sure, _, _ = grow_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
+    refuse_branching(p, sure)
     return words, parked
 
 
@@ -390,7 +402,6 @@ def right_procedure() -> Procedure:
     return Procedure(
         name="right",
         decide=lambda st, h, occ, blk, a: RIGHT,
-        dir_rule=lambda r, i: RIGHT,
     )
 
 
@@ -398,7 +409,6 @@ def left_procedure() -> Procedure:
     return Procedure(
         name="left",
         decide=lambda st, h, occ, blk, a: LEFT,
-        dir_rule=lambda r, i: LEFT,
     )
 
 
@@ -407,11 +417,7 @@ def closest_procedure() -> Procedure:
     def decide(st, h, occ, blk, a):
         return RIGHT if (blk.hi + 1 - a) <= (a - blk.lo + 1) else LEFT
 
-    return Procedure(
-        name="closest",
-        decide=decide,
-        dir_rule=lambda r, i: RIGHT if (r + 1 - i) <= i else LEFT,
-    )
+    return Procedure(name="closest", decide=decide)
 
 
 def prime_procedure() -> Procedure:
@@ -419,11 +425,7 @@ def prime_procedure() -> Procedure:
     def decide(st, h, occ, blk, a):
         return RIGHT if _is_prime(blk.size) else LEFT
 
-    return Procedure(
-        name="prime",
-        decide=decide,
-        dir_rule=lambda r, i: RIGHT if _is_prime(r) else LEFT,
-    )
+    return Procedure(name="prime", decide=decide)
 
 
 def evenodd_procedure() -> Procedure:
@@ -514,7 +516,6 @@ def index_rule_procedure(dirs, name: str | None = None) -> Procedure:
         name=name or "bycar(" + "".join(d.value for d in dirs) + ")",
         decide=decide,
         is_locally_decided=False,
-        extended_cyclic=True,
     )
 
 
@@ -589,7 +590,6 @@ def table_procedure(
     return Procedure(
         name=name or f"table(r_max={table.r_max})",
         decide=decide,
-        dir_rule=table.direction,
         strict_r_max=table.r_max if strict else None,
     )
 

@@ -101,18 +101,25 @@ def oracle_lbs_run(word) -> tuple[set[int], list[int]]:
     return occ, parked
 
 
-def random_dir_tables(count: int, r_max: int, seed: int) -> list:
-    """Deterministic batch of table procedures (memoryless local rules)."""
+def random_tables(count: int, r_max: int, seed: int) -> list[DirTable]:
+    """Deterministic batch of direction tables."""
     rng = random.Random(seed)
     out = []
-    for i in range(count):
+    for _ in range(count):
         rows = tuple(
             tuple(rng.choice((Direction.LEFT, Direction.RIGHT)) for _ in range(r))
             for r in range(1, r_max + 1)
         )
-        table = DirTable(rows, rng.choice((Direction.LEFT, Direction.RIGHT)))
-        out.append(table_procedure(table, name=f"rand{i}"))
+        out.append(DirTable(rows, rng.choice((Direction.LEFT, Direction.RIGHT))))
     return out
+
+
+def random_dir_tables(count: int, r_max: int, seed: int) -> list:
+    """Deterministic batch of table procedures (memoryless local rules)."""
+    return [
+        table_procedure(table, name=f"rand{i}")
+        for i, table in enumerate(random_tables(count, r_max, seed))
+    ]
 
 
 def alternating_rule() -> Procedure:

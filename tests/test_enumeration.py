@@ -243,7 +243,6 @@ class TestUniversality:
 
         for dirs in itertools.product((LEFT, RIGHT), repeat=4):
             p = index_rule_procedure(dirs)
-            assert p.extended_cyclic
             assert orbit_audit(p, 4).all_one
 
 

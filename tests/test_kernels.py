@@ -1,23 +1,62 @@
-import numpy as np
+"""Backend contract: the numpy backend, which grows every word on the
+prefix-growth engine (`grow_runs` with nothing dropped), equals the
+per-word engine (`backend="python"`, `run`) and the independent oracle of
+conftest.py, word by word and count by count."""
+
+import dataclasses
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_run, random_dir_tables
-from parkline import _kernels
-from parkline.enumeration import (
-    count_parking,
-    expected_parking_count,
-    parked_matrix,
+from conftest import (
+    alternating_rule,
+    history_parity_rule,
+    oracle_lbs_run,
+    oracle_run,
+    random_tables,
+    state_parity_rule,
 )
-from parkline.procedures import Direction, DirTable, builtin, run, table_procedure
+from parkline import _kernels
+from parkline.enumeration import count_parking, count_words_to_set, expected_parking_count
+from parkline.procedures import (
+    RIGHT,
+    Direction,
+    DirTable,
+    Procedure,
+    builtin,
+    grow_runs,
+    index_rule_procedure,
+    parse_proc_spec,
+    run,
+    table_procedure,
+)
 
-TABLE_PROCS = [builtin(n) for n in ("right", "left", "closest", "prime")]
-TABLE_PROCS += random_dir_tables(3, 6, seed=42)
+TABLE_PROCS = [pytest.param(builtin(n), n, None, id=n) for n in ("right", "left", "closest", "prime")]
+TABLE_PROCS += [
+    pytest.param(table_procedure(t, name=f"rand{i}"), "table", t, id=f"rand{i}")
+    for i, t in enumerate(random_tables(3, 6, seed=42))
+]
 
 
-def full_space(r):
-    return np.vstack(list(_kernels.alphabet_chunks(range(1, r + 2), r)))
+def grown(p, r, letters):
+    """Every word of length r over `letters`, grown with nothing dropped:
+    `(words, parked)` as lists of tuples, after checking that no run
+    branched."""
+    words, parked, sure, _, _ = grow_runs(p, r, letters, None)
+    assert sure.all()
+    return list(map(tuple, words.tolist())), list(map(tuple, parked.tolist()))
+
+
+def assert_engines_agree(p, r, letters, rule=None, table=None):
+    words, parked = grown(p, r, letters)
+    assert words == list(itertools.product(sorted(letters), repeat=r))
+    for word, spots in zip(words, parked):
+        assert run(p, word).parked == spots, (p.name, word)
+        if rule is not None:
+            assert tuple(oracle_run(rule, word, table=table)[1]) == spots, (p.name, word)
 
 
 class TestBackendSelection:
@@ -29,59 +68,59 @@ class TestBackendSelection:
             with pytest.raises(ValueError):
                 _kernels.resolve_backend(name)
 
+    def test_unknown_backend_refused_for_every_rule(self):
+        for p in (builtin("right"), builtin("lbs")):
+            with pytest.raises(ValueError, match="unknown backend"):
+                count_parking(p, 2, backend="numba")
 
-class TestWordChunks:
+
+class TestWordGrowth:
     def test_covers_space_in_order(self):
-        words = full_space(2)
-        assert words.shape == (9, 2)
-        assert words[0].tolist() == [1, 1]
-        assert words[-1].tolist() == [3, 3]
-        assert len({tuple(w) for w in words.tolist()}) == 9
-
-    def test_chunking_is_seamless(self):
-        whole = full_space(3)
-        chunked = np.vstack(list(_kernels.alphabet_chunks(range(1, 5), 3, chunk=7)))
-        assert (whole == chunked).all()
+        words, _ = grown(builtin("right"), 2, range(1, 4))
+        assert words == list(itertools.product((1, 2, 3), repeat=2))
 
     def test_alphabet_words(self):
-        words = np.vstack(list(_kernels.alphabet_chunks([2, 5, 9], 2)))
-        assert words.shape == (9, 2)
-        assert set(map(tuple, words.tolist())) == {
-            (a, b) for a in (2, 5, 9) for b in (2, 5, 9)
-        }
+        words, _ = grown(builtin("closest"), 2, [2, 5, 9])
+        assert words == list(itertools.product((2, 5, 9), repeat=2))
 
 
 class TestRadixOverflow:
-    # 17^16 > 2^63: indices of the words {1..17}^16 wrap in int64
-    def test_chunks_refuse_before_the_first_chunk(self):
+    # 16^16 > 2^63: numpy would index the words {1..16}^16 past int64
+    def test_lifted_budget_refuses_before_any_decision(self):
         with pytest.raises(_kernels.RadixOverflowError):
-            next(_kernels.alphabet_chunks(range(1, 18), 16))
-        assert next(_kernels.alphabet_chunks(range(1, 17), 15)).shape == (_kernels.CHUNK, 15)
+            count_words_to_set(builtin("right"), range(1, 17), "brute", cap=None)
+
+        def refuse(*args):
+            raise AssertionError("decide called")
+
+        p = dataclasses.replace(builtin("right"), decide=refuse)
+        for backend in ("numpy", "python"):
+            with pytest.raises(_kernels.RadixOverflowError):
+                count_words_to_set(p, range(1, 17), "brute", cap=None, backend=backend)
+        assert count_words_to_set(builtin("right"), range(1, 5), "brute", cap=None) == 125
 
 
 @pytest.mark.parametrize("backend", ["numpy"])
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("p", TABLE_PROCS, ids=lambda p: p.name)
-    def test_table_kernel_matches_engine(self, backend, p):
+    @pytest.mark.parametrize("p,rule,table", TABLE_PROCS)
+    def test_table_kernel_matches_engine(self, backend, p, rule, table):
         for r in range(1, 5):
-            words = full_space(r)
-            ref = parked_matrix(p, words, backend="python")
-            fast = parked_matrix(p, words, backend=backend)
-            assert (ref == fast).all(), (p.name, r)
+            assert_engines_agree(p, r, range(1, r + 2), rule, table)
+            counts = {count_parking(p, r, backend=b) for b in (backend, "python")}
+            assert len(counts) == 1, (p.name, r)
 
     def test_negative_letters(self, backend):
-        # kernels must cope with windows away from the origin
+        # windows away from the origin, 0 included
         p = builtin("closest")
-        words = np.vstack(list(_kernels.alphabet_chunks([-3, -2, 0], 3)))
-        ref = parked_matrix(p, words, backend="python")
-        assert (parked_matrix(p, words, backend=backend) == ref).all()
+        assert_engines_agree(p, 3, [-3, -2, 0], "closest")
+        for S in ({-3, -2, 0}, {-2, -1, 0, 1}, {-5, -3}):
+            counts = {count_words_to_set(p, S, "brute", backend=b) for b in (backend, "python")}
+            assert len(counts) == 1, S
 
     def test_default_beyond_rows(self, backend):
         # blocks can outgrow a table's rows; the default direction applies
-        table_p = random_dir_tables(1, 2, seed=3)[0]
-        words = full_space(4)
-        ref = parked_matrix(table_p, words, backend="python")
-        assert (parked_matrix(table_p, words, backend=backend) == ref).all()
+        (table,) = random_tables(1, 2, seed=3)
+        assert_engines_agree(table_procedure(table), 4, range(1, 6), "table", table)
 
 
 DIRECTIONS = st.sampled_from((Direction.LEFT, Direction.RIGHT))
@@ -98,24 +137,20 @@ def dir_tables(draw):
 
 
 @st.composite
-def word_batches(draw):
-    """Words of one length, letters in a window that may be negative."""
-    length = draw(st.integers(1, 6))
-    lo = draw(st.integers(-8, 4))
-    letters = st.integers(lo, lo + draw(st.integers(0, 6)))
-    word = st.lists(letters, min_size=length, max_size=length).map(tuple)
-    return draw(st.lists(word, min_size=1, max_size=12))
+def windows(draw):
+    """A length and a window of letters inside -8..10."""
+    length = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 4))
+    lo = draw(st.integers(-8, 11 - width))
+    return length, range(lo, lo + width)
 
 
 class TestRandomTables:
-    @given(table=dir_tables(), words=word_batches())
+    @given(table=dir_tables(), space=windows())
     @settings(max_examples=60, deadline=None)
-    def test_kernel_engine_and_oracle_agree(self, table, words):
-        p = table_procedure(table)
-        fast = parked_matrix(p, np.array(words, np.int64), backend="numpy")
-        for word, spots in zip(words, fast.tolist()):
-            assert list(run(p, word).parked) == spots, word
-            assert oracle_run("table", word, table=table)[1] == spots, word
+    def test_kernel_engine_and_oracle_agree(self, table, space):
+        length, letters = space
+        assert_engines_agree(table_procedure(table), length, letters, "table", table)
 
     @given(table=dir_tables())
     @settings(max_examples=10, deadline=None)
@@ -138,3 +173,65 @@ class TestCountsAcrossBackends:
             for b in ("numpy", "python")
         }
         assert set(counts.values()) == {(r + 1) ** (r - 1)}, counts
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            parse_proc_spec(spec)
+            for spec in ("right", "closest", "evenodd", "naples:k=2", "far", "lbs")
+        ]
+        + [
+            index_rule_procedure((RIGHT, Direction.LEFT, Direction.LEFT, RIGHT)),
+            alternating_rule(),
+            history_parity_rule(),
+            state_parity_rule(),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_brute_counts_agree(self, p):
+        for n in range(1, 4):
+            for S in itertools.combinations(range(-1, 5), n):
+                counts = {count_words_to_set(p, S, "brute", backend=b) for b in ("numpy", "python")}
+                assert len(counts) == 1, (p.name, S)
+
+    def test_lbs_words_match_oracle(self):
+        words, parked = grown(builtin("lbs"), 4, range(-1, 4))
+        for word, spots in zip(words, parked):
+            assert tuple(oracle_lbs_run(word)[1]) == spots, word
+
+
+class TestLetterRange:
+    def test_letters_beyond_int8(self):
+        # spots take the smallest signed type that holds letters +- r
+        words, parked = grown(builtin("right"), 2, [126, 127])
+        assert parked[-1] == (127, 128)
+        p = builtin("right")
+        for S in ({1000, 1001}, {-300, -299, -297}, {126, 127}):
+            assert count_words_to_set(p, S, "brute") == count_words_to_set(
+                p, S, "brute", backend="python"
+            ), S
+
+
+class TestBranching:
+    def test_brute_refuses_a_branch_that_merges_back(self):
+        # car 2 of word (1, 1, 0) branches onto {0, 1} or {1, 2}; car 3 then
+        # fills {0, 1, 2} surely: the last node is a point mass of weight 1
+        # and the parked row reads 0 at a step that was not sure
+        def decide(st, h, occ, blk, a):
+            return Fraction(1, 2) if blk.size == 1 else RIGHT
+
+        p = Procedure("merge-back", decide=decide)
+        words, parked, sure, ids, nodes = grow_runs(p, 3, [0, 1, 2], None)
+        k = words.tolist().index([1, 1, 0])
+        assert not sure[k] and parked[k].tolist() == [1, 0, 0]
+        assert nodes[ids[k]] == {(frozenset({0, 1, 2}), None): (1, None)}
+        for backend in ("numpy", "python"):
+            with pytest.raises(ValueError, match="merge-back: a decision branches"):
+                count_words_to_set(p, {0, 1, 2}, "brute", backend=backend)
+
+    def test_branching_rule_refused_on_both_backends(self):
+        from parkline.probabilistic import kw_procedure
+
+        for backend in ("numpy", "python"):
+            with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
+                count_words_to_set(kw_procedure(Fraction(1, 2)), {1, 2}, "brute", backend=backend)

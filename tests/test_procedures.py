@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_lbs_run, oracle_run, random_dir_tables
+from conftest import oracle_lbs_run, oracle_run, random_tables
 from parkline.procedures import (
     LEFT,
     RIGHT,
@@ -22,6 +22,7 @@ from parkline.procedures import (
     parse_proc_spec,
     record_parked,
     run,
+    table_procedure,
 )
 from parkline.words import Block, block_of, shift
 
@@ -300,10 +301,11 @@ class TestDirTable:
         assert table.direction(5, 2) is RIGHT
 
     def test_table_procedure_matches_rows(self):
-        for p in random_dir_tables(3, 4, seed=7):
-            for r in range(1, 5):
+        for table in random_tables(3, 4, seed=7):
+            p = table_procedure(table)
+            for r in range(1, 7):
                 for i in range(1, r + 1):
-                    assert dir_of(p, r, i) is p.dir_rule(r, i)
+                    assert dir_of(p, r, i) is table.direction(r, i)
 
     def test_table_via_builtin(self):
         table = DirTable(((LEFT,),), RIGHT)
@@ -368,7 +370,7 @@ class TestCheckFlags:
 class TestIndexRule:
     def test_runs_and_flags(self):
         p = index_rule_procedure([RIGHT, LEFT, RIGHT])
-        assert p.extended_cyclic and not p.is_locally_decided
+        assert not p.is_locally_decided
         assert run(p, (1, 1, 1)).spots == frozenset({0, 1, 2})
 
     def test_exhausted_sequence(self):
