@@ -1,8 +1,8 @@
 """Backend names and int64 radix checks.
 
-Backends: "numpy" (the default) grows words as arrays on the
-prefix-growth engine (`procedures.grow_runs`), asking the rule once per
-node and letter; "python" runs the per-word engine
+Backends: "numpy" (the default) counts words on the prefix-growth
+engine (`procedures.count_landing`), asking the rule once per node and
+letter; "python" runs the per-word engine
 (`procedures.run_engine`) on every word, the independent reference.
 Call sites choose one via `backend=`.
 """

@@ -8,7 +8,8 @@ grows them level by level over the same pairs as numpy arrays, so the
 rule is consulted once per pair and letter, not once per prefix.
 Every word over an alphabet is grown only where it is the reference,
 `count_words_to_set(..., "brute")` and counts that name a `backend`: on
-the same engine (`procedures.grow_runs`) by default, or word by word on
+the same engine by default (`procedures.count_landing`, which carries
+each node's number of prefixes instead of the words), or word by word on
 the per-word engine with `backend="python"`.
 Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`).
@@ -23,14 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .procedures import (
-    Procedure,
-    grow_runs,
-    parking_runs,
-    refuse_branching,
-    run,
-    walk_occupied,
-)
+from .procedures import Procedure, count_landing, parking_runs, run, walk_occupied
 from .words import Word, blocks, multinomial, orbit_representative, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
@@ -240,8 +234,8 @@ def count_words_to_set(
     (`walk_occupied`) unless a `backend` is named; a rule that branches
     on the way to S raises ValueError. Otherwise, and with "brute", every
     word with letters in S is run: "numpy" (the default) grows them all
-    on `grow_runs`, asking the rule once per node and letter, and counts
-    those whose last node is S; "python" runs each word on the per-word
+    on the prefix-growth engine (`count_landing`), asking the rule once
+    per node and letter; "python" runs each word on the per-word
     engine. Either raises ValueError if any word's run branches. pad>0
     widens that alphabet to the full interval [min(S)-pad, max(S)+pad],
     gaps included, which re-verifies the claim above empirically.
@@ -277,12 +271,8 @@ def count_words_to_set(
 
     alphabet = range(min(target) - pad, max(target) + pad + 1) if pad else sorted(target)
     check_budget(f"words over {len(alphabet)} letters", len(alphabet) ** n * n, cap)
-    # numpy indexes the words with int64, even with the budget lifted
+    # numpy counts the words in int64, even with the budget lifted
     _kernels.radix_weights(len(alphabet), n)
     if _kernels.resolve_backend(backend) == "python":
         return sum(run(p, word).spots == target for word in product(alphabet, repeat=n))
-    _, _, sure, ids, nodes = grow_runs(p, n, alphabet, None)
-    refuse_branching(p, sure)
-    # the last node of a run that never branched is a point mass of weight 1
-    lands = np.array([next(iter(node))[0] == target for node in nodes], bool)
-    return int(np.count_nonzero(lands[ids]))
+    return count_landing(p, alphabet, target)

@@ -178,7 +178,7 @@ def orbit_parking_mass(
     """
     _check_runs(pp, r, cap)
     base = r + 1
-    words, _, _, ids, nodes = grow_runs(pp, r, range(1, r + 1), frozenset(range(1, r + 1)))
+    words, _, ids, nodes = grow_runs(pp, r, range(1, r + 1), frozenset(range(1, r + 1)))
     node_mass = [sum(weight for weight, _ in node.values()) for node in nodes]
     keys = ((words[:, 1:] - words[:, :1]) % base) @ _kernels.radix_weights(base, r - 1)
     pairs, counts = np.unique(keys * len(nodes) + ids, return_counts=True)
@@ -308,7 +308,7 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
     steps = sum((r + 1) ** r * r for r in range(1, r_max + 1))
     check_budget(f"abelian check up to length {r_max}", steps, WORK_BUDGET)
     for r in range(1, r_max + 1):
-        words, _, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
+        words, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
         seen: dict = {}
         marks = [seen.setdefault(frozenset(_occupancy(n).items()), len(seen)) for n in nodes]
         classes = np.array(marks)[ids]

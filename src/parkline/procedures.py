@@ -12,7 +12,8 @@ weighted (occupied set, rule state) pairs: `probabilistic.measure`
 follows a word's choices with it, `walk_occupied` sums the weights of
 runs ending on a spot set, and `grow_runs`, the one prefix-growth engine,
 grows words as numpy arrays, merging prefixes whose measures agree.
-`parking_runs` is that engine over the parking words of length r.
+`parking_runs` is that engine over the parking words of length r, and
+`count_landing` counts on it the words whose run ends on a spot set.
 """
 
 from __future__ import annotations
@@ -247,10 +248,57 @@ def _spot_dtype(letters: Sequence[int], r: int) -> np.dtype:
     return np.min_scalar_type(-bound - 1)
 
 
+def _point_mass(measure: dict) -> frozenset | None:
+    """The occupied set of a measure that is one (occupied set, state)
+    pair of weight 1, else None."""
+    ((occ, _), (weight, _)), *more = measure.items()
+    return None if more or weight != 1 else occ
+
+
+def _branch_error(p: Procedure) -> ValueError:
+    return ValueError(f"{p.name}: a decision branches; measure() follows both choices")
+
+
+def _first_level(p: Procedure) -> tuple[list, list, list]:
+    init = p.init_state()
+    return [{(frozenset(), state_key(init)): (1, init)}], [()], [0]
+
+
+def _grow_level(p, nodes, histories, sums, letters, inside):
+    """One car's step of `grow_runs` from every node of a level and every
+    letter: the next level `(nodes, histories, sums)` and, one entry per
+    (node, letter) pair row by row, the next node's id (-1 where the
+    measure left inside is empty) and the car's spot (0 where the step was
+    not sure). A step is sure if it goes from a point mass of weight 1 to
+    another; `sums` holds the sum of such a node's occupied spots, else
+    None, so a car's spot is the difference."""
+    walks = p.can_walk
+    index: dict = {}
+    nodes_next, histories_next, sums_next, next_node, spot_of = [], [], [], [], []
+    for node, history, total in zip(nodes, histories, sums):
+        for a in letters:
+            nxt = merge_step(p, node, (a,), inside, history)
+            if not nxt:
+                next_node.append(-1)
+                spot_of.append(0)
+                continue
+            key = frozenset([(k, v[0]) for k, v in nxt.items()]) if walks else history + (a,)
+            j = index.setdefault(key, len(nodes_next))
+            if j == len(nodes_next):
+                nodes_next.append(nxt)
+                histories_next.append(() if walks else key)
+                occ = _point_mass(nxt)
+                sums_next.append(None if occ is None else sum(occ))
+            after = sums_next[j]
+            next_node.append(j)
+            spot_of.append(0 if total is None or after is None else after - total)
+    return (nodes_next, histories_next, sums_next), next_node, spot_of
+
+
 def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | None):
     """Every word of length r over `letters` that keeps some weight inside
     `inside` (every word when it is None), grown one car (level) at a
-    time: `(words, parked, sure, ids, nodes)`.
+    time: `(words, parked, ids, nodes)`.
 
     A prefix's node is its `merge_step` level, its measure restricted to
     `inside`. Prefixes whose measures are the same ((occupied set, state
@@ -260,61 +308,73 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
     gets the real one and keys its nodes on it, growing prefix by prefix.
 
     `words` and `parked` are (m, r) arrays in lexicographic order, of the
-    smallest signed int type that holds every spot. `sure[k]` says whether
-    every step of word k went from a point mass of weight 1 to another,
-    that is, whether its run never branched; if so, `parked[k]` holds each
-    car's spot (0 at a step that was not sure). A run can branch and merge
-    back into a point mass, so neither `parked` nor the last node tells
-    this. `ids` gives each word's node in `nodes`, the last level.
+    smallest signed int type that holds every spot; `parked` is each
+    car's spot while every step went from a point mass of weight 1 to
+    another, and 0 from the first car whose step did not: a branch where 0
+    can be a spot shows in neither `parked` nor the last node, since a
+    run can branch and merge back into a point mass. `ids` gives each
+    word's node in `nodes`, the last level.
     """
-    walks = p.can_walk
-    init = p.init_state()
-    nodes, histories = [{(frozenset(), state_key(init)): (1, init)}], [()]
-    # the sum of a node's occupied spots if it is a point mass of weight 1,
-    # else None: a car's spot is the difference
-    sums: list = [0]
+    level = _first_level(p)
     ids = np.zeros(1, np.int32)
     dtype = _spot_dtype(letters, r)
     words = parked = np.zeros((1, 0), dtype)
-    sure = np.ones(1, bool)
     for _ in range(r):
-        index: dict = {}
-        nodes_next, histories_next, sums_next, table = [], [], [], []
-        for node, history, total in zip(nodes, histories, sums):
-            for a in letters:
-                nxt = merge_step(p, node, (a,), inside, history)
-                if not nxt:
-                    table.append((-1, 0, 0))
-                    continue
-                key = frozenset([(k, v[0]) for k, v in nxt.items()]) if walks else history + (a,)
-                j = index.setdefault(key, len(nodes_next))
-                if j == len(nodes_next):
-                    nodes_next.append(nxt)
-                    histories_next.append(() if walks else key)
-                    ((occ, _), (weight, _)), *more = nxt.items()
-                    sums_next.append(None if more or weight != 1 else sum(occ))
-                after = sums_next[j]
-                if total is None or after is None:
-                    table.append((j, 0, 0))
-                else:
-                    table.append((j, after - total, 1))
-        table = np.array(table, np.int64).reshape(len(nodes), len(letters), 3)
-        next_node, spot_of, sure_of = table[..., 0], table[..., 1].astype(dtype), table[..., 2] == 1
+        shape = (len(level[0]), len(letters))
+        level, next_node, spot_of = _grow_level(p, *level, letters, inside)
+        next_node = np.array(next_node, np.int32).reshape(shape)
+        spot_of = np.array(spot_of, dtype).reshape(shape)
         # nonzero scans row by row, so prefixes stay in lexicographic order
         rows, cols = np.nonzero((next_node >= 0)[ids])
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
         words = np.column_stack((words[rows], np.array(letters, dtype)[cols]))
         parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
-        sure = sure[rows] & sure_of[from_ids, cols]
-        nodes, histories, sums = nodes_next, histories_next, sums_next
-    return words, parked, sure, ids, nodes
+    return words, parked, ids, level[0]
 
 
-def refuse_branching(p: Procedure, sure: np.ndarray) -> None:
-    """Raise ValueError unless every run of `grow_runs` was sure."""
-    if not sure.all():
-        raise ValueError(f"{p.name}: a decision branches; measure() follows both choices")
+def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> int:
+    """Number of words of length |target| over `letters` whose run ends on
+    exactly `target`: `grow_runs` with nothing dropped, carrying each
+    node's number of prefixes instead of the prefixes, and each last
+    (node, letter) step's landing flag instead of the last level. Raises
+    ValueError if any run branches.
+
+    A rule that cannot walk keys each prefix on its history, so no two
+    merge: its words are grown one first letter at a time, and only one
+    subtree's level is live."""
+    cars = len(target)
+    if p.can_walk or cars == 1:
+        return _count_from(p, _first_level(p), letters, target, cars)
+    firsts, _, _ = _grow_level(p, *_first_level(p), letters, None)
+    return sum(
+        _count_from(p, ([node], [history], [total]), letters, target, cars - 1)
+        for node, history, total in zip(*firsts)
+    )
+
+
+def _count_from(p: Procedure, level, letters, target: frozenset, cars: int) -> int:
+    """`count_landing` from the nodes of `level`, one prefix each, after
+    `cars` more cars."""
+    counts = np.ones(len(level[0]), np.int64)
+    for _ in range(cars - 1):
+        level, next_node, _ = _grow_level(p, *level, letters, None)
+        # every node is reached, and a run that never branched keeps to
+        # point masses of weight 1
+        if None in level[2]:
+            raise _branch_error(p)
+        # nothing is dropped, so every (node, letter) pair has a next node
+        spread = np.zeros(len(level[0]), np.int64)
+        np.add.at(spread, next_node, np.repeat(counts, len(letters)))
+        counts = spread
+    lands = 0
+    for node, history, count in zip(level[0], level[1], counts.tolist()):
+        for a in letters:
+            occ = _point_mass(merge_step(p, node, (a,), None, history))
+            if occ is None:
+                raise _branch_error(p)
+            lands += count * (occ == target)
+    return lands
 
 
 def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +382,10 @@ def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
     (m, r) arrays `(words, parked)` in lexicographic order: `grow_runs`
     over {1..r}, since a car parked outside never leaves. A rule whose
     decision branches raises ValueError."""
-    words, parked, sure, _, _ = grow_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
-    refuse_branching(p, sure)
+    words, parked, _, _ = grow_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
+    # 0 is no spot in {1..r}: it marks a step that was not sure
+    if not parked.all():
+        raise _branch_error(p)
     return words, parked
 
 

@@ -7,8 +7,9 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,6 +23,7 @@ from conftest import (
 from parkline import _kernels
 from parkline.enumeration import count_parking, count_words_to_set, expected_parking_count
 from parkline.procedures import (
+    LEFT,
     RIGHT,
     Direction,
     DirTable,
@@ -43,10 +45,8 @@ TABLE_PROCS += [
 
 def grown(p, r, letters):
     """Every word of length r over `letters`, grown with nothing dropped:
-    `(words, parked)` as lists of tuples, after checking that no run
-    branched."""
-    words, parked, sure, _, _ = grow_runs(p, r, letters, None)
-    assert sure.all()
+    `(words, parked)` as lists of tuples."""
+    words, parked, _, _ = grow_runs(p, r, letters, None)
     return list(map(tuple, words.tolist())), list(map(tuple, parked.tolist()))
 
 
@@ -89,6 +89,8 @@ class TestRadixOverflow:
     def test_lifted_budget_refuses_before_any_decision(self):
         with pytest.raises(_kernels.RadixOverflowError):
             count_words_to_set(builtin("right"), range(1, 17), "brute", cap=None)
+        # 16^15 - 1 still fits: the guard refuses no earlier than it must
+        assert _kernels.radix_weights(16, 15)[0] == 16**14
 
         def refuse(*args):
             raise AssertionError("decide called")
@@ -137,20 +139,39 @@ def dir_tables(draw):
 
 
 @st.composite
-def windows(draw):
-    """A length and a window of letters inside -8..10."""
-    length = draw(st.integers(1, 5))
-    width = draw(st.integers(1, 4))
-    lo = draw(st.integers(-8, 11 - width))
-    return length, range(lo, lo + width)
+def word_samples(draw):
+    """A window of up to 7 letters inside -8..10 and up to 12 words of one
+    length, 1 to 6, over it."""
+    length = draw(st.integers(1, 6))
+    lo = draw(st.integers(-8, 4))
+    letters = range(lo, lo + draw(st.integers(1, 7)))
+    word = st.lists(st.sampled_from(letters), min_size=length, max_size=length)
+    return letters, draw(st.lists(word.map(tuple), min_size=1, max_size=12))
+
+
+# car 6 of (1, 2, 3, 4, 5, 3) is bumped off the block 1..5 and reads row 5
+FIVE_BLOCK = DirTable(tuple((RIGHT,) * r for r in range(1, 5)) + ((LEFT,) * 5, (RIGHT,) * 6), RIGHT)
 
 
 class TestRandomTables:
-    @given(table=dir_tables(), space=windows())
+    @given(table=dir_tables(), sample=word_samples())
+    @example(table=FIVE_BLOCK, sample=(range(1, 7), [(1, 2, 3, 4, 5, 3)]))
     @settings(max_examples=60, deadline=None)
-    def test_kernel_engine_and_oracle_agree(self, table, space):
-        length, letters = space
-        assert_engines_agree(table_procedure(table), length, letters, "table", table)
+    def test_kernel_engine_and_oracle_agree(self, table, sample):
+        # the whole space is grown; the sampled words' rows are checked
+        letters, sample_words = sample
+        p = table_procedure(table)
+        r = len(sample_words[0])
+        words, parked, _, _ = grow_runs(p, r, letters, None)
+        # words come in lexicographic order, so a word's row is its radix index
+        rows = (np.array(sample_words) - letters[0]) @ _kernels.radix_weights(len(letters), r)
+        for word, k in zip(sample_words, rows.tolist()):
+            assert tuple(words[k].tolist()) == word
+            spots = parked[k].tolist()
+            assert list(run(p, word).parked) == spots, word
+            assert oracle_run("table", word, table=table)[1] == spots, word
+        if table == FIVE_BLOCK:
+            assert parked[rows[0]].tolist() == [1, 2, 3, 4, 5, 0]
 
     @given(table=dir_tables())
     @settings(max_examples=10, deadline=None)
@@ -221,9 +242,9 @@ class TestBranching:
             return Fraction(1, 2) if blk.size == 1 else RIGHT
 
         p = Procedure("merge-back", decide=decide)
-        words, parked, sure, ids, nodes = grow_runs(p, 3, [0, 1, 2], None)
+        words, parked, ids, nodes = grow_runs(p, 3, [0, 1, 2], None)
         k = words.tolist().index([1, 1, 0])
-        assert not sure[k] and parked[k].tolist() == [1, 0, 0]
+        assert parked[k].tolist() == [1, 0, 0]
         assert nodes[ids[k]] == {(frozenset({0, 1, 2}), None): (1, None)}
         for backend in ("numpy", "python"):
             with pytest.raises(ValueError, match="merge-back: a decision branches"):

@@ -215,7 +215,7 @@ def test_measure_nodes_equal_history_nodes():
     ids=lambda x: getattr(x, "name", x),
 )
 def test_prefixes_merge_on_equal_measures(pp, nodes):
-    words, _, _, ids, last = grow_runs(pp, 6, range(1, 7), frozenset(range(1, 7)))
+    words, _, ids, last = grow_runs(pp, 6, range(1, 7), frozenset(range(1, 7)))
     assert len(last) == nodes and len(words) > 100 * nodes
     assert sorted(set(ids.tolist())) == list(range(nodes))
 
@@ -223,7 +223,7 @@ def test_prefixes_merge_on_equal_measures(pp, nodes):
 @pytest.mark.parametrize("pp", PROB_RULES, ids=ids)
 def test_unfiltered_nodes_are_the_measures(pp):
     for r in range(1, 4):
-        words, _, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
+        words, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
         assert words.tolist() == [list(w) for w in word_space(r)]
         for word, i in zip(words.tolist(), ids.tolist()):
             occupancy: dict = {}
