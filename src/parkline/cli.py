@@ -33,7 +33,7 @@ from .forests import (
     fiber_counts_brute,
     iter_tree_shapes,
     pair_to_json,
-    shape_count,
+    shape_counts,
     total_displacement,
 )
 from .probabilistic import (
@@ -203,7 +203,7 @@ def cmd_prob(args) -> Report:
 
 def cmd_fibers(args) -> Report:
     p = _resolve_proc(args)
-    if not (p.is_memoryless and p.is_locally_decided):
+    if not p.decides_by_block:
         raise InputError(f"{p.name} is not memoryless+locally decided; no fiber formula")
     if args.sigma is not None:
         sigmas = [_parse_word(args.sigma)]
@@ -219,14 +219,12 @@ def cmd_fibers(args) -> Report:
         {"sigma": word_str(s), "formula": f, "brute": brute.get(s, 0)}
         for s, f in zip(sigmas, fiber_counts(p, sigmas))
     ]
-    shape_counts = sorted(
-        (shape_count(p, t) for t in iter_tree_shapes(args.r)), reverse=True
-    )
+    shapes = sorted(shape_counts(p, iter_tree_shapes(args.r)), reverse=True)
     results = {
         "fibers": table,
         "formula_total": sum(row["formula"] for row in table),
-        "shape_counts": shape_counts,
-        "shape_total": sum(shape_counts),
+        "shape_counts": shapes,
+        "shape_total": sum(shapes),
     }
     return Report(
         command="fibers",

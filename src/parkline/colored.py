@@ -103,14 +103,25 @@ def colored_lbs_procedure() -> Procedure:
     )
 
 
-def colored_run(p: Procedure, word: Iterable) -> RunResult:
-    """Run with occupancy keyed on letter values."""
+def language_word(p: Procedure, word: Iterable) -> ColoredWord:
+    """`word`, of colored letters or (value, color) pairs, as colored
+    letters; UndefinedRuleError if it lies outside the rule's language."""
     word = tuple(
         a if isinstance(a, ColoredLetter) else ColoredLetter(*a) for a in word
     )
     if p.language is not None and not p.language.contains(word):
         raise UndefinedRuleError(f"word outside language {p.language.name!r}")
-    return run_engine(p, word, value_of=lambda a: a.value)
+    return word
+
+
+def letter_value(a: ColoredLetter) -> int:
+    """The preferred spot of a colored letter: its value."""
+    return a.value
+
+
+def colored_run(p: Procedure, word: Iterable) -> RunResult:
+    """Run with occupancy keyed on letter values."""
+    return run_engine(p, language_word(p, word), value_of=letter_value)
 
 
 def colored_shift(word: ColoredWord, k: int) -> ColoredWord:

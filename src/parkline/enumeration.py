@@ -2,7 +2,11 @@
 universality checks, cyclic-orbit audits, and the shuffle decomposition
 of words landing on a given spot set.
 
-Counts walk (occupied set, rule state) pairs (`procedures.walk_occupied`).
+A rule that decides by block (memoryless and locally decided) counts by
+the interval DP over the forest encoding (`interval_weight`): the words
+landing on a block are summed over the decreasing trees of their runs,
+in time polynomial in the block size. Any other rule walks (occupied
+set, rule state) pairs (`procedures.walk_occupied`).
 Orbit audits read the parking words from `procedures.parking_runs`, which
 grows them level by level over the same pairs as numpy arrays, so the
 rule is consulted once per pair and letter, not once per prefix.
@@ -12,11 +16,15 @@ the same engine by default (`procedures.count_landing`, which carries
 each node's number of prefixes instead of the words), or word by word on
 the per-word engine with `backend="python"`.
 Every query estimates its work in car steps before any car is placed and
-is refused beyond one budget, `WORK_BUDGET` (see `check_budget`).
+is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
+count and mass reports the path it takes and that estimate in one DEBUG
+record on the `parkline` logger (`take_path`).
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
@@ -24,11 +32,13 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .procedures import Procedure, count_landing, parking_runs, run, walk_occupied
+from .procedures import Procedure, branches, count_landing, parking_runs, run, walk_occupied
 from .words import Word, blocks, multinomial, orbit_representative, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
 WORK_BUDGET = 10_000_000
+
+log = logging.getLogger("parkline")
 
 
 class CapExceededError(RuntimeError):
@@ -48,14 +58,103 @@ def check_budget(path: str, steps: int, cap: int | None) -> None:
         )
 
 
+def take_path(kind: str, path: str, steps: int, cap: int | None) -> None:
+    """Report the path a count or mass takes, one of "interval DP", "walk",
+    "engine" or "per-word", with its estimate in one DEBUG record on the
+    `parkline` logger (fields `path`, `estimate` and `budget`), then check
+    the estimate against the budget."""
+    log.debug(
+        "%s: %s, %s car steps estimated, budget %s",
+        kind, path, f"{steps:,}", "lifted" if cap is None else f"{cap:,}",
+        extra={"path": kind, "estimate": steps, "budget": cap},
+    )
+    check_budget(path, steps, cap)
+
+
 def walk_weight(p: Procedure, target: frozenset, cap: int | None):
     """Total weight of the runs of `p` ending on exactly `target` (`walk_occupied`),
     estimated at 2^n * n car steps over n spots before any car is placed; a rule
     state can multiply the pairs, so the walk also counts its steps car by car."""
     n = len(target)
     path = f"walk over {n} spots"
-    check_budget(path, 2**n * n, cap)
+    take_path("walk", path, 2**n * n, cap)
     return walk_occupied(target, p, lambda steps: check_budget(path, steps, cap))
+
+
+def block_sides(p: Procedure, a: int, b: int) -> tuple:
+    """(R, L): the right- and left-probabilities of a car preferring j,
+    summed over every j in [a, b], while exactly [a, b] is occupied, as
+    `branches` gives them with the rule's initial state and an empty
+    history. For a deterministic rule they count the preferences bumped
+    right and left: ints, unless some decision branches."""
+    occupied = frozenset(range(a, b + 1))
+    init = p.init_state()
+    right = left = 0
+    for j in range(a, b + 1):
+        for spot, weight in branches(p, init, (), occupied, j, j):
+            if spot > j:
+                right += weight
+            else:
+                left += weight
+    return right, left
+
+
+def interval_weight(p: Procedure, target: frozenset, cap: int | None):
+    """Total weight of the runs of `p` ending on exactly `target`, summed
+    over the forest encoding instead of words or occupied sets.
+
+    The last car to park on a block [lo, hi] takes some spot k, the root of
+    the block's decreasing tree. The cars before it landed on [lo, k-1] and
+    [k+1, hi], which stay apart, in any of C(hi-lo, k-lo) interleavings, and
+    the last car preferred k itself, a spot of [lo, k-1] bumped right or a
+    spot of [k+1, hi] bumped left. With R and L from `block_sides`:
+
+        F(lo, hi) = sum_k C(hi-lo, k-lo) * (1 + R(lo, k-1) + L(k+1, hi))
+                    * F(lo, k-1) * F(k+1, hi),       F(empty) = 1,
+
+    and the blocks of `target` interleave likewise, each taken at its own
+    position, so the weight is the multinomial of the block sizes times F
+    of each block. Int weights give an exact count and Fraction weights an
+    exact mass.
+
+    This holds only if every decision depends on nothing but the letter and
+    the block it lands on. The DP trusts the flags `Procedure.decides_by_block`
+    reads, just as the walk trusts `can_walk`. Its work is estimated at
+    n^4 car steps per block of n spots, before the first probe: about
+    n^3/6 products whose operands grow with n.
+    """
+    parts = blocks(target)
+    take_path(
+        "interval DP",
+        f"interval DP over {len(target)} spots",
+        sum(b.size**4 for b in parts),
+        cap,
+    )
+    total = multinomial([b.size for b in parts])
+    for b in parts:
+        total *= _block_weight(p, b.lo, b.size)
+    return total
+
+
+def _block_weight(p: Procedure, lo: int, n: int):
+    """F(lo, lo+n-1) of `interval_weight`. Intervals are taken half-open in
+    offsets from lo: [i, j) holds the spots lo+i .. lo+j-1."""
+    right = [[0] * (n + 1) for _ in range(n + 1)]
+    left = [[0] * (n + 1) for _ in range(n + 1)]
+    # the whole block is never a side: no car comes after the last
+    for i in range(n):
+        for j in range(i + 1, n + 1 if i else n):
+            right[i][j], left[i][j] = block_sides(p, lo + i, lo + j - 1)
+    f = [[1] * (n + 1) for _ in range(n + 1)]
+    for size in range(1, n + 1):
+        comb = [math.comb(size - 1, t) for t in range(size)]
+        for i in range(n - size + 1):
+            j = i + size
+            f[i][j] = sum(
+                comb[k - i] * (1 + right[i][k] + left[k + 1][j]) * f[i][k] * f[k + 1][j]
+                for k in range(i, j)
+            )
+    return f[0][n]
 
 
 def expected_parking_count(r: int) -> int:
@@ -79,7 +178,7 @@ def _check_runs(p: Procedure, r: int, cap: int | None) -> None:
     table's rows, the budget, and int64 word indices, kept if the budget is lifted."""
     _check_r(r)
     _check_strict(p, r)
-    check_budget(f"parking runs of length {r}", r**r * r, cap)
+    take_path("engine", f"parking runs of length {r}", r**r * r, cap)
     _kernels.radix_weights(r + 1, r)
 
 
@@ -91,7 +190,7 @@ def count_parking(
     backend: str | None = None,
 ) -> int:
     """Number of words of length r whose run occupies exactly {1..r}: the
-    spot set {1..r} of `count_words_to_set`, walked or enumerated alike."""
+    spot set {1..r} of `count_words_to_set`, on the same paths."""
     _check_r(r)
     return count_words_to_set(p, range(1, r + 1), cap=cap, backend=backend)
 
@@ -229,23 +328,26 @@ def count_words_to_set(
     """Number of words of length |S| whose run occupies exactly S.
 
     Every word landing exactly on S has all its letters in S: a letter
-    outside the final set would park there and stay. By default a rule
-    that `can_walk` walks (occupied subset of S, rule state) pairs
-    (`walk_occupied`) unless a `backend` is named; a rule that branches
-    on the way to S raises ValueError. Otherwise, and with "brute", every
-    word with letters in S is run: "numpy" (the default) grows them all
-    on the prefix-growth engine (`count_landing`), asking the rule once
-    per node and letter; "python" runs each word on the per-word
-    engine. Either raises ValueError if any word's run branches. pad>0
-    widens that alphabet to the full interval [min(S)-pad, max(S)+pad],
-    gaps included, which re-verifies the claim above empirically.
-    "formula" multiplies shuffle counts with per-block parking counts and
-    requires a local procedure.
+    outside the final set would park there and stay. By default, unless a
+    `backend` is named, a rule that `decides_by_block` sums the forest
+    encoding over S's blocks (`interval_weight`), and any other rule that
+    `can_walk` walks (occupied subset of S, rule state) pairs
+    (`walk_occupied`); a rule that branches on the way to S raises
+    ValueError. Otherwise, and with "brute", every word with letters in S
+    is run: "numpy" (the default) grows them all on the prefix-growth
+    engine (`count_landing`), asking the rule once per node and letter;
+    "python" runs each word on the per-word engine. Either raises
+    ValueError if any word's run branches. pad>0 widens that alphabet to
+    the full interval [min(S)-pad, max(S)+pad], gaps included, which
+    re-verifies the claim above empirically. "formula" multiplies shuffle
+    counts with per-block parking counts and requires a local procedure.
     """
     if via not in (None, "brute", "formula"):
         raise ValueError(f"unknown mode {via!r}")
-    walk = via is None and p.can_walk and backend is None
-    if pad and (walk or via == "formula"):
+    default = via is None and backend is None
+    dp = default and p.decides_by_block
+    walk = default and p.can_walk and not dp
+    if pad and (dp or walk or via == "formula"):
         raise ValueError("pad widens the alphabet of word enumeration only")
     target = frozenset(spots)
     n = len(target)
@@ -262,15 +364,20 @@ def count_words_to_set(
         return out
 
     _check_strict(p, n)
-    if walk:
-        count = walk_weight(p, target, cap)
+    if dp or walk:
+        count = interval_weight(p, target, cap) if dp else walk_weight(p, target, cap)
         # a run weighs an int 1 unless one of its decisions branched
         if type(count) is not int:
             raise ValueError(f"{p.name} branches; total_parking_mass weighs its runs")
         return count
 
     alphabet = range(min(target) - pad, max(target) + pad + 1) if pad else sorted(target)
-    check_budget(f"words over {len(alphabet)} letters", len(alphabet) ** n * n, cap)
+    take_path(
+        "per-word" if backend == "python" else "engine",
+        f"words over {len(alphabet)} letters",
+        len(alphabet) ** n * n,
+        cap,
+    )
     # numpy counts the words in int64, even with the budget lifted
     _kernels.radix_weights(len(alphabet), n)
     if _kernels.resolve_backend(backend) == "python":

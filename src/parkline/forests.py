@@ -18,6 +18,9 @@ i on its subtree span [lo, hi] in the decreasing tree of sigma. That
 span needs no tree: it runs from just past the nearest larger arrival
 left of spot i to just before the nearest larger arrival right of it.
 `fiber_counts` reads the spans of a whole batch of outcomes this way.
+A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
+preferences bumped right and left off a block (`enumeration.block_sides`);
+each call probes each block once and keeps nothing after it returns.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .enumeration import WORK_BUDGET, _check_runs
+from .enumeration import WORK_BUDGET, _check_runs, block_sides
 from .procedures import Direction, Procedure, dir_of_set, parking_runs, run
 from .words import Block, SpotSet, Word, as_word, blocks
 
@@ -201,8 +203,32 @@ def is_decreasing(pair: ForestPair) -> bool:
 
 
 def _check_label_rule(p: Procedure) -> None:
-    if not (p.is_memoryless and p.is_locally_decided):
-        raise ValueError(f"{p.name} must be memoryless and locally decided")
+    if not p.decides_by_block:
+        raise ValueError(f"{p.name} must be memoryless and locally decided, keeping no state")
+
+
+def _label_sizes(p: Procedure) -> Callable[[int, int, int], int]:
+    """Label-set size of `node` on the span [lo, hi] for one call: the
+    returned function probes each block's `block_sides` once and keeps
+    them, and goes with the call. A rule whose decisions branch on a block
+    has no label sets and raises ValueError."""
+    _check_label_rule(p)
+    sides: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def side(a: int, b: int) -> tuple[int, int]:
+        if a > b:
+            return 0, 0
+        got = sides.get((a, b))
+        if got is None:
+            got = sides[a, b] = block_sides(p, a, b)
+            if type(got[0]) is not int or type(got[1]) is not int:
+                raise ValueError(f"{p.name}: a decision branches; it has no label sets")
+        return got
+
+    def size(node: int, lo: int, hi: int) -> int:
+        return 1 + side(lo, node - 1)[0] + side(node + 1, hi)[1]
+
+    return size
 
 
 def label_set(p: Procedure, node: int, lo: int, hi: int) -> frozenset[int]:
@@ -263,16 +289,16 @@ def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]]) -> list[int]:
     words with that outcome, the product over spots i of the label-set
     size of i on its subtree span (see `_spans`). The spans are read off
     the batch without building any tree, and each distinct (spot, span)
-    is probed once through the label-set cache."""
+    is sized once, from block sides probed once per call."""
     s = _as_sigmas(sigmas)
-    _check_label_rule(p)
+    label_size = _label_sizes(p)
     m, r = s.shape
     lo, hi = _spans(s)
     keys = (np.arange(1, r + 1) * (r + 1) + lo) * (r + 1) + hi
     uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
     node, rest = np.divmod(uniq, (r + 1) ** 2)
     sizes = [
-        _label_set_size(p, *key)
+        label_size(*key)
         for key in zip(node.tolist(), (rest // (r + 1)).tolist(), (rest % (r + 1)).tolist())
     ]
     # a label set lies inside its span, and the subtree sizes of an r-node
@@ -288,11 +314,6 @@ def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
     index of the car at spot i): the product of the label-set sizes of
     the spots on their subtree spans, as `fiber_counts` computes it."""
     return fiber_counts(p, [sigma])[0]
-
-
-@lru_cache(maxsize=512)
-def _label_set_size(p: Procedure, node: int, lo: int, hi: int) -> int:
-    return len(label_set(p, node, lo, hi))
 
 
 def fiber_counts_brute(
@@ -325,15 +346,21 @@ def decreasing_labelings_count(t: Tree | None) -> int:
     )
 
 
+def shape_counts(p: Procedure, trees: Iterable[Tree]) -> list[int]:
+    """Number of parking words of length size(t) whose pair has the tree t
+    as its shape (label-set product times decreasing labelings), for each
+    tree of a batch, from block sides probed once per call."""
+    label_size = _label_sizes(p)
+    return [
+        math.prod(label_size(node, lo, hi) for node, (lo, hi) in node_intervals(t, 1).items())
+        * decreasing_labelings_count(t)
+        for t in trees
+    ]
+
+
 def shape_count(p: Procedure, t: Tree) -> int:
-    """Number of parking words of length size(t) whose pair has this tree
-    as its shape (label-set product times decreasing labelings)."""
-    # a rule without label sets is refused before the cache is consulted
-    _check_label_rule(p)
-    labels = math.prod(
-        _label_set_size(p, node, lo, hi) for node, (lo, hi) in node_intervals(t, 1).items()
-    )
-    return labels * decreasing_labelings_count(t)
+    """`shape_counts` of one tree."""
+    return shape_counts(p, [t])[0]
 
 
 def iter_tree_shapes(r: int) -> Iterator[Tree | None]:

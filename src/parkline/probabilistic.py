@@ -8,14 +8,16 @@ is a Direction, 0 or 1, so every function here takes both. Everything is
 exact Fraction arithmetic; `procedures.branches` refuses floats. The
 branching run is expanded car by car with merging keyed on (occupied
 set, rule state) (`procedures.merge_step`), so distributions compare by
-strict equality. Orbit masses and abelianity checks grow all their
-words at once (`procedures.grow_runs`) and read each word's measure off
-its node: words whose prefixes share a measure share its work.
+strict equality. The total parking mass of a rule that decides by block
+sums the forest encoding over the intervals of {1..r}
+(`enumeration.interval_weight`), any other rule that can walk walks
+(occupied set, rule state) pairs. Orbit masses and abelianity checks grow
+all their words at once (`procedures.grow_runs`) and read each word's
+measure off its node: words whose prefixes share a measure share its work.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +26,15 @@ from typing import Any, Iterable
 import numpy as np
 
 from . import _kernels
-from .enumeration import WORK_BUDGET, _check_r, _check_runs, check_budget, walk_weight
+from .colored import language_word, letter_value
+from .enumeration import (
+    WORK_BUDGET,
+    _check_r,
+    _check_runs,
+    check_budget,
+    interval_weight,
+    walk_weight,
+)
 from .procedures import (
     Procedure,
     branches,
@@ -33,7 +43,7 @@ from .procedures import (
     parse_proc_spec,
     state_key,
 )
-from .words import SpotSet, Word, as_word, orbit_representative
+from .words import SpotSet, Word, as_word
 
 
 class _Infinity:
@@ -75,7 +85,8 @@ def q_integer(j: int, q: Fraction) -> Fraction:
     if isinstance(q, _Infinity):
         raise ValueError("q-integers diverge at q=inf; use pq_right_prob for ratios")
     q = Fraction(q)
-    return sum((q**e for e in range(j)), ZERO)
+    # the geometric sum in closed form: a pq rule asks for it at every decision
+    return Fraction(j) if q == 1 else (q**j - 1) / (q - 1)
 
 
 def pq_right_prob(r: int, i: int, q: QValue) -> Fraction:
@@ -115,23 +126,33 @@ def _occupancy(level: dict) -> dict[SpotSet, Fraction]:
     return dict(probs)
 
 
-def measure(pp: Procedure, word: Iterable[int]) -> Measure:
+def _letters(pp: Procedure, word: Iterable) -> tuple[tuple, Any]:
+    """The word's letters and the map from a letter to its preferred spot
+    (`merge_step`'s `value_of`): a colored rule, one with a `language`,
+    prefers each letter's value, as `colored_run` does; any other rule
+    takes integer letters."""
+    if pp.language is None:
+        return as_word(word), None
+    return language_word(pp, word), letter_value
+
+
+def measure(pp: Procedure, word: Iterable) -> Measure:
     """Exact distribution of the occupied set after the whole word.
 
     Branches agreeing on (occupied set, rule state) are merged with summed
-    weights.
+    weights. A colored rule takes a colored word (see `_letters`).
     """
-    word = as_word(word)
+    word, value_of = _letters(pp, word)
     init = pp.init_state()
     current = {(frozenset(), state_key(init)): (ONE, init)}
     for idx, a in enumerate(word):
-        current = merge_step(pp, current, (a,), None, word[:idx])
+        current = merge_step(pp, current, (a,), None, word[:idx], value_of)
     return Measure(_occupancy(current))
 
 
-def path_distribution(pp: Procedure, word: Iterable[int]) -> dict[tuple[int, ...], Fraction]:
+def path_distribution(pp: Procedure, word: Iterable) -> dict[tuple[int, ...], Fraction]:
     """Weight of every full parking trace (tuple of parked spots)."""
-    word = as_word(word)
+    word, value_of = _letters(pp, word)
     current: dict[tuple[int, ...], tuple[Fraction, Any]] = {
         (): (ONE, pp.init_state())
     }
@@ -140,7 +161,7 @@ def path_distribution(pp: Procedure, word: Iterable[int]) -> dict[tuple[int, ...
         for parked, (weight, state) in current.items():
             # a car's choices end on distinct occupied sets
             occ = frozenset(parked)
-            step = merge_step(pp, {(occ, None): (weight, state)}, (a,), None, word[:idx])
+            step = merge_step(pp, {(occ, None): (weight, state)}, (a,), None, word[:idx], value_of)
             nxt.update((parked + tuple(after - occ), value) for (after, _), value in step.items())
         current = nxt
     return {parked: weight for parked, (weight, _) in current.items()}
@@ -157,13 +178,18 @@ def total_parking_mass(
 ) -> Fraction:
     """Sum of parking probabilities over all words in {1..r+1}^r.
 
-    A rule that `can_walk` walks (occupied subset of {1..r}, rule state)
-    pairs with its branch probabilities as weights (`walk_occupied`); any
-    other rule sums its orbit masses (`orbit_parking_mass`).
+    The branch probabilities are the weights. A rule that
+    `decides_by_block` sums them over the forest encoding of {1..r}
+    (`interval_weight`); any other rule that `can_walk` walks (occupied
+    subset of {1..r}, rule state) pairs (`walk_occupied`); any other rule
+    sums its orbit masses (`orbit_parking_mass`).
     """
     _check_r(r)
+    spots = frozenset(range(1, r + 1))
+    if pp.decides_by_block:
+        return Fraction(interval_weight(pp, spots, cap))
     if pp.can_walk:
-        return Fraction(walk_weight(pp, frozenset(range(1, r + 1)), cap))
+        return Fraction(walk_weight(pp, spots, cap))
     return sum(orbit_parking_mass(pp, r, cap=cap).values(), ZERO)
 
 
@@ -180,7 +206,8 @@ def orbit_parking_mass(
     base = r + 1
     words, _, ids, nodes = grow_runs(pp, r, range(1, r + 1), frozenset(range(1, r + 1)))
     node_mass = [sum(weight for weight, _ in node.values()) for node in nodes]
-    keys = ((words[:, 1:] - words[:, :1]) % base) @ _kernels.radix_weights(base, r - 1)
+    weights = _kernels.radix_weights(base, r - 1)
+    keys = ((words[:, 1:] - words[:, :1]) % base) @ weights
     pairs, counts = np.unique(keys * len(nodes) + ids, return_counts=True)
     # each orbit has exactly one member starting with 1, whose letters
     # 2..r in radix r+1 are its key
@@ -188,8 +215,12 @@ def orbit_parking_mass(
     for pair, count in zip(pairs.tolist(), counts.tolist()):
         key, node = divmod(pair, len(nodes))
         masses[key] += count * node_mass[node]
-    rests = itertools.product(range(1, r + 2), repeat=r - 1)
-    return dict(sorted(zip((orbit_representative((1, *rest), r) for rest in rests), masses)))
+    # the r+1 rotations of a word start with distinct letters, so the
+    # member starting with 1 is the orbit's smallest rotation, its
+    # representative; keys ascend as representatives do
+    reps = np.ones((len(masses), r), np.int64)
+    reps[:, 1:] += (np.arange(len(masses))[:, None] // weights) % base
+    return dict(zip(map(tuple, reps.tolist()), masses))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ class Procedure:
         return self.is_shift_invariant and self.is_locally_decided
 
     @property
+    def decides_by_block(self) -> bool:
+        """Whether the rule is flagged memoryless and locally decided and
+        keeps no state: a bumped car's choice then depends only on its
+        letter and the block it lands on. Such a rule has label sets
+        (`forests.label_set`), and its counts and masses sum the forest
+        encoding block by block (`enumeration.interval_weight`); both trust
+        the two flags. A rule with an `update` keeps a state its decisions
+        may read, whatever its flags say, so it walks instead."""
+        return self.is_memoryless and self.is_locally_decided and self.update is None
+
+    @property
     def can_walk(self) -> bool:
         """Whether the rule is trusted to keep the walk contract: true for a
         rule flagged memoryless or having an `update`. Counts and masses then walk
@@ -193,22 +204,26 @@ def merge_step(
     letters: Iterable[int],
     inside: frozenset | None = None,
     history: Word = (),
+    value_of=None,
 ) -> dict:
     """One car's step of rule `p` over runs keyed by (occupied set,
     `state_key(state)`) with values (weight, state).
 
-    Every run takes each choice of a car preferring a, for every letter a
-    in `letters`: the free spot a, or the `branches` of `p` after
-    `history`. Choices outside the spot set `inside`, when given, are
-    dropped. Weights multiply along a run, and runs that agree on
-    (occupied, state key) afterwards are merged by adding their weights.
+    Every run takes each choice of a car with letter a, for every letter
+    a in `letters`: its preferred spot if free, or the `branches` of `p`
+    after `history`. `value_of` maps a letter to its preferred spot, as in
+    `run_engine` (identity for plain integer letters). Choices outside the
+    spot set `inside`, when given, are dropped. Weights multiply along a
+    run, and runs that agree on (occupied, state key) afterwards are
+    merged by adding their weights.
     """
     update = p.update
     nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
     for (occ, _), (weight, state) in level.items():
         for a in letters:
+            pref = a if value_of is None else value_of(a)
             # a free spot is a choice of weight 1
-            for spot, w in ((a, 1),) if a not in occ else branches(p, state, history, occ, a, a):
+            for spot, w in ((pref, 1),) if pref not in occ else branches(p, state, history, occ, a, pref):
                 if inside is not None and spot not in inside:
                     continue
                 st = state if update is None else update(state, a, spot)

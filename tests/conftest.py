@@ -9,6 +9,7 @@ block-edge formulation, so agreement is a real cross-check.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from parkline.procedures import Direction, DirTable, Procedure, table_procedure
 
@@ -99,6 +100,35 @@ def oracle_lbs_run(word) -> tuple[set[int], list[int]]:
         occ.add(spot)
         parked.append(spot)
     return occ, parked
+
+
+def oracle_mass(right_prob, spots) -> Fraction:
+    """Sum over every word with letters in `spots` of the probability that
+    its run ends on exactly `spots`, expanding every branch: a bumped car
+    scans for the free spots around its preference and goes right with
+    probability right_prob(size, i), for the `size` cars between them and
+    its preference at place i among them. A branch that parks a car
+    outside `spots` is dropped: that car never leaves."""
+    spots = frozenset(spots)
+
+    def expand(occ: frozenset, cars: int) -> Fraction:
+        if not occ <= spots:
+            return Fraction(0)
+        if cars == 0:
+            return Fraction(1)
+        total = Fraction(0)
+        for a in spots:
+            if a not in occ:
+                total += expand(occ | {a}, cars - 1)
+                continue
+            left = _nearest_free_left(occ, a)
+            right = _nearest_free_right(occ, a)
+            p = Fraction(right_prob(right - left - 1, a - left))
+            total += p * expand(occ | {right}, cars - 1)
+            total += (1 - p) * expand(occ | {left}, cars - 1)
+        return total
+
+    return expand(frozenset(), len(spots))
 
 
 def random_tables(count: int, r_max: int, seed: int) -> list[DirTable]:

@@ -35,10 +35,14 @@ class TestEnumerate:
 
     def test_cap_exit_2(self, capsys):
         # a walk over 30 spots is refused before any car is placed
-        code, _, err = invoke(capsys, "enumerate", "--proc", "right", "--r", "30")
+        code, _, err = invoke(capsys, "enumerate", "--proc", "lbs", "--r", "30")
         assert code == 2
         assert "cap" in err
-        assert "budget" in err and "32,212,254,720 car steps" in err
+        assert "budget" in err and "walk over 30 spots: 32,212,254,720 car steps" in err
+        # and so is an interval DP past 56 spots
+        code, _, err = invoke(capsys, "enumerate", "--proc", "right", "--r", "57")
+        assert code == 2
+        assert "interval DP over 57 spots: 10,556,001 car steps" in err
 
     def test_walk_within_budget(self, capsys):
         code, out, _ = invoke(
@@ -143,9 +147,12 @@ class TestProb:
         assert "requires parameter 'q'" in err
 
     def test_prob_cap(self, capsys):
-        code, _, err = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--mass", "30")
+        code, _, err = invoke(capsys, "prob", "--proc", "kwseq:qs=1/2", "--mass", "30")
         assert code == 2
-        assert "budget" in err
+        assert "budget" in err and "walk over 30 spots" in err
+        code, _, err = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--mass", "57")
+        assert code == 2
+        assert "budget" in err and "interval DP over 57 spots" in err
 
     def test_mass_walk_within_budget(self, capsys):
         code, out, _ = invoke(capsys, "prob", "--proc", "pq:q=2", "--mass", "6")

@@ -162,3 +162,25 @@ class TestColoredOrbits:
 def test_is_parking_colored():
     assert is_parking_colored(CLBS, [(2, 1), (1, 2)])
     assert not is_parking_colored(CLBS, [(2, 1), (3, 2)])
+
+
+class TestColoredMeasure:
+    def test_measure_is_the_point_mass_on_the_run(self):
+        from parkline.probabilistic import measure, path_distribution
+
+        word = colored_word([(1, "a"), (1, "b")])
+        assert measure(CLBS, word).probs == {frozenset({1, 2}): 1}
+        letters = [ColoredLetter(v, c) for v in (1, 2, 3) for c in (1, 2)]
+        for n in range(1, 4):
+            for word in itertools.product(letters, repeat=n):
+                if not DISTINCT.contains(word):
+                    continue
+                res = colored_run(CLBS, word)
+                assert measure(CLBS, word).probs == {res.spots: 1}, word
+                assert path_distribution(CLBS, word) == {res.parked: 1}, word
+
+    def test_measure_refuses_words_outside_the_language(self):
+        from parkline.probabilistic import measure
+
+        with pytest.raises(UndefinedRuleError, match="outside language"):
+            measure(CLBS, colored_word([(1, "a"), (1, "a")]))

@@ -1,22 +1,34 @@
 import itertools
+import logging
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkline.enumeration import (
+    WORK_BUDGET,
     CapExceededError,
     StrictTableError,
     check_universal,
     count_parking,
     count_words_to_set,
+    interval_weight,
     orbit_audit,
+    walk_weight,
 )
 from conftest import (
     alternating_rule,
     history_parity_rule,
     oracle_lbs_run,
+    oracle_mass,
+    oracle_run,
     random_dir_tables,
+    random_tables,
     state_parity_rule,
 )
+from parkline.forests import fiber_counts
+from parkline.probabilistic import INFINITY, kw_procedure, pq_procedure, total_parking_mass
 from parkline.procedures import (
     LEFT,
     RIGHT,
@@ -63,8 +75,12 @@ class TestCountParking:
             assert count_parking(p, r) == direct
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            count_parking(builtin("right"), 30)
+        # a walk over 30 spots, and an interval DP past 56 spots
+        with pytest.raises(CapExceededError, match="walk over 30 spots"):
+            count_parking(builtin("lbs"), 30)
+        with pytest.raises(CapExceededError, match="interval DP over 57 spots"):
+            count_parking(builtin("right"), 57)
+        assert count_parking(builtin("right"), 56) == 57**55
         with pytest.raises(ValueError):
             count_parking(builtin("right"), 0)
 
@@ -98,9 +114,10 @@ class TestWalk:
     def test_walk_equals_brute(self, p):
         for r in range(1, 7):
             brute = count_parking(p, r, backend="python" if r <= 4 else "numpy")
-            walked = count_parking(p, r)
-            assert type(walked) is int
-            assert walked == brute, (p.name, r)
+            counted = count_parking(p, r)
+            walked = walk_weight(p, frozenset(range(1, r + 1)), None)
+            assert type(counted) is int and type(walked) is int
+            assert counted == walked == brute, (p.name, r)
 
     def test_walk_beyond_word_cap(self):
         assert count_parking(builtin("right"), 12, cap=None) == 13**11
@@ -108,18 +125,33 @@ class TestWalk:
     def test_which_counts_walk(self, monkeypatch):
         import parkline.enumeration as enumeration
 
-        walks = []
-        real = enumeration.walk_occupied
+        walks, dps = [], []
+        real, real_dp = enumeration.walk_occupied, enumeration.interval_weight
         monkeypatch.setattr(
             enumeration,
             "walk_occupied",
             lambda target, *args, **kw: walks.append(target) or real(target, *args, **kw),
         )
-        assert count_parking(builtin("right"), 3) == 16
-        assert walks == [{1, 2, 3}]
+        monkeypatch.setattr(
+            enumeration,
+            "interval_weight",
+            lambda p, target, *args: dps.append(target) or real_dp(p, target, *args),
+        )
+        # memoryless, locally decided rules take the interval DP
+        decided = [parse_proc_spec(s) for s in ("right", "closest", "evenodd", "naples:k=2")]
+        for p in decided + random_dir_tables(2, 4, seed=5):
+            assert count_parking(p, 3) == count_parking(p, 3, backend="python"), p.name
+        assert dps == [{1, 2, 3}] * 6 and walks == []
+        dps.clear()
         for backend in ("numpy", "python"):
             assert count_parking(builtin("right"), 3, backend=backend) == 16
-        assert walks == [{1, 2, 3}]
+        assert dps == [] and walks == []
+        # memoryless rules that are not locally decided walk
+        for p in (builtin("far"), index_rule_procedure((RIGHT, LEFT, LEFT))):
+            walks.clear()
+            assert count_parking(p, 3) == count_parking(p, 3, backend="python")
+            assert walks == [{1, 2, 3}]
+        walks.clear()
         # rules with an `update` walk (occupied set, state) pairs
         for p in (builtin("lbs"), alternating_rule(), state_parity_rule()):
             for r in range(1, 6):
@@ -136,7 +168,7 @@ class TestWalk:
         for r, count in enumerate(counts, start=1):
             words = itertools.product(range(1, r + 2), repeat=r)
             assert count == sum(is_parking(history, w) for w in words)
-        assert walks == []
+        assert walks == [] and dps == []
         assert counts == [count_parking(state_parity_rule(), r) for r in range(1, 6)]
 
     def test_over_budget_refused_before_any_car(self, monkeypatch):
@@ -146,26 +178,171 @@ class TestWalk:
             raise AssertionError("no car may be placed over the budget")
 
         monkeypatch.setattr(enumeration, "walk_occupied", refuse)
+        monkeypatch.setattr(enumeration, "block_sides", refuse)
         monkeypatch.setattr(enumeration, "parking_runs", refuse)
-        with pytest.raises(CapExceededError, match="walk over 30 spots"):
-            count_parking(builtin("right"), 30)
+        with pytest.raises(CapExceededError, match="walk over 30 spots: 32,212,254,720 car steps"):
+            count_parking(builtin("lbs"), 30)
+        with pytest.raises(CapExceededError, match="interval DP over 57 spots: 10,556,001 car steps"):
+            count_parking(builtin("right"), 57)
+        # each block of a spot set is estimated on its own: 2 * 50^4
+        two_blocks = [*range(-60, -10), *range(1, 51)]
+        with pytest.raises(CapExceededError, match="interval DP over 100 spots: 12,500,000 car"):
+            count_words_to_set(builtin("naples", k=2), two_blocks)
         with pytest.raises(CapExceededError, match="words over 9 letters"):
             count_parking(builtin("right"), 9, backend="python")
         with pytest.raises(CapExceededError, match="parking runs of length 9"):
             orbit_audit(builtin("right"), 9)
 
     def test_walk_levels_count_against_budget(self):
-        # the estimate 2^6 * 6 = 384 bounds a memoryless walk; lbs visits
-        # 1+6+20+40+48+30 (occupied set, state) pairs, 870 car steps
+        # the estimate 2^6 * 6 = 384 bounds a memoryless walk (far is not
+        # locally decided, so it walks); lbs visits 1+6+20+40+48+30
+        # (occupied set, state) pairs, 870 car steps
         estimate = 2**6 * 6
-        assert count_parking(builtin("right"), 6, cap=estimate) == 7**5
+        assert count_parking(builtin("far"), 6, cap=estimate) == count_parking(builtin("far"), 6)
         with pytest.raises(CapExceededError, match="walk over 6 spots: 402 car steps"):
             count_parking(builtin("lbs"), 6, cap=estimate)
         assert count_parking(builtin("lbs"), 6, cap=870) == 7**5
+        # the interval DP over 6 spots is estimated at 6^4 car steps
+        with pytest.raises(CapExceededError, match="interval DP over 6 spots: 1,296 car steps"):
+            count_parking(builtin("right"), 6, cap=estimate)
+        assert count_parking(builtin("right"), 6, cap=6**4) == 7**5
 
     def test_caps_still_apply(self):
         with pytest.raises(CapExceededError):
-            count_parking(builtin("right"), 30)
+            count_parking(builtin("lbs"), 30)
+        with pytest.raises(CapExceededError):
+            count_parking(builtin("right"), 57)
+        assert count_parking(builtin("right"), 57, cap=None) == 58**56
+
+
+def _pq_right_prob(q):
+    """[i]/[size+1] of the q-deformed rule, from its definition."""
+
+    def right_prob(size, i):
+        if q is INFINITY:
+            return 0
+        return sum(q**e for e in range(i)) / sum(q**e for e in range(size + 1))
+
+    return right_prob
+
+
+SPOT_SETS = st.sets(st.integers(-2, 7), max_size=5)
+COINS = st.one_of(
+    st.tuples(st.just("pq"), st.fractions(0, 4, max_denominator=6)),
+    st.tuples(st.just("pq"), st.just(INFINITY)),
+    st.tuples(st.just("kw"), st.fractions(0, 1, max_denominator=6)),
+)
+
+
+class TestIntervalDP:
+    """The interval DP over the forest encoding against the walk, the brute
+    count and the conftest oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), SPOT_SETS)
+    def test_tables_equal_walk_brute_and_oracle(self, seed, spots):
+        [table] = random_tables(1, 5, seed)
+        p = table_procedure(table)
+        target = frozenset(spots)
+        counted = count_words_to_set(p, spots)
+        words = itertools.product(sorted(target), repeat=len(target))
+        oracle = sum(oracle_run("table", w, table=table)[0] == target for w in words)
+        assert type(counted) is int
+        walked = walk_weight(p, target, None) if target else 1
+        assert counted == walked == count_words_to_set(p, spots, "brute") == oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(COINS, st.integers(1, 6), SPOT_SETS)
+    def test_pq_and_kw_masses_equal_walk_and_oracle(self, coin, r, spots):
+        family, q = coin
+        pp = pq_procedure(q) if family == "pq" else kw_procedure(q)
+        full = frozenset(range(1, r + 1))
+        mass = total_parking_mass(pp, r)
+        assert type(mass) is Fraction
+        assert mass == walk_weight(pp, full, None) == (r + 1) ** (r - 1)
+        target = frozenset(spots)
+        right_prob = _pq_right_prob(q) if family == "pq" else lambda size, i: q
+        weight = interval_weight(pp, target, None)
+        assert weight == walk_weight(pp, target, None) == oracle_mass(right_prob, target)
+
+    def test_far_takes_the_walk(self, monkeypatch):
+        import parkline.enumeration as enumeration
+
+        far = builtin("far")
+        # far decides on the whole occupied set: the DP would count 16
+        assert interval_weight(far, frozenset({1, 2, 3}), None) == 16
+        monkeypatch.setattr(enumeration, "block_sides", None)
+        assert count_parking(far, 3) == walk_weight(far, frozenset({1, 2, 3}), None) == 14
+        assert total_parking_mass(far, 3) == 14
+
+    def test_lbs_never_reaches_block_sides(self, monkeypatch):
+        import parkline.enumeration as enumeration
+        import parkline.forests as forests
+
+        def refuse(*args):
+            raise AssertionError("lbs has no block sides")
+
+        monkeypatch.setattr(enumeration, "block_sides", refuse)
+        monkeypatch.setattr(forests, "block_sides", refuse)
+        lbs = builtin("lbs")
+        for r in range(1, 6):
+            assert count_parking(lbs, r) == (r + 1) ** (r - 1)
+        assert total_parking_mass(lbs, 4) == 125
+        assert count_words_to_set(lbs, {1, 2, 4}) == count_words_to_set(lbs, {1, 2, 4}, "brute")
+        with pytest.raises(ValueError, match="memoryless and locally decided"):
+            fiber_counts(lbs, [(2, 1)])
+
+    def test_random_table_universal_at_40(self):
+        [table] = random_tables(1, 40, seed=40)
+        assert count_parking(table_procedure(table), 40) == 41**39
+
+    def test_pq_mass_at_20(self):
+        assert total_parking_mass(pq_procedure(Fraction(2)), 20) == 21**19
+
+    def test_branching_count_still_refused(self):
+        # kw:q=1/2 has a mass at r=2, 3, not a count
+        with pytest.raises(ValueError, match="kw:q=1/2 branches"):
+            count_parking(kw_procedure(Fraction(1, 2)), 2)
+        assert count_words_to_set(kw_procedure(Fraction(1, 2)), {5}) == 1
+
+
+class TestPathLog:
+    """Every count and mass reports its path and estimate on the `parkline`
+    logger, one DEBUG record per query."""
+
+    def test_one_record_per_query(self, caplog):
+        right, lbs = builtin("right"), builtin("lbs")
+        cases = [
+            (lambda: count_parking(right, 5), "interval DP", 5**4),
+            (lambda: count_words_to_set(right, {1, 2, 4}), "interval DP", 2**4 + 1),
+            (lambda: count_parking(lbs, 5), "walk", 2**5 * 5),
+            (lambda: count_words_to_set(right, {1, 2, 4}, "brute"), "engine", 3**3 * 3),
+            (lambda: count_parking(history_parity_rule(), 3), "engine", 3**3 * 3),
+            (lambda: count_parking(right, 3, backend="python"), "per-word", 3**3 * 3),
+            (lambda: total_parking_mass(pq_procedure(Fraction(2)), 4), "interval DP", 4**4),
+            (lambda: total_parking_mass(lbs, 3), "walk", 2**3 * 3),
+            (lambda: total_parking_mass(history_parity_rule(), 3), "engine", 3**3 * 3),
+        ]
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        for query, path, estimate in cases:
+            caplog.clear()
+            query()
+            [record] = caplog.records
+            assert (record.name, record.levelno) == ("parkline", logging.DEBUG)
+            assert (record.path, record.estimate, record.budget) == (path, estimate, WORK_BUDGET)
+            assert record.getMessage().startswith(f"{path}: ")
+            assert f"{estimate:,} car steps estimated, budget 10,000,000" in record.getMessage()
+
+    def test_refusal_and_lifted_budget_are_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        with pytest.raises(CapExceededError):
+            count_parking(builtin("right"), 57)
+        [record] = caplog.records
+        assert (record.path, record.estimate) == ("interval DP", 57**4)
+        caplog.clear()
+        count_parking(builtin("right"), 3, cap=None)
+        [record] = caplog.records
+        assert record.budget is None and record.getMessage().endswith("budget lifted")
 
 
 class TestLbsWalk:

@@ -26,6 +26,7 @@ from parkline.forests import (
     pair_to_json,
     project,
     shape_count,
+    shape_counts,
     total_displacement,
     tree_from_str,
     tree_to_str,
@@ -273,17 +274,20 @@ class TestFibers:
         import parkline.forests as forests
 
         p = parse_proc_spec("closest")
-        forests._label_set_size.cache_clear()
         probes = []
-        real = forests.label_set
+        real = forests.block_sides
         monkeypatch.setattr(
-            forests, "label_set", lambda *args: probes.append(args[1:]) or real(*args)
+            forests, "block_sides", lambda *args: probes.append(args[1:]) or real(*args)
         )
         r = 6
         counts = fiber_counts(p, itertools.permutations(range(1, r + 1)))
         assert sum(counts) == (r + 1) ** (r - 1)
-        # every (node, lo, hi) with lo <= node <= hi is some spot's span
-        assert len(probes) == len(set(probes)) == r * (r + 1) * (r + 2) // 6 == 56
+        # every (node, lo, hi) with lo <= node <= hi is some spot's span; its
+        # size reads the sides of [lo, node-1] and [node+1, hi], so every
+        # block inside {1..r} but the whole is probed, once
+        blocks = {(a, b) for a in range(1, r + 1) for b in range(a, r + 1)} - {(1, r)}
+        assert len(probes) == len(set(probes)) == len(blocks) == 20
+        assert set(probes) == blocks
 
     @pytest.mark.parametrize(
         "name, sigmas, match",
@@ -299,7 +303,7 @@ class TestFibers:
         import parkline.forests as forests
 
         probes = []
-        monkeypatch.setattr(forests, "label_set", lambda *args: probes.append(args))
+        monkeypatch.setattr(forests, "block_sides", lambda *args: probes.append(args))
         with pytest.raises(ValueError, match=match):
             fiber_counts(builtin(name), sigmas)
         assert probes == []
@@ -321,22 +325,47 @@ class TestFibers:
 
 
     def test_label_sets_probed_once_per_node_and_span(self, monkeypatch):
+        import gc
+        import weakref
+
         import parkline.forests as forests
 
         p = builtin("closest")
         probes = []
-        real = forests.label_set
+        real = forests.block_sides
         monkeypatch.setattr(
-            forests, "label_set", lambda *args: probes.append(args[1:]) or real(*args)
+            forests, "block_sides", lambda *args: probes.append(args[1:]) or real(*args)
         )
         sigmas = list(itertools.permutations(range(1, 5)))
-        first = [fiber_count(p, sigma) for sigma in sigmas]
-        shapes = [shape_count(p, t) for t in iter_tree_shapes(4)]
-        assert len(probes) == len(set(probes))
+        first = fiber_counts(p, sigmas)
+        assert len(probes) == len(set(probes)) > 0
         probes.clear()
+        shapes = shape_counts(p, iter_tree_shapes(4))
+        assert len(probes) == len(set(probes)) > 0
+        # block sides live for one call: the same calls probe again and
+        # agree, one outcome or tree at a time too
         assert [fiber_count(p, sigma) for sigma in sigmas] == first
         assert [shape_count(p, t) for t in iter_tree_shapes(4)] == shapes
-        assert probes == []
+        # and no call keeps the rule alive once it returns
+        monkeypatch.undo()
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("spec", ["kw:q=1/2", "pq:q=2"])
+    def test_branching_rules_have_no_label_sets(self, spec):
+        from parkline.probabilistic import parse_prob_spec
+
+        pp = parse_prob_spec(spec)
+        with pytest.raises(ValueError, match=f"{spec}: a decision branches"):
+            fiber_count(pp, (2, 1))
+        with pytest.raises(ValueError, match=f"{spec}: a decision branches"):
+            shape_count(pp, Tree(Tree(), None))
+        # pq:q=0 never branches: it runs as right does
+        zero, right = parse_prob_spec("pq:q=0"), builtin("right")
+        sigmas = list(itertools.permutations(range(1, 5)))
+        assert fiber_counts(zero, sigmas) == fiber_counts(right, sigmas)
 
     def test_rules_without_label_sets_refused(self):
         for name in ("lbs", "far"):

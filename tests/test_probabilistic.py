@@ -146,8 +146,10 @@ class TestTotalMass:
     def test_cap(self):
         from parkline.enumeration import CapExceededError
 
-        with pytest.raises(CapExceededError):
-            total_parking_mass(kw_procedure(HALF), 30)
+        with pytest.raises(CapExceededError, match="walk over 30 spots"):
+            total_parking_mass(kw_sequence_procedure([HALF]), 30)
+        with pytest.raises(CapExceededError, match="interval DP over 57 spots"):
+            total_parking_mass(kw_procedure(HALF), 57)
 
     def test_r_below_one(self):
         for mass in (total_parking_mass, orbit_parking_mass):
@@ -193,17 +195,33 @@ class TestMassWalk:
 
     def test_which_masses_walk(self, monkeypatch):
         import parkline.enumeration as enumeration
+        import parkline.probabilistic as probabilistic
         from conftest import alternating_rule, history_parity_rule, state_parity_rule
 
-        walks = []
-        real = enumeration.walk_occupied
+        walks, dps = [], []
+        real, real_dp = enumeration.walk_occupied, probabilistic.interval_weight
         monkeypatch.setattr(
             enumeration,
             "walk_occupied",
             lambda target, *args, **kw: walks.append(len(target)) or real(target, *args, **kw),
         )
-        assert total_parking_mass(kw_procedure(HALF), 3) == 16
-        assert walks == [3]
+        monkeypatch.setattr(
+            probabilistic,
+            "interval_weight",
+            lambda pp, target, *args: dps.append(len(target)) or real_dp(pp, target, *args),
+        )
+        # memoryless, locally decided rules take the interval DP
+        for pp in (kw_procedure(HALF), pq_procedure(F(2)), builtin("closest")):
+            assert total_parking_mass(pp, 3) == 16
+        assert dps == [3, 3, 3] and walks == []
+        dps.clear()
+        # the rest walk: kwseq and far are not locally decided
+        for pp in (kw_sequence_procedure([HALF, F(1, 3), F(1, 5)]), builtin("far")):
+            walks.clear()
+            words = itertools.product(range(1, 5), repeat=3)
+            per_word = sum((parking_probability(pp, w) for w in words), F(0))
+            assert total_parking_mass(pp, 3) == per_word
+            assert walks == [3]
         # rules with an `update` walk (occupied set, state) pairs
         for pp in (builtin("lbs"), alternating_rule(), state_parity_rule()):
             for r in range(1, 4):
@@ -219,7 +237,7 @@ class TestMassWalk:
             words = itertools.product(range(1, r + 2), repeat=r)
             per_word = sum((parking_probability(history, w) for w in words), F(0))
             assert total_parking_mass(history, r) == per_word == count
-        assert walks == []
+        assert walks == [] and dps == []
         state = state_parity_rule()
         assert [total_parking_mass(state, r) for r in range(1, 5)] == [1, 4, 14, 126]
 
