@@ -14,6 +14,8 @@ runs ending on a spot set, and `grow_runs`, the one prefix-growth engine,
 grows words as numpy arrays, merging prefixes whose measures agree.
 `parking_runs` is that engine over the parking words of length r, and
 `count_landing` counts on it the words whose run ends on a spot set.
+`walk_occupied`, `grow_runs` and `count_landing` ask a rule that decides
+by block once per (block, letter) per call, through one `decision_table`.
 """
 
 from __future__ import annotations
@@ -86,9 +88,11 @@ class Procedure:
         keeps no state: a bumped car's choice then depends only on its
         letter and the block it lands on. Such a rule has label sets
         (`forests.label_set`), and its counts and masses sum the forest
-        encoding block by block (`enumeration.interval_weight`); both trust
-        the two flags. A rule with an `update` keeps a state its decisions
-        may read, whatever its flags say, so it walks instead."""
+        encoding block by block (`enumeration.interval_weight`), and the
+        engines ask it once per (block, letter) per call (`decision_table`);
+        all three trust the two flags. A rule with an `update` keeps a state
+        its decisions may read, whatever its flags say, so it walks instead
+        and is asked at every step."""
         return self.is_memoryless and self.is_locally_decided and self.update is None
 
     @property
@@ -129,7 +133,7 @@ class RunResult:
         return {spot: i + 1 for i, spot in enumerate(self.parked)}
 
 
-def branches(p: Procedure, state, history, occupied, a, pref) -> tuple:
+def branches(p: Procedure, state, history, occupied, a, pref, table: dict | None = None) -> tuple:
     """(spot, weight) choices of car `a` whose preferred spot `pref` is
     taken, as `p.decide` says: just right of the block containing `pref`
     with the right-probability, just left with the rest.
@@ -138,10 +142,26 @@ def branches(p: Procedure, state, history, occupied, a, pref) -> tuple:
     1, or a Fraction in [0, 1]. A probability of exactly 0 or 1 gives one
     choice with int weight 1. Anything else, floats and bools included,
     raises ValueError, so weights stay exact.
+
+    `table`, when given, is one engine call's `decision_table`: the
+    choices are looked up there by (block lo, block hi, letter), and
+    `decide` is asked only on a miss, whose checked choices are stored. A
+    refused decision raises before anything is stored.
     """
     # block_of returns a maximal block, so both spots next to it are free
     blk = block_of(occupied, pref)
-    d = p.decide(state, history, occupied, blk, a)
+    if table is None:
+        return _choices(p, blk, p.decide(state, history, occupied, blk, a))
+    key = (blk.lo, blk.hi, a)
+    choices = table.get(key)
+    if choices is None:
+        choices = table[key] = _choices(p, blk, p.decide(state, history, occupied, blk, a))
+    return choices
+
+
+def _choices(p: Procedure, blk: Block, d) -> tuple:
+    """The (spot, weight) choices of decision `d` on block `blk` (see
+    `branches`)."""
     if d is RIGHT:
         return ((blk.hi + 1, 1),)
     if d is LEFT:
@@ -191,6 +211,16 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
     return RunResult(letters, frozenset(occupied), tuple(parked))
 
 
+def decision_table(p: Procedure) -> dict | None:
+    """A fresh decision table for one engine call of rule `p`: an empty
+    dict if `p` `decides_by_block`, else None. `branches` stores there the
+    checked choices of each (block lo, block hi, letter) it is asked
+    about, so such a rule is asked once per (block, letter) per call
+    instead of at every (node, letter) step. The table lives as long as
+    the call."""
+    return {} if p.decides_by_block else None
+
+
 def state_key(state: Any):
     """Hashable stand-in for a rule state: a dict by its items, any
     other state as itself. Runs that agree on (occupied set, state key)
@@ -205,6 +235,7 @@ def merge_step(
     inside: frozenset | None = None,
     history: Word = (),
     value_of=None,
+    table: dict | None = None,
 ) -> dict:
     """One car's step of rule `p` over runs keyed by (occupied set,
     `state_key(state)`) with values (weight, state).
@@ -216,6 +247,11 @@ def merge_step(
     spot set `inside`, when given, are dropped. Weights multiply along a
     run, and runs that agree on (occupied, state key) afterwards are
     merged by adding their weights.
+
+    `table` is the engine call's `decision_table`, which `branches` reads
+    and fills. It is the third thing that trusts `decides_by_block`, after
+    the interval DP and label sets: a choice found there is taken for every
+    run whose bumped car has that letter and lands on that block.
     """
     update = p.update
     nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
@@ -223,7 +259,7 @@ def merge_step(
         for a in letters:
             pref = a if value_of is None else value_of(a)
             # a free spot is a choice of weight 1
-            for spot, w in ((pref, 1),) if pref not in occ else branches(p, state, history, occ, a, pref):
+            for spot, w in ((pref, 1),) if pref not in occ else branches(p, state, history, occ, a, pref, table):
                 if inside is not None and spot not in inside:
                     continue
                 st = state if update is None else update(state, a, spot)
@@ -247,11 +283,12 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
     """
     init = p.init_state()
     level = {(frozenset(), state_key(init)): (1, init)}
+    table = decision_table(p)
     steps = 0
     for _ in target:
         steps += len(level) * len(target)
         check_steps(steps)
-        level = merge_step(p, level, target, target)
+        level = merge_step(p, level, target, target, table=table)
     # every surviving run parked |target| distinct cars inside the target
     return sum(weight for weight, _ in level.values())
 
@@ -279,20 +316,21 @@ def _first_level(p: Procedure) -> tuple[list, list, list]:
     return [{(frozenset(), state_key(init)): (1, init)}], [()], [0]
 
 
-def _grow_level(p, nodes, histories, sums, letters, inside):
+def _grow_level(p, nodes, histories, sums, letters, inside, table):
     """One car's step of `grow_runs` from every node of a level and every
     letter: the next level `(nodes, histories, sums)` and, one entry per
     (node, letter) pair row by row, the next node's id (-1 where the
     measure left inside is empty) and the car's spot (0 where the step was
     not sure). A step is sure if it goes from a point mass of weight 1 to
     another; `sums` holds the sum of such a node's occupied spots, else
-    None, so a car's spot is the difference."""
+    None, so a car's spot is the difference. `table` is the call's
+    `decision_table`."""
     walks = p.can_walk
     index: dict = {}
     nodes_next, histories_next, sums_next, next_node, spot_of = [], [], [], [], []
     for node, history, total in zip(nodes, histories, sums):
         for a in letters:
-            nxt = merge_step(p, node, (a,), inside, history)
+            nxt = merge_step(p, node, (a,), inside, history, table=table)
             if not nxt:
                 next_node.append(-1)
                 spot_of.append(0)
@@ -321,6 +359,9 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
     and letter, and numpy extends every prefix from its node's row. A rule
     that can walk gets an empty history (`Procedure.can_walk`); any other
     gets the real one and keys its nodes on it, growing prefix by prefix.
+    A rule that `decides_by_block` is asked once per (block, letter) in
+    the whole call: its choices are kept in one `decision_table`, the third
+    thing, after the interval DP and label sets, that trusts the flags.
 
     `words` and `parked` are (m, r) arrays in lexicographic order, of the
     smallest signed int type that holds every spot; `parked` is each
@@ -331,12 +372,13 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
     word's node in `nodes`, the last level.
     """
     level = _first_level(p)
+    table = decision_table(p)
     ids = np.zeros(1, np.int32)
     dtype = _spot_dtype(letters, r)
     words = parked = np.zeros((1, 0), dtype)
     for _ in range(r):
         shape = (len(level[0]), len(letters))
-        level, next_node, spot_of = _grow_level(p, *level, letters, inside)
+        level, next_node, spot_of = _grow_level(p, *level, letters, inside, table)
         next_node = np.array(next_node, np.int32).reshape(shape)
         spot_of = np.array(spot_of, dtype).reshape(shape)
         # nonzero scans row by row, so prefixes stay in lexicographic order
@@ -357,23 +399,25 @@ def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> in
 
     A rule that cannot walk keys each prefix on its history, so no two
     merge: its words are grown one first letter at a time, and only one
-    subtree's level is live."""
+    subtree's level is live. A rule that `decides_by_block` is asked once
+    per (block, letter) in the call (`decision_table`)."""
     cars = len(target)
+    table = decision_table(p)
     if p.can_walk or cars == 1:
-        return _count_from(p, _first_level(p), letters, target, cars)
-    firsts, _, _ = _grow_level(p, *_first_level(p), letters, None)
+        return _count_from(p, _first_level(p), letters, target, cars, table)
+    firsts, _, _ = _grow_level(p, *_first_level(p), letters, None, table)
     return sum(
-        _count_from(p, ([node], [history], [total]), letters, target, cars - 1)
+        _count_from(p, ([node], [history], [total]), letters, target, cars - 1, table)
         for node, history, total in zip(*firsts)
     )
 
 
-def _count_from(p: Procedure, level, letters, target: frozenset, cars: int) -> int:
+def _count_from(p: Procedure, level, letters, target: frozenset, cars: int, table) -> int:
     """`count_landing` from the nodes of `level`, one prefix each, after
-    `cars` more cars."""
+    `cars` more cars, with the call's `decision_table`."""
     counts = np.ones(len(level[0]), np.int64)
     for _ in range(cars - 1):
-        level, next_node, _ = _grow_level(p, *level, letters, None)
+        level, next_node, _ = _grow_level(p, *level, letters, None, table)
         # every node is reached, and a run that never branched keeps to
         # point masses of weight 1
         if None in level[2]:
@@ -385,7 +429,7 @@ def _count_from(p: Procedure, level, letters, target: frozenset, cars: int) -> i
     lands = 0
     for node, history, count in zip(level[0], level[1], counts.tolist()):
         for a in letters:
-            occ = _point_mass(merge_step(p, node, (a,), None, history))
+            occ = _point_mass(merge_step(p, node, (a,), None, history, table=table))
             if occ is None:
                 raise _branch_error(p)
             lands += count * (occ == target)

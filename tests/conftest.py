@@ -8,9 +8,11 @@ block-edge formulation, so agreement is a real cross-check.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+from parkline.probabilistic import measure
 from parkline.procedures import Direction, DirTable, Procedure, table_procedure
 
 
@@ -129,6 +131,19 @@ def oracle_mass(right_prob, spots) -> Fraction:
         return total
 
     return expand(frozenset(), len(spots))
+
+
+def abelian_by_orderings(pp, r_max):
+    """`is_abelian`'s verdict and witness from one `measure` per ordering of
+    every multiset, in combinations_with_replacement order."""
+    for r in range(1, r_max + 1):
+        for multiset in itertools.combinations_with_replacement(range(1, r + 2), r):
+            orderings = sorted(set(itertools.permutations(multiset)))
+            reference = measure(pp, orderings[0])
+            for other in orderings[1:]:
+                if measure(pp, other) != reference:
+                    return False, (orderings[0], other)
+    return True, None
 
 
 def random_tables(count: int, r_max: int, seed: int) -> list[DirTable]:

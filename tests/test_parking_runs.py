@@ -1,9 +1,12 @@
 """Parking runs, orbit audits, fibers and orbit masses against the word
-space {1..r+1}^r, simulated word by word inside these tests."""
+space {1..r+1}^r, simulated word by word inside these tests, and how
+often one engine call asks a rule for a decision."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -14,26 +17,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    abelian_by_orderings,
     alternating_rule,
     history_parity_rule,
     random_dir_tables,
     state_parity_rule,
 )
-from parkline.enumeration import OrbitReport, OrbitViolation, count_parking, orbit_audit
+from parkline import procedures
+from parkline.enumeration import (
+    OrbitReport,
+    OrbitViolation,
+    count_parking,
+    count_words_to_set,
+    orbit_audit,
+    walk_weight,
+)
 from parkline.forests import fiber_counts_brute
 from parkline.probabilistic import (
+    INFINITY,
+    is_abelian,
     kw_procedure,
     kw_sequence_procedure,
     measure,
     orbit_parking_mass,
+    parking_probability,
+    parse_prob_spec,
     path_distribution,
     pq_procedure,
+    total_parking_mass,
 )
 from parkline.procedures import (
     LEFT,
     RIGHT,
     DirTable,
     Procedure,
+    branches,
     grow_runs,
     index_rule_procedure,
     parking_runs,
@@ -244,3 +262,180 @@ def test_a_branch_that_merges_back_is_refused():
     assert measure(p, (2, 2, 2)).probs == {frozenset({1, 2, 3}): 1}
     with pytest.raises(ValueError, match="merge-back: a decision branches"):
         parking_runs(p, 3)
+
+
+# ---------------------------------------------------------------------------
+# decision tables: one engine call asks a rule that decides by block once
+# per (block, letter)
+
+
+class Asked:
+    """Rule `p` with a `decide` that records the (lo, hi, letter) of every
+    decision asked of it, one list per engine call: `decision_table`, which
+    each engine call makes once, is patched to start the next list."""
+
+    def __init__(self, p, monkeypatch):
+        self.calls: list[list] = [[]]
+        decide = p.decide
+
+        def recorded(state, history, occ, blk, a):
+            self.calls[-1].append((blk.lo, blk.hi, a))
+            return decide(state, history, occ, blk, a)
+
+        self.rule = dataclasses.replace(p, decide=recorded)
+        table = procedures.decision_table
+        monkeypatch.setattr(procedures, "decision_table", lambda q: self.calls.append([]) or table(q))
+
+    def ask(self, query, *args):
+        """`query(rule, *args)` and the number of decisions it asked."""
+        self.calls = [[]]
+        answer = query(self.rule, *args)
+        return answer, sum(map(len, self.calls))
+
+
+SPLIT = frozenset({1, 2, 4, 5})
+
+# query, rule spec, decisions asked per call (the engine asked 253, 106,
+# 186, 43 and 28 at every (node, letter) step before decision tables)
+TABLED = [
+    (is_abelian, "pq:q=2", (4,), 45),
+    (orbit_parking_mass, "pq:q=3", (4,), 16),
+    (orbit_audit, "closest", (6,), 50),
+    (count_words_to_set, "right", (SPLIT, "brute"), 17),
+    (walk_weight, "pq:q=2", (frozenset(range(1, 5)), None), 16),
+]
+
+
+@pytest.mark.parametrize(
+    "query,spec,args,asked", TABLED, ids=[f"{q.__name__}-{spec}" for q, spec, _, _ in TABLED]
+)
+def test_block_rules_are_asked_once_per_block_and_letter(query, spec, args, asked, monkeypatch):
+    p = parse_prob_spec(spec)
+    expected = query(p, *args)
+    rec = Asked(p, monkeypatch)
+    assert p.decides_by_block
+    assert rec.ask(query, *args) == (expected, asked)
+    first = rec.calls
+    assert all(len(call) == len(set(call)) for call in first)
+    # the tables lived only as long as their calls: a second call asks again
+    assert rec.ask(query, *args) == (expected, asked)
+    assert rec.calls == first
+
+
+def per_word_count(p, spots) -> int:
+    spots = frozenset(spots)
+    return sum(run(p, w).spots == spots for w in itertools.product(sorted(spots), repeat=len(spots)))
+
+
+def per_word_orbit_masses(pp, r: int) -> dict:
+    """Parking mass of every orbit of {1..r+1}^r, one `measure` per word,
+    in representative order."""
+    masses: dict = {}
+    for word in word_space(r):
+        rep = orbit_representative(word, r)
+        masses[rep] = masses.get(rep, Fraction(0)) + parking_probability(pp, word)
+    return dict(sorted(masses.items()))
+
+
+# rule, length of its counts (None: its decisions branch), length of its
+# masses and abelian checks, and the decisions asked, as before decision
+# tables, by: count_parking, the brute count of SPLIT and orbit_audit at the
+# first length; orbit_parking_mass, total_parking_mass and is_abelian at the
+# second
+UNTABLED = [
+    (parse_proc_spec("lbs"), 4, 3, (52, 69, 52, 13, 13, 26)),
+    (alternating_rule(), 4, 3, (28, 52, 28, 9, 9, 20)),
+    (history_parity_rule(), 4, 3, (216, 198, 192, 19, 19, 39)),
+    (parse_prob_spec("kwseq:qs=1/2+1/3"), None, 2, (2, 2, 3)),
+    (parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), None, 4, (130, 28, 33)),
+]
+
+
+@pytest.mark.parametrize("p,count_r,mass_r,asked", UNTABLED, ids=[p.name for p, *_ in UNTABLED])
+def test_other_rules_are_asked_at_every_step(p, count_r, mass_r, asked, monkeypatch):
+    assert procedures.decision_table(p) is None
+    rec = Asked(p, monkeypatch)
+    answers, counts = [], []
+    if count_r is not None:
+        for query, *args in [(count_parking, count_r), (count_words_to_set, SPLIT, "brute"), (orbit_audit, count_r)]:
+            answer, count = rec.ask(query, *args)
+            answers.append(answer)
+            counts.append(count)
+        assert answers[0] == per_word_count(p, range(1, count_r + 1))
+        assert answers[1] == per_word_count(p, SPLIT)
+    for query in (orbit_parking_mass, total_parking_mass, is_abelian):
+        answer, count = rec.ask(query, mass_r)
+        answers.append(answer)
+        counts.append(count)
+    masses = per_word_orbit_masses(p, mass_r)
+    assert answers[-3] == masses
+    assert answers[-2] == sum(masses.values())
+    assert (answers[-1].abelian, answers[-1].witness) == abelian_by_orderings(p, mass_r)
+    assert tuple(counts) == asked
+
+
+PROBABILITIES = st.one_of(st.sampled_from((0, 1)), st.fractions(0, 1, max_denominator=6))
+
+
+@st.composite
+def block_rules(draw):
+    """A probabilistic rule that decides by block. Its right-probability,
+    0 and 1 among the values, is drawn per (block size, offset), and also
+    per parity of the block's first spot when the rule is not shift
+    invariant."""
+    by_parity = draw(st.booleans())
+    probs = {
+        (parity, size, i): draw(PROBABILITIES)
+        for parity in ((0, 1) if by_parity else (0,))
+        for size in range(1, 5)
+        for i in range(1, size + 1)
+    }
+
+    def decide(state, history, occ, blk, a):
+        return probs[blk.lo % 2 if by_parity else 0, blk.size, a - blk.lo + 1]
+
+    return Procedure("random-block", decide=decide, is_shift_invariant=not by_parity)
+
+
+def assert_tables_exact(pp, r: int):
+    assert pp.decides_by_block
+    masses = orbit_parking_mass(pp, r)
+    assert list(masses.items()) == list(per_word_orbit_masses(pp, r).items())
+    report = is_abelian(pp, r)
+    assert (report.abelian, report.witness) == abelian_by_orderings(pp, r)
+
+
+@given(pp=block_rules(), r=st.integers(1, 4))
+@settings(max_examples=50, deadline=None)
+def test_tabled_masses_and_abelian_checks_are_exact(pp, r):
+    assert_tables_exact(pp, r)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2), Fraction(2), Fraction(3), INFINITY], ids=str)
+def test_tabled_pq_is_exact(q):
+    assert_tables_exact(pq_procedure(q), 4)
+
+
+@pytest.mark.parametrize(
+    "answer,message",
+    [
+        (0.5, "decide returned 0.5, not a Direction or an exact probability"),
+        (True, "decide returned True, not a Direction or an exact probability"),
+        (Fraction(3, 2), "decide returned probability 3/2 outside [0, 1]"),
+        (-1, "decide returned probability -1 outside [0, 1]"),
+    ],
+    ids=repr,
+)
+def test_refused_decisions_are_never_stored(answer, message):
+    asked = []
+    p = Procedure("bad", decide=lambda *args: asked.append(args) or answer)
+    table = procedures.decision_table(p)
+    assert table == {}
+    for tries in (1, 2):
+        with pytest.raises(ValueError, match=re.escape(f"bad: {message}")):
+            branches(p, None, (), frozenset({1}), 1, 1, table)
+        assert table == {} and len(asked) == tries
+    # each engine call refuses alike: nothing refused was kept
+    for query in (orbit_parking_mass, orbit_parking_mass, is_abelian, is_abelian):
+        with pytest.raises(ValueError, match=re.escape(f"bad: {message}")):
+            query(p, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import history_parity_rule, state_parity_rule
+from conftest import abelian_by_orderings, history_parity_rule, state_parity_rule
 from parkline.probabilistic import (
     INFINITY,
     abelian_uniqueness_check,
@@ -351,19 +351,6 @@ class TestPqDegenerate:
             list(parking_runs(kw_procedure(HALF), 2))
         with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
             dir_of(kw_procedure(HALF), 2, 1)
-
-
-def abelian_by_orderings(pp, r_max):
-    """is_abelian's verdict and witness from one `measure` per ordering of
-    every multiset, in combinations_with_replacement order."""
-    for r in range(1, r_max + 1):
-        for multiset in itertools.combinations_with_replacement(range(1, r + 2), r):
-            orderings = sorted(set(itertools.permutations(multiset)))
-            reference = measure(pp, orderings[0])
-            for other in orderings[1:]:
-                if measure(pp, other) != reference:
-                    return False, (orderings[0], other)
-    return True, None
 
 
 ABELIAN_RULES = [pq_procedure(q) for q in (F(0), HALF, F(1), F(2), INFINITY)]
