@@ -9,12 +9,11 @@ runs it on the shared engine with spot values as preferences."""
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .enumeration import WORK_BUDGET, OrbitReport, OrbitViolation, check_budget
+from .enumeration import WORK_BUDGET, OrbitReport, OrbitViolation, _check_r, check_budget
 from .procedures import (
     Direction,
     Procedure,
@@ -138,35 +137,21 @@ def rotate_values(word: ColoredWord, r: int) -> ColoredWord:
 
 
 def is_parking_colored(p: Procedure, word) -> bool:
-    word = tuple(
-        a if isinstance(a, ColoredLetter) else ColoredLetter(*a) for a in word
-    )
-    return colored_run(p, word).spots == frozenset(range(1, len(word) + 1))
+    res = colored_run(p, word)
+    return res.spots == frozenset(range(1, len(res.word) + 1))
 
 
-def _class_representative(word: ColoredWord, r: int) -> ColoredWord:
-    best = word
-    w = word
-    for _ in range(r):
-        w = rotate_values(w, r)
-        if w < best:
-            best = w
-    return best
-
-
-def iter_language_words(
-    language: Language, r: int, colors: Iterable
-) -> Iterator[ColoredWord]:
-    """Words of length r with values in {1..r+1}, colors in the window,
-    filtered by the language."""
-    alphabet = [
-        ColoredLetter(v, c)
-        for v in range(1, r + 2)
-        for c in colors
-    ]
-    for letters in itertools.product(alphabet, repeat=r):
-        if language.contains(letters):
-            yield letters
+def grow_language_words(
+    language: Language, alphabets: Sequence[Sequence[ColoredLetter]]
+) -> list[ColoredWord]:
+    """Words of the language whose i-th letter comes from alphabets[i], in
+    the order of the alphabets, grown letter by letter: a prefix that
+    leaves the language is dropped at once. A subword-closed language is
+    prefix-closed, so this loses no word."""
+    words: list[ColoredWord] = [()]
+    for alphabet in alphabets:
+        words = [w for prefix in words for a in alphabet if language.contains(w := prefix + (a,))]
+    return words
 
 
 def verify_closures(
@@ -202,35 +187,50 @@ def colored_orbit_audit(
     """Count parking words in every value-rotation class of the language
     slice with values in {1..r+1} and colors in the window.
 
-    Every colored word of length r is listed before the language filters
-    it, so the work is estimated at |alphabet|^r * r car steps and refused
-    beyond `cap` before the first word is listed."""
+    Each class is keyed by its one member whose first value is 1, its
+    smallest, and only keys and words over {1..r}, the only ones that can
+    park, are grown (`grow_language_words`); a parking word joins the
+    class of its rotation starting with 1. Closures are spot-checked on
+    the keys and parking words. The work is estimated at |alphabet|^r * r
+    car steps and refused beyond `cap` before the first word is grown."""
+    _check_r(r)
     if not (language.subword_closed and language.rotation_closed):
         raise ValueError(f"{language.name} lacks declared closure properties")
     colors = tuple(colors)
+    if len(set(colors)) != len(colors):
+        raise ValueError(f"repeated color in {colors}")
     letters = (r + 1) * len(colors)
     check_budget(f"colored words over {letters} letters", letters**r * r, cap)
-    words = list(iter_language_words(language, r, colors))
-    verify_closures(language, words, r)
 
-    classes: dict[ColoredWord, list[ColoredWord]] = {}
-    for w in words:
-        classes.setdefault(_class_representative(w, r), []).append(w)
+    alphabet = [ColoredLetter(v, c) for v in range(1, r + 2) for c in colors]
 
-    per_class = {
-        rep: [w for w in members if is_parking_colored(p, w)]
-        for rep, members in classes.items()
-    }
-    histogram = Counter(len(v) for v in per_class.values())
+    def rotated(w: ColoredWord, k: int) -> ColoredWord:
+        return tuple(ColoredLetter((a.value + k - 1) % (r + 1) + 1, a.color) for a in w)
+
+    # value-major: the first len(colors) letters have value 1, the last r+1
+    keys = grow_language_words(language, [alphabet[: len(colors)]] + [alphabet] * (r - 1))
+    words = grow_language_words(language, [alphabet[: -len(colors)]] * r)
+    parking = [w for w in words if is_parking_colored(p, w)]
+    verify_closures(language, keys + parking, r)
+
+    # words are grown in order and the members of a class start with
+    # distinct values, so each class's parking words, like the key's
+    # rotations by 0..r, come sorted
+    per_class: dict[ColoredWord, list[ColoredWord]] = {key: [] for key in keys}
+    for w in parking:
+        key = rotated(w, 1 - w[0].value)
+        if key not in per_class:
+            raise LanguageClosureError(f"{language.name} not closed under value rotation", (w, key))
+        per_class[key].append(w)
     violations = tuple(
-        OrbitViolation(rep, tuple(classes[rep]), len(parking), tuple(parking))
-        for rep, parking in sorted(per_class.items())
-        if len(parking) != 1
+        OrbitViolation(key, tuple(rotated(key, k) for k in range(r + 1)), len(found), tuple(found))
+        for key, found in sorted(item for item in per_class.items() if len(item[1]) != 1)
     )
+    histogram = Counter(len(found) for found in per_class.values())
     return OrbitReport(
         procedure=p.name,
         r=r,
-        orbit_count=len(classes),
+        orbit_count=len(keys),
         histogram=dict(sorted(histogram.items())),
         violations=violations,
     )

@@ -23,6 +23,7 @@ record on the `parkline` logger (`take_path`).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .procedures import Procedure, branches, count_landing, parking_runs, run, walk_occupied
-from .words import Word, blocks, multinomial, orbit_representative, rotate
+from .words import Word, blocks, multinomial, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
 WORK_BUDGET = 10_000_000
@@ -136,22 +137,27 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None):
     return total
 
 
+def _block_sides_memo(p: Procedure):
+    """`block_sides` of `p` for one call: each block is probed once and
+    kept while the caller keeps the returned function; an empty block
+    has sides (0, 0)."""
+    return functools.cache(lambda a, b: block_sides(p, a, b) if a <= b else (0, 0))
+
+
 def _block_weight(p: Procedure, lo: int, n: int):
     """F(lo, lo+n-1) of `interval_weight`. Intervals are taken half-open in
     offsets from lo: [i, j) holds the spots lo+i .. lo+j-1."""
-    right = [[0] * (n + 1) for _ in range(n + 1)]
-    left = [[0] * (n + 1) for _ in range(n + 1)]
+    side = _block_sides_memo(p)
     # the whole block is never a side: no car comes after the last
-    for i in range(n):
-        for j in range(i + 1, n + 1 if i else n):
-            right[i][j], left[i][j] = block_sides(p, lo + i, lo + j - 1)
+    sides = [[side(lo + i, lo + j - 1) if (i, j) != (0, n) else None for j in range(n + 1)]
+             for i in range(n + 1)]
     f = [[1] * (n + 1) for _ in range(n + 1)]
     for size in range(1, n + 1):
         comb = [math.comb(size - 1, t) for t in range(size)]
         for i in range(n - size + 1):
             j = i + size
             f[i][j] = sum(
-                comb[k - i] * (1 + right[i][k] + left[k + 1][j]) * f[i][k] * f[k + 1][j]
+                comb[k - i] * (1 + sides[i][k][0] + sides[k + 1][j][1]) * f[i][k] * f[k + 1][j]
                 for k in range(i, j)
             )
     return f[0][n]
@@ -224,37 +230,47 @@ class OrbitReport:
         return not self.violations
 
 
+def _orbit_keys(words: np.ndarray, r: int) -> np.ndarray:
+    """Orbit key of each word of length r over {1..r+1}: the letters 2..r,
+    in radix r+1, of the orbit's one member starting with 1."""
+    base = r + 1
+    return ((words[:, 1:] - words[:, :1]) % base) @ _kernels.radix_weights(base, r - 1)
+
+
+def _orbit_starts(keys: np.ndarray, r: int) -> np.ndarray:
+    """The member starting with 1 of each orbit key: the orbit's smallest,
+    as its rotations start with distinct letters, so rows ascend as keys do."""
+    base = r + 1
+    starts = np.ones((len(keys), r), np.int64)
+    starts[:, 1:] += (keys[:, None] // _kernels.radix_weights(base, r - 1)) % base
+    return starts
+
+
 def orbit_audit(
     p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> OrbitReport:
     """Count parking words in every cyclic orbit of {1..r+1}^r.
 
     An orbit holds the r+1 letterwise rotations of a word mod r+1, so
-    exactly one member starts with 1; its letters 2..r, read in radix
-    r+1, index the orbit. Only the parking words are built
-    (`parking_runs`), and a violating orbit lists those among them.
+    exactly one member starts with 1, which keys it (`_orbit_keys`). Only
+    the parking words are built (`parking_runs`), and a violating orbit
+    lists those among them.
     """
     _check_runs(p, r, cap)
-    base = r + 1
     words, _ = parking_runs(p, r)
-    weights = _kernels.radix_weights(base, r - 1)
-    keys = ((words[:, 1:] - words[:, :1]) % base) @ weights
-    per_orbit = np.bincount(keys, minlength=base ** (r - 1))
+    keys = _orbit_keys(words, r)
+    per_orbit = np.bincount(keys, minlength=(r + 1) ** (r - 1))
 
     # parking words of the violating orbits; orbits are disjoint
     found = set(map(tuple, words[per_orbit[keys] != 1].tolist()))
     bad = np.flatnonzero(per_orbit != 1)
     violations = []
-    for key, rest in zip(bad.tolist(), ((bad[:, None] // weights) % base + 1).tolist()):
-        rep = orbit_representative((1, *rest), r)
-        members = [rep]
+    for key, rep in zip(bad.tolist(), _orbit_starts(bad, r).tolist()):
+        members = [tuple(rep)]
         for _ in range(r):
             members.append(rotate(members[-1], r))
         parking = tuple(w for w in members if w in found)
-        violations.append(
-            OrbitViolation(rep, tuple(members), int(per_orbit[key]), parking)
-        )
-    violations.sort(key=lambda v: v.representative)
+        violations.append(OrbitViolation(members[0], tuple(members), int(per_orbit[key]), parking))
     return OrbitReport(
         procedure=p.name,
         r=r,

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _kernels
-from .enumeration import WORK_BUDGET, _check_runs, block_sides
+from .enumeration import WORK_BUDGET, _check_runs, _block_sides_memo
 from .procedures import Direction, Procedure, dir_of_set, parking_runs, run
 from .words import Block, SpotSet, Word, as_word, blocks
 
@@ -208,25 +208,18 @@ def _check_label_rule(p: Procedure) -> None:
 
 
 def _label_sizes(p: Procedure) -> Callable[[int, int, int], int]:
-    """Label-set size of `node` on the span [lo, hi] for one call: the
-    returned function probes each block's `block_sides` once and keeps
-    them, and goes with the call. A rule whose decisions branch on a block
-    has no label sets and raises ValueError."""
+    """Label-set size of `node` on the span [lo, hi] for one call, from
+    block sides probed once each (`enumeration._block_sides_memo`). A rule
+    whose decisions branch on a block has no label sets: ValueError."""
     _check_label_rule(p)
-    sides: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def side(a: int, b: int) -> tuple[int, int]:
-        if a > b:
-            return 0, 0
-        got = sides.get((a, b))
-        if got is None:
-            got = sides[a, b] = block_sides(p, a, b)
-            if type(got[0]) is not int or type(got[1]) is not int:
-                raise ValueError(f"{p.name}: a decision branches; it has no label sets")
-        return got
+    side = _block_sides_memo(p)
 
     def size(node: int, lo: int, hi: int) -> int:
-        return 1 + side(lo, node - 1)[0] + side(node + 1, hi)[1]
+        got = 1 + side(lo, node - 1)[0] + side(node + 1, hi)[1]
+        # a branching decision adds a Fraction to both sides of its block
+        if type(got) is not int:
+            raise ValueError(f"{p.name}: a decision branches; it has no label sets")
+        return got
 
     return size
 

@@ -31,6 +31,8 @@ from .enumeration import (
     WORK_BUDGET,
     _check_r,
     _check_runs,
+    _orbit_keys,
+    _orbit_starts,
     check_budget,
     interval_weight,
     walk_weight,
@@ -200,26 +202,19 @@ def orbit_parking_mass(
     orbits of mass zero included. Only words in {1..r}^r can park, so
     their measures are grown with the spots kept inside {1..r}
     (`grow_runs`); each (orbit, node) pair, the orbit keyed as in
-    `enumeration.orbit_audit`, adds its word count times the node's mass.
+    `orbit_audit` (`enumeration._orbit_keys`), adds its word count times
+    the node's mass.
     """
     _check_runs(pp, r, cap)
-    base = r + 1
     words, _, ids, nodes = grow_runs(pp, r, range(1, r + 1), frozenset(range(1, r + 1)))
     node_mass = [sum(weight for weight, _ in node.values()) for node in nodes]
-    weights = _kernels.radix_weights(base, r - 1)
-    keys = ((words[:, 1:] - words[:, :1]) % base) @ weights
-    pairs, counts = np.unique(keys * len(nodes) + ids, return_counts=True)
-    # each orbit has exactly one member starting with 1, whose letters
-    # 2..r in radix r+1 are its key
-    masses = [ZERO] * base ** (r - 1)
+    pairs, counts = np.unique(_orbit_keys(words, r) * len(nodes) + ids, return_counts=True)
+    masses = [ZERO] * (r + 1) ** (r - 1)
     for pair, count in zip(pairs.tolist(), counts.tolist()):
         key, node = divmod(pair, len(nodes))
         masses[key] += count * node_mass[node]
-    # the r+1 rotations of a word start with distinct letters, so the
-    # member starting with 1 is the orbit's smallest rotation, its
-    # representative; keys ascend as representatives do
-    reps = np.ones((len(masses), r), np.int64)
-    reps[:, 1:] += (np.arange(len(masses))[:, None] // weights) % base
+    # each orbit's member starting with 1 is its smallest, its representative
+    reps = _orbit_starts(np.arange(len(masses)), r)
     return dict(zip(map(tuple, reps.tolist()), masses))
 
 

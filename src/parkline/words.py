@@ -118,17 +118,11 @@ def cyclic_orbit(word: Word, r: int) -> CyclicOrbit:
 
 
 def orbit_representative(word: Word, r: int) -> Word:
-    """Canonical orbit key: the lexicographically smallest rotation."""
+    """Canonical orbit key: the lexicographically smallest rotation. The
+    rotations start with distinct letters, so it is the one starting with 1."""
     word = as_word(word)
     _check_letters(word, r)
-    n = r + 1
-    best = word
-    w = word
-    for _ in range(r):
-        w = tuple(a % n + 1 for a in w)
-        if w < best:
-            best = w
-    return best
+    return tuple((a - word[0]) % (r + 1) + 1 for a in word)
 
 
 def multinomial(sizes: Sequence[int]) -> int:

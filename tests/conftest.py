@@ -12,6 +12,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from parkline.colored import ColoredLetter, colored_run
+from parkline.enumeration import OrbitReport, OrbitViolation
 from parkline.probabilistic import measure
 from parkline.procedures import Direction, DirTable, Procedure, table_procedure
 
@@ -201,4 +203,39 @@ def state_parity_rule() -> Procedure:
         init_state=lambda: 0,
         update=lambda st, a, spot: (st + a) % 2,
         is_memoryless=False,
+    )
+
+
+def reference_colored_audit(p: Procedure, language, r: int, colors) -> OrbitReport:
+    """The colored orbit audit over the whole slice: every word of length r
+    over {1..r+1} x colors is listed, filtered by the language, put in
+    the class of its smallest value rotation and run word by word."""
+    alphabet = [ColoredLetter(v, c) for v in range(1, r + 2) for c in colors]
+    classes: dict[tuple, list[tuple]] = {}
+    for word in itertools.product(alphabet, repeat=r):
+        if not language.contains(word):
+            continue
+        rotations = [
+            tuple(ColoredLetter((a.value - 1 + k) % (r + 1) + 1, a.color) for a in word)
+            for k in range(r + 1)
+        ]
+        classes.setdefault(min(rotations), []).append(word)
+    full = frozenset(range(1, r + 1))
+    per_class = {
+        rep: [w for w in members if colored_run(p, w).spots == full]
+        for rep, members in classes.items()
+    }
+    histogram: dict[int, int] = {}
+    for parking in per_class.values():
+        histogram[len(parking)] = histogram.get(len(parking), 0) + 1
+    return OrbitReport(
+        procedure=p.name,
+        r=r,
+        orbit_count=len(classes),
+        histogram=dict(sorted(histogram.items())),
+        violations=tuple(
+            OrbitViolation(rep, tuple(classes[rep]), len(parking), tuple(parking))
+            for rep, parking in sorted(per_class.items())
+            if len(parking) != 1
+        ),
     )

@@ -14,12 +14,14 @@ from parkline.colored import (
     colored_word,
     distinct_letters_language,
     is_parking_colored,
-    iter_language_words,
+    grow_language_words,
     parse_colored_word,
     rotate_values,
     verify_closures,
 )
-from parkline.procedures import Procedure, builtin, run
+from parkline.procedures import Direction, Procedure, builtin, run
+
+from conftest import reference_colored_audit
 
 CLBS = colored_lbs_procedure()
 DISTINCT = distinct_letters_language()
@@ -92,8 +94,10 @@ class TestColoredRun:
 
 class TestLanguage:
     def test_distinct_letters_closures(self):
-        words = list(iter_language_words(DISTINCT, 2, (1, 2)))
+        letters = [ColoredLetter(v, c) for v in (1, 2, 3) for c in (1, 2)]
+        words = grow_language_words(DISTINCT, [letters] * 2)
         assert len(words) == 30  # 6 letters, ordered pairs without repeats
+        assert words == sorted(words)
         verify_closures(DISTINCT, words, 2)
 
     def test_closure_violation_detected(self):
@@ -143,20 +147,95 @@ class TestColoredOrbits:
         def refuse(*args, **kw):
             raise AssertionError("no word may be listed over the budget")
 
-        real = colored.iter_language_words
-        monkeypatch.setattr(colored, "iter_language_words", refuse)
+        real = colored.grow_language_words
+        monkeypatch.setattr(colored, "grow_language_words", refuse)
         with pytest.raises(CapExceededError, match="colored words over 16 letters"):
             colored_orbit_audit(CLBS, DISTINCT, 7, (1, 2))
         # r=3 with 2 colors: 8^3 * 3 = 1,536 car steps
         with pytest.raises(CapExceededError, match="1,536 car steps"):
             colored_orbit_audit(CLBS, DISTINCT, 3, (1, 2), cap=1535)
-        monkeypatch.setattr(colored, "iter_language_words", real)
+        monkeypatch.setattr(colored, "grow_language_words", real)
         assert colored_orbit_audit(CLBS, DISTINCT, 3, (1, 2), cap=1536).all_one
 
     def test_requires_declared_closures(self):
         undeclared = Language("opaque", lambda w: True, subword_closed=False)
         with pytest.raises(ValueError):
             colored_orbit_audit(CLBS, undeclared, 2, (1,))
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_refuses_r_below_one(self, r):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            colored_orbit_audit(CLBS, DISTINCT, r, (1, 2))
+
+    def test_refuses_a_repeated_color(self):
+        # a repeated color would list every letter twice
+        with pytest.raises(ValueError, match="repeated color"):
+            colored_orbit_audit(CLBS, DISTINCT, 2, (1, 1))
+
+    def test_key_outside_a_rotation_open_language(self):
+        # declared closed and passing the spot checks, but the class key
+        # (1:1, 3:1) of the parking word (2:1, 1:1) is missing
+        missing = colored_word([(1, 1), (3, 1)])
+        liar = Language("liar", lambda w: DISTINCT.contains(w) and w != missing)
+        with pytest.raises(LanguageClosureError, match="value rotation") as err:
+            colored_orbit_audit(CLBS, liar, 2, (1,))
+        assert err.value.witness == (colored_word([(2, 1), (1, 1)]), missing)
+
+    def test_membership_calls(self):
+        calls = []
+        counting = Language("counting", lambda w: calls.append(w) or DISTINCT.contains(w))
+        assert colored_orbit_audit(CLBS, counting, 4, (1, 2)).all_one
+        # listing and filtering all 10^4 words, then checking closures on
+        # the 5,040 in the language, asked 35,200 times
+        assert len(calls) <= 35_200 // 2
+
+
+def color_parity_rule() -> Procedure:
+    """Goes right iff value + color is even: not shift invariant."""
+    return Procedure(
+        "color-parity",
+        decide=lambda st, h, occ, blk, a: (
+            Direction.RIGHT if (a.value + a.color) % 2 == 0 else Direction.LEFT
+        ),
+        is_shift_invariant=False,
+    )
+
+
+def colored_far_rule() -> Procedure:
+    """Goes right iff fewer occupied spots lie right of the value than
+    left of it, the color breaking ties: it reads the whole occupied set,
+    so it is not locally decided."""
+
+    def decide(st, h, occ, blk, a):
+        above = sum(s > a.value for s in occ)
+        below = sum(s < a.value for s in occ)
+        return Direction.RIGHT if (above, a.color % 2) < (below, 1) else Direction.LEFT
+
+    return Procedure("colored-far", decide=decide, is_locally_decided=False)
+
+
+GRID = [(r, (1,)) for r in range(1, 5)] + [(r, (1, 2)) for r in range(1, 5)] + [
+    (r, (1, 2, 3)) for r in range(1, 4)
+]
+
+
+class TestAgainstTheFullListing:
+    @pytest.mark.parametrize("rule", [colored_lbs_procedure, color_parity_rule, colored_far_rule])
+    @pytest.mark.parametrize("r, colors", GRID)
+    def test_equal_reports(self, rule, r, colors):
+        p = rule()
+        assert colored_orbit_audit(p, DISTINCT, r, colors) == reference_colored_audit(
+            p, DISTINCT, r, colors
+        )
+
+    @pytest.mark.parametrize(
+        "rule, histogram",
+        [(color_parity_rule, {0: 10, 1: 64, 2: 10}), (colored_far_rule, {0: 8, 1: 76})],
+    )
+    def test_the_grid_reaches_violations(self, rule, histogram):
+        report = colored_orbit_audit(rule(), DISTINCT, 3, (1, 2))
+        assert report.histogram == histogram
+        assert len(report.violations) == sum(v for k, v in histogram.items() if k != 1)
 
 
 def test_is_parking_colored():

@@ -277,13 +277,11 @@ class TestIntervalDP:
 
     def test_lbs_never_reaches_block_sides(self, monkeypatch):
         import parkline.enumeration as enumeration
-        import parkline.forests as forests
 
         def refuse(*args):
             raise AssertionError("lbs has no block sides")
 
         monkeypatch.setattr(enumeration, "block_sides", refuse)
-        monkeypatch.setattr(forests, "block_sides", refuse)
         lbs = builtin("lbs")
         for r in range(1, 6):
             assert count_parking(lbs, r) == (r + 1) ** (r - 1)

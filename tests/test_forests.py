@@ -271,13 +271,13 @@ class TestFibers:
         assert math.factorial(21) > 2**63
 
     def test_batch_probes_each_node_and_span_once(self, monkeypatch):
-        import parkline.forests as forests
+        import parkline.enumeration as enumeration
 
         p = parse_proc_spec("closest")
         probes = []
-        real = forests.block_sides
+        real = enumeration.block_sides
         monkeypatch.setattr(
-            forests, "block_sides", lambda *args: probes.append(args[1:]) or real(*args)
+            enumeration, "block_sides", lambda *args: probes.append(args[1:]) or real(*args)
         )
         r = 6
         counts = fiber_counts(p, itertools.permutations(range(1, r + 1)))
@@ -300,10 +300,10 @@ class TestFibers:
         ],
     )
     def test_batch_refused_before_any_probe(self, monkeypatch, name, sigmas, match):
-        import parkline.forests as forests
+        import parkline.enumeration as enumeration
 
         probes = []
-        monkeypatch.setattr(forests, "block_sides", lambda *args: probes.append(args))
+        monkeypatch.setattr(enumeration, "block_sides", lambda *args: probes.append(args))
         with pytest.raises(ValueError, match=match):
             fiber_counts(builtin(name), sigmas)
         assert probes == []
@@ -328,13 +328,13 @@ class TestFibers:
         import gc
         import weakref
 
-        import parkline.forests as forests
+        import parkline.enumeration as enumeration
 
         p = builtin("closest")
         probes = []
-        real = forests.block_sides
+        real = enumeration.block_sides
         monkeypatch.setattr(
-            forests, "block_sides", lambda *args: probes.append(args[1:]) or real(*args)
+            enumeration, "block_sides", lambda *args: probes.append(args[1:]) or real(*args)
         )
         sigmas = list(itertools.permutations(range(1, 5)))
         first = fiber_counts(p, sigmas)
