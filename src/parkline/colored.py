@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .enumeration import WORK_BUDGET, OrbitReport, OrbitViolation, _check_r, check_budget
+from .enumeration import WORK_BUDGET, OrbitReport, OrbitViolation, _check_r, take_path
 from .procedures import (
     Direction,
     Procedure,
@@ -37,15 +37,6 @@ ColoredWord = tuple[ColoredLetter, ...]
 
 def colored_word(pairs: Iterable[tuple[int, object]]) -> ColoredWord:
     return tuple(ColoredLetter(int(v), c) for v, c in pairs)
-
-
-def parse_colored_word(text: str) -> ColoredWord:
-    """Parse "1:a,2:b" tokens."""
-    out = []
-    for token in text.split(","):
-        value, _, color = token.partition(":")
-        out.append(ColoredLetter(int(value), color))
-    return tuple(out)
 
 
 class UndefinedRuleError(ValueError):
@@ -123,10 +114,6 @@ def colored_run(p: Procedure, word: Iterable) -> RunResult:
     return run_engine(p, language_word(p, word), value_of=letter_value)
 
 
-def colored_shift(word: ColoredWord, k: int) -> ColoredWord:
-    return tuple(ColoredLetter(a.value + k, a.color) for a in word)
-
-
 def rotate_values(word: ColoredWord, r: int) -> ColoredWord:
     """Rotate values mod r+1 (representatives {1..r+1}); colors fixed."""
     n = r + 1
@@ -200,7 +187,7 @@ def colored_orbit_audit(
     if len(set(colors)) != len(colors):
         raise ValueError(f"repeated color in {colors}")
     letters = (r + 1) * len(colors)
-    check_budget(f"colored words over {letters} letters", letters**r * r, cap)
+    take_path("engine", f"colored words over {letters} letters", letters**r * r, cap)
 
     alphabet = [ColoredLetter(v, c) for v in range(1, r + 2) for c in colors]
 

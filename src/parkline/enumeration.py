@@ -7,9 +7,9 @@ the interval DP over the forest encoding (`interval_weight`): the words
 landing on a block are summed over the decreasing trees of their runs,
 in time polynomial in the block size. Any other rule walks (occupied
 set, rule state) pairs (`procedures.walk_occupied`).
-Orbit audits read the parking words from `procedures.parking_runs`, which
-grows them level by level over the same pairs as numpy arrays, so the
-rule is consulted once per pair and letter, not once per prefix.
+Orbit audits grow the parking words over the same pairs as their orbit
+keys (`procedures.parking_keys`), so the rule is consulted once per pair
+and letter, not once per prefix.
 Every word over an alphabet is grown only where it is the reference,
 `count_words_to_set(..., "brute")` and counts that name a `backend`: on
 the same engine by default (`procedures.count_landing`, which carries
@@ -17,8 +17,8 @@ each node's number of prefixes instead of the words), or word by word on
 the per-word engine with `backend="python"`.
 Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
-count and mass reports the path it takes and that estimate in one DEBUG
-record on the `parkline` logger (`take_path`).
+query reports the path it takes and that estimate in one DEBUG record on
+the `parkline` logger (`take_path`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .procedures import Procedure, branches, count_landing, parking_runs, run, walk_occupied
+from .procedures import Fold, Procedure, branches, count_landing, parking_keys, run, walk_occupied
 from .words import Word, blocks, multinomial, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
@@ -60,7 +60,7 @@ def check_budget(path: str, steps: int, cap: int | None) -> None:
 
 
 def take_path(kind: str, path: str, steps: int, cap: int | None) -> None:
-    """Report the path a count or mass takes, one of "interval DP", "walk",
+    """Report the path a query takes, one of "interval DP", "walk",
     "engine" or "per-word", with its estimate in one DEBUG record on the
     `parkline` logger (fields `path`, `estimate` and `budget`), then check
     the estimate against the budget."""
@@ -181,11 +181,10 @@ def _check_strict(p: Procedure, n: int) -> None:
 
 def _check_runs(p: Procedure, r: int, cap: int | None) -> None:
     """Checks before the parking words of length r are grown: r >= 1, a strict
-    table's rows, the budget, and int64 word indices, kept if the budget is lifted."""
+    table's rows and the budget; `grow_runs` checks int64 keys even if it is lifted."""
     _check_r(r)
     _check_strict(p, r)
     take_path("engine", f"parking runs of length {r}", r**r * r, cap)
-    _kernels.radix_weights(r + 1, r)
 
 
 def count_parking(
@@ -230,20 +229,15 @@ class OrbitReport:
         return not self.violations
 
 
-def _orbit_keys(words: np.ndarray, r: int) -> np.ndarray:
-    """Orbit key of each word of length r over {1..r+1}: the letters 2..r,
-    in radix r+1, of the orbit's one member starting with 1."""
-    base = r + 1
-    return ((words[:, 1:] - words[:, :1]) % base) @ _kernels.radix_weights(base, r - 1)
-
-
-def _orbit_starts(keys: np.ndarray, r: int) -> np.ndarray:
-    """The member starting with 1 of each orbit key: the orbit's smallest,
-    as its rotations start with distinct letters, so rows ascend as keys do."""
-    base = r + 1
-    starts = np.ones((len(keys), r), np.int64)
-    starts[:, 1:] += (keys[:, None] // _kernels.radix_weights(base, r - 1)) % base
-    return starts
+def _orbit_fold(r: int) -> Fold:
+    """Orbit key of each word of length r over at most r+1 letters, in radix
+    r+1: its first letter's index, then (a - first) mod r+1 for each later
+    letter a. Key // (r+1)^(r-1) is that index, and key % (r+1)^(r-1) keys
+    the orbit as the key of its member starting with the first letter."""
+    places = _kernels.radix_weights(r + 1, r)
+    lead, base = places[0], r + 1
+    # the first car meets keys 0 and puts its own index in the lead place
+    return Fold(base, r, lambda k, keys, cols, _: keys + (cols - keys // lead) % base * places[k])
 
 
 def orbit_audit(
@@ -252,24 +246,24 @@ def orbit_audit(
     """Count parking words in every cyclic orbit of {1..r+1}^r.
 
     An orbit holds the r+1 letterwise rotations of a word mod r+1, so
-    exactly one member starts with 1, which keys it (`_orbit_keys`). Only
-    the parking words are built (`parking_runs`), and a violating orbit
-    lists those among them.
+    exactly one member starts with 1, its smallest, which keys it
+    (`_orbit_fold`). Only the parking words are grown, as their keys
+    (`parking_keys`), which give each orbit's parking members.
     """
     _check_runs(p, r, cap)
-    words, _ = parking_runs(p, r)
-    keys = _orbit_keys(words, r)
-    per_orbit = np.bincount(keys, minlength=(r + 1) ** (r - 1))
+    fold, lead = _orbit_fold(r), (r + 1) ** (r - 1)
+    keys = parking_keys(p, r, fold)
+    per_orbit = np.bincount(keys % lead, minlength=lead)
 
-    # parking words of the violating orbits; orbits are disjoint
-    found = set(map(tuple, words[per_orbit[keys] != 1].tolist()))
+    # violating orbits' parking keys: orbit o's member j has key j*lead + o
+    found = set(keys[per_orbit[keys % lead] != 1].tolist())
     bad = np.flatnonzero(per_orbit != 1)
     violations = []
-    for key, rep in zip(bad.tolist(), _orbit_starts(bad, r).tolist()):
+    for key, rep in zip(bad.tolist(), (fold.digits(bad) + 1).tolist()):
         members = [tuple(rep)]
         for _ in range(r):
             members.append(rotate(members[-1], r))
-        parking = tuple(w for w in members if w in found)
+        parking = tuple(w for j, w in enumerate(members) if j * lead + key in found)
         violations.append(OrbitViolation(members[0], tuple(members), int(per_orbit[key]), parking))
     return OrbitReport(
         procedure=p.name,
@@ -353,8 +347,8 @@ def count_words_to_set(
     is run: "numpy" (the default) grows them all on the prefix-growth
     engine (`count_landing`), asking the rule once per node and letter;
     "python" runs each word on the per-word engine. Either raises
-    ValueError if any word's run branches. pad>0 widens that alphabet to
-    the full interval [min(S)-pad, max(S)+pad], gaps included, which
+    ValueError if any word's run branches. `pad`, an int >= 0 but no bool,
+    widens that alphabet to [min(S)-pad, max(S)+pad], gaps included, which
     re-verifies the claim above empirically. "formula" multiplies shuffle
     counts with per-block parking counts and requires a local procedure.
     """
@@ -363,6 +357,8 @@ def count_words_to_set(
     default = via is None and backend is None
     dp = default and p.decides_by_block
     walk = default and p.can_walk and not dp
+    if type(pad) is not int or pad < 0:
+        raise ValueError(f"pad must be an int >= 0, got {pad!r}")
     if pad and (dp or walk or via == "formula"):
         raise ValueError("pad widens the alphabet of word enumeration only")
     target = frozenset(spots)

@@ -17,7 +17,8 @@ outcome sigma number the product over spots i of the label-set size of
 i on its subtree span [lo, hi] in the decreasing tree of sigma. That
 span needs no tree: it runs from just past the nearest larger arrival
 left of spot i to just before the nearest larger arrival right of it.
-`fiber_counts` reads the spans of a whole batch of outcomes this way.
+`fiber_counts` reads the spans of a whole batch of outcomes this way;
+`fiber_counts_brute` counts outcome keys of grown parking words instead.
 A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
 preferences bumped right and left off a block (`enumeration.block_sides`);
 each call probes each block once and keeps nothing after it returns.
@@ -33,8 +34,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _kernels
-from .enumeration import WORK_BUDGET, _check_runs, _block_sides_memo
-from .procedures import Direction, Procedure, dir_of_set, parking_runs, run
+from .enumeration import WORK_BUDGET, _block_sides_memo, _check_runs
+from .procedures import Direction, Fold, Procedure, dir_of_set, parking_keys, run
 from .words import Block, SpotSet, Word, as_word, blocks
 
 
@@ -312,19 +313,20 @@ def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
 def fiber_counts_brute(
     p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[tuple[int, ...], int]:
-    """Outcome histogram of all parking words of length r, read from the
-    parked spots of `parking_runs`: each outcome sigma is keyed in radix
-    r+1 and the keys are counted with np.unique."""
+    """Outcome histogram of all parking words of length r: each word is
+    grown as its outcome sigma in radix r+1 (`parking_keys`), and the keys
+    are counted with np.unique."""
     _check_runs(p, r, cap)
-    _, parked = parking_runs(p, r)
-    weights = _kernels.radix_weights(r + 1, r)
-    # car i parked on spot s sets sigma[s-1] = i, digit s-1 of the key
-    keys = np.zeros(len(parked), np.int64)
-    for i in range(r):
-        keys += (i + 1) * weights[parked[:, i] - 1]
-    keys, counts = np.unique(keys, return_counts=True)
-    sigmas = (keys[:, None] // weights) % (r + 1)
-    return dict(zip(map(tuple, sigmas.tolist()), counts.tolist()))
+    fold = _outcome_fold(r)
+    keys, counts = np.unique(parking_keys(p, r, fold), return_counts=True)
+    return dict(zip(map(tuple, fold.digits(keys).tolist()), counts.tolist()))
+
+
+def _outcome_fold(r: int) -> Fold:
+    """Outcome key of each parking run of length r in radix r+1: car k+1
+    parked on spot s sets sigma[s-1] = k+1, digit s-1 from the top."""
+    places = _kernels.radix_weights(r + 1, r)
+    return Fold(r + 1, r, lambda k, keys, cols, spots: keys + (k + 1) * places[spots - 1])
 
 
 def decreasing_labelings_count(t: Tree | None) -> int:

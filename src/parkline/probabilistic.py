@@ -12,8 +12,9 @@ strict equality. The total parking mass of a rule that decides by block
 sums the forest encoding over the intervals of {1..r}
 (`enumeration.interval_weight`), any other rule that can walk walks
 (occupied set, rule state) pairs. Orbit masses and abelianity checks grow
-all their words at once (`procedures.grow_runs`) and read each word's
-measure off its node: words whose prefixes share a measure share its work.
+all their words at once as keys (`procedures.grow_runs`) and read each
+word's measure off its node: words whose prefixes share a measure share
+its work.
 """
 
 from __future__ import annotations
@@ -25,21 +26,21 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from . import _kernels
 from .colored import language_word, letter_value
 from .enumeration import (
     WORK_BUDGET,
     _check_r,
     _check_runs,
-    _orbit_keys,
-    _orbit_starts,
-    check_budget,
+    _orbit_fold,
     interval_weight,
+    take_path,
     walk_weight,
 )
 from .procedures import (
+    Fold,
     Procedure,
     branches,
+    decision_table,
     grow_runs,
     merge_step,
     parse_proc_spec,
@@ -200,21 +201,22 @@ def orbit_parking_mass(
 ) -> dict[Word, Fraction]:
     """Parking mass of each cyclic orbit, keyed by its representative;
     orbits of mass zero included. Only words in {1..r}^r can park, so
-    their measures are grown with the spots kept inside {1..r}
-    (`grow_runs`); each (orbit, node) pair, the orbit keyed as in
-    `orbit_audit` (`enumeration._orbit_keys`), adds its word count times
-    the node's mass.
+    their measures are grown with the spots kept inside {1..r}, each word
+    as its orbit key (`grow_runs`, `enumeration._orbit_fold`); each (orbit,
+    node) pair adds its word count times the node's mass.
     """
     _check_runs(pp, r, cap)
-    words, _, ids, nodes = grow_runs(pp, r, range(1, r + 1), frozenset(range(1, r + 1)))
+    fold = _orbit_fold(r)
+    spots = frozenset(range(1, r + 1))
+    keys, ids, nodes, _ = grow_runs(pp, r, range(1, r + 1), spots, fold, decision_table(pp))
     node_mass = [sum(weight for weight, _ in node.values()) for node in nodes]
-    pairs, counts = np.unique(_orbit_keys(words, r) * len(nodes) + ids, return_counts=True)
-    masses = [ZERO] * (r + 1) ** (r - 1)
+    # an orbit's key is that of its member starting with 1, its smallest
+    reps = fold.digits(np.arange((r + 1) ** (r - 1))) + 1
+    pairs, counts = np.unique(keys % len(reps) * len(nodes) + ids, return_counts=True)
+    masses = [ZERO] * len(reps)
     for pair, count in zip(pairs.tolist(), counts.tolist()):
         key, node = divmod(pair, len(nodes))
         masses[key] += count * node_mass[node]
-    # each orbit's member starting with 1 is its smallest, its representative
-    reps = _orbit_starts(np.arange(len(masses)), r)
     return dict(zip(map(tuple, reps.tolist()), masses))
 
 
@@ -325,28 +327,37 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
     """Exhaustively compare measures across reorderings of every word with
     letters in {1..r+1}, length r <= r_max, within `WORK_BUDGET`.
 
-    Each length grows every word once (`grow_runs`). Reorderings must have
-    the same occupancy; their nodes may differ in rule states. The witness
-    is the first multiset that fails, in `combinations_with_replacement`
+    Each length grows every word once as its multiset key (`grow_runs`,
+    `_multiset_fold`), with one decision table for every length. Reorderings
+    must have the same occupancy; their nodes may differ in rule states. The
+    witness is the first multiset that fails, in `combinations_with_replacement`
     order: its smallest ordering against the first one that differs.
     """
     _check_r(r_max)
     steps = sum((r + 1) ** r * r for r in range(1, r_max + 1))
-    check_budget(f"abelian check up to length {r_max}", steps, WORK_BUDGET)
+    take_path("engine", f"abelian check up to length {r_max}", steps, WORK_BUDGET)
+    table = decision_table(pp)
     for r in range(1, r_max + 1):
-        words, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
+        keys, ids, nodes, _ = grow_runs(pp, r, range(1, r + 2), None, _multiset_fold(r), table)
         seen: dict = {}
         marks = [seen.setdefault(frozenset(_occupancy(n).items()), len(seen)) for n in nodes]
         classes = np.array(marks)[ids]
-        # every word is grown, so a word's row is its radix value: the
-        # sorted word, the smallest ordering, sits at row `smallest`
-        smallest = (np.sort(words, axis=1) - 1) @ _kernels.radix_weights(r + 1, r)
+        # every word is grown, so a word's row is its radix value, and a
+        # multiset's first row holds its smallest ordering
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        smallest = first[inverse]
         differ = np.flatnonzero(classes != classes[smallest])
         if len(differ):
-            first = differ[np.argmin(smallest[differ])]
-            witness = (tuple(words[smallest[first]].tolist()), tuple(words[first].tolist()))
-            return AbelianReport(pp.name, r_max, False, witness)
+            row = differ[np.argmin(smallest[differ])]
+            words = np.transpose(np.unravel_index([smallest[row], row], (r + 1,) * r)) + 1
+            return AbelianReport(pp.name, r_max, False, tuple(map(tuple, words.tolist())))
     return AbelianReport(pp.name, r_max, True, None)
+
+
+def _multiset_fold(r: int) -> Fold:
+    """Multiset key of a word of length r: (r+1)^i per letter of index i."""
+    places = (r + 1) ** np.arange(r + 1, dtype=np.int64)
+    return Fold(r + 1, r + 1, lambda k, keys, cols, _: keys + places[cols])
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ Runs follow rules that never branch. `merge_step` is the one step over
 weighted (occupied set, rule state) pairs: `probabilistic.measure`
 follows a word's choices with it, `walk_occupied` sums the weights of
 runs ending on a spot set, and `grow_runs`, the one prefix-growth engine,
-grows words as numpy arrays, merging prefixes whose measures agree.
-`parking_runs` is that engine over the parking words of length r, and
-`count_landing` counts on it the words whose run ends on a spot set.
+grows words as int64 keys that a `Fold` extends car by car, merging
+prefixes whose measures agree; `count_landing` counts on its levels.
 `walk_occupied`, `grow_runs` and `count_landing` ask a rule that decides
-by block once per (block, letter) per call, through one `decision_table`.
+by block once per (block, letter) while one `decision_table` lives.
 """
 
 from __future__ import annotations
@@ -25,10 +24,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ._kernels import radix_weights
 from .words import Block, SpotSet, Word, as_word, block_of, shift
 
 
@@ -293,13 +293,6 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
     return sum(weight for weight, _ in level.values())
 
 
-def _spot_dtype(letters: Sequence[int], r: int) -> np.dtype:
-    """Smallest signed int type holding every spot of a run of r cars over
-    `letters`: a bumped car parks next to a block of at most r - 1 cars."""
-    bound = max(-min(letters), max(letters)) + r
-    return np.min_scalar_type(-bound - 1)
-
-
 def _point_mass(measure: dict) -> frozenset | None:
     """The occupied set of a measure that is one (occupied set, state)
     pair of weight 1, else None."""
@@ -320,11 +313,11 @@ def _grow_level(p, nodes, histories, sums, letters, inside, table):
     """One car's step of `grow_runs` from every node of a level and every
     letter: the next level `(nodes, histories, sums)` and, one entry per
     (node, letter) pair row by row, the next node's id (-1 where the
-    measure left inside is empty) and the car's spot (0 where the step was
-    not sure). A step is sure if it goes from a point mass of weight 1 to
-    another; `sums` holds the sum of such a node's occupied spots, else
-    None, so a car's spot is the difference. `table` is the call's
-    `decision_table`."""
+    measure left inside is empty) and the car's spot. A step is sure if it
+    goes from a point mass of weight 1 to another; `sums` holds the sum of
+    such a node's occupied spots, else None, so a car's spot is the
+    difference, and 0 stands in for the spot of a step that was not sure.
+    `table` is the call's `decision_table`."""
     walks = p.can_walk
     index: dict = {}
     nodes_next, histories_next, sums_next, next_node, spot_of = [], [], [], [], []
@@ -348,10 +341,25 @@ def _grow_level(p, nodes, histories, sums, letters, inside, table):
     return (nodes_next, histories_next, sums_next), next_node, spot_of
 
 
-def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | None):
+class Fold(NamedTuple):
+    """The int64 key `grow_runs` carries for each word, `width` digits in
+    radix `base`: `step(k, keys, cols, spots)` extends the kept prefixes'
+    keys by car k (from 0), from its letter's index in the letters and its
+    spot, and `digits` decodes keys."""
+
+    base: int
+    width: int
+    step: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+    def digits(self, keys: np.ndarray) -> np.ndarray:
+        """The `width` digits of each key, the most significant first."""
+        return keys[:, None] // radix_weights(self.base, self.width) % self.base
+
+
+def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, table):
     """Every word of length r over `letters` that keeps some weight inside
-    `inside` (every word when it is None), grown one car (level) at a
-    time: `(words, parked, ids, nodes)`.
+    the spot set `inside` (every word if None), grown one car (level) at a
+    time: `(keys, ids, nodes, sure)`.
 
     A prefix's node is its `merge_step` level, its measure restricted to
     `inside`. Prefixes whose measures are the same ((occupied set, state
@@ -359,35 +367,43 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside: frozenset | 
     and letter, and numpy extends every prefix from its node's row. A rule
     that can walk gets an empty history (`Procedure.can_walk`); any other
     gets the real one and keys its nodes on it, growing prefix by prefix.
-    A rule that `decides_by_block` is asked once per (block, letter) in
-    the whole call: its choices are kept in one `decision_table`, the third
-    thing, after the interval DP and label sets, that trusts the flags.
+    A rule that `decides_by_block` is asked once per (block, letter) while
+    `table`, the caller's `decision_table`, lives (see `merge_step`).
 
-    `words` and `parked` are (m, r) arrays in lexicographic order, of the
-    smallest signed int type that holds every spot; `parked` is each
-    car's spot while every step went from a point mass of weight 1 to
-    another, and 0 from the first car whose step did not: a branch where 0
-    can be a spot shows in neither `parked` nor the last node, since a
-    run can branch and merge back into a point mass. `ids` gives each
-    word's node in `nodes`, the last level.
+    `keys` holds each word's `fold` key, the words in lexicographic order,
+    and `ids` its node in `nodes`, the last level. `sure` says whether every
+    node grown is a point mass of weight 1, so that the fold was passed the
+    runs' spots. A fold whose keys could pass int64 raises
+    RadixOverflowError before any car is placed.
     """
+    radix_weights(fold.base, fold.width)
     level = _first_level(p)
-    table = decision_table(p)
     ids = np.zeros(1, np.int32)
-    dtype = _spot_dtype(letters, r)
-    words = parked = np.zeros((1, 0), dtype)
-    for _ in range(r):
+    keys = np.zeros(1, np.int64)
+    sure = True
+    for k in range(r):
         shape = (len(level[0]), len(letters))
         level, next_node, spot_of = _grow_level(p, *level, letters, inside, table)
+        sure = sure and None not in level[2]
         next_node = np.array(next_node, np.int32).reshape(shape)
-        spot_of = np.array(spot_of, dtype).reshape(shape)
+        spot_of = np.array(spot_of, np.int64).reshape(shape)
         # nonzero scans row by row, so prefixes stay in lexicographic order
         rows, cols = np.nonzero((next_node >= 0)[ids])
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
-        words = np.column_stack((words[rows], np.array(letters, dtype)[cols]))
-        parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
-    return words, parked, ids, level[0]
+        keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
+    return keys, ids, level[0], sure
+
+
+def parking_keys(p: Procedure, r: int, fold: Fold) -> np.ndarray:
+    """The `fold` key of every parking word of length r, in lexicographic
+    order, grown over {1..r} with the spots kept inside {1..r}, since a car
+    parked outside never leaves. ValueError if a decision branches."""
+    spots = frozenset(range(1, r + 1))
+    keys, _, _, sure = grow_runs(p, r, range(1, r + 1), spots, fold, decision_table(p))
+    if not sure:
+        raise _branch_error(p)
+    return keys
 
 
 def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> int:
@@ -434,18 +450,6 @@ def _count_from(p: Procedure, level, letters, target: frozenset, cars: int, tabl
                 raise _branch_error(p)
             lands += count * (occ == target)
     return lands
-
-
-def parking_runs(p: Procedure, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every parking word of length r and where its cars park, as two int8
-    (m, r) arrays `(words, parked)` in lexicographic order: `grow_runs`
-    over {1..r}, since a car parked outside never leaves. A rule whose
-    decision branches raises ValueError."""
-    words, parked, _, _ = grow_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
-    # 0 is no spot in {1..r}: it marks a step that was not sure
-    if not parked.all():
-        raise _branch_error(p)
-    return words, parked
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,10 @@ from parkline.colored import (
     colored_lbs_procedure,
     colored_orbit_audit,
     colored_run,
-    colored_shift,
     colored_word,
     distinct_letters_language,
     is_parking_colored,
     grow_language_words,
-    parse_colored_word,
     rotate_values,
     verify_closures,
 )
@@ -86,7 +84,7 @@ class TestColoredRun:
     def test_shift_commutes(self):
         for values in itertools.product(range(1, 4), repeat=3):
             word = colored_word((v, i) for i, v in enumerate(values))
-            shifted = colored_shift(word, 2)
+            shifted = colored_word((v + 2, i) for i, v in enumerate(values))
             assert colored_run(CLBS, shifted).spots == frozenset(
                 s + 2 for s in colored_run(CLBS, word).spots
             )
@@ -110,12 +108,6 @@ class TestLanguage:
         assert rotate_values(word, 2) == colored_word([(1, "x"), (2, "y")])
         with pytest.raises(ValueError):
             rotate_values(colored_word([(5, "x")]), 2)
-
-    def test_parse(self):
-        assert parse_colored_word("1:a,2:b") == (
-            ColoredLetter(1, "a"),
-            ColoredLetter(2, "b"),
-        )
 
 
 class TestColoredOrbits:

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 from fractions import Fraction
 
 import pytest
@@ -179,7 +180,7 @@ class TestWalk:
 
         monkeypatch.setattr(enumeration, "walk_occupied", refuse)
         monkeypatch.setattr(enumeration, "block_sides", refuse)
-        monkeypatch.setattr(enumeration, "parking_runs", refuse)
+        monkeypatch.setattr(enumeration, "parking_keys", refuse)
         with pytest.raises(CapExceededError, match="walk over 30 spots: 32,212,254,720 car steps"):
             count_parking(builtin("lbs"), 30)
         with pytest.raises(CapExceededError, match="interval DP over 57 spots: 10,556,001 car steps"):
@@ -342,6 +343,33 @@ class TestPathLog:
         [record] = caplog.records
         assert record.budget is None and record.getMessage().endswith("budget lifted")
 
+    def test_abelian_checks_and_colored_audits_are_logged(self, caplog):
+        from parkline.colored import colored_lbs_procedure, colored_orbit_audit, distinct_letters_language
+        from parkline.probabilistic import is_abelian
+
+        def colored(r):
+            return colored_orbit_audit(colored_lbs_procedure(), distinct_letters_language(), r, (1, 2))
+
+        cases = [
+            (lambda: is_abelian(pq_procedure(Fraction(2)), 3), "abelian check up to length 3", 212),
+            (lambda: colored(2), "colored words over 6 letters", 6**2 * 2),
+            (lambda: is_abelian(pq_procedure(Fraction(2)), 7), "abelian check up to length 7", 15_427_550),
+            (lambda: colored(6), "colored words over 14 letters", 14**6 * 6),
+        ]
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        for query, path, estimate in cases:
+            caplog.clear()
+            if estimate > WORK_BUDGET:
+                with pytest.raises(CapExceededError, match=f"^{path}: {estimate:,} car steps exceed"):
+                    query()
+            else:
+                query()
+            [record] = caplog.records
+            assert (record.path, record.estimate, record.budget) == ("engine", estimate, WORK_BUDGET)
+            assert record.getMessage() == (
+                f"engine: {path}, {estimate:,} car steps estimated, budget 10,000,000"
+            )
+
 
 class TestLbsWalk:
     """count_parking walks lbs over (occupied set, block records)."""
@@ -486,6 +514,15 @@ class TestCountWordsToSet:
         for via in (None, "formula"):
             with pytest.raises(ValueError, match="pad"):
                 count_words_to_set(p, {1, 2}, via, pad=3)
+
+    def test_bad_pad_refused(self):
+        # a negative pad would narrow the alphabet below S, and a bool is no width
+        p = builtin("right")
+        assert count_words_to_set(p, {1, 2, 3}, "brute") == 16
+        for pad in (-1, True, False, 1.0, "1", None):
+            for via in (None, "brute", "formula"):
+                with pytest.raises(ValueError, match=re.escape(f"pad must be an int >= 0, got {pad!r}")):
+                    count_words_to_set(p, {1, 2, 3}, via, pad=pad)
 
     def test_formula_requires_local(self):
         with pytest.raises(ValueError):

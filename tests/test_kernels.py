@@ -1,7 +1,8 @@
 """Backend contract: the numpy backend, which grows every word on the
 prefix-growth engine (`grow_runs` with nothing dropped), equals the
 per-word engine (`backend="python"`, `run`) and the independent oracle of
-conftest.py, word by word and count by count."""
+conftest.py, word by word and count by count; and each fold's keys equal
+the keys computed from `run` word by word."""
 
 import dataclasses
 import itertools
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     alternating_rule,
+    grown_runs,
     history_parity_rule,
     oracle_lbs_run,
     oracle_run,
@@ -21,14 +23,24 @@ from conftest import (
     state_parity_rule,
 )
 from parkline import _kernels
-from parkline.enumeration import count_parking, count_words_to_set, expected_parking_count
+from parkline.enumeration import (
+    _orbit_fold,
+    count_parking,
+    count_words_to_set,
+    expected_parking_count,
+    orbit_audit,
+)
+from parkline.forests import _outcome_fold, fiber_counts_brute
+from parkline.probabilistic import _multiset_fold, kw_procedure
 from parkline.procedures import (
     LEFT,
     RIGHT,
     Direction,
     DirTable,
+    Fold,
     Procedure,
     builtin,
+    decision_table,
     grow_runs,
     index_rule_procedure,
     parse_proc_spec,
@@ -46,7 +58,7 @@ TABLE_PROCS += [
 def grown(p, r, letters):
     """Every word of length r over `letters`, grown with nothing dropped:
     `(words, parked)` as lists of tuples."""
-    words, parked, _, _ = grow_runs(p, r, letters, None)
+    words, parked, _, _, _ = grown_runs(p, r, letters)
     return list(map(tuple, words.tolist())), list(map(tuple, parked.tolist()))
 
 
@@ -162,7 +174,7 @@ class TestRandomTables:
         letters, sample_words = sample
         p = table_procedure(table)
         r = len(sample_words[0])
-        words, parked, _, _ = grow_runs(p, r, letters, None)
+        words, parked, _, _, _ = grown_runs(p, r, letters)
         # words come in lexicographic order, so a word's row is its radix index
         rows = (np.array(sample_words) - letters[0]) @ _kernels.radix_weights(len(letters), r)
         for word, k in zip(sample_words, rows.tolist()):
@@ -223,7 +235,7 @@ class TestCountsAcrossBackends:
 
 class TestLetterRange:
     def test_letters_beyond_int8(self):
-        # spots take the smallest signed type that holds letters +- r
+        # spots beyond 127 come back exactly
         words, parked = grown(builtin("right"), 2, [126, 127])
         assert parked[-1] == (127, 128)
         p = builtin("right")
@@ -236,15 +248,15 @@ class TestLetterRange:
 class TestBranching:
     def test_brute_refuses_a_branch_that_merges_back(self):
         # car 2 of word (1, 1, 0) branches onto {0, 1} or {1, 2}; car 3 then
-        # fills {0, 1, 2} surely: the last node is a point mass of weight 1
-        # and the parked row reads 0 at a step that was not sure
+        # fills {0, 1, 2} surely: the last node is a point mass of weight 1,
+        # yet the growth is not sure, although 0 is a spot of the window
         def decide(st, h, occ, blk, a):
             return Fraction(1, 2) if blk.size == 1 else RIGHT
 
         p = Procedure("merge-back", decide=decide)
-        words, parked, ids, nodes = grow_runs(p, 3, [0, 1, 2], None)
+        words, parked, ids, nodes, sure = grown_runs(p, 3, [0, 1, 2])
         k = words.tolist().index([1, 1, 0])
-        assert parked[k].tolist() == [1, 0, 0]
+        assert not sure and parked is None
         assert nodes[ids[k]] == {(frozenset({0, 1, 2}), None): (1, None)}
         for backend in ("numpy", "python"):
             with pytest.raises(ValueError, match="merge-back: a decision branches"):
@@ -256,3 +268,74 @@ class TestBranching:
         for backend in ("numpy", "python"):
             with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
                 count_words_to_set(kw_procedure(Fraction(1, 2)), {1, 2}, "brute", backend=backend)
+
+
+FOLD_RULES = [
+    parse_proc_spec(spec)
+    for spec in ("right", "left", "closest", "prime", "evenodd", "naples:k=2", "far", "lbs")
+] + [alternating_rule(), history_parity_rule(), state_parity_rule()]
+
+
+def radix(digits, base: int) -> int:
+    """The number with these digits in radix `base`, the most significant first."""
+    value = 0
+    for d in digits:
+        value = value * base + d
+    return value
+
+
+class TestFolds:
+    """Each fold the engine carries, against the key computed from `run` word
+    by word over the whole word space."""
+
+    @given(p=st.sampled_from(FOLD_RULES), r=st.integers(1, 4), lo=st.integers(-4, 1))
+    @example(p=FOLD_RULES[0], r=2, lo=-1)
+    @settings(max_examples=40, deadline=None)
+    def test_keys_equal_per_word_keys(self, p, r, lo):
+        # r+1 letters, the most the orbit and multiset folds read; the
+        # window holds 0 when lo <= 0 <= lo + r, and negative letters when lo < 0
+        letters = range(lo, lo + r + 1)
+        base = r + 1
+        words = list(itertools.product(letters, repeat=r))
+        runs = [run(p, word) for word in words]
+        at = {a: i for i, a in enumerate(letters)}
+
+        def orbit_key(word):
+            first = at[word[0]]
+            return radix([first] + [(at[a] - first) % base for a in word[1:]], base)
+
+        orbits = [orbit_key(w) for w in words]
+        multisets = [sum(base ** at[a] for a in w) for w in words]
+        for fold, expected in ((_orbit_fold(r), orbits), (_multiset_fold(r), multisets)):
+            keys, _, _, sure = grow_runs(p, r, letters, None, fold, decision_table(p))
+            assert sure and keys.tolist() == expected
+        _, parked, _, _, sure = grown_runs(p, r, letters)
+        assert sure and parked.tolist() == [list(res.parked) for res in runs]
+        # outcome keys of the parking runs, the only ones kept inside {1..r}
+        full = frozenset(range(1, r + 1))
+        parking = [res for res in runs if res.spots == full]
+        outcomes = [radix([res.outcome[s] for s in range(1, r + 1)], base) for res in parking]
+        keys, _, _, sure = grow_runs(p, r, letters, full, _outcome_fold(r), decision_table(p))
+        assert sure and keys.tolist() == outcomes
+        # a car parking on spot 0 is no branch; a coin is one
+        _, parked, _, _, sure = grown_runs(builtin("right"), 2, [-1, 0])
+        assert sure and [-1, 0] in parked.tolist()
+        assert not grown_runs(kw_procedure(Fraction(1, 2)), 2, [1, 2])[4]
+
+    def test_keys_past_int64_refused_before_any_decision(self):
+        def refuse(*args):
+            raise AssertionError("decide called")
+
+        def keep(k, keys, cols, spots):
+            return keys
+
+        p = dataclasses.replace(builtin("right"), decide=refuse)
+        # 2^64 - 1 passes int64's largest value, 2^63 - 1
+        with pytest.raises(_kernels.RadixOverflowError):
+            grow_runs(p, 2, [1, 2], None, Fold(2, 64, keep), decision_table(p))
+        keys, _, _, _ = grow_runs(builtin("right"), 2, [1, 2], None, Fold(2, 63, keep), None)
+        assert keys.tolist() == [0] * 4
+        # 17^16 - 1 orbit and outcome keys, with the budget lifted
+        for query in (orbit_audit, fiber_counts_brute):
+            with pytest.raises(_kernels.RadixOverflowError):
+                query(p, 16, cap=None)

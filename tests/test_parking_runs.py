@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from conftest import (
     abelian_by_orderings,
     alternating_rule,
+    grown_runs,
     history_parity_rule,
+    parking_runs,
     random_dir_tables,
     state_parity_rule,
 )
@@ -52,9 +54,7 @@ from parkline.procedures import (
     DirTable,
     Procedure,
     branches,
-    grow_runs,
     index_rule_procedure,
-    parking_runs,
     parse_proc_spec,
     run,
     table_procedure,
@@ -112,7 +112,6 @@ def as_runs(words: np.ndarray, parked: np.ndarray) -> tuple:
 def test_runs_equal_the_engine(p):
     for r in range(1, 6):
         words, parked = parking_runs(p, r)
-        assert words.dtype == parked.dtype == np.int8
         assert words.shape == parked.shape == (len(reference_runs(p, r)), r)
         assert as_runs(words, parked) == reference_runs(p, r), r
 
@@ -233,7 +232,7 @@ def test_measure_nodes_equal_history_nodes():
     ids=lambda x: getattr(x, "name", x),
 )
 def test_prefixes_merge_on_equal_measures(pp, nodes):
-    words, _, ids, last = grow_runs(pp, 6, range(1, 7), frozenset(range(1, 7)))
+    words, _, ids, last, _ = grown_runs(pp, 6, range(1, 7), frozenset(range(1, 7)))
     assert len(last) == nodes and len(words) > 100 * nodes
     assert sorted(set(ids.tolist())) == list(range(nodes))
 
@@ -241,7 +240,7 @@ def test_prefixes_merge_on_equal_measures(pp, nodes):
 @pytest.mark.parametrize("pp", PROB_RULES, ids=ids)
 def test_unfiltered_nodes_are_the_measures(pp):
     for r in range(1, 4):
-        words, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None)
+        words, _, ids, nodes, _ = grown_runs(pp, r, range(1, r + 2))
         assert words.tolist() == [list(w) for w in word_space(r)]
         for word, i in zip(words.tolist(), ids.tolist()):
             occupancy: dict = {}
@@ -260,8 +259,10 @@ def test_a_branch_that_merges_back_is_refused():
 
     p = Procedure("merge-back", decide=decide)
     assert measure(p, (2, 2, 2)).probs == {frozenset({1, 2, 3}): 1}
-    with pytest.raises(ValueError, match="merge-back: a decision branches"):
-        parking_runs(p, 3)
+    assert not grown_runs(p, 3, range(1, 4), frozenset(range(1, 4)))[4]
+    for query in (orbit_audit, fiber_counts_brute):
+        with pytest.raises(ValueError, match="merge-back: a decision branches"):
+            query(p, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +297,10 @@ class Asked:
 SPLIT = frozenset({1, 2, 4, 5})
 
 # query, rule spec, decisions asked per call (the engine asked 253, 106,
-# 186, 43 and 28 at every (node, letter) step before decision tables)
+# 186, 43 and 28 at every (node, letter) step before decision tables);
+# is_abelian keeps one table for all its lengths
 TABLED = [
-    (is_abelian, "pq:q=2", (4,), 45),
+    (is_abelian, "pq:q=2", (4,), 30),
     (orbit_parking_mass, "pq:q=3", (4,), 16),
     (orbit_audit, "closest", (6,), 50),
     (count_words_to_set, "right", (SPLIT, "brute"), 17),

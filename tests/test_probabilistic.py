@@ -23,7 +23,7 @@ from parkline.probabilistic import (
     right_prob_table,
     total_parking_mass,
 )
-from parkline.procedures import Procedure, builtin, dir_of, parking_runs, run
+from parkline.procedures import Procedure, builtin, dir_of, run
 
 HALF = F(1, 2)
 
@@ -341,14 +341,14 @@ class TestPqDegenerate:
             assert type(count) is int and count == (r + 1) ** (r - 1)
 
     def test_a_branching_rule_refuses_to_run(self):
-        from parkline.enumeration import count_parking
+        from parkline.enumeration import count_parking, orbit_audit
 
         with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
             run(kw_procedure(HALF), (1, 1))
         with pytest.raises(ValueError, match="kw:q=1/2 branches"):
             count_parking(kw_procedure(HALF), 2)
         with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
-            list(parking_runs(kw_procedure(HALF), 2))
+            orbit_audit(kw_procedure(HALF), 2)
         with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
             dir_of(kw_procedure(HALF), 2, 1)
 
