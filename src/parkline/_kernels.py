@@ -1,7 +1,7 @@
 """Backend names and int64 radix checks.
 
-Backends: "numpy" (the default) counts words on the prefix-growth
-engine (`procedures.count_landing`), asking the rule once per node and
+Backends: "numpy" (the default) counts words on (occupied set, state)
+pairs (`procedures.count_landing`), asking the rule once per pair and
 letter; "python" runs the per-word engine
 (`procedures.run_engine`) on every word, the independent reference.
 Call sites choose one via `backend=`.

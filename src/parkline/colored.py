@@ -22,6 +22,7 @@ from .procedures import (
     record_parked,
     run_engine,
 )
+from .words import as_int
 
 
 class ColoredLetter(NamedTuple):
@@ -36,7 +37,7 @@ ColoredWord = tuple[ColoredLetter, ...]
 
 
 def colored_word(pairs: Iterable[tuple[int, object]]) -> ColoredWord:
-    return tuple(ColoredLetter(int(v), c) for v, c in pairs)
+    return tuple(ColoredLetter(as_int(v, "letter value"), c) for v, c in pairs)
 
 
 class UndefinedRuleError(ValueError):
@@ -184,6 +185,8 @@ def colored_orbit_audit(
     if not (language.subword_closed and language.rotation_closed):
         raise ValueError(f"{language.name} lacks declared closure properties")
     colors = tuple(colors)
+    if not colors:
+        raise ValueError("no colors: the audit needs at least one")
     if len(set(colors)) != len(colors):
         raise ValueError(f"repeated color in {colors}")
     letters = (r + 1) * len(colors)

@@ -5,16 +5,16 @@ of words landing on a given spot set.
 A rule that decides by block (memoryless and locally decided) counts by
 the interval DP over the forest encoding (`interval_weight`): the words
 landing on a block are summed over the decreasing trees of their runs,
-in time polynomial in the block size. Any other rule walks (occupied
-set, rule state) pairs (`procedures.walk_occupied`).
+in time polynomial in the block size. Any other rule that can walk walks
+(occupied set, rule state) pairs (`procedures.walk_occupied`).
 Orbit audits grow the parking words over the same pairs as their orbit
 keys (`procedures.parking_keys`), so the rule is consulted once per pair
 and letter, not once per prefix.
-Every word over an alphabet is grown only where it is the reference,
-`count_words_to_set(..., "brute")` and counts that name a `backend`: on
-the same engine by default (`procedures.count_landing`, which carries
-each node's number of prefixes instead of the words), or word by word on
-the per-word engine with `backend="python"`.
+Every word over an alphabet is counted only for `count_words_to_set(...,
+"brute")`, counts that name a `backend` and counts of rules that cannot walk:
+by default on the (occupied set, state) pairs of `procedures.walking(p)`,
+each carrying its number of words (`procedures.count_landing`), or word
+by word on the per-word engine with `backend="python"`.
 Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
 query reports the path it takes and that estimate in one DEBUG record on
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .procedures import Fold, Procedure, branches, count_landing, parking_keys, run, walk_occupied
-from .words import Word, blocks, multinomial, rotate
+from .words import Word, as_int, blocks, multinomial, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
 WORK_BUDGET = 10_000_000
@@ -167,9 +167,9 @@ def expected_parking_count(r: int) -> int:
     return (r + 1) ** (r - 1)
 
 
-def _check_r(r: int) -> None:
+def _check_r(r: int, name: str = "r") -> None:
     if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+        raise ValueError(f"{name} must be >= 1, got {r}")
 
 
 def _check_strict(p: Procedure, n: int) -> None:
@@ -310,7 +310,8 @@ def check_universal(
     cap: int | None = WORK_BUDGET,
     backend: str | None = None,
 ) -> UniversalityReport:
-    """Compare parking-word counts against (r+1)^(r-1) for r = 1..r_max."""
+    """Compare parking-word counts against (r+1)^(r-1) for r = 1..r_max >= 1."""
+    _check_r(r_max, "r_max")
     entries = tuple(
         UniversalityEntry(
             r,
@@ -344,8 +345,8 @@ def count_words_to_set(
     `can_walk` walks (occupied subset of S, rule state) pairs
     (`walk_occupied`); a rule that branches on the way to S raises
     ValueError. Otherwise, and with "brute", every word with letters in S
-    is run: "numpy" (the default) grows them all on the prefix-growth
-    engine (`count_landing`), asking the rule once per node and letter;
+    is run: "numpy" (the default) counts them on (occupied set, state)
+    pairs (`count_landing`), asking the rule once per pair and letter;
     "python" runs each word on the per-word engine. Either raises
     ValueError if any word's run branches. `pad`, an int >= 0 but no bool,
     widens that alphabet to [min(S)-pad, max(S)+pad], gaps included, which
@@ -361,7 +362,7 @@ def count_words_to_set(
         raise ValueError(f"pad must be an int >= 0, got {pad!r}")
     if pad and (dp or walk or via == "formula"):
         raise ValueError("pad widens the alphabet of word enumeration only")
-    target = frozenset(spots)
+    target = frozenset(as_int(s, "spot") for s in spots)
     n = len(target)
     if n == 0:
         return 1
@@ -390,7 +391,8 @@ def count_words_to_set(
         len(alphabet) ** n * n,
         cap,
     )
-    # numpy counts the words in int64, even with the budget lifted
+    # a word space beyond int64 indices is refused even with the budget
+    # lifted, though the count itself is a Python int
     _kernels.radix_weights(len(alphabet), n)
     if _kernels.resolve_backend(backend) == "python":
         return sum(run(p, word).spots == target for word in product(alphabet, repeat=n))

@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .enumeration import WORK_BUDGET, _block_sides_memo, _check_runs
 from .procedures import Direction, Fold, Procedure, dir_of_set, parking_keys, run
-from .words import Block, SpotSet, Word, as_word, blocks
+from .words import Block, SpotSet, Word, as_int, as_word, blocks
 
 
 @dataclass(frozen=True)
@@ -246,14 +246,16 @@ def label_set(p: Procedure, node: int, lo: int, hi: int) -> frozenset[int]:
 
 def _as_sigmas(sigmas: Iterable[Sequence[int]]) -> np.ndarray:
     """The batch as an int64 (m, r) array; every row must be a permutation
-    of 1..r for one r."""
+    of 1..r for one r, its entries ints (`words.as_int`)."""
     rows = [tuple(s) for s in sigmas]
+    if not all(type(a) is int for row in rows for a in row):
+        rows = [tuple(as_int(a, "not a permutation: entry") for a in row) for row in rows]
     lengths = sorted({len(s) for s in rows})
     if len(lengths) > 1:
         raise ValueError(f"outcomes of different lengths {lengths} in one batch")
     r = lengths[0] if rows else 0
     s = np.array(rows).reshape(len(rows), r)
-    # compared by value, so a float or huge row is refused, never cast
+    # every entry is an int, and one beyond 1..r is refused by value, never cast
     bad = np.flatnonzero((np.sort(s, axis=1) != np.arange(1, r + 1)).any(axis=1))
     if len(bad):
         raise ValueError(f"{rows[bad[0]]} is not a permutation of 1..{r}")

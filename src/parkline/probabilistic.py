@@ -42,9 +42,10 @@ from .procedures import (
     branches,
     decision_table,
     grow_runs,
+    initial_level,
     merge_step,
     parse_proc_spec,
-    state_key,
+    walking,
 )
 from .words import SpotSet, Word, as_word
 
@@ -143,28 +144,28 @@ def measure(pp: Procedure, word: Iterable) -> Measure:
     """Exact distribution of the occupied set after the whole word.
 
     Branches agreeing on (occupied set, rule state) are merged with summed
-    weights. A colored rule takes a colored word (see `_letters`).
+    weights; a history rule's state is its history (`walking`). A colored
+    rule takes a colored word (see `_letters`).
     """
     word, value_of = _letters(pp, word)
-    init = pp.init_state()
-    current = {(frozenset(), state_key(init)): (ONE, init)}
-    for idx, a in enumerate(word):
-        current = merge_step(pp, current, (a,), None, word[:idx], value_of)
+    pp = walking(pp)
+    current = initial_level(pp, ONE)
+    for a in word:
+        current = merge_step(pp, current, (a,), None, value_of)
     return Measure(_occupancy(current))
 
 
 def path_distribution(pp: Procedure, word: Iterable) -> dict[tuple[int, ...], Fraction]:
     """Weight of every full parking trace (tuple of parked spots)."""
     word, value_of = _letters(pp, word)
-    current: dict[tuple[int, ...], tuple[Fraction, Any]] = {
-        (): (ONE, pp.init_state())
-    }
-    for idx, a in enumerate(word):
-        nxt: dict[tuple[int, ...], tuple[Fraction, Any]] = {}
+    pp = walking(pp)
+    current = {(): (ONE, pp.init_state())}
+    for a in word:
+        nxt = {}
         for parked, (weight, state) in current.items():
             # a car's choices end on distinct occupied sets
             occ = frozenset(parked)
-            step = merge_step(pp, {(occ, None): (weight, state)}, (a,), None, word[:idx], value_of)
+            step = merge_step(pp, {(occ, None): (weight, state)}, (a,), None, value_of)
             nxt.update((parked + tuple(after - occ), value) for (after, _), value in step.items())
         current = nxt
     return {parked: weight for parked, (weight, _) in current.items()}

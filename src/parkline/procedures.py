@@ -8,23 +8,26 @@ the block of occupied spots containing its preference. One rule type,
 its decision is a Direction or an exact probability of going right, and
 `branches` is the one step that turns a decision into the car's choices.
 Runs follow rules that never branch. `merge_step` is the one step over
-weighted (occupied set, rule state) pairs: `probabilistic.measure`
-follows a word's choices with it, `walk_occupied` sums the weights of
-runs ending on a spot set, and `grow_runs`, the one prefix-growth engine,
-grows words as int64 keys that a `Fold` extends car by car, merging
-prefixes whose measures agree; `count_landing` counts on its levels.
-`walk_occupied`, `grow_runs` and `count_landing` ask a rule that decides
-by block once per (block, letter) while one `decision_table` lives.
+weighted (occupied set, rule state) pairs, with an empty history (a rule
+that reads it steps as `walking(p)`, whose state is the history):
+`probabilistic.measure` follows a word's choices with it, `walk_occupied`
+sums the weights of runs ending on a spot set, `grow_runs`, the one
+prefix-growth engine, grows words as int64 keys that a `Fold` extends
+car by car, merging prefixes whose measures agree, and `count_landing`
+counts the words reaching each pair. The last three ask a rule that
+decides by block once per (block, letter) while one `decision_table` lives.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, product
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,8 +112,8 @@ class Procedure:
         - `state` is hashable or a dict;
         - `decide` never reads `history`.
         A rule flagged not memoryless with no `update` could remember only
-        through `history`: its counts go word by word, and its masses,
-        abelian checks and parking runs prefix by prefix with the real history.
+        through `history`: the engines run it as `walking(p)`, on (occupied
+        set, history) pairs, and its counts enumerate words.
         """
         return self.is_memoryless or self.update is not None
 
@@ -192,7 +195,7 @@ def _sure_spot(p: Procedure, choices: tuple) -> int:
 def run_engine(p, letters: tuple, value_of=None) -> RunResult:
     """Shared run loop; `value_of` maps a letter to its preferred spot
     (identity for plain integer letters). A decision that branches raises
-    ValueError."""
+    ValueError. A rule with no `update` keeps its initial state throughout."""
     occupied: set[int] = set()
     state = p.init_state()
     parked: list[int] = []
@@ -221,6 +224,23 @@ def decision_table(p: Procedure) -> dict | None:
     return {} if p.decides_by_block else None
 
 
+def walking(p: Procedure) -> Procedure:
+    """`p` as a rule that keeps in its state all that its decisions read:
+    `p` itself if it `can_walk`. Otherwise the state is the history, which
+    `update` extends by each letter, and `decide` passes it to `p.decide`
+    with `p`'s one initial state, as `run_engine` does for a rule with no
+    `update`. The engines run it on (occupied set, history) pairs."""
+    if p.can_walk:
+        return p
+    init = p.init_state()
+    return replace(
+        p,
+        decide=lambda history, _, occ, blk, a: p.decide(init, history, occ, blk, a),
+        init_state=tuple,
+        update=lambda history, a, spot: history + (a,),
+    )
+
+
 def state_key(state: Any):
     """Hashable stand-in for a rule state: a dict by its items, any
     other state as itself. Runs that agree on (occupied set, state key)
@@ -228,12 +248,17 @@ def state_key(state: Any):
     return frozenset(state.items()) if isinstance(state, dict) else state
 
 
+def initial_level(p: Procedure, weight=1) -> dict:
+    """The `merge_step` level before any car, of weight `weight`."""
+    init = p.init_state()
+    return {(frozenset(), state_key(init)): (weight, init)}
+
+
 def merge_step(
     p: Procedure,
     level: dict,
     letters: Iterable[int],
     inside: frozenset | None = None,
-    history: Word = (),
     value_of=None,
     table: dict | None = None,
 ) -> dict:
@@ -242,11 +267,11 @@ def merge_step(
 
     Every run takes each choice of a car with letter a, for every letter
     a in `letters`: its preferred spot if free, or the `branches` of `p`
-    after `history`. `value_of` maps a letter to its preferred spot, as in
-    `run_engine` (identity for plain integer letters). Choices outside the
-    spot set `inside`, when given, are dropped. Weights multiply along a
-    run, and runs that agree on (occupied, state key) afterwards are
-    merged by adding their weights.
+    with an empty history (see `walking`). `value_of` maps a letter to its
+    preferred spot, as in `run_engine` (identity for plain integer
+    letters). Choices outside the spot set `inside`, when given, are
+    dropped. Weights multiply along a run, and runs that agree on
+    (occupied, state key) afterwards are merged by adding their weights.
 
     `table` is the engine call's `decision_table`, which `branches` reads
     and fills. It is the third thing that trusts `decides_by_block`, after
@@ -259,7 +284,7 @@ def merge_step(
         for a in letters:
             pref = a if value_of is None else value_of(a)
             # a free spot is a choice of weight 1
-            for spot, w in ((pref, 1),) if pref not in occ else branches(p, state, history, occ, a, pref, table):
+            for spot, w in ((pref, 1),) if pref not in occ else branches(p, state, (), occ, a, pref, table):
                 if inside is not None and spot not in inside:
                     continue
                 st = state if update is None else update(state, a, spot)
@@ -281,8 +306,7 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
     `check_steps` is passed the car steps taken so far and about to be
     taken, and may refuse them.
     """
-    init = p.init_state()
-    level = {(frozenset(), state_key(init)): (1, init)}
+    level = initial_level(p)
     table = decision_table(p)
     steps = 0
     for _ in target:
@@ -293,52 +317,37 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
     return sum(weight for weight, _ in level.values())
 
 
-def _point_mass(measure: dict) -> frozenset | None:
-    """The occupied set of a measure that is one (occupied set, state)
-    pair of weight 1, else None."""
-    ((occ, _), (weight, _)), *more = measure.items()
-    return None if more or weight != 1 else occ
-
-
 def _branch_error(p: Procedure) -> ValueError:
     return ValueError(f"{p.name}: a decision branches; measure() follows both choices")
 
 
-def _first_level(p: Procedure) -> tuple[list, list, list]:
-    init = p.init_state()
-    return [{(frozenset(), state_key(init)): (1, init)}], [()], [0]
-
-
-def _grow_level(p, nodes, histories, sums, letters, inside, table):
+def _grow_level(p, nodes, sums, letters, inside, table):
     """One car's step of `grow_runs` from every node of a level and every
-    letter: the next level `(nodes, histories, sums)` and, one entry per
-    (node, letter) pair row by row, the next node's id (-1 where the
-    measure left inside is empty) and the car's spot. A step is sure if it
-    goes from a point mass of weight 1 to another; `sums` holds the sum of
-    such a node's occupied spots, else None, so a car's spot is the
-    difference, and 0 stands in for the spot of a step that was not sure.
-    `table` is the call's `decision_table`."""
-    walks = p.can_walk
+    letter: the next level `(nodes, sums)` and, one entry per (node,
+    letter) pair row by row, the next node's id (-1 where the measure left
+    inside is empty) and the car's spot. A step is sure if it goes from a
+    point mass of weight 1 to another; `sums` holds the sum of such a
+    node's occupied spots, else None, so a car's spot is the difference,
+    and 0 stands in for the spot of a step that was not sure. `table` is
+    the call's `decision_table`."""
     index: dict = {}
-    nodes_next, histories_next, sums_next, next_node, spot_of = [], [], [], [], []
-    for node, history, total in zip(nodes, histories, sums):
+    nodes_next, sums_next, next_node, spot_of = [], [], [], []
+    for node, total in zip(nodes, sums):
         for a in letters:
-            nxt = merge_step(p, node, (a,), inside, history, table=table)
+            nxt = merge_step(p, node, (a,), inside, table=table)
             if not nxt:
                 next_node.append(-1)
                 spot_of.append(0)
                 continue
-            key = frozenset([(k, v[0]) for k, v in nxt.items()]) if walks else history + (a,)
-            j = index.setdefault(key, len(nodes_next))
+            j = index.setdefault(frozenset([(k, v[0]) for k, v in nxt.items()]), len(nodes_next))
             if j == len(nodes_next):
                 nodes_next.append(nxt)
-                histories_next.append(() if walks else key)
-                occ = _point_mass(nxt)
-                sums_next.append(None if occ is None else sum(occ))
+                ((occ, _), (weight, _)), *more = nxt.items()
+                sums_next.append(None if more or weight != 1 else sum(occ))
             after = sums_next[j]
             next_node.append(j)
             spot_of.append(0 if total is None or after is None else after - total)
-    return (nodes_next, histories_next, sums_next), next_node, spot_of
+    return (nodes_next, sums_next), next_node, spot_of
 
 
 class Fold(NamedTuple):
@@ -361,12 +370,12 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     the spot set `inside` (every word if None), grown one car (level) at a
     time: `(keys, ids, nodes, sure)`.
 
-    A prefix's node is its `merge_step` level, its measure restricted to
-    `inside`. Prefixes whose measures are the same ((occupied set, state
-    key), weight) pairs continue alike: `merge_step` runs once per node
-    and letter, and numpy extends every prefix from its node's row. A rule
-    that can walk gets an empty history (`Procedure.can_walk`); any other
-    gets the real one and keys its nodes on it, growing prefix by prefix.
+    A prefix's node is its `merge_step` level of `walking(p)`, its measure
+    restricted to `inside`. Prefixes whose measures are the same
+    ((occupied set, state key), weight) pairs continue alike: `merge_step`
+    runs once per node and letter, and numpy extends every prefix from its
+    node's row. The measures of a rule that reads its history hold it in
+    their states, so no two of its prefixes share a node.
     A rule that `decides_by_block` is asked once per (block, letter) while
     `table`, the caller's `decision_table`, lives (see `merge_step`).
 
@@ -377,14 +386,15 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     RadixOverflowError before any car is placed.
     """
     radix_weights(fold.base, fold.width)
-    level = _first_level(p)
+    p = walking(p)
+    level = ([initial_level(p)], [0])
     ids = np.zeros(1, np.int32)
     keys = np.zeros(1, np.int64)
     sure = True
     for k in range(r):
         shape = (len(level[0]), len(letters))
         level, next_node, spot_of = _grow_level(p, *level, letters, inside, table)
-        sure = sure and None not in level[2]
+        sure = sure and None not in level[1]
         next_node = np.array(next_node, np.int32).reshape(shape)
         spot_of = np.array(spot_of, np.int64).reshape(shape)
         # nonzero scans row by row, so prefixes stay in lexicographic order
@@ -408,47 +418,30 @@ def parking_keys(p: Procedure, r: int, fold: Fold) -> np.ndarray:
 
 def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> int:
     """Number of words of length |target| over `letters` whose run ends on
-    exactly `target`: `grow_runs` with nothing dropped, carrying each
-    node's number of prefixes instead of the prefixes, and each last
-    (node, letter) step's landing flag instead of the last level. Raises
-    ValueError if any run branches.
-
-    A rule that cannot walk keys each prefix on its history, so no two
-    merge: its words are grown one first letter at a time, and only one
-    subtree's level is live. A rule that `decides_by_block` is asked once
-    per (block, letter) in the call (`decision_table`)."""
-    cars = len(target)
+    exactly `target`, counted on the (occupied set, state) pairs of
+    `walking(p)` with nothing dropped: each pair carries the number of
+    prefixes reaching it, and the last car is only checked, per (pair,
+    letter), for landing on `target`, so no last level is built. Raises
+    ValueError if any run branches, checked after every car. A rule that
+    `decides_by_block` is asked once per (block, letter) in the call
+    (`decision_table`)."""
     table = decision_table(p)
-    if p.can_walk or cars == 1:
-        return _count_from(p, _first_level(p), letters, target, cars, table)
-    firsts, _, _ = _grow_level(p, *_first_level(p), letters, None, table)
-    return sum(
-        _count_from(p, ([node], [history], [total]), letters, target, cars - 1, table)
-        for node, history, total in zip(*firsts)
-    )
-
-
-def _count_from(p: Procedure, level, letters, target: frozenset, cars: int, table) -> int:
-    """`count_landing` from the nodes of `level`, one prefix each, after
-    `cars` more cars, with the call's `decision_table`."""
-    counts = np.ones(len(level[0]), np.int64)
-    for _ in range(cars - 1):
-        level, next_node, _ = _grow_level(p, *level, letters, None, table)
-        # every node is reached, and a run that never branched keeps to
-        # point masses of weight 1
-        if None in level[2]:
+    p = walking(p)
+    level = initial_level(p)
+    for _ in range(len(target) - 1):
+        level = merge_step(p, level, letters, table=table)
+        # a branch leaves a Fraction count, even where its runs merge back
+        if any(type(count) is not int for count, _ in level.values()):
             raise _branch_error(p)
-        # nothing is dropped, so every (node, letter) pair has a next node
-        spread = np.zeros(len(level[0]), np.int64)
-        np.add.at(spread, next_node, np.repeat(counts, len(letters)))
-        counts = spread
     lands = 0
-    for node, history, count in zip(level[0], level[1], counts.tolist()):
+    for (occ, _), (count, state) in level.items():
+        # |occ| is |target| - 1, so a pair inside the target misses one spot
+        last = sum(target) - sum(occ) if occ < target else None
         for a in letters:
-            occ = _point_mass(merge_step(p, node, (a,), None, history, table=table))
-            if occ is None:
+            choices = ((a, 1),) if a not in occ else branches(p, state, (), occ, a, a, table)
+            if len(choices) > 1:
                 raise _branch_error(p)
-            lands += count * (occ == target)
+            lands += count * (choices[0][0] == last)
     return lands
 
 
@@ -513,14 +506,7 @@ def outcome(p: Procedure, word: Iterable[int]) -> dict[int, int]:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def right_procedure() -> Procedure:
@@ -567,7 +553,7 @@ def evenodd_procedure() -> Procedure:
 def naples_procedure(k: int) -> Procedure:
     """Back up at most k spots looking for a free one, but never to a spot
     below 1; otherwise go right."""
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"naples requires an integer k >= 1, got {k!r}")
 
     def decide(st, h, occ, blk, a):
@@ -820,24 +806,19 @@ class FlagReport:
         )
 
 
-def _iter_test_words(r_max: int) -> Iterator[Word]:
-    from itertools import product
-
-    for n in range(1, r_max + 1):
-        yield from product(range(1, r_max + 2), repeat=n)
-
-
 def check_flags(p: Procedure, r_max: int) -> FlagReport:
     """Test the declared flags over every word with letters in
     {1..r_max+1} and length <= r_max; a found violation is returned as a
     witness. A flag declared false needs r_max large enough for a witness
-    to exist."""
+    to exist. r_max must be >= 1."""
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
     shift_w = None
     memory_w = None
     local_w = None
     seen: dict[tuple[SpotSet, int], tuple[int, Word]] = {}
 
-    for word in _iter_test_words(r_max):
+    for word in chain.from_iterable(product(range(1, r_max + 2), repeat=n) for n in range(1, r_max + 1)):
         res = run(p, word)
 
         if shift_w is None:

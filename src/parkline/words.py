@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 # A preference word is a finite sequence of integers; letter i is the spot
@@ -13,8 +14,16 @@ Word = tuple[int, ...]
 SpotSet = frozenset[int]
 
 
+def as_int(x, what: str = "letter") -> int:
+    """`x` as an int. Anything but an int or a numpy integer, a bool, a
+    float or a string included, raises ValueError naming it."""
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Integral)):
+        raise ValueError(f"{what} {x!r} is not an int")
+    return int(x)
+
+
 def as_word(letters: Iterable[int]) -> Word:
-    return tuple(int(a) for a in letters)
+    return tuple(as_int(a) for a in letters)
 
 
 @dataclass(frozen=True, order=True)

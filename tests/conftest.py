@@ -235,6 +235,18 @@ def history_parity_rule() -> Procedure:
     )
 
 
+def history_coin_rule() -> Procedure:
+    """Goes right with probability 1/2 after an even-length history and
+    surely right after an odd-length one. Its `decide` reads `history`
+    and branches, and it has no `update`, so the engines run it on
+    (occupied set, history) pairs."""
+    return Procedure(
+        "history-coin",
+        decide=lambda st, h, occ, blk, a: Direction.RIGHT if len(h) % 2 else Fraction(1, 2),
+        is_memoryless=False,
+    )
+
+
 def state_parity_rule() -> Procedure:
     """`history_parity_rule` with its memory in state: `update` keeps the
     parity of the letters so far. It walks, and its counts and masses must

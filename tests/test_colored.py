@@ -26,6 +26,11 @@ DISTINCT = distinct_letters_language()
 
 
 class TestColoredRun:
+    @pytest.mark.parametrize("value", [1.5, "1", True])
+    def test_values_must_be_ints(self, value):
+        with pytest.raises(ValueError, match=f"letter value {value!r} is not an int"):
+            colored_word([(2, "a"), (value, "b")])
+
     def test_free_values_park_anywhere(self):
         word = colored_word([(2, "a"), (1, "b"), (3, "a")])
         assert colored_run(CLBS, word).spots == frozenset({1, 2, 3})
@@ -158,6 +163,11 @@ class TestColoredOrbits:
     def test_refuses_r_below_one(self, r):
         with pytest.raises(ValueError, match="r must be >= 1"):
             colored_orbit_audit(CLBS, DISTINCT, r, (1, 2))
+
+    def test_refuses_no_colors(self):
+        # an empty alphabet has no words and no classes to audit
+        with pytest.raises(ValueError, match="no colors"):
+            colored_orbit_audit(CLBS, DISTINCT, 2, ())
 
     def test_refuses_a_repeated_color(self):
         # a repeated color would list every letter twice

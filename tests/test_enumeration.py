@@ -434,6 +434,12 @@ class TestUniversality:
         assert report.passed
         assert [e.expected for e in report.entries] == [1, 3, 16, 125, 1296]
 
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_refuses_r_max_below_one(self, r_max):
+        # no length would be counted, and the report would pass
+        with pytest.raises(ValueError, match=f"r_max must be >= 1, got {r_max}"):
+            check_universal(builtin("left"), r_max)
+
     def test_naples_fails_at_2(self):
         report = check_universal(builtin("naples", k=1), 2)
         assert not report.passed
@@ -461,6 +467,17 @@ class TestCountWordsToSet:
 
     def test_empty(self):
         assert count_words_to_set(builtin("right"), set()) == 1
+
+    @pytest.mark.parametrize("spots", [[1.0, 2], [True, 2], ["1", 2]], ids=repr)
+    @pytest.mark.parametrize("via", [None, "brute", "formula"])
+    def test_spots_must_be_ints(self, spots, via):
+        with pytest.raises(ValueError, match=re.escape(f"spot {spots[0]!r} is not an int")):
+            count_words_to_set(builtin("right"), spots, via)
+
+    def test_numpy_spots_are_ints(self):
+        import numpy as np
+
+        assert count_words_to_set(builtin("right"), np.array([1, 2]), "brute") == 3
 
     @pytest.mark.parametrize("name", ["right", "prime", "closest"])
     def test_formula_equals_brute(self, name):

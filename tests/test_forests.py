@@ -209,6 +209,17 @@ class TestLabelSets:
 
 
 class TestFibers:
+    @pytest.mark.parametrize("sigma", [(1.0, 2.0), (True, 2), (1, "2")], ids=repr)
+    def test_entries_must_be_ints(self, sigma):
+        bad = next(a for a in sigma if type(a) is not int)
+        with pytest.raises(ValueError, match=f"entry {bad!r} is not an int"):
+            fiber_counts(builtin("right"), [(2, 1), sigma])
+
+    def test_numpy_rows_are_ints(self):
+        import numpy as np
+
+        assert fiber_counts(builtin("right"), np.array([[2, 1], [1, 2]])) == [1, 2]
+
     def test_identity_fiber_is_factorial(self):
         p = builtin("right")
         for r in range(1, 6):

@@ -1,11 +1,12 @@
-"""Backend contract: the numpy backend, which grows every word on the
-prefix-growth engine (`grow_runs` with nothing dropped), equals the
+"""Backend contract: the numpy backend, which counts every word on the
+(occupied set, state) pairs of `procedures.walking` (`count_landing`), equals the
 per-word engine (`backend="python"`, `run`) and the independent oracle of
 conftest.py, word by word and count by count; and each fold's keys equal
 the keys computed from `run` word by word."""
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from parkline.enumeration import (
     orbit_audit,
 )
 from parkline.forests import _outcome_fold, fiber_counts_brute
-from parkline.probabilistic import _multiset_fold, kw_procedure
+from parkline.probabilistic import _multiset_fold, kw_procedure, parse_prob_spec
 from parkline.procedures import (
     LEFT,
     RIGHT,
@@ -268,6 +269,32 @@ class TestBranching:
         for backend in ("numpy", "python"):
             with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
                 count_words_to_set(kw_procedure(Fraction(1, 2)), {1, 2}, "brute", backend=backend)
+
+    @pytest.mark.parametrize("lo", [4, 5])
+    def test_a_branch_off_the_target_is_refused(self, lo):
+        # only blocks of two or more spots starting at `lo` or beyond
+        # branch, and such a block holds a spot outside {1, 2, 3}, so no
+        # branching run lands there: the interval DP, which sees only blocks
+        # inside the target, counts as for right, but a count over {-1..5}
+        # meets the branches. Only the last of three cars can branch, and
+        # from lo = 5 both its choices leave the target.
+        def decide(st, h, occ, blk, a):
+            return Fraction(1, 2) if blk.lo >= lo and blk.size >= 2 else RIGHT
+
+        p = Procedure("off-target", decide=decide)
+        assert count_words_to_set(p, {1, 2, 3}) == 16
+        for backend in ("numpy", "python"):
+            with pytest.raises(ValueError, match="off-target: a decision branches"):
+                count_words_to_set(p, {1, 2, 3}, "brute", pad=2, backend=backend)
+
+    @pytest.mark.parametrize("r", [5, 6])
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_a_branch_is_refused_before_a_later_car_is_asked(self, r, backend):
+        # car 2's coin branches; the rule has no coin for car 5, which a
+        # count that looked for branches only at the end would ask first
+        p = parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1")
+        with pytest.raises(ValueError, match=re.escape(f"{p.name}: a decision branches")):
+            count_parking(p, r, backend=backend)
 
 
 FOLD_RULES = [

@@ -20,6 +20,7 @@ from conftest import (
     abelian_by_orderings,
     alternating_rule,
     grown_runs,
+    history_coin_rule,
     history_parity_rule,
     parking_runs,
     random_dir_tables,
@@ -190,6 +191,7 @@ PROB_RULES = RULES + [
     pq_procedure(Fraction(1, 3)),
     kw_procedure(Fraction(1, 3)),
     kw_sequence_procedure((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1))),
+    history_coin_rule(),
 ]
 
 
@@ -215,6 +217,34 @@ def test_run_count_equals_walked_count(p):
     # the runs and the occupied-set walk count the same words independently
     for r in range(1, 8):
         assert len(parking_runs(p, r)[0]) == count_parking(p, r, cap=None), r
+
+
+def expanded(p, word) -> dict:
+    """Weight of every parking trace of `word` under rule `p`, by expanding
+    every branch with the real history and the rule's one state, without
+    merging: a rule that reads its history and has no `update`."""
+    traces = {(): Fraction(1)}
+    state = p.init_state()
+    for idx, a in enumerate(word):
+        nxt: dict = {}
+        for parked, weight in traces.items():
+            choices = [(a, 1)] if a not in parked else branches(p, state, word[:idx], frozenset(parked), a, a)
+            for spot, w in choices:
+                nxt[parked + (spot,)] = nxt.get(parked + (spot,), 0) + weight * w
+        traces = nxt
+    return traces
+
+
+@pytest.mark.parametrize("pp", [history_parity_rule(), history_coin_rule()], ids=ids)
+def test_history_measures_equal_per_word_expansion(pp):
+    for r in range(5):
+        for word in itertools.product(range(1, r + 2), repeat=r):
+            traces = expanded(pp, word)
+            occupancy: dict = {}
+            for parked, weight in traces.items():
+                occupancy[frozenset(parked)] = occupancy.get(frozenset(parked), 0) + weight
+            assert path_distribution(pp, word) == traces, word
+            assert measure(pp, word).probs == occupancy, word
 
 
 def test_measure_nodes_equal_history_nodes():
@@ -350,6 +380,7 @@ UNTABLED = [
     (history_parity_rule(), 4, 3, (216, 198, 192, 19, 19, 39)),
     (parse_prob_spec("kwseq:qs=1/2+1/3"), None, 2, (2, 2, 3)),
     (parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), None, 4, (130, 28, 33)),
+    (history_coin_rule(), None, 4, (244, 244, 38)),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,11 @@ small_words = st.lists(st.integers(1, 5), min_size=0, max_size=5).map(tuple)
 
 
 class TestRun:
+    def test_refuses_letters_that_are_not_ints(self):
+        # once truncated to the run of (1, 2)
+        with pytest.raises(ValueError, match="letter 1.5 is not an int"):
+            run(builtin("right"), [1.5, 2.7])
+
     def test_forced_right(self):
         res = run(make("right"), (1, 1, 1))
         assert res.spots == frozenset({1, 2, 3})
@@ -199,6 +205,14 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             make("naples", k=0)
 
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_naples_requires_an_int_k(self, k):
+        with pytest.raises(ValueError, match=f"integer k >= 1, got {k!r}"):
+            make("naples", k=k)
+
+    def test_naples_takes_a_numpy_k(self):
+        assert run(make("naples", k=np.int64(1)), (2, 2)).spots == frozenset({1, 2})
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin("unknown")
@@ -339,6 +353,12 @@ class TestMemorylessReplay:
 
 
 class TestCheckFlags:
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_refuses_r_max_below_one(self, r_max):
+        # no word would be tested, and every flag would read as confirmed
+        with pytest.raises(ValueError, match=f"r_max must be >= 1, got {r_max}"):
+            check_flags(builtin("right"), r_max)
+
     def test_naples_shift_witness(self):
         report = check_flags(builtin("naples", k=1), 2)
         assert not report.shift_invariant.observed

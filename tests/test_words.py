@@ -1,5 +1,7 @@
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,3 +157,15 @@ class TestShuffles:
 def test_as_word_coerces():
     assert as_word([1, 2]) == (1, 2)
     assert as_word(()) == ()
+
+
+def test_as_word_takes_numpy_integers_as_ints():
+    word = as_word(np.array([3, -1], dtype=np.int8))
+    assert word == (3, -1) and all(type(a) is int for a in word)
+
+
+@pytest.mark.parametrize("letter", [1.5, 2.0, "3", True, np.bool_(False), None])
+def test_as_word_refuses_what_is_not_an_int(letter):
+    # nothing is truncated or parsed: 1.5 and "3" are not letters 1 and 3
+    with pytest.raises(ValueError, match=re.escape(f"letter {letter!r} is not an int")):
+        as_word([1, letter])
