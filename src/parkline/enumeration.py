@@ -27,6 +27,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
@@ -115,8 +116,9 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None):
 
     and the blocks of `target` interleave likewise, each taken at its own
     position, so the weight is the multinomial of the block sizes times F
-    of each block. Int weights give an exact count and Fraction weights an
-    exact mass.
+    of each block. The sides of a block are taken as int numerators over
+    one denominator (`_block_weight`): a rule that never branches gives an
+    exact int count, and one that does an exact Fraction mass.
 
     This holds only if every decision depends on nothing but the letter and
     the block it lands on. The DP trusts the flags `Procedure.decides_by_block`
@@ -138,29 +140,44 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None):
 
 
 def _block_sides_memo(p: Procedure):
-    """`block_sides` of `p` for one call: each block is probed once and
-    kept while the caller keeps the returned function; an empty block
-    has sides (0, 0)."""
+    """`block_sides` of `p` for one call, kept while the caller keeps the
+    returned function; an empty block has sides (0, 0). A rule that
+    `is_local` is probed once per block size, on the block [1, size], which
+    trusts `is_shift_invariant` as `via="formula"` does: n probes for the
+    blocks inside n spots instead of one per block. Any other rule is
+    probed once per block."""
+    if p.is_local:
+        by_size = functools.cache(lambda n: block_sides(p, 1, n))
+        return lambda a, b: by_size(b - a + 1) if a <= b else (0, 0)
     return functools.cache(lambda a, b: block_sides(p, a, b) if a <= b else (0, 0))
 
 
 def _block_weight(p: Procedure, lo: int, n: int):
     """F(lo, lo+n-1) of `interval_weight`. Intervals are taken half-open in
-    offsets from lo: [i, j) holds the spots lo+i .. lo+j-1."""
+    offsets from lo: [i, j) holds the spots lo+i .. lo+j-1. The sides are
+    taken as int numerators over D, the lcm of their denominators, so F of
+    an interval of m spots is an int numerator over D^m; a Fraction is
+    built only at the end, and only if some side is not an int."""
     side = _block_sides_memo(p)
     # the whole block is never a side: no car comes after the last
-    sides = [[side(lo + i, lo + j - 1) if (i, j) != (0, n) else None for j in range(n + 1)]
+    sides = [[side(lo + i, lo + j - 1) if (i, j) != (0, n) else (0, 0) for j in range(n + 1)]
              for i in range(n + 1)]
+    every = [x for row in sides for pair in row for x in pair]
+    den = math.lcm(*(x.denominator for x in every))
+    sides = [[[x.numerator * (den // x.denominator) for x in pair] for pair in row] for row in sides]
     f = [[1] * (n + 1) for _ in range(n + 1)]
     for size in range(1, n + 1):
         comb = [math.comb(size - 1, t) for t in range(size)]
         for i in range(n - size + 1):
             j = i + size
             f[i][j] = sum(
-                comb[k - i] * (1 + sides[i][k][0] + sides[k + 1][j][1]) * f[i][k] * f[k + 1][j]
+                comb[k - i] * (den + sides[i][k][0] + sides[k + 1][j][1]) * f[i][k] * f[k + 1][j]
                 for k in range(i, j)
             )
-    return f[0][n]
+    # a side that is not an int came from a decision that branched
+    if all(type(x) is int for x in every):
+        return f[0][n]
+    return Fraction(f[0][n], den**n)
 
 
 def expected_parking_count(r: int) -> int:
@@ -348,18 +365,24 @@ def count_words_to_set(
     is run: "numpy" (the default) counts them on (occupied set, state)
     pairs (`count_landing`), asking the rule once per pair and letter;
     "python" runs each word on the per-word engine. Either raises
-    ValueError if any word's run branches. `pad`, an int >= 0 but no bool,
-    widens that alphabet to [min(S)-pad, max(S)+pad], gaps included, which
-    re-verifies the claim above empirically. "formula" multiplies shuffle
-    counts with per-block parking counts and requires a local procedure.
+    ValueError if any word's run branches. `pad`, an int >= 0 or a numpy
+    integer as spots are (`words.as_int`), but no bool, widens that
+    alphabet to [min(S)-pad, max(S)+pad], gaps included, which re-verifies
+    the claim above empirically. "formula" multiplies shuffle counts with
+    per-block parking counts and requires a local procedure.
     """
     if via not in (None, "brute", "formula"):
         raise ValueError(f"unknown mode {via!r}")
     default = via is None and backend is None
     dp = default and p.decides_by_block
     walk = default and p.can_walk and not dp
-    if type(pad) is not int or pad < 0:
+    try:
+        width = as_int(pad, "pad")
+    except ValueError:
+        width = -1
+    if width < 0:
         raise ValueError(f"pad must be an int >= 0, got {pad!r}")
+    pad = width
     if pad and (dp or walk or via == "formula"):
         raise ValueError("pad widens the alphabet of word enumeration only")
     target = frozenset(as_int(s, "spot") for s in spots)

@@ -21,7 +21,8 @@ left of spot i to just before the nearest larger arrival right of it.
 `fiber_counts_brute` counts outcome keys of grown parking words instead.
 A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
 preferences bumped right and left off a block (`enumeration.block_sides`);
-each call probes each block once and keeps nothing after it returns.
+each call probes each block size once (each block, for a rule that is not
+shift invariant) and keeps nothing after it returns.
 """
 
 from __future__ import annotations
@@ -210,8 +211,9 @@ def _check_label_rule(p: Procedure) -> None:
 
 def _label_sizes(p: Procedure) -> Callable[[int, int, int], int]:
     """Label-set size of `node` on the span [lo, hi] for one call, from
-    block sides probed once each (`enumeration._block_sides_memo`). A rule
-    whose decisions branch on a block has no label sets: ValueError."""
+    block sides probed once each (`enumeration._block_sides_memo`, once per
+    size for a local rule). A rule whose decisions branch on a block has
+    no label sets: ValueError."""
     _check_label_rule(p)
     side = _block_sides_memo(p)
 

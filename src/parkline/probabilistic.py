@@ -5,20 +5,24 @@ family, and abelianity checks.
 A probabilistic rule is a `Procedure` whose `decide` returns an exact
 right-probability; a deterministic rule is the case where every decision
 is a Direction, 0 or 1, so every function here takes both. Everything is
-exact Fraction arithmetic; `procedures.branches` refuses floats. The
-branching run is expanded car by car with merging keyed on (occupied
-set, rule state) (`procedures.merge_step`), so distributions compare by
-strict equality. The total parking mass of a rule that decides by block
-sums the forest encoding over the intervals of {1..r}
-(`enumeration.interval_weight`), any other rule that can walk walks
-(occupied set, rule state) pairs. Orbit masses and abelianity checks grow
-all their words at once as keys (`procedures.grow_runs`) and read each
-word's measure off its node: words whose prefixes share a measure share
-its work.
+exact; `procedures.branches` refuses floats. The branching run is
+expanded car by car with merging keyed on (occupied set, rule state)
+(`procedures.merge_step`). Its weights are int numerators over one int
+denominator per level, and occupancies are compared in lowest terms, so
+distributions compare by strict equality; a `Fraction` is built only for
+what is returned: `Measure.probs`, trace weights and masses. The total
+parking mass of a rule that decides by block sums the forest encoding
+over the intervals of {1..r} (`enumeration.interval_weight`), any other
+rule that can walk walks (occupied set, rule state) pairs. Orbit masses
+and abelianity checks grow all their words at once as keys
+(`procedures.grow_runs`) and read each word's measure off its node:
+words whose prefixes share a measure share its work.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,12 +126,15 @@ class Measure:
         return sorted(self.probs, key=sorted)
 
 
-def _occupancy(level: dict) -> dict[SpotSet, Fraction]:
-    """Weight of each occupied set of a `merge_step` level, over all states."""
-    probs: dict[SpotSet, Fraction] = defaultdict(lambda: ZERO)
+def _occupancy(den: int, level: dict) -> tuple[int, dict[SpotSet, int]]:
+    """Weight of each occupied set of a `merge_step` level over `den`, over
+    all states, as `(den, {occupied set: numerator})` in lowest terms, so
+    that equal occupancies compare equal."""
+    nums: dict[SpotSet, int] = defaultdict(int)
     for (occ, _), (weight, _) in level.items():
-        probs[occ] += weight
-    return dict(probs)
+        nums[occ] += weight
+    g = math.gcd(den, *nums.values())
+    return den // g, {occ: num // g for occ, num in nums.items()}
 
 
 def _letters(pp: Procedure, word: Iterable) -> tuple[tuple, Any]:
@@ -144,31 +151,38 @@ def measure(pp: Procedure, word: Iterable) -> Measure:
     """Exact distribution of the occupied set after the whole word.
 
     Branches agreeing on (occupied set, rule state) are merged with summed
-    weights; a history rule's state is its history (`walking`). A colored
-    rule takes a colored word (see `_letters`).
+    weights, int numerators over one denominator, and each occupied set's
+    weight becomes a Fraction at the end; a history rule's state is its
+    history (`walking`). A colored rule takes a colored word (see
+    `_letters`).
     """
     word, value_of = _letters(pp, word)
     pp = walking(pp)
-    current = initial_level(pp, ONE)
+    den, current = 1, initial_level(pp)
     for a in word:
-        current = merge_step(pp, current, (a,), None, value_of)
-    return Measure(_occupancy(current))
+        scale, current = merge_step(pp, current, (a,), None, value_of)
+        den *= scale
+    den, nums = _occupancy(den, current)
+    return Measure({occ: Fraction(num, den) for occ, num in nums.items()})
 
 
 def path_distribution(pp: Procedure, word: Iterable) -> dict[tuple[int, ...], Fraction]:
     """Weight of every full parking trace (tuple of parked spots)."""
     word, value_of = _letters(pp, word)
     pp = walking(pp)
-    current = {(): (ONE, pp.init_state())}
+    # each trace keeps its own weight, an int numerator over its denominator
+    current = {(): (1, 1, pp.init_state())}
     for a in word:
         nxt = {}
-        for parked, (weight, state) in current.items():
+        for parked, (num, den, state) in current.items():
             # a car's choices end on distinct occupied sets
             occ = frozenset(parked)
-            step = merge_step(pp, {(occ, None): (weight, state)}, (a,), None, value_of)
-            nxt.update((parked + tuple(after - occ), value) for (after, _), value in step.items())
+            scale, step = merge_step(pp, {(occ, None): (num, state)}, (a,), None, value_of)
+            nxt.update(
+                (parked + tuple(after - occ), (w, den * scale, st)) for (after, _), (w, st) in step.items()
+            )
         current = nxt
-    return {parked: weight for parked, (weight, _) in current.items()}
+    return {parked: Fraction(num, den) for parked, (num, den, _) in current.items()}
 
 
 def parking_probability(pp: Procedure, word: Iterable[int]) -> Fraction:
@@ -204,21 +218,25 @@ def orbit_parking_mass(
     orbits of mass zero included. Only words in {1..r}^r can park, so
     their measures are grown with the spots kept inside {1..r}, each word
     as its orbit key (`grow_runs`, `enumeration._orbit_fold`); each (orbit,
-    node) pair adds its word count times the node's mass.
+    node) pair adds its word count times the node's mass, an int numerator
+    over the lcm of the nodes' denominators, and each orbit's sum becomes
+    one Fraction.
     """
     _check_runs(pp, r, cap)
     fold = _orbit_fold(r)
     spots = frozenset(range(1, r + 1))
     keys, ids, nodes, _ = grow_runs(pp, r, range(1, r + 1), spots, fold, decision_table(pp))
-    node_mass = [sum(weight for weight, _ in node.values()) for node in nodes]
+    # every node's mass as an int numerator over one denominator
+    den = math.lcm(*(d for d, _ in nodes))
+    node_mass = [sum(weight for weight, _ in node.values()) * (den // d) for d, node in nodes]
     # an orbit's key is that of its member starting with 1, its smallest
     reps = fold.digits(np.arange((r + 1) ** (r - 1))) + 1
     pairs, counts = np.unique(keys % len(reps) * len(nodes) + ids, return_counts=True)
-    masses = [ZERO] * len(reps)
+    masses = [0] * len(reps)
     for pair, count in zip(pairs.tolist(), counts.tolist()):
         key, node = divmod(pair, len(nodes))
         masses[key] += count * node_mass[node]
-    return dict(zip(map(tuple, reps.tolist()), masses))
+    return {tuple(rep): Fraction(mass, den) for rep, mass in zip(reps.tolist(), masses)}
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +285,13 @@ def pq_procedure(q: QValue) -> Procedure:
         q = Fraction(q)
         if q < 0:
             raise ValueError(f"q must be >= 0, got {q}")
+    # `pq_right_prob` of the block, with each q-integer built once per rule
+    q_int = functools.cache(lambda j: q_integer(j, q))
 
     def decide(st, h, occ, blk, a):
-        return pq_right_prob(blk.size, a - blk.lo + 1, q)
+        if q is INFINITY:
+            return ZERO
+        return q_int(a - blk.lo + 1) / q_int(blk.size + 1)
 
     return Procedure(name=f"pq:q={q}", decide=decide)
 
@@ -304,7 +326,9 @@ def parse_prob_spec(spec: str) -> Procedure:
 
 
 def right_prob_table(pp: Procedure, r_max: int) -> dict[tuple[int, int], Fraction]:
-    """Probe p(r, i) on the standard blocks {1..r}, r <= r_max."""
+    """Probe p(r, i) on the standard blocks {1..r}, r <= r_max; r_max
+    must be >= 1."""
+    _check_r(r_max, "r_max")
     if not pp.is_memoryless:
         raise ValueError(f"{pp.name} is not memoryless")
     table = {}
@@ -330,7 +354,8 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
 
     Each length grows every word once as its multiset key (`grow_runs`,
     `_multiset_fold`), with one decision table for every length. Reorderings
-    must have the same occupancy; their nodes may differ in rule states. The
+    must have the same occupancy, compared as int numerators over one
+    denominator in lowest terms; their nodes may differ in rule states. The
     witness is the first multiset that fails, in `combinations_with_replacement`
     order: its smallest ordering against the first one that differs.
     """
@@ -341,7 +366,10 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
     for r in range(1, r_max + 1):
         keys, ids, nodes, _ = grow_runs(pp, r, range(1, r + 2), None, _multiset_fold(r), table)
         seen: dict = {}
-        marks = [seen.setdefault(frozenset(_occupancy(n).items()), len(seen)) for n in nodes]
+        marks = []
+        for node in nodes:
+            den, nums = _occupancy(*node)
+            marks.append(seen.setdefault((den, frozenset(nums.items())), len(seen)))
         classes = np.array(marks)[ids]
         # every word is grown, so a word's row is its radix value, and a
         # multiset's first row holds its smallest ordering
@@ -393,8 +421,9 @@ def abelian_uniqueness_check(
 
     with q read off p(1,1) = 1/(1+q) (p(1,1)=0 means q=inf). Passing both
     for 2 <= r <= r_max is equivalent to p(r,i) = [i]/[r+1] throughout,
-    which is also reported explicitly.
+    which is also reported explicitly. r_max must be >= 1.
     """
+    _check_r(r_max, "r_max")
     p11 = Fraction(table[(1, 1)])
     if not ZERO <= p11 <= ONE:
         raise ValueError(f"p(1,1)={p11} outside [0,1]")

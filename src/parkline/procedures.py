@@ -144,7 +144,18 @@ def branches(p: Procedure, state, history, occupied, a, pref, table: dict | None
     A decision is a Direction (RIGHT counts as 1, LEFT as 0), an int 0 or
     1, or a Fraction in [0, 1]. A probability of exactly 0 or 1 gives one
     choice with int weight 1. Anything else, floats and bools included,
-    raises ValueError, so weights stay exact.
+    raises ValueError, so weights stay exact. The weights are those of
+    `int_choices` as numbers: an int 1 or a Fraction.
+    """
+    return tuple(
+        (spot, num if den == 1 else Fraction(num, den))
+        for spot, num, den in int_choices(p, state, history, occupied, a, pref, table)
+    )
+
+
+def int_choices(p: Procedure, state, history, occupied, a, pref, table: dict | None = None) -> tuple:
+    """The choices of `branches` as (spot, numerator, denominator) ints, the
+    weight in lowest terms: (spot, 1, 1) for a choice that does not branch.
 
     `table`, when given, is one engine call's `decision_table`: the
     choices are looked up there by (block lo, block hi, letter), and
@@ -163,31 +174,33 @@ def branches(p: Procedure, state, history, occupied, a, pref, table: dict | None
 
 
 def _choices(p: Procedure, blk: Block, d) -> tuple:
-    """The (spot, weight) choices of decision `d` on block `blk` (see
-    `branches`)."""
+    """The (spot, numerator, denominator) choices of decision `d` on block
+    `blk` (see `branches`)."""
     if d is RIGHT:
-        return ((blk.hi + 1, 1),)
+        return ((blk.hi + 1, 1, 1),)
     if d is LEFT:
-        return ((blk.lo - 1, 1),)
+        return ((blk.lo - 1, 1, 1),)
     if type(d) is not int and not isinstance(d, Fraction):
         raise ValueError(
             f"{p.name}: decide returned {d!r}, not a Direction or an exact probability"
         )
     if d == 1:
-        return ((blk.hi + 1, 1),)
+        return ((blk.hi + 1, 1, 1),)
     if d == 0:
-        return ((blk.lo - 1, 1),)
+        return ((blk.lo - 1, 1, 1),)
     if not 0 < d < 1:
         raise ValueError(f"{p.name}: decide returned probability {d} outside [0, 1]")
-    return ((blk.hi + 1, d), (blk.lo - 1, 1 - d))
+    num, den = d.numerator, d.denominator
+    return ((blk.hi + 1, num, den), (blk.lo - 1, den - num, den))
 
 
 def _sure_spot(p: Procedure, choices: tuple) -> int:
-    """The spot of a decision that does not branch."""
+    """The spot of `int_choices` that do not branch."""
     if len(choices) > 1:
+        _, num, den = choices[0]
         raise ValueError(
             f"{p.name}: a decision branches with right-probability "
-            f"{choices[0][1]}; measure() follows both choices"
+            f"{Fraction(num, den)}; measure() follows both choices"
         )
     return choices[0][0]
 
@@ -205,7 +218,7 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
         if spot_pref not in occupied:
             spot = spot_pref
         else:
-            spot = _sure_spot(p, branches(p, state, history, occupied, a, spot_pref))
+            spot = _sure_spot(p, int_choices(p, state, history, occupied, a, spot_pref))
         occupied.add(spot)
         parked.append(spot)
         if p.update is not None:
@@ -216,7 +229,7 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
 
 def decision_table(p: Procedure) -> dict | None:
     """A fresh decision table for one engine call of rule `p`: an empty
-    dict if `p` `decides_by_block`, else None. `branches` stores there the
+    dict if `p` `decides_by_block`, else None. `int_choices` stores there the
     checked choices of each (block lo, block hi, letter) it is asked
     about, so such a rule is asked once per (block, letter) per call
     instead of at every (node, letter) step. The table lives as long as
@@ -248,10 +261,10 @@ def state_key(state: Any):
     return frozenset(state.items()) if isinstance(state, dict) else state
 
 
-def initial_level(p: Procedure, weight=1) -> dict:
-    """The `merge_step` level before any car, of weight `weight`."""
+def initial_level(p: Procedure) -> dict:
+    """The `merge_step` level before any car: one run of weight 1."""
     init = p.init_state()
-    return {(frozenset(), state_key(init)): (weight, init)}
+    return {(frozenset(), state_key(init)): (1, init)}
 
 
 def merge_step(
@@ -261,37 +274,65 @@ def merge_step(
     inside: frozenset | None = None,
     value_of=None,
     table: dict | None = None,
-) -> dict:
+) -> tuple[int, dict]:
     """One car's step of rule `p` over runs keyed by (occupied set,
-    `state_key(state)`) with values (weight, state).
+    `state_key(state)`) with values (weight, state): `(scale, next level)`.
 
-    Every run takes each choice of a car with letter a, for every letter
-    a in `letters`: its preferred spot if free, or the `branches` of `p`
-    with an empty history (see `walking`). `value_of` maps a letter to its
-    preferred spot, as in `run_engine` (identity for plain integer
-    letters). Choices outside the spot set `inside`, when given, are
-    dropped. Weights multiply along a run, and runs that agree on
-    (occupied, state key) afterwards are merged by adding their weights.
+    A level's weights are int numerators over one denominator, which the
+    caller keeps. Every run takes each choice of a car with letter a, for
+    every letter a in `letters`: its preferred spot if free, or the
+    `int_choices` of `p` with an empty history (see `walking`). `value_of`
+    maps a letter to its preferred spot, as in `run_engine` (identity for
+    plain integer letters). Choices outside the spot set `inside`, when
+    given, are dropped. Weights multiply along a run, and runs that agree
+    on (occupied, state key) afterwards are merged by adding their weights.
+    `scale` is the lcm of the denominators of the choices taken: the next
+    level's numerators are over the level's denominator times `scale`, so
+    a step that takes no branching choice has scale 1 and keeps int counts
+    as they are.
 
-    `table` is the engine call's `decision_table`, which `branches` reads
+    `table` is the engine call's `decision_table`, which `int_choices` reads
     and fills. It is the third thing that trusts `decides_by_block`, after
     the interval DP and label sets: a choice found there is taken for every
     run whose bumped car has that letter and lands on that block.
     """
     update = p.update
-    nxt: dict[tuple[frozenset, Any], tuple[Any, Any]] = {}
+    nxt: dict[tuple[frozenset, Any], tuple[int, Any]] = {}
+    scale = 1
     for (occ, _), (weight, state) in level.items():
         for a in letters:
             pref = a if value_of is None else value_of(a)
             # a free spot is a choice of weight 1
-            for spot, w in ((pref, 1),) if pref not in occ else branches(p, state, (), occ, a, pref, table):
+            for spot, num, den in ((pref, 1, 1),) if pref not in occ else int_choices(p, state, (), occ, a, pref, table):
                 if inside is not None and spot not in inside:
                     continue
+                if den == 1:
+                    # a choice that does not branch has weight 1
+                    w = weight * scale
+                else:
+                    if scale % den:
+                        # a new denominator: rescale the runs merged so far
+                        grow = den // math.gcd(scale, den)
+                        scale *= grow
+                        nxt = {key: (v * grow, st) for key, (v, st) in nxt.items()}
+                    w = weight * num * (scale // den)
                 st = state if update is None else update(state, a, spot)
                 key = (occ | {spot}, state_key(st))
                 prev = nxt.get(key)
-                nxt[key] = (weight * w if prev is None else prev[0] + weight * w, st)
-    return nxt
+                nxt[key] = (w if prev is None else prev[0] + w, st)
+    return scale, nxt
+
+
+def _reduced(den: int, level: dict) -> tuple[int, dict]:
+    """A level's `(den, level)` in lowest terms: its denominator and every
+    numerator divided by their gcd. Equal measures then have equal
+    numerators over equal denominators."""
+    if den == 1:
+        return den, level
+    g = math.gcd(den, *(w for w, _ in level.values()))
+    if g == 1:
+        return den, level
+    return den // g, {key: (w // g, st) for key, (w, st) in level.items()}
 
 
 def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], None]):
@@ -301,20 +342,25 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
 
     A car parked outside the target never leaves, so only letters and
     spots inside it are followed: for a memoryless rule at most 2^n sets
-    times n letters per car, against n^n words. Int weights give an exact
-    count and Fraction weights an exact mass. Before each car,
-    `check_steps` is passed the car steps taken so far and about to be
-    taken, and may refuse them.
+    times n letters per car, against n^n words. A rule that never branches
+    gives an exact int count; one that does gives an exact Fraction mass,
+    even where it is a whole number. Before each car, `check_steps` is
+    passed the car steps taken so far and about to be taken, and may
+    refuse them.
     """
     level = initial_level(p)
     table = decision_table(p)
     steps = 0
+    den = 1
     for _ in target:
         steps += len(level) * len(target)
         check_steps(steps)
-        level = merge_step(p, level, target, target, table=table)
+        scale, level = merge_step(p, level, target, target, table=table)
+        den *= scale
     # every surviving run parked |target| distinct cars inside the target
-    return sum(weight for weight, _ in level.values())
+    total = sum(weight for weight, _ in level.values())
+    # a denominator above 1 means some decision branched
+    return Fraction(total, den) if den > 1 else total
 
 
 def _branch_error(p: Procedure) -> ValueError:
@@ -325,25 +371,28 @@ def _grow_level(p, nodes, sums, letters, inside, table):
     """One car's step of `grow_runs` from every node of a level and every
     letter: the next level `(nodes, sums)` and, one entry per (node,
     letter) pair row by row, the next node's id (-1 where the measure left
-    inside is empty) and the car's spot. A step is sure if it goes from a
+    inside is empty) and the car's spot. A node is a `merge_step` level
+    with its denominator, `(den, level)`, in lowest terms (`_reduced`), so
+    that equal measures key equally. A step is sure if it goes from a
     point mass of weight 1 to another; `sums` holds the sum of such a
     node's occupied spots, else None, so a car's spot is the difference,
     and 0 stands in for the spot of a step that was not sure. `table` is
     the call's `decision_table`."""
     index: dict = {}
     nodes_next, sums_next, next_node, spot_of = [], [], [], []
-    for node, total in zip(nodes, sums):
+    for (den, node), total in zip(nodes, sums):
         for a in letters:
-            nxt = merge_step(p, node, (a,), inside, table=table)
+            scale, nxt = merge_step(p, node, (a,), inside, table=table)
             if not nxt:
                 next_node.append(-1)
                 spot_of.append(0)
                 continue
-            j = index.setdefault(frozenset([(k, v[0]) for k, v in nxt.items()]), len(nodes_next))
+            den_next, nxt = _reduced(den * scale, nxt)
+            j = index.setdefault((den_next, frozenset([(k, v[0]) for k, v in nxt.items()])), len(nodes_next))
             if j == len(nodes_next):
-                nodes_next.append(nxt)
+                nodes_next.append((den_next, nxt))
                 ((occ, _), (weight, _)), *more = nxt.items()
-                sums_next.append(None if more or weight != 1 else sum(occ))
+                sums_next.append(None if more or weight != den_next else sum(occ))
             after = sums_next[j]
             next_node.append(j)
             spot_of.append(0 if total is None or after is None else after - total)
@@ -371,7 +420,8 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     time: `(keys, ids, nodes, sure)`.
 
     A prefix's node is its `merge_step` level of `walking(p)`, its measure
-    restricted to `inside`. Prefixes whose measures are the same
+    restricted to `inside`, as `(den, level)`: int numerators over one
+    denominator, in lowest terms. Prefixes whose measures are the same
     ((occupied set, state key), weight) pairs continue alike: `merge_step`
     runs once per node and letter, and numpy extends every prefix from its
     node's row. The measures of a rule that reads its history hold it in
@@ -387,7 +437,7 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     """
     radix_weights(fold.base, fold.width)
     p = walking(p)
-    level = ([initial_level(p)], [0])
+    level = ([(1, initial_level(p))], [0])
     ids = np.zeros(1, np.int32)
     keys = np.zeros(1, np.int64)
     sure = True
@@ -429,16 +479,16 @@ def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> in
     p = walking(p)
     level = initial_level(p)
     for _ in range(len(target) - 1):
-        level = merge_step(p, level, letters, table=table)
-        # a branch leaves a Fraction count, even where its runs merge back
-        if any(type(count) is not int for count, _ in level.values()):
+        scale, level = merge_step(p, level, letters, table=table)
+        # a branch scales the counts, even where its runs merge back
+        if scale > 1:
             raise _branch_error(p)
     lands = 0
     for (occ, _), (count, state) in level.items():
         # |occ| is |target| - 1, so a pair inside the target misses one spot
         last = sum(target) - sum(occ) if occ < target else None
         for a in letters:
-            choices = ((a, 1),) if a not in occ else branches(p, state, (), occ, a, a, table)
+            choices = ((a, 1, 1),) if a not in occ else int_choices(p, state, (), occ, a, a, table)
             if len(choices) > 1:
                 raise _branch_error(p)
             lands += count * (choices[0][0] == last)
@@ -721,7 +771,7 @@ def dir_of_set(p: Procedure, occupied: Iterable[int], a: int) -> Direction:
     that do not branch there)."""
     if not p.is_memoryless:
         raise ValueError(f"{p.name} is not memoryless")
-    spot = _sure_spot(p, branches(p, p.init_state(), (), frozenset(occupied), a, a))
+    spot = _sure_spot(p, int_choices(p, p.init_state(), (), frozenset(occupied), a, a))
     return RIGHT if spot > a else LEFT
 
 

@@ -38,7 +38,9 @@ def grown_runs(p: Procedure, r: int, letters, inside: frozenset | None = None):
     each letter's index in radix len(letters), and the spots from a fold
     that appends each spot in a radix that holds letters +- r, as a bumped
     car parks next to a block of at most r - 1 cars. `parked` is None
-    unless `sure`, since only then are the spots those of the runs."""
+    unless `sure`, since only then are the spots those of the runs.
+    `nodes` are the last level's measures, each weight a Fraction: its int
+    numerator over the node's denominator."""
     letters = list(letters)
     lo = min(letters) - r
     spot_base = max(letters) + r - lo + 1
@@ -48,7 +50,8 @@ def grown_runs(p: Procedure, r: int, letters, inside: frozenset | None = None):
     spot_keys, _, _, _ = grow_runs(p, r, letters, inside, spot_fold, decision_table(p))
     words = np.array(letters)[word_fold.digits(keys)]
     parked = spot_fold.digits(spot_keys) + lo if sure else None
-    return words, parked, ids, nodes, sure
+    measures = [{key: (Fraction(w, den), st) for key, (w, st) in node.items()} for den, node in nodes]
+    return words, parked, ids, measures, sure
 
 
 def parking_runs(p: Procedure, r: int):

@@ -1,5 +1,9 @@
 import json
 import math
+import re
+from pathlib import Path
+
+import pytest
 
 from parkline.cli import canonical_json, main
 from parkline.procedures import DirTable, Direction
@@ -158,6 +162,20 @@ class TestProb:
         code, out, _ = invoke(capsys, "prob", "--proc", "pq:q=2", "--mass", "6")
         assert code == 0
         assert "total_parking_mass: 16807/1" in out
+
+
+class TestProbGolden:
+    """`prob` queries whose canonical JSON, `elapsed_s` aside, was captured
+    from the CLI while the engine's weights were Fractions: every later
+    engine must reproduce it byte for byte."""
+
+    GOLDEN = [json.loads(line) for line in (Path(__file__).parent / "golden" / "prob.jsonl").open()]
+
+    @pytest.mark.parametrize("query,expected", GOLDEN, ids=[query for query, _ in GOLDEN])
+    def test_output_is_byte_identical(self, capsys, query, expected):
+        code, out, _ = invoke(capsys, *query.split(), "--format", "json")
+        assert code == 0
+        assert re.sub(r'"elapsed_s":[^,]*,', "", out, count=1) == expected
 
 
 class TestFibers:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import re
@@ -11,6 +12,7 @@ from parkline.enumeration import (
     WORK_BUDGET,
     CapExceededError,
     StrictTableError,
+    block_sides,
     check_universal,
     count_parking,
     count_words_to_set,
@@ -291,6 +293,42 @@ class TestIntervalDP:
         with pytest.raises(ValueError, match="memoryless and locally decided"):
             fiber_counts(lbs, [(2, 1)])
 
+    # every catalog rule flagged local that has block sides, and pq and kw
+    SIZED = [builtin(name) for name in ("right", "left", "closest", "prime")] + [
+        *random_dir_tables(2, 4, seed=18),
+        pq_procedure(Fraction(2)),
+        pq_procedure(Fraction(1, 3)),
+        pq_procedure(INFINITY),
+        kw_procedure(Fraction(1, 3)),
+    ]
+
+    @pytest.mark.parametrize("p", SIZED, ids=lambda p: p.name)
+    def test_local_sides_depend_only_on_the_size(self, p):
+        # the DP and label sets probe a local rule once per block size, on
+        # the block that starts at 1
+        assert p.is_local and p.decides_by_block
+        for a in range(1, 8):
+            for b in range(a, 8):
+                sides, sized = block_sides(p, a, b), block_sides(p, 1, b - a + 1)
+                assert sides == sized and list(map(type, sides)) == list(map(type, sized)), (a, b)
+
+    @pytest.mark.parametrize("p", SIZED, ids=lambda p: p.name)
+    def test_sides_by_size_equal_sides_by_block(self, p):
+        # the same rule flagged not shift invariant is probed once per block
+        by_block = dataclasses.replace(p, is_shift_invariant=False)
+        for spots in ({1, 2, 3, 4, 5}, {-1, 0, 2, 3, 4, 6}, {3, 4, 5, 6, 7, 8, 9}):
+            sized = interval_weight(p, frozenset(spots), None)
+            blocked = interval_weight(by_block, frozenset(spots), None)
+            assert sized == blocked and type(sized) is type(blocked), spots
+
+    def test_lbs_is_local_but_has_no_block_sides(self):
+        # its decisions read the block's record, which the empty state lacks
+        lbs = builtin("lbs")
+        assert lbs.is_local and not lbs.decides_by_block
+        for a, b in ((1, 1), (2, 3)):
+            with pytest.raises(ValueError, match=f"no record for block {a}..{b}"):
+                block_sides(lbs, a, b)
+
     def test_random_table_universal_at_40(self):
         [table] = random_tables(1, 40, seed=40)
         assert count_parking(table_procedure(table), 40) == 41**39
@@ -540,6 +578,19 @@ class TestCountWordsToSet:
             for via in (None, "brute", "formula"):
                 with pytest.raises(ValueError, match=re.escape(f"pad must be an int >= 0, got {pad!r}")):
                     count_words_to_set(p, {1, 2, 3}, via, pad=pad)
+
+    def test_numpy_pad_is_taken(self):
+        import numpy as np
+
+        # pad goes through the check spots go through: a numpy integer is an int
+        p = builtin("right")
+        for pad in (np.int64(1), np.int32(2), np.uint8(0)):
+            assert count_words_to_set(p, {1, 2, 3}, "brute", pad=pad) == count_words_to_set(
+                p, {1, 2, 3}, "brute", pad=int(pad)
+            )
+        for pad in (np.int64(-1), np.bool_(True)):
+            with pytest.raises(ValueError, match=re.escape(f"pad must be an int >= 0, got {pad!r}")):
+                count_words_to_set(p, {1, 2, 3}, "brute", pad=pad)
 
     def test_formula_requires_local(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from conftest import (
     grown_runs,
     history_coin_rule,
     history_parity_rule,
+    oracle_mass,
     parking_runs,
     random_dir_tables,
     state_parity_rule,
@@ -47,6 +48,7 @@ from parkline.probabilistic import (
     parse_prob_spec,
     path_distribution,
     pq_procedure,
+    right_prob_table,
     total_parking_mass,
 )
 from parkline.procedures import (
@@ -210,6 +212,51 @@ def test_orbit_masses_equal_word_space(pp):
             expected[rep] = expected.get(rep, Fraction(0)) + mass
         masses = orbit_parking_mass(pp, r, cap=None)
         assert list(masses.items()) == sorted(expected.items()), r
+
+
+# is_abelian(pp, 4) of every rule in PROB_RULES, as the engine gave it while
+# its weights were Fractions
+ABELIAN_AT_4 = {
+    "right": (True, None),
+    "left": (True, None),
+    "closest": (False, ((1, 1, 2), (1, 2, 1))),
+    "prime": (False, ((1, 1, 2), (1, 2, 1))),
+    "evenodd": (False, ((2, 2, 3), (2, 3, 2))),
+    "naples:k=2": (False, ((2, 3, 4, 4), (2, 4, 4, 3))),
+    "far": (False, ((1, 1, 2), (1, 2, 1))),
+    "lbs": (False, ((1, 1, 2), (1, 2, 1))),
+    "rand0": (False, ((1, 1, 1, 3), (1, 1, 3, 1))),
+    "naples:k=1": (False, ((2, 3, 3), (3, 3, 2))),
+    "far:convention=notation": (False, ((1, 1, 2), (1, 2, 1))),
+    "bycar(RLLRL)": (False, ((1, 1, 1, 2), (1, 1, 2, 1))),
+    "alternating": (False, ((1, 1, 2), (1, 2, 1))),
+    "history-parity": (False, ((1, 1, 2), (1, 2, 1))),
+    "state-parity": (False, ((1, 1, 2), (1, 2, 1))),
+    "pq:q=2": (True, None),
+    "pq:q=1/3": (True, None),
+    "kw:q=1/3": (False, ((1, 1, 2), (1, 2, 1))),
+    "kwseq:qs=1/2+1/3+1/5+1": (False, ((1, 1, 2), (1, 2, 1))),
+    "history-coin": (False, ((1, 1, 3), (1, 3, 1))),
+}
+
+
+@pytest.mark.parametrize("pp", PROB_RULES, ids=ids)
+def test_masses_and_abelian_checks_are_exact(pp):
+    # a local rule that decides by block has a right-probability by (block
+    # size, place), which the oracle expands word by word; any other rule's
+    # mass is the sum of its words' parking probabilities
+    table = right_prob_table(pp, 4) if pp.is_local and pp.decides_by_block else None
+    for r in range(1, 5):
+        if table is not None:
+            expected = oracle_mass(lambda size, i: table[size, i], range(1, r + 1))
+        else:
+            expected = sum((parking_probability(pp, w) for w in word_space(r)), Fraction(0))
+        total = total_parking_mass(pp, r, cap=None)
+        orbits = orbit_parking_mass(pp, r, cap=None)
+        assert type(total) is Fraction and all(type(m) is Fraction for m in orbits.values())
+        assert total == sum(orbits.values()) == expected, r
+    report = is_abelian(pp, 4)
+    assert (report.abelian, report.witness) == ABELIAN_AT_4[pp.name]
 
 
 @pytest.mark.parametrize("p", CATALOG, ids=ids)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -429,6 +430,17 @@ class TestUniqueness:
         table = {(r, i): F(0) for r in range(1, 5) for i in range(1, r + 1)}
         report = abelian_uniqueness_check(table, 4)
         assert report.passed and report.matches_pq and report.q is INFINITY
+
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_r_max_below_one_refused(self, r_max):
+        # an empty table checks nothing, and a real one must not pass vacuously
+        message = re.escape(f"r_max must be >= 1, got {r_max}")
+        with pytest.raises(ValueError, match=message):
+            right_prob_table(pq_procedure(F(2)), r_max)
+        with pytest.raises(ValueError, match=message):
+            abelian_uniqueness_check({}, r_max)
+        with pytest.raises(ValueError, match=message):
+            abelian_uniqueness_check(right_prob_table(pq_procedure(F(2)), 3), r_max)
 
     def test_recurrence_failure_detected(self):
         table = right_prob_table(pq_procedure(F(1)), 3)
