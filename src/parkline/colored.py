@@ -76,7 +76,7 @@ def colored_lbs_procedure() -> Procedure:
     defined where the new letter differs from the block record. The state
     is a block-record state keyed by spot values (see `block_record`)."""
 
-    def decide(state, h, occ, blk, letter):
+    def decide(state, occ, blk, letter):
         last = block_record(state, blk)
         if letter == last:
             raise UndefinedRuleError(
@@ -90,7 +90,8 @@ def colored_lbs_procedure() -> Procedure:
         init_state=tuple,
         update=record_parked,
         language=distinct_letters_language(),
-        is_memoryless=False,
+        is_shift_invariant=True,
+        is_locally_decided=True,
     )
 
 

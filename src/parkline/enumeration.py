@@ -5,16 +5,16 @@ of words landing on a given spot set.
 A rule that decides by block (memoryless and locally decided) counts by
 the interval DP over the forest encoding (`interval_weight`): the words
 landing on a block are summed over the decreasing trees of their runs,
-in time polynomial in the block size. Any other rule that can walk walks
-(occupied set, rule state) pairs (`procedures.walk_occupied`).
+in time polynomial in the block size. Any other rule walks (occupied
+set, rule state) pairs (`procedures.walk_occupied`).
 Orbit audits grow the parking words over the same pairs as their orbit
 keys (`procedures.parking_keys`), so the rule is consulted once per pair
 and letter, not once per prefix.
 Every word over an alphabet is counted only for `count_words_to_set(...,
-"brute")`, counts that name a `backend` and counts of rules that cannot walk:
-by default on the (occupied set, state) pairs of `procedures.walking(p)`,
-each carrying its number of words (`procedures.count_landing`), or word
-by word on the per-word engine with `backend="python"`.
+"brute")` and counts that name a `backend`: by default on (occupied set,
+state) pairs, each carrying its number of words
+(`procedures.count_landing`), or word by word on the per-word engine with
+`backend="python"`.
 Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
 query reports the path it takes and that estimate in one DEBUG record on
@@ -86,14 +86,14 @@ def walk_weight(p: Procedure, target: frozenset, cap: int | None):
 def block_sides(p: Procedure, a: int, b: int) -> tuple:
     """(R, L): the right- and left-probabilities of a car preferring j,
     summed over every j in [a, b], while exactly [a, b] is occupied, as
-    `branches` gives them with the rule's initial state and an empty
-    history. For a deterministic rule they count the preferences bumped
-    right and left: ints, unless some decision branches."""
+    `branches` gives them with the rule's initial state. For a
+    deterministic rule they count the preferences bumped right and left:
+    ints, unless some decision branches."""
     occupied = frozenset(range(a, b + 1))
     init = p.init_state()
     right = left = 0
     for j in range(a, b + 1):
-        for spot, weight in branches(p, init, (), occupied, j, j):
+        for spot, weight in branches(p, init, occupied, j, j):
             if spot > j:
                 right += weight
             else:
@@ -121,10 +121,9 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None):
     exact int count, and one that does an exact Fraction mass.
 
     This holds only if every decision depends on nothing but the letter and
-    the block it lands on. The DP trusts the flags `Procedure.decides_by_block`
-    reads, just as the walk trusts `can_walk`. Its work is estimated at
-    n^4 car steps per block of n spots, before the first probe: about
-    n^3/6 products whose operands grow with n.
+    the block it lands on. The DP trusts the flag `Procedure.decides_by_block`
+    reads. Its work is estimated at n^4 car steps per block of n spots,
+    before the first probe: about n^3/6 products whose operands grow with n.
     """
     parts = blocks(target)
     take_path(
@@ -358,24 +357,22 @@ def count_words_to_set(
     Every word landing exactly on S has all its letters in S: a letter
     outside the final set would park there and stay. By default, unless a
     `backend` is named, a rule that `decides_by_block` sums the forest
-    encoding over S's blocks (`interval_weight`), and any other rule that
-    `can_walk` walks (occupied subset of S, rule state) pairs
-    (`walk_occupied`); a rule that branches on the way to S raises
-    ValueError. Otherwise, and with "brute", every word with letters in S
-    is run: "numpy" (the default) counts them on (occupied set, state)
-    pairs (`count_landing`), asking the rule once per pair and letter;
-    "python" runs each word on the per-word engine. Either raises
-    ValueError if any word's run branches. `pad`, an int >= 0 or a numpy
-    integer as spots are (`words.as_int`), but no bool, widens that
-    alphabet to [min(S)-pad, max(S)+pad], gaps included, which re-verifies
-    the claim above empirically. "formula" multiplies shuffle counts with
-    per-block parking counts and requires a local procedure.
+    encoding over S's blocks (`interval_weight`), and any other rule walks
+    (occupied subset of S, rule state) pairs (`walk_occupied`); a rule
+    that branches on the way to S raises ValueError. With "brute" or a
+    `backend`, every word with letters in S is run: "numpy" (the default)
+    counts them on (occupied set, state) pairs (`count_landing`), asking
+    the rule once per pair and letter; "python" runs each word on the
+    per-word engine. Either raises ValueError if any word's run branches.
+    `pad`, an int >= 0 or a numpy integer as spots are (`words.as_int`),
+    but no bool, widens that alphabet to [min(S)-pad, max(S)+pad], gaps
+    included, which re-verifies the claim above empirically; the default
+    path refuses it. "formula" multiplies shuffle counts with per-block
+    parking counts and requires a local procedure.
     """
     if via not in (None, "brute", "formula"):
         raise ValueError(f"unknown mode {via!r}")
     default = via is None and backend is None
-    dp = default and p.decides_by_block
-    walk = default and p.can_walk and not dp
     try:
         width = as_int(pad, "pad")
     except ValueError:
@@ -383,7 +380,7 @@ def count_words_to_set(
     if width < 0:
         raise ValueError(f"pad must be an int >= 0, got {pad!r}")
     pad = width
-    if pad and (dp or walk or via == "formula"):
+    if pad and (default or via == "formula"):
         raise ValueError("pad widens the alphabet of word enumeration only")
     target = frozenset(as_int(s, "spot") for s in spots)
     n = len(target)
@@ -400,8 +397,8 @@ def count_words_to_set(
         return out
 
     _check_strict(p, n)
-    if dp or walk:
-        count = interval_weight(p, target, cap) if dp else walk_weight(p, target, cap)
+    if default:
+        count = interval_weight(p, target, cap) if p.decides_by_block else walk_weight(p, target, cap)
         # a run weighs an int 1 unless one of its decisions branched
         if type(count) is not int:
             raise ValueError(f"{p.name} branches; total_parking_mass weighs its runs")

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _kernels
-from .enumeration import WORK_BUDGET, _block_sides_memo, _check_runs
+from .enumeration import WORK_BUDGET, _block_sides_memo, _check_r, _check_runs
 from .procedures import Direction, Fold, Procedure, dir_of_set, parking_keys, run
 from .words import Block, SpotSet, Word, as_int, as_word, blocks
 
@@ -426,8 +426,10 @@ class GoodnessReport:
 
 def is_good_correspondence(p: Procedure, r_max: int) -> GoodnessReport:
     """Check that relabeling the arrival forest of any image pair with any
-    other decreasing labeling stays in the image. Membership of (P, Q') is
-    decided by replaying its unique candidate word."""
+    other decreasing labeling stays in the image, for every word with
+    letters in {1..r_max+1} and length <= r_max. Membership of (P, Q') is
+    decided by replaying its unique candidate word. r_max must be >= 1."""
+    _check_r(r_max, "r_max")
     for r in range(1, r_max + 1):
         for word in itertools.product(range(1, r_max + 2), repeat=r):
             pair = encode(p, word)

@@ -12,9 +12,9 @@ denominator per level, and occupancies are compared in lowest terms, so
 distributions compare by strict equality; a `Fraction` is built only for
 what is returned: `Measure.probs`, trace weights and masses. The total
 parking mass of a rule that decides by block sums the forest encoding
-over the intervals of {1..r} (`enumeration.interval_weight`), any other
-rule that can walk walks (occupied set, rule state) pairs. Orbit masses
-and abelianity checks grow all their words at once as keys
+over the intervals of {1..r} (`enumeration.interval_weight`); any other
+rule walks (occupied set, rule state) pairs. Orbit masses and
+abelianity checks grow all their words at once as keys
 (`procedures.grow_runs`) and read each word's measure off its node:
 words whose prefixes share a measure share its work.
 """
@@ -49,7 +49,6 @@ from .procedures import (
     initial_level,
     merge_step,
     parse_proc_spec,
-    walking,
 )
 from .words import SpotSet, Word, as_word
 
@@ -152,12 +151,10 @@ def measure(pp: Procedure, word: Iterable) -> Measure:
 
     Branches agreeing on (occupied set, rule state) are merged with summed
     weights, int numerators over one denominator, and each occupied set's
-    weight becomes a Fraction at the end; a history rule's state is its
-    history (`walking`). A colored rule takes a colored word (see
-    `_letters`).
+    weight becomes a Fraction at the end. A colored rule takes a colored
+    word (see `_letters`).
     """
     word, value_of = _letters(pp, word)
-    pp = walking(pp)
     den, current = 1, initial_level(pp)
     for a in word:
         scale, current = merge_step(pp, current, (a,), None, value_of)
@@ -169,7 +166,6 @@ def measure(pp: Procedure, word: Iterable) -> Measure:
 def path_distribution(pp: Procedure, word: Iterable) -> dict[tuple[int, ...], Fraction]:
     """Weight of every full parking trace (tuple of parked spots)."""
     word, value_of = _letters(pp, word)
-    pp = walking(pp)
     # each trace keeps its own weight, an int numerator over its denominator
     current = {(): (1, 1, pp.init_state())}
     for a in word:
@@ -198,17 +194,14 @@ def total_parking_mass(
 
     The branch probabilities are the weights. A rule that
     `decides_by_block` sums them over the forest encoding of {1..r}
-    (`interval_weight`); any other rule that `can_walk` walks (occupied
-    subset of {1..r}, rule state) pairs (`walk_occupied`); any other rule
-    sums its orbit masses (`orbit_parking_mass`).
+    (`interval_weight`); any other rule walks (occupied subset of {1..r},
+    rule state) pairs (`walk_occupied`).
     """
     _check_r(r)
     spots = frozenset(range(1, r + 1))
     if pp.decides_by_block:
         return Fraction(interval_weight(pp, spots, cap))
-    if pp.can_walk:
-        return Fraction(walk_weight(pp, spots, cap))
-    return sum(orbit_parking_mass(pp, r, cap=cap).values(), ZERO)
+    return Fraction(walk_weight(pp, spots, cap))
 
 
 def orbit_parking_mass(
@@ -250,7 +243,9 @@ def kw_procedure(q: Fraction) -> Procedure:
         raise ValueError(f"q must be in [0,1], got {q}")
     return Procedure(
         name=f"kw:q={q}",
-        decide=lambda st, h, occ, blk, a: q,
+        decide=lambda st, occ, blk, a: q,
+        is_shift_invariant=True,
+        is_locally_decided=True,
     )
 
 
@@ -265,7 +260,7 @@ def kw_sequence_procedure(qs: Iterable[Fraction]) -> Procedure:
         if not ZERO <= q <= ONE:
             raise ValueError(f"coin {q} outside [0,1]")
 
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         i = len(occ) + 1
         if i > len(qs):
             raise ValueError(f"no coin for car {i}")
@@ -274,7 +269,7 @@ def kw_sequence_procedure(qs: Iterable[Fraction]) -> Procedure:
     return Procedure(
         name="kwseq:qs=" + "+".join(str(q) for q in qs),
         decide=decide,
-        is_locally_decided=False,
+        is_shift_invariant=True,
     )
 
 
@@ -288,12 +283,12 @@ def pq_procedure(q: QValue) -> Procedure:
     # `pq_right_prob` of the block, with each q-integer built once per rule
     q_int = functools.cache(lambda j: q_integer(j, q))
 
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         if q is INFINITY:
             return ZERO
         return q_int(a - blk.lo + 1) / q_int(blk.size + 1)
 
-    return Procedure(name=f"pq:q={q}", decide=decide)
+    return Procedure(name=f"pq:q={q}", decide=decide, is_shift_invariant=True, is_locally_decided=True)
 
 
 # the one parameter each probabilistic catalog rule takes
@@ -335,7 +330,7 @@ def right_prob_table(pp: Procedure, r_max: int) -> dict[tuple[int, int], Fractio
     for r in range(1, r_max + 1):
         occ = frozenset(range(1, r + 1))
         for i in range(1, r + 1):
-            choices = branches(pp, pp.init_state(), (), occ, i, i)
+            choices = branches(pp, pp.init_state(), occ, i, i)
             table[(r, i)] = Fraction(sum(w for spot, w in choices if spot > i))
     return table
 

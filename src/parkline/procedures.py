@@ -7,11 +7,11 @@ the block of occupied spots containing its preference. One rule type,
 `Procedure`, serves deterministic, probabilistic and colored procedures:
 its decision is a Direction or an exact probability of going right, and
 `branches` is the one step that turns a decision into the car's choices.
-Runs follow rules that never branch. `merge_step` is the one step over
-weighted (occupied set, rule state) pairs, with an empty history (a rule
-that reads it steps as `walking(p)`, whose state is the history):
-`probabilistic.measure` follows a word's choices with it, `walk_occupied`
-sums the weights of runs ending on a spot set, `grow_runs`, the one
+Runs follow rules that never branch. A rule remembers the run so far
+only through the state its `update` keeps. `merge_step` is the one step
+over weighted (occupied set, rule state) pairs: `probabilistic.measure`
+follows a word's choices with it, `walk_occupied` sums the weights of
+runs ending on a spot set, `grow_runs`, the one
 prefix-growth engine, grows words as int64 keys that a `Fold` extends
 car by car, merging prefixes whose measures agree, and `count_landing`
 counts the words reaching each pair. The last three ask a rule that
@@ -23,7 +23,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, product
@@ -46,10 +46,10 @@ class Direction(Enum):
 LEFT = Direction.LEFT
 RIGHT = Direction.RIGHT
 
-# decide(state, history, occupied, block, letter) -> Direction or an exact
+# decide(state, occupied, block, letter) -> Direction or an exact
 # right-probability (see `branches`). Consulted only when the letter's
 # preferred spot is occupied; `block` is the block containing it.
-DecideFn = Callable[[Any, Word, frozenset, Block, Any], Direction | int | Fraction]
+DecideFn = Callable[[Any, frozenset, Block, Any], Direction | int | Fraction]
 # update(state, letter, parked_spot) -> new state
 UpdateFn = Callable[[Any, Any, int], Any]
 
@@ -62,24 +62,39 @@ def _no_state() -> None:
 class Procedure:
     """A bilateral parking rule: deterministic, probabilistic or colored.
 
-    `decide` returns a Direction or an exact right-probability; a
-    deterministic rule is one whose decisions are all Directions or
-    probabilities 0 and 1 (see `branches`). Memoryless rules ignore
-    `state` and `history` and depend only on (occupied, letter); `dir_of`
-    reads a memoryless rule's direction off `decide`. Every rule runs on
-    the same engines. `language`, when set, is the `colored.Language` of
-    colored words on which a partial colored rule is defined.
+    `decide(state, occupied, block, letter)` returns a Direction or an
+    exact right-probability; a deterministic rule is one whose decisions
+    are all Directions or probabilities 0 and 1 (see `branches`). A rule
+    remembers the run only through `state`: `update(state, letter, spot)`
+    returns the state after each car, a new one instead of changing its
+    argument, and the state is hashable or a dict. A rule that needs the
+    letters so far keeps them, with `init_state=tuple` and `update=lambda
+    h, a, spot: h + (a,)`. Every rule runs on the same engines, which
+    merge runs that agree on (occupied set, state).
+
+    The two flags are trusted as declared (`check_flags` tests them):
+    `is_shift_invariant` says that shifting a word shifts its run, and
+    `is_locally_decided` that a bumped car's choice depends only on the
+    cars parked on its block. Both default to False, which every rule
+    satisfies. `language`, when set, is the `colored.Language` of colored
+    words on which a partial colored rule is defined.
     """
 
     name: str
     decide: DecideFn
     init_state: Callable[[], Any] = _no_state
     update: UpdateFn | None = None
-    is_memoryless: bool = True
-    is_shift_invariant: bool = True
-    is_locally_decided: bool = True
+    is_shift_invariant: bool = False
+    is_locally_decided: bool = False
     strict_r_max: int | None = None  # refuse enumeration beyond this length
     language: Any = None
+
+    @property
+    def is_memoryless(self) -> bool:
+        """Whether the rule keeps no state, so that a bumped car's choice
+        depends only on (occupied set, block, letter); `dir_of` reads such a
+        rule's direction off `decide`."""
+        return self.update is None
 
     @property
     def is_local(self) -> bool:
@@ -87,35 +102,14 @@ class Procedure:
 
     @property
     def decides_by_block(self) -> bool:
-        """Whether the rule is flagged memoryless and locally decided and
-        keeps no state: a bumped car's choice then depends only on its
-        letter and the block it lands on. Such a rule has label sets
-        (`forests.label_set`), and its counts and masses sum the forest
-        encoding block by block (`enumeration.interval_weight`), and the
-        engines ask it once per (block, letter) per call (`decision_table`);
-        all three trust the two flags. A rule with an `update` keeps a state
-        its decisions may read, whatever its flags say, so it walks instead
-        and is asked at every step."""
-        return self.is_memoryless and self.is_locally_decided and self.update is None
-
-    @property
-    def can_walk(self) -> bool:
-        """Whether the rule is trusted to keep the walk contract: true for a
-        rule flagged memoryless or having an `update`. Counts and masses then walk
-        (occupied set, rule state) pairs (`walk_occupied`) instead of words;
-        orbit audits, fibers, orbit masses and abelian checks merge prefixes
-        on the same weighted pairs (`grow_runs`). All pass `decide` an empty
-        history, so their answers are right only if:
-        - a rule with an `update` keeps everything `decide` reads in
-          `state`, and `update` returns a new state instead of changing
-          its argument;
-        - `state` is hashable or a dict;
-        - `decide` never reads `history`.
-        A rule flagged not memoryless with no `update` could remember only
-        through `history`: the engines run it as `walking(p)`, on (occupied
-        set, history) pairs, and its counts enumerate words.
-        """
-        return self.is_memoryless or self.update is not None
+        """Whether the rule keeps no state and is flagged locally decided: a
+        bumped car's choice then depends only on its letter and the block it
+        lands on. Such a rule has label sets (`forests.label_set`), and its
+        counts and masses sum the forest encoding block by block
+        (`enumeration.interval_weight`), and the engines ask it once per
+        (block, letter) per call (`decision_table`); all three trust the
+        flag. Any other rule walks, and is asked at every step."""
+        return self.is_memoryless and self.is_locally_decided
 
     def __repr__(self) -> str:
         return f"Procedure({self.name!r})"
@@ -136,7 +130,7 @@ class RunResult:
         return {spot: i + 1 for i, spot in enumerate(self.parked)}
 
 
-def branches(p: Procedure, state, history, occupied, a, pref, table: dict | None = None) -> tuple:
+def branches(p: Procedure, state, occupied, a, pref, table: dict | None = None) -> tuple:
     """(spot, weight) choices of car `a` whose preferred spot `pref` is
     taken, as `p.decide` says: just right of the block containing `pref`
     with the right-probability, just left with the rest.
@@ -149,11 +143,11 @@ def branches(p: Procedure, state, history, occupied, a, pref, table: dict | None
     """
     return tuple(
         (spot, num if den == 1 else Fraction(num, den))
-        for spot, num, den in int_choices(p, state, history, occupied, a, pref, table)
+        for spot, num, den in int_choices(p, state, occupied, a, pref, table)
     )
 
 
-def int_choices(p: Procedure, state, history, occupied, a, pref, table: dict | None = None) -> tuple:
+def int_choices(p: Procedure, state, occupied, a, pref, table: dict | None = None) -> tuple:
     """The choices of `branches` as (spot, numerator, denominator) ints, the
     weight in lowest terms: (spot, 1, 1) for a choice that does not branch.
 
@@ -165,11 +159,11 @@ def int_choices(p: Procedure, state, history, occupied, a, pref, table: dict | N
     # block_of returns a maximal block, so both spots next to it are free
     blk = block_of(occupied, pref)
     if table is None:
-        return _choices(p, blk, p.decide(state, history, occupied, blk, a))
+        return _choices(p, blk, p.decide(state, occupied, blk, a))
     key = (blk.lo, blk.hi, a)
     choices = table.get(key)
     if choices is None:
-        choices = table[key] = _choices(p, blk, p.decide(state, history, occupied, blk, a))
+        choices = table[key] = _choices(p, blk, p.decide(state, occupied, blk, a))
     return choices
 
 
@@ -212,18 +206,16 @@ def run_engine(p, letters: tuple, value_of=None) -> RunResult:
     occupied: set[int] = set()
     state = p.init_state()
     parked: list[int] = []
-    history: tuple = ()
     for a in letters:
         spot_pref = value_of(a) if value_of is not None else a
         if spot_pref not in occupied:
             spot = spot_pref
         else:
-            spot = _sure_spot(p, int_choices(p, state, history, occupied, a, spot_pref))
+            spot = _sure_spot(p, int_choices(p, state, occupied, a, spot_pref))
         occupied.add(spot)
         parked.append(spot)
         if p.update is not None:
             state = p.update(state, a, spot)
-        history += (a,)
     return RunResult(letters, frozenset(occupied), tuple(parked))
 
 
@@ -235,23 +227,6 @@ def decision_table(p: Procedure) -> dict | None:
     instead of at every (node, letter) step. The table lives as long as
     the call."""
     return {} if p.decides_by_block else None
-
-
-def walking(p: Procedure) -> Procedure:
-    """`p` as a rule that keeps in its state all that its decisions read:
-    `p` itself if it `can_walk`. Otherwise the state is the history, which
-    `update` extends by each letter, and `decide` passes it to `p.decide`
-    with `p`'s one initial state, as `run_engine` does for a rule with no
-    `update`. The engines run it on (occupied set, history) pairs."""
-    if p.can_walk:
-        return p
-    init = p.init_state()
-    return replace(
-        p,
-        decide=lambda history, _, occ, blk, a: p.decide(init, history, occ, blk, a),
-        init_state=tuple,
-        update=lambda history, a, spot: history + (a,),
-    )
 
 
 def state_key(state: Any):
@@ -281,7 +256,7 @@ def merge_step(
     A level's weights are int numerators over one denominator, which the
     caller keeps. Every run takes each choice of a car with letter a, for
     every letter a in `letters`: its preferred spot if free, or the
-    `int_choices` of `p` with an empty history (see `walking`). `value_of`
+    `int_choices` of `p`. `value_of`
     maps a letter to its preferred spot, as in `run_engine` (identity for
     plain integer letters). Choices outside the spot set `inside`, when
     given, are dropped. Weights multiply along a run, and runs that agree
@@ -303,7 +278,7 @@ def merge_step(
         for a in letters:
             pref = a if value_of is None else value_of(a)
             # a free spot is a choice of weight 1
-            for spot, num, den in ((pref, 1, 1),) if pref not in occ else int_choices(p, state, (), occ, a, pref, table):
+            for spot, num, den in ((pref, 1, 1),) if pref not in occ else int_choices(p, state, occ, a, pref, table):
                 if inside is not None and spot not in inside:
                     continue
                 if den == 1:
@@ -338,7 +313,7 @@ def _reduced(den: int, level: dict) -> tuple[int, dict]:
 def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], None]):
     """Total weight of the runs of |target| cars of rule `p` that end on
     exactly the spot set `target`, summed over (occupied set, rule state)
-    pairs instead of words, with an empty history (`Procedure.can_walk`).
+    pairs instead of words.
 
     A car parked outside the target never leaves, so only letters and
     spots inside it are followed: for a memoryless rule at most 2^n sets
@@ -419,13 +394,13 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     the spot set `inside` (every word if None), grown one car (level) at a
     time: `(keys, ids, nodes, sure)`.
 
-    A prefix's node is its `merge_step` level of `walking(p)`, its measure
-    restricted to `inside`, as `(den, level)`: int numerators over one
+    A prefix's node is its `merge_step` level, its measure restricted to
+    `inside`, as `(den, level)`: int numerators over one
     denominator, in lowest terms. Prefixes whose measures are the same
     ((occupied set, state key), weight) pairs continue alike: `merge_step`
     runs once per node and letter, and numpy extends every prefix from its
-    node's row. The measures of a rule that reads its history hold it in
-    their states, so no two of its prefixes share a node.
+    node's row. The measures of a rule that keeps its letters as state
+    hold them, so no two of its prefixes share a node.
     A rule that `decides_by_block` is asked once per (block, letter) while
     `table`, the caller's `decision_table`, lives (see `merge_step`).
 
@@ -436,7 +411,6 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     RadixOverflowError before any car is placed.
     """
     radix_weights(fold.base, fold.width)
-    p = walking(p)
     level = ([(1, initial_level(p))], [0])
     ids = np.zeros(1, np.int32)
     keys = np.zeros(1, np.int64)
@@ -468,15 +442,14 @@ def parking_keys(p: Procedure, r: int, fold: Fold) -> np.ndarray:
 
 def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> int:
     """Number of words of length |target| over `letters` whose run ends on
-    exactly `target`, counted on the (occupied set, state) pairs of
-    `walking(p)` with nothing dropped: each pair carries the number of
+    exactly `target`, counted on (occupied set, state) pairs with nothing
+    dropped: each pair carries the number of
     prefixes reaching it, and the last car is only checked, per (pair,
     letter), for landing on `target`, so no last level is built. Raises
     ValueError if any run branches, checked after every car. A rule that
     `decides_by_block` is asked once per (block, letter) in the call
     (`decision_table`)."""
     table = decision_table(p)
-    p = walking(p)
     level = initial_level(p)
     for _ in range(len(target) - 1):
         scale, level = merge_step(p, level, letters, table=table)
@@ -488,7 +461,7 @@ def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> in
         # |occ| is |target| - 1, so a pair inside the target misses one spot
         last = sum(target) - sum(occ) if occ < target else None
         for a in letters:
-            choices = ((a, 1, 1),) if a not in occ else int_choices(p, state, (), occ, a, a, table)
+            choices = ((a, 1, 1),) if a not in occ else int_choices(p, state, occ, a, a, table)
             if len(choices) > 1:
                 raise _branch_error(p)
             lands += count * (choices[0][0] == last)
@@ -562,42 +535,42 @@ def _is_prime(n: int) -> bool:
 def right_procedure() -> Procedure:
     return Procedure(
         name="right",
-        decide=lambda st, h, occ, blk, a: RIGHT,
+        decide=lambda st, occ, blk, a: RIGHT,
+        is_shift_invariant=True,
+        is_locally_decided=True,
     )
 
 
 def left_procedure() -> Procedure:
     return Procedure(
         name="left",
-        decide=lambda st, h, occ, blk, a: LEFT,
+        decide=lambda st, occ, blk, a: LEFT,
+        is_shift_invariant=True,
+        is_locally_decided=True,
     )
 
 
 def closest_procedure() -> Procedure:
     # nearest free spot wins; ties go right
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         return RIGHT if (blk.hi + 1 - a) <= (a - blk.lo + 1) else LEFT
 
-    return Procedure(name="closest", decide=decide)
+    return Procedure(name="closest", decide=decide, is_shift_invariant=True, is_locally_decided=True)
 
 
 def prime_procedure() -> Procedure:
     # right iff the block the car lands on has prime size
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         return RIGHT if _is_prime(blk.size) else LEFT
 
-    return Procedure(name="prime", decide=decide)
+    return Procedure(name="prime", decide=decide, is_shift_invariant=True, is_locally_decided=True)
 
 
 def evenodd_procedure() -> Procedure:
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         return RIGHT if a % 2 == 0 else LEFT
 
-    return Procedure(
-        name="evenodd",
-        decide=decide,
-        is_shift_invariant=False,
-    )
+    return Procedure(name="evenodd", decide=decide, is_locally_decided=True)
 
 
 def naples_procedure(k: int) -> Procedure:
@@ -606,14 +579,10 @@ def naples_procedure(k: int) -> Procedure:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"naples requires an integer k >= 1, got {k!r}")
 
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         return LEFT if blk.lo > 1 and a - blk.lo < k else RIGHT
 
-    return Procedure(
-        name=f"naples:k={k}",
-        decide=decide,
-        is_shift_invariant=False,
-    )
+    return Procedure(name=f"naples:k={k}", decide=decide, is_locally_decided=True)
 
 
 def far_procedure(convention: str = "prose") -> Procedure:
@@ -626,7 +595,7 @@ def far_procedure(convention: str = "prose") -> Procedure:
     if convention not in ("prose", "notation"):
         raise ValueError(f"unknown far convention {convention!r}")
 
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         right_count = sum(1 for s in occ if s > a)
         left_count = sum(1 for s in occ if s < a)
         if convention == "prose":
@@ -634,11 +603,7 @@ def far_procedure(convention: str = "prose") -> Procedure:
         return RIGHT if right_count > left_count else LEFT
 
     name = "far" if convention == "prose" else f"far:convention={convention}"
-    return Procedure(
-        name=name,
-        decide=decide,
-        is_locally_decided=False,
-    )
+    return Procedure(name=name, decide=decide, is_shift_invariant=True)
 
 
 def lbs_procedure() -> Procedure:
@@ -648,7 +613,7 @@ def lbs_procedure() -> Procedure:
     The state is a block-record state (see `block_record`).
     """
 
-    def decide(state, h, occ, blk, a):
+    def decide(state, occ, blk, a):
         return RIGHT if a >= block_record(state, blk) else LEFT
 
     return Procedure(
@@ -656,7 +621,8 @@ def lbs_procedure() -> Procedure:
         decide=decide,
         init_state=tuple,
         update=record_parked,
-        is_memoryless=False,
+        is_shift_invariant=True,
+        is_locally_decided=True,
     )
 
 
@@ -667,7 +633,7 @@ def index_rule_procedure(dirs, name: str | None = None) -> Procedure:
     commute with rotations that keep the run inside {1..r}."""
     dirs = tuple(dirs)
 
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         i = len(occ) + 1
         if i > len(dirs):
             raise ValueError(f"no direction for car {i}")
@@ -676,7 +642,7 @@ def index_rule_procedure(dirs, name: str | None = None) -> Procedure:
     return Procedure(
         name=name or "bycar(" + "".join(d.value for d in dirs) + ")",
         decide=decide,
-        is_locally_decided=False,
+        is_shift_invariant=True,
     )
 
 
@@ -745,12 +711,14 @@ def table_procedure(
 ) -> Procedure:
     """Memoryless local procedure driven by an explicit direction table."""
 
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         return table.direction(blk.size, a - blk.lo + 1)
 
     return Procedure(
         name=name or f"table(r_max={table.r_max})",
         decide=decide,
+        is_shift_invariant=True,
+        is_locally_decided=True,
         strict_r_max=table.r_max if strict else None,
     )
 
@@ -771,7 +739,7 @@ def dir_of_set(p: Procedure, occupied: Iterable[int], a: int) -> Direction:
     that do not branch there)."""
     if not p.is_memoryless:
         raise ValueError(f"{p.name} is not memoryless")
-    spot = _sure_spot(p, int_choices(p, p.init_state(), (), frozenset(occupied), a, a))
+    spot = _sure_spot(p, int_choices(p, p.init_state(), frozenset(occupied), a, a))
     return RIGHT if spot > a else LEFT
 
 

@@ -220,7 +220,7 @@ def alternating_rule() -> Procedure:
     walk (occupied set, state) pairs."""
     return Procedure(
         "alternating",
-        decide=lambda st, h, occ, blk, a: Direction.LEFT if st % 2 else Direction.RIGHT,
+        decide=lambda st, occ, blk, a: Direction.LEFT if st % 2 else Direction.RIGHT,
         init_state=lambda: 0,
         update=lambda st, a, spot: st + 1,
     )
@@ -228,38 +228,38 @@ def alternating_rule() -> Procedure:
 
 def history_parity_rule() -> Procedure:
     """Goes right iff the letters of the earlier cars have an odd sum. Its
-    `decide` reads `history`, and it is flagged not memoryless with no
-    `update`, so counts and masses must enumerate words: a walk, which
-    passes an empty history, would always go left."""
+    state is the whole history, the letters so far, so no two prefixes
+    share a node: it checks the engines on a rule whose states never
+    merge."""
     return Procedure(
         "history-parity",
-        decide=lambda st, h, occ, blk, a: Direction.RIGHT if sum(h) % 2 else Direction.LEFT,
-        is_memoryless=False,
+        decide=lambda h, occ, blk, a: Direction.RIGHT if sum(h) % 2 else Direction.LEFT,
+        init_state=tuple,
+        update=lambda h, a, spot: h + (a,),
     )
 
 
 def history_coin_rule() -> Procedure:
     """Goes right with probability 1/2 after an even-length history and
-    surely right after an odd-length one. Its `decide` reads `history`
-    and branches, and it has no `update`, so the engines run it on
-    (occupied set, history) pairs."""
+    surely right after an odd-length one; its state is the history, as in
+    `history_parity_rule`, and its decisions branch."""
     return Procedure(
         "history-coin",
-        decide=lambda st, h, occ, blk, a: Direction.RIGHT if len(h) % 2 else Fraction(1, 2),
-        is_memoryless=False,
+        decide=lambda h, occ, blk, a: Direction.RIGHT if len(h) % 2 else Fraction(1, 2),
+        init_state=tuple,
+        update=lambda h, a, spot: h + (a,),
     )
 
 
 def state_parity_rule() -> Procedure:
-    """`history_parity_rule` with its memory in state: `update` keeps the
-    parity of the letters so far. It walks, and its counts and masses must
-    equal the history rule's."""
+    """`history_parity_rule` with only the memory it reads in state:
+    `update` keeps the parity of the letters so far, so prefixes merge.
+    Its counts and masses must equal the history rule's."""
     return Procedure(
         "state-parity",
-        decide=lambda st, h, occ, blk, a: Direction.RIGHT if st else Direction.LEFT,
+        decide=lambda st, occ, blk, a: Direction.RIGHT if st else Direction.LEFT,
         init_state=lambda: 0,
         update=lambda st, a, spot: (st + a) % 2,
-        is_memoryless=False,
     )
 
 

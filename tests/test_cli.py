@@ -164,18 +164,40 @@ class TestProb:
         assert "total_parking_mass: 16807/1" in out
 
 
+def golden(name: str) -> list:
+    """(query, canonical JSON output without `elapsed_s`) pairs of a file
+    in tests/golden."""
+    return [json.loads(line) for line in (Path(__file__).parent / "golden" / name).open()]
+
+
+def assert_golden(capsys, query: str, expected: str) -> None:
+    code, out, _ = invoke(capsys, *query.split(), "--format", "json")
+    assert code == 0
+    assert re.sub(r'"elapsed_s":[^,]*,', "", out, count=1) == expected
+
+
 class TestProbGolden:
     """`prob` queries whose canonical JSON, `elapsed_s` aside, was captured
     from the CLI while the engine's weights were Fractions: every later
     engine must reproduce it byte for byte."""
 
-    GOLDEN = [json.loads(line) for line in (Path(__file__).parent / "golden" / "prob.jsonl").open()]
+    GOLDEN = golden("prob.jsonl")
 
     @pytest.mark.parametrize("query,expected", GOLDEN, ids=[query for query, _ in GOLDEN])
     def test_output_is_byte_identical(self, capsys, query, expected):
-        code, out, _ = invoke(capsys, *query.split(), "--format", "json")
-        assert code == 0
-        assert re.sub(r'"elapsed_s":[^,]*,', "", out, count=1) == expected
+        assert_golden(capsys, query, expected)
+
+
+class TestCommandGolden:
+    """`enumerate`, `orbits`, `encode` and `fibers` over the catalog at small
+    r, captured from the CLI while rules still took a `history` argument:
+    every later engine must reproduce them byte for byte."""
+
+    GOLDEN = golden("cli.jsonl")
+
+    @pytest.mark.parametrize("query,expected", GOLDEN, ids=[query for query, _ in GOLDEN])
+    def test_output_is_byte_identical(self, capsys, query, expected):
+        assert_golden(capsys, query, expected)
 
 
 class TestFibers:

@@ -196,10 +196,10 @@ def color_parity_rule() -> Procedure:
     """Goes right iff value + color is even: not shift invariant."""
     return Procedure(
         "color-parity",
-        decide=lambda st, h, occ, blk, a: (
+        decide=lambda st, occ, blk, a: (
             Direction.RIGHT if (a.value + a.color) % 2 == 0 else Direction.LEFT
         ),
-        is_shift_invariant=False,
+        is_locally_decided=True,
     )
 
 
@@ -208,12 +208,12 @@ def colored_far_rule() -> Procedure:
     left of it, the color breaking ties: it reads the whole occupied set,
     so it is not locally decided."""
 
-    def decide(st, h, occ, blk, a):
+    def decide(st, occ, blk, a):
         above = sum(s > a.value for s in occ)
         below = sum(s < a.value for s in occ)
         return Direction.RIGHT if (above, a.color % 2) < (below, 1) else Direction.LEFT
 
-    return Procedure("colored-far", decide=decide, is_locally_decided=False)
+    return Procedure("colored-far", decide=decide, is_shift_invariant=True)
 
 
 GRID = [(r, (1,)) for r in range(1, 5)] + [(r, (1, 2)) for r in range(1, 5)] + [

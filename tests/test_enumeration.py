@@ -163,7 +163,7 @@ class TestWalk:
                 walks.clear()
                 assert count_parking(p, r) == per_word, (p.name, r)
                 assert walks == [set(range(1, r + 1))]
-        # a rule reading history without an `update` enumerates words
+        # a rule whose state is its history walks too
         history = history_parity_rule()
         walks.clear()
         counts = [count_parking(history, r) for r in range(1, 6)]
@@ -171,7 +171,7 @@ class TestWalk:
         for r, count in enumerate(counts, start=1):
             words = itertools.product(range(1, r + 2), repeat=r)
             assert count == sum(is_parking(history, w) for w in words)
-        assert walks == [] and dps == []
+        assert walks == [set(range(1, r + 1)) for r in range(1, 6)] and dps == []
         assert counts == [count_parking(state_parity_rule(), r) for r in range(1, 6)]
 
     def test_over_budget_refused_before_any_car(self, monkeypatch):
@@ -354,11 +354,11 @@ class TestPathLog:
             (lambda: count_words_to_set(right, {1, 2, 4}), "interval DP", 2**4 + 1),
             (lambda: count_parking(lbs, 5), "walk", 2**5 * 5),
             (lambda: count_words_to_set(right, {1, 2, 4}, "brute"), "engine", 3**3 * 3),
-            (lambda: count_parking(history_parity_rule(), 3), "engine", 3**3 * 3),
+            (lambda: count_parking(history_parity_rule(), 3), "walk", 2**3 * 3),
             (lambda: count_parking(right, 3, backend="python"), "per-word", 3**3 * 3),
             (lambda: total_parking_mass(pq_procedure(Fraction(2)), 4), "interval DP", 4**4),
             (lambda: total_parking_mass(lbs, 3), "walk", 2**3 * 3),
-            (lambda: total_parking_mass(history_parity_rule(), 3), "engine", 3**3 * 3),
+            (lambda: total_parking_mass(history_parity_rule(), 3), "walk", 2**3 * 3),
         ]
         caplog.set_level(logging.DEBUG, logger="parkline")
         for query, path, estimate in cases:
@@ -544,21 +544,18 @@ class TestCountWordsToSet:
                 assert type(walked) is int
                 assert walked == count_words_to_set(p, S, "brute"), (spec, S)
 
-    def test_fallbacks(self, monkeypatch):
+    def test_fallbacks(self):
         from fractions import Fraction
 
-        import parkline.enumeration as enumeration
         from parkline.probabilistic import kw_procedure
         from parkline.procedures import run
 
-        # a rule that cannot walk enumerates words, and walks nothing
-        monkeypatch.setattr(enumeration, "walk_occupied", None)
+        # a rule whose state is its history walks, and counts as word by word
         history = history_parity_rule()
         for S in ({1, 2, 3}, {-1, 0, 2, 4}, {2, 5}):
             words = itertools.product(sorted(S), repeat=len(S))
             per_word = sum(run(history, w).spots == S for w in words)
             assert count_words_to_set(history, S) == per_word, S
-        monkeypatch.undo()
         # a rule that branches on the way to S has no word count
         with pytest.raises(ValueError, match="kw:q=1/2 branches"):
             count_words_to_set(kw_procedure(Fraction(1, 2)), {1, 2})

@@ -409,6 +409,12 @@ class TestShapeCounts:
 
 
 class TestGoodCorrespondence:
+    @pytest.mark.parametrize("r_max", [0, -3])
+    def test_refuses_r_max_below_one(self, r_max):
+        # no word would be checked, and the report would read good
+        with pytest.raises(ValueError, match=f"r_max must be >= 1, got {r_max}"):
+            is_good_correspondence(builtin("right"), r_max)
+
     @pytest.mark.parametrize("name", ["right", "prime"])
     def test_memoryless_local_is_good(self, name):
         assert is_good_correspondence(builtin(name), 3).good

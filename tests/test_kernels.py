@@ -1,5 +1,5 @@
-"""Backend contract: the numpy backend, which counts every word on the
-(occupied set, state) pairs of `procedures.walking` (`count_landing`), equals the
+"""Backend contract: the numpy backend, which counts every word on
+(occupied set, state) pairs (`count_landing`), equals the
 per-word engine (`backend="python"`, `run`) and the independent oracle of
 conftest.py, word by word and count by count; and each fold's keys equal
 the keys computed from `run` word by word."""
@@ -251,7 +251,7 @@ class TestBranching:
         # car 2 of word (1, 1, 0) branches onto {0, 1} or {1, 2}; car 3 then
         # fills {0, 1, 2} surely: the last node is a point mass of weight 1,
         # yet the growth is not sure, although 0 is a spot of the window
-        def decide(st, h, occ, blk, a):
+        def decide(st, occ, blk, a):
             return Fraction(1, 2) if blk.size == 1 else RIGHT
 
         p = Procedure("merge-back", decide=decide)
@@ -278,10 +278,10 @@ class TestBranching:
         # inside the target, counts as for right, but a count over {-1..5}
         # meets the branches. Only the last of three cars can branch, and
         # from lo = 5 both its choices leave the target.
-        def decide(st, h, occ, blk, a):
+        def decide(st, occ, blk, a):
             return Fraction(1, 2) if blk.lo >= lo and blk.size >= 2 else RIGHT
 
-        p = Procedure("off-target", decide=decide)
+        p = Procedure("off-target", decide=decide, is_locally_decided=True)
         assert count_words_to_set(p, {1, 2, 3}) == 16
         for backend in ("numpy", "python"):
             with pytest.raises(ValueError, match="off-target: a decision branches"):

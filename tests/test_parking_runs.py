@@ -268,18 +268,17 @@ def test_run_count_equals_walked_count(p):
 
 def expanded(p, word) -> dict:
     """Weight of every parking trace of `word` under rule `p`, by expanding
-    every branch with the real history and the rule's one state, without
-    merging: a rule that reads its history and has no `update`."""
-    traces = {(): Fraction(1)}
-    state = p.init_state()
-    for idx, a in enumerate(word):
+    every branch with its own state, without merging."""
+    traces = {(): (Fraction(1), p.init_state())}
+    for a in word:
         nxt: dict = {}
-        for parked, weight in traces.items():
-            choices = [(a, 1)] if a not in parked else branches(p, state, word[:idx], frozenset(parked), a, a)
+        for parked, (weight, state) in traces.items():
+            choices = [(a, 1)] if a not in parked else branches(p, state, frozenset(parked), a, a)
             for spot, w in choices:
-                nxt[parked + (spot,)] = nxt.get(parked + (spot,), 0) + weight * w
+                # distinct choices give distinct traces
+                nxt[parked + (spot,)] = (weight * w, p.update(state, a, spot))
         traces = nxt
-    return traces
+    return {parked: weight for parked, (weight, _) in traces.items()}
 
 
 @pytest.mark.parametrize("pp", [history_parity_rule(), history_coin_rule()], ids=ids)
@@ -295,8 +294,9 @@ def test_history_measures_equal_per_word_expansion(pp):
 
 
 def test_measure_nodes_equal_history_nodes():
-    # state-parity walks, so prefixes merge on equal measures; history-parity
-    # keeps its history in the node, so each prefix is its own node
+    # state-parity keeps only the parity, so prefixes merge on equal
+    # measures; history-parity keeps its letters in the node, so each prefix
+    # is its own node
     for r in range(1, 6):
         assert orbit_parking_mass(state_parity_rule(), r, cap=None) == orbit_parking_mass(
             history_parity_rule(), r, cap=None
@@ -326,20 +326,36 @@ def test_unfiltered_nodes_are_the_measures(pp):
             assert occupancy == measure(pp, word).probs, word
 
 
-def test_a_branch_that_merges_back_is_refused():
-    # only car 2 of a word starting 2,2 branches, onto {1,2} or {2,3}; car 3
-    # then fills {1,2,3} surely, so every word ends on a point mass of weight 1
-    def decide(st, h, occ, blk, a):
+def merge_back_rule() -> Procedure:
+    """Branches only on the occupied set {2}, so it is not locally decided,
+    and declares no flag."""
+
+    def decide(st, occ, blk, a):
         if occ == {2}:
             return Fraction(1, 2)
         return RIGHT if blk.lo == 1 else LEFT
 
-    p = Procedure("merge-back", decide=decide)
+    return Procedure("merge-back", decide=decide)
+
+
+def test_a_branch_that_merges_back_is_refused():
+    # only car 2 of a word starting 2,2 branches, onto {1,2} or {2,3}; car 3
+    # then fills {1,2,3} surely, so every word ends on a point mass of weight 1
+    p = merge_back_rule()
     assert measure(p, (2, 2, 2)).probs == {frozenset({1, 2, 3}): 1}
     assert not grown_runs(p, 3, range(1, 4), frozenset(range(1, 4)))[4]
     for query in (orbit_audit, fiber_counts_brute):
         with pytest.raises(ValueError, match="merge-back: a decision branches"):
             query(p, 3)
+
+
+def test_a_rule_that_declares_no_flag_walks():
+    # trusted as locally decided, the interval DP would give 3: it reads the
+    # branch on block {2} as one on every block of one spot
+    p = merge_back_rule()
+    assert not p.decides_by_block
+    per_word = sum((parking_probability(p, w) for w in word_space(2)), Fraction(0))
+    assert total_parking_mass(p, 2) == per_word == Fraction(7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +372,9 @@ class Asked:
         self.calls: list[list] = [[]]
         decide = p.decide
 
-        def recorded(state, history, occ, blk, a):
+        def recorded(state, occ, blk, a):
             self.calls[-1].append((blk.lo, blk.hi, a))
-            return decide(state, history, occ, blk, a)
+            return decide(state, occ, blk, a)
 
         self.rule = dataclasses.replace(p, decide=recorded)
         table = procedures.decision_table
@@ -424,7 +440,8 @@ def per_word_orbit_masses(pp, r: int) -> dict:
 UNTABLED = [
     (parse_proc_spec("lbs"), 4, 3, (52, 69, 52, 13, 13, 26)),
     (alternating_rule(), 4, 3, (28, 52, 28, 9, 9, 20)),
-    (history_parity_rule(), 4, 3, (216, 198, 192, 19, 19, 39)),
+    # its count walks, asking as its orbit audit does
+    (history_parity_rule(), 4, 3, (192, 198, 192, 19, 19, 39)),
     (parse_prob_spec("kwseq:qs=1/2+1/3"), None, 2, (2, 2, 3)),
     (parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), None, 4, (130, 28, 33)),
     (history_coin_rule(), None, 4, (244, 244, 38)),
@@ -471,10 +488,10 @@ def block_rules(draw):
         for i in range(1, size + 1)
     }
 
-    def decide(state, history, occ, blk, a):
+    def decide(state, occ, blk, a):
         return probs[blk.lo % 2 if by_parity else 0, blk.size, a - blk.lo + 1]
 
-    return Procedure("random-block", decide=decide, is_shift_invariant=not by_parity)
+    return Procedure("random-block", decide=decide, is_shift_invariant=not by_parity, is_locally_decided=True)
 
 
 def assert_tables_exact(pp, r: int):
@@ -508,12 +525,12 @@ def test_tabled_pq_is_exact(q):
 )
 def test_refused_decisions_are_never_stored(answer, message):
     asked = []
-    p = Procedure("bad", decide=lambda *args: asked.append(args) or answer)
+    p = Procedure("bad", decide=lambda *args: asked.append(args) or answer, is_locally_decided=True)
     table = procedures.decision_table(p)
     assert table == {}
     for tries in (1, 2):
         with pytest.raises(ValueError, match=re.escape(f"bad: {message}")):
-            branches(p, None, (), frozenset({1}), 1, 1, table)
+            branches(p, None, frozenset({1}), 1, 1, table)
         assert table == {} and len(asked) == tries
     # each engine call refuses alike: nothing refused was kept
     for query in (orbit_parking_mass, orbit_parking_mass, is_abelian, is_abelian):

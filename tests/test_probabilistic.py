@@ -231,14 +231,14 @@ class TestMassWalk:
                 walks.clear()
                 assert total_parking_mass(pp, r) == per_word, (pp.name, r)
                 assert walks == [r]
-        # a rule reading history without an `update` sums word by word
+        # a rule whose state is its history walks too
         history = history_parity_rule()
         walks.clear()
         for r, count in enumerate([1, 4, 14, 126], start=1):
             words = itertools.product(range(1, r + 2), repeat=r)
             per_word = sum((parking_probability(history, w) for w in words), F(0))
             assert total_parking_mass(history, r) == per_word == count
-        assert walks == [] and dps == []
+        assert walks == [1, 2, 3, 4] and dps == []
         state = state_parity_rule()
         assert [total_parking_mass(state, r) for r in range(1, 5)] == [1, 4, 14, 126]
 
@@ -250,15 +250,17 @@ class TestMassWalk:
         def refuse(*args, **kw):
             raise AssertionError("not on this path")
 
-        # a rule that cannot walk grows measures over parking prefixes,
-        # not word by word over {1..r+1}^r
+        # a rule whose state is its history walks (occupied set, history)
+        # pairs of parking prefixes, not word by word over {1..r+1}^r; the
+        # walk counts its steps car by car, as its pairs are its prefixes.
+        # A small cap keeps the last level built before the refusal small.
         monkeypatch.setattr(probabilistic, "parking_probability", refuse)
+        monkeypatch.setattr(probabilistic, "grow_runs", refuse)
         history = history_parity_rule()
         assert total_parking_mass(history, 5) == 1164
         assert total_parking_mass(history, 6) == 16954
-        monkeypatch.setattr(probabilistic, "grow_runs", refuse)
-        with pytest.raises(CapExceededError, match="parking runs of length 9"):
-            total_parking_mass(history, 9)
+        with pytest.raises(CapExceededError, match="walk over 9 spots: 506,124 car steps"):
+            total_parking_mass(history, 9, cap=100_000)
 
     def test_engine_paths_build_no_measure(self, monkeypatch):
         import parkline.probabilistic as probabilistic
@@ -276,7 +278,7 @@ class TestMassWalk:
         assert total_parking_mass(history_parity_rule(), 4) == 126
 
     def test_probability_check_holds_on_the_walk(self):
-        bad = Procedure("bad", decide=lambda st, h, occ, blk, a: F(3, 2))
+        bad = Procedure("bad", decide=lambda st, occ, blk, a: F(3, 2))
         with pytest.raises(ValueError, match="outside"):
             total_parking_mass(bad, 2)
 

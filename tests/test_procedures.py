@@ -191,11 +191,11 @@ class TestOutcome:
 class TestBuiltins:
     def test_closest_decides_left_on_strict_gap(self):
         p = make("closest")
-        assert p.decide(None, (), frozenset({2, 3}), Block(2, 3), 2) is LEFT
+        assert p.decide(None, frozenset({2, 3}), Block(2, 3), 2) is LEFT
 
     def test_closest_tie_goes_right(self):
         p = make("closest")
-        assert p.decide(None, (), frozenset({2, 3}), Block(2, 3), 3) is RIGHT
+        assert p.decide(None, frozenset({2, 3}), Block(2, 3), 3) is RIGHT
         assert dir_of(p, 3, 2) is RIGHT  # gaps 2 and 2
 
     def test_naples_backs_up(self):
@@ -236,8 +236,8 @@ class TestBuiltins:
         prose = make("far")
         other = make("far", convention="notation")
         occ = frozenset({1, 3})
-        assert prose.decide(None, (), occ, Block(1, 1), 1) is LEFT
-        assert other.decide(None, (), occ, Block(1, 1), 1) is RIGHT
+        assert prose.decide(None, occ, Block(1, 1), 1) is LEFT
+        assert other.decide(None, occ, Block(1, 1), 1) is RIGHT
 
     def test_declared_flags(self):
         assert make("right").is_local and make("right").is_memoryless
@@ -247,6 +247,14 @@ class TestBuiltins:
             p = make(name, **kw)
             assert p.is_memoryless and p.is_locally_decided
             assert not p.is_shift_invariant
+
+    def test_undeclared_flags_default_to_false(self):
+        # False holds for every rule, so an undeclared rule walks
+        p = Procedure("plain", decide=lambda *_: RIGHT)
+        assert not (p.is_shift_invariant or p.is_locally_decided or p.decides_by_block)
+        assert p.is_memoryless
+        keeper = Procedure("keeper", decide=lambda *_: RIGHT, update=lambda st, a, spot: st)
+        assert not keeper.is_memoryless
 
     def test_parse_spec(self):
         assert parse_proc_spec("naples:k=2").name == "naples:k=2"
@@ -276,6 +284,18 @@ class TestDirOf:
     def test_requires_memoryless(self):
         with pytest.raises(ValueError):
             dir_of(make("lbs"), 2, 1)
+
+    def test_refuses_a_rule_that_keeps_state(self):
+        # read off the initial state, car 2 of (1, 1) would go right; the
+        # run sends it left, as the state its `update` kept says
+        from conftest import alternating_rule
+        from parkline.probabilistic import right_prob_table
+
+        p = alternating_rule()
+        assert run(p, (1, 1)).parked == (1, 0)
+        for probe in (lambda: dir_of(p, 1, 1), lambda: right_prob_table(p, 2)):
+            with pytest.raises(ValueError, match="alternating is not memoryless"):
+                probe()
 
     def test_dir_of_set_naples(self):
         nap = make("naples", k=1)
@@ -358,6 +378,16 @@ class TestCheckFlags:
         # no word would be tested, and every flag would read as confirmed
         with pytest.raises(ValueError, match=f"r_max must be >= 1, got {r_max}"):
             check_flags(builtin("right"), r_max)
+
+    @pytest.mark.parametrize(
+        "p",
+        [parse_proc_spec(s) for s in CATALOG + ["naples:k=1", "naples:k=2", "far:convention=notation"]]
+        + [table_procedure(t, name=f"table{i}") for i, t in enumerate(random_tables(2, 3, seed=7))],
+        ids=lambda p: p.name,
+    )
+    def test_catalog_declarations_hold(self, p):
+        # every rule the `builtin` catalog makes declares only what it satisfies
+        assert check_flags(p, 3).all_consistent
 
     def test_naples_shift_witness(self):
         report = check_flags(builtin("naples", k=1), 2)
