@@ -75,9 +75,12 @@ class Procedure:
     The two flags are trusted as declared (`check_flags` tests them):
     `is_shift_invariant` says that shifting a word shifts its run, and
     `is_locally_decided` that a bumped car's choice depends only on the
-    cars parked on its block. Both default to False, which every rule
-    satisfies. `language`, when set, is the `colored.Language` of colored
-    words on which a partial colored rule is defined.
+    cars parked on its block. Both default to False, which is safe: an
+    undeclared rule takes the general paths. `check_flags` still reports
+    a flag left False on a rule that satisfies it as inconsistent, since
+    it compares declared with observed. `language`, when set, is the
+    `colored.Language` of colored words on which a partial colored rule
+    is defined.
     """
 
     name: str
@@ -249,6 +252,7 @@ def merge_step(
     inside: frozenset | None = None,
     value_of=None,
     table: dict | None = None,
+    check_size: Callable[[int], None] | None = None,
 ) -> tuple[int, dict]:
     """One car's step of rule `p` over runs keyed by (occupied set,
     `state_key(state)`) with values (weight, state): `(scale, next level)`.
@@ -270,6 +274,9 @@ def merge_step(
     and fills. It is the third thing that trusts `decides_by_block`, after
     the interval DP and label sets: a choice found there is taken for every
     run whose bumped car has that letter and lands on that block.
+
+    `check_size`, when given, is passed the next level's size each time a
+    pair joins it, and may refuse, so a level is not built past a budget.
     """
     update = p.update
     nxt: dict[tuple[frozenset, Any], tuple[int, Any]] = {}
@@ -294,7 +301,12 @@ def merge_step(
                 st = state if update is None else update(state, a, spot)
                 key = (occ | {spot}, state_key(st))
                 prev = nxt.get(key)
-                nxt[key] = (w if prev is None else prev[0] + w, st)
+                if prev is None:
+                    nxt[key] = (w, st)
+                    if check_size is not None:
+                        check_size(len(nxt))
+                else:
+                    nxt[key] = (prev[0] + w, st)
     return scale, nxt
 
 
@@ -319,18 +331,22 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
     spots inside it are followed: for a memoryless rule at most 2^n sets
     times n letters per car, against n^n words. A rule that never branches
     gives an exact int count; one that does gives an exact Fraction mass,
-    even where it is a whole number. Before each car, `check_steps` is
-    passed the car steps taken so far and about to be taken, and may
-    refuse them.
+    even where it is a whole number. `check_steps` is passed the car steps
+    taken so far and about to be taken, and may refuse them: before each
+    car, and, as each level but the last grows, with the steps its pairs
+    will take, so that a rule state that multiplies the pairs is refused
+    before the level that passes the budget is built.
     """
     level = initial_level(p)
     table = decision_table(p)
+    n = len(target)
     steps = 0
     den = 1
-    for _ in target:
-        steps += len(level) * len(target)
+    for car in range(n):
+        steps += len(level) * n
         check_steps(steps)
-        scale, level = merge_step(p, level, target, target, table=table)
+        grows = None if car == n - 1 else (lambda size, done=steps: check_steps(done + size * n))
+        scale, level = merge_step(p, level, target, target, table=table, check_size=grows)
         den *= scale
     # every surviving run parked |target| distinct cars inside the target
     total = sum(weight for weight, _ in level.values())
@@ -827,8 +843,9 @@ class FlagReport:
 def check_flags(p: Procedure, r_max: int) -> FlagReport:
     """Test the declared flags over every word with letters in
     {1..r_max+1} and length <= r_max; a found violation is returned as a
-    witness. A flag declared false needs r_max large enough for a witness
-    to exist. r_max must be >= 1."""
+    witness. A flag is consistent if declared as observed, so one left
+    False on a rule that satisfies it is not, and one declared False needs
+    r_max large enough for a witness to exist. r_max must be >= 1."""
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     shift_w = None

@@ -199,16 +199,40 @@ class TestWalk:
     def test_walk_levels_count_against_budget(self):
         # the estimate 2^6 * 6 = 384 bounds a memoryless walk (far is not
         # locally decided, so it walks); lbs visits 1+6+20+40+48+30
-        # (occupied set, state) pairs, 870 car steps
+        # (occupied set, state) pairs, 870 car steps. Its third level is
+        # refused as it grows, at its 38th pair: 6 * (1+6+20) + 6 * 38 = 390
         estimate = 2**6 * 6
         assert count_parking(builtin("far"), 6, cap=estimate) == count_parking(builtin("far"), 6)
-        with pytest.raises(CapExceededError, match="walk over 6 spots: 402 car steps"):
+        with pytest.raises(CapExceededError, match="walk over 6 spots: 390 car steps"):
             count_parking(builtin("lbs"), 6, cap=estimate)
         assert count_parking(builtin("lbs"), 6, cap=870) == 7**5
         # the interval DP over 6 spots is estimated at 6^4 car steps
         with pytest.raises(CapExceededError, match="interval DP over 6 spots: 1,296 car steps"):
             count_parking(builtin("right"), 6, cap=estimate)
         assert count_parking(builtin("right"), 6, cap=6**4) == 7**5
+
+    def test_walk_refuses_a_level_before_it_passes_the_budget(self):
+        from parkline.procedures import walk_occupied
+
+        # history-parity's pairs are its prefixes, so each level is about
+        # n times the last: the walk is refused while a level grows, at the
+        # first pair whose steps pass the budget, not once the level is
+        # built and the next car is about to be placed
+        seen = []
+
+        def check(steps):
+            seen.append(steps)
+            if steps > 100_000:
+                raise CapExceededError(steps)
+
+        with pytest.raises(CapExceededError):
+            walk_occupied(frozenset(range(1, 10)), history_parity_rule(), check)
+        assert 100_000 < seen[-1] <= 100_000 + 9
+        # the last level is only summed, so 2,780 car steps fit r = 5,
+        # although its 1,164 pairs would take 5,820 more
+        assert walk_weight(history_parity_rule(), frozenset(range(1, 6)), 2780) == 1164
+        with pytest.raises(CapExceededError, match="walk over 5 spots: 2,780 car steps"):
+            walk_weight(history_parity_rule(), frozenset(range(1, 6)), 2779)
 
     def test_caps_still_apply(self):
         with pytest.raises(CapExceededError):

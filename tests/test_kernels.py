@@ -250,11 +250,14 @@ class TestBranching:
     def test_brute_refuses_a_branch_that_merges_back(self):
         # car 2 of word (1, 1, 0) branches onto {0, 1} or {1, 2}; car 3 then
         # fills {0, 1, 2} surely: the last node is a point mass of weight 1,
-        # yet the growth is not sure, although 0 is a spot of the window
+        # yet the growth is not sure, although 0 is a spot of the window.
+        # The rule declares that it decides by block, so its decisions are
+        # cached per (block, letter) in the decision table.
         def decide(st, occ, blk, a):
             return Fraction(1, 2) if blk.size == 1 else RIGHT
 
-        p = Procedure("merge-back", decide=decide)
+        p = Procedure("merge-back", decide=decide, is_shift_invariant=True, is_locally_decided=True)
+        assert p.decides_by_block
         words, parked, ids, nodes, sure = grown_runs(p, 3, [0, 1, 2])
         k = words.tolist().index([1, 1, 0])
         assert not sure and parked is None

@@ -251,16 +251,16 @@ class TestMassWalk:
             raise AssertionError("not on this path")
 
         # a rule whose state is its history walks (occupied set, history)
-        # pairs of parking prefixes, not word by word over {1..r+1}^r; the
-        # walk counts its steps car by car, as its pairs are its prefixes.
-        # A small cap keeps the last level built before the refusal small.
+        # pairs of parking prefixes, not word by word over {1..r+1}^r. Its
+        # pairs are its prefixes, so the walk counts the steps of each level
+        # as the level grows, and refuses before one passes the budget.
         monkeypatch.setattr(probabilistic, "parking_probability", refuse)
         monkeypatch.setattr(probabilistic, "grow_runs", refuse)
         history = history_parity_rule()
         assert total_parking_mass(history, 5) == 1164
         assert total_parking_mass(history, 6) == 16954
-        with pytest.raises(CapExceededError, match="walk over 9 spots: 506,124 car steps"):
-            total_parking_mass(history, 9, cap=100_000)
+        with pytest.raises(CapExceededError, match="walk over 9 spots: 10,000,008 car steps"):
+            total_parking_mass(history, 9)
 
     def test_engine_paths_build_no_measure(self, monkeypatch):
         import parkline.probabilistic as probabilistic

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -249,10 +250,15 @@ class TestBuiltins:
             assert not p.is_shift_invariant
 
     def test_undeclared_flags_default_to_false(self):
-        # False holds for every rule, so an undeclared rule walks
+        # False is safe for every rule, so an undeclared rule walks; but
+        # check_flags compares declared with observed, so a rule that
+        # satisfies a flag it leaves undeclared is reported inconsistent
         p = Procedure("plain", decide=lambda *_: RIGHT)
         assert not (p.is_shift_invariant or p.is_locally_decided or p.decides_by_block)
         assert p.is_memoryless
+        assert not check_flags(p, 3).all_consistent
+        declared = dataclasses.replace(p, is_shift_invariant=True, is_locally_decided=True)
+        assert check_flags(declared, 3).all_consistent
         keeper = Procedure("keeper", decide=lambda *_: RIGHT, update=lambda st, a, spot: st)
         assert not keeper.is_memoryless
 
