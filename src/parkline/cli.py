@@ -42,7 +42,7 @@ from .probabilistic import (
     parse_prob_spec,
     total_parking_mass,
 )
-from .procedures import load_dir_table, parse_proc_spec, table_procedure
+from .procedures import load_dir_table, table_procedure
 
 
 class InputError(ValueError):
@@ -110,11 +110,13 @@ def render(report: Report, fmt: str) -> str:
 
 
 def _resolve_proc(args):
-    if getattr(args, "proc_file", None):
+    if args.proc and args.proc_file:
+        raise InputError("--proc and --proc-file exclude each other")
+    if args.proc_file:
         return table_procedure(load_dir_table(args.proc_file), strict=args.strict)
     if not args.proc:
         raise InputError("one of --proc / --proc-file is required")
-    return parse_proc_spec(args.proc)
+    return parse_prob_spec(args.proc)
 
 
 def _cap(args) -> int | None:
@@ -175,9 +177,7 @@ def cmd_prob(args) -> Report:
         raise InputError("exactly one of --word / --mass is required")
     if args.per_orbit and args.mass is None:
         raise InputError("--per-orbit needs --mass")
-    pp = parse_prob_spec(args.proc) if args.proc else None
-    if pp is None:
-        raise InputError("--proc is required")
+    pp = _resolve_proc(args)
     params = {"proc": pp.name}
     results = {}
     if args.word is not None:

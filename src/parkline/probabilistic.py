@@ -6,17 +6,18 @@ A probabilistic rule is a `Procedure` whose `decide` returns an exact
 right-probability; a deterministic rule is the case where every decision
 is a Direction, 0 or 1, so every function here takes both. Everything is
 exact; `procedures.branches` refuses floats. The branching run is
-expanded car by car with merging keyed on (occupied set, rule state)
-(`procedures.merge_step`). Its weights are int numerators over one int
-denominator per level, and occupancies are compared in lowest terms, so
-distributions compare by strict equality; a `Fraction` is built only for
-what is returned: `Measure.probs`, trace weights and masses. The total
-parking mass of a rule that decides by block sums the forest encoding
-over the intervals of {1..r} (`enumeration.interval_weight`); any other
-rule walks (occupied set, rule state) pairs. Orbit masses and
-abelianity checks grow all their words at once as keys
-(`procedures.grow_runs`) and read each word's measure off its node:
-words whose prefixes share a measure share its work.
+expanded car by car as `procedures.merge_step` levels `(den, runs)`,
+which merge runs on (occupied set, rule state) and weigh each pair by an
+int numerator over the level's one int denominator. Occupancies are
+compared in lowest terms, so distributions compare by strict equality; a
+`Fraction` is built only for what is returned: `Measure.probs`, trace
+weights and masses. The total parking mass of a rule that decides by
+block sums the forest encoding over the intervals of {1..r}
+(`enumeration.interval_weight`); any other rule walks (occupied set,
+rule state) pairs. Orbit masses and abelianity checks grow all their
+words at once as keys (`procedures.grow_runs`) and read each word's
+measure off its node, a level in lowest terms: words whose prefixes
+share a measure share its work.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .enumeration import (
     WORK_BUDGET,
     _check_r,
     _check_runs,
+    _check_strict,
     _orbit_fold,
     interval_weight,
     take_path,
@@ -125,12 +127,13 @@ class Measure:
         return sorted(self.probs, key=sorted)
 
 
-def _occupancy(den: int, level: dict) -> tuple[int, dict[SpotSet, int]]:
-    """Weight of each occupied set of a `merge_step` level over `den`, over
-    all states, as `(den, {occupied set: numerator})` in lowest terms, so
-    that equal occupancies compare equal."""
+def _occupancy(level: tuple[int, dict]) -> tuple[int, dict[SpotSet, int]]:
+    """Weight of each occupied set of a `merge_step` level, over all
+    states, as `(den, {occupied set: numerator})` in lowest terms, so that
+    equal occupancies compare equal."""
+    den, runs = level
     nums: dict[SpotSet, int] = defaultdict(int)
-    for (occ, _), (weight, _) in level.items():
+    for (occ, _), weight in runs.items():
         nums[occ] += weight
     g = math.gcd(den, *nums.values())
     return den // g, {occ: num // g for occ, num in nums.items()}
@@ -155,30 +158,27 @@ def measure(pp: Procedure, word: Iterable) -> Measure:
     word (see `_letters`).
     """
     word, value_of = _letters(pp, word)
-    den, current = 1, initial_level(pp)
+    level = initial_level(pp)
     for a in word:
-        scale, current = merge_step(pp, current, (a,), None, value_of)
-        den *= scale
-    den, nums = _occupancy(den, current)
+        level = merge_step(pp, level, (a,), None, value_of)
+    den, nums = _occupancy(level)
     return Measure({occ: Fraction(num, den) for occ, num in nums.items()})
 
 
 def path_distribution(pp: Procedure, word: Iterable) -> dict[tuple[int, ...], Fraction]:
     """Weight of every full parking trace (tuple of parked spots)."""
     word, value_of = _letters(pp, word)
-    # each trace keeps its own weight, an int numerator over its denominator
-    current = {(): (1, 1, pp.init_state())}
+    # each trace is a level of one run
+    current = {(): initial_level(pp)}
     for a in word:
         nxt = {}
-        for parked, (num, den, state) in current.items():
+        for parked, level in current.items():
+            den, step = merge_step(pp, level, (a,), None, value_of)
             # a car's choices end on distinct occupied sets
-            occ = frozenset(parked)
-            scale, step = merge_step(pp, {(occ, None): (num, state)}, (a,), None, value_of)
-            nxt.update(
-                (parked + tuple(after - occ), (w, den * scale, st)) for (after, _), (w, st) in step.items()
-            )
+            for (occ, state), w in step.items():
+                nxt[parked + tuple(occ.difference(parked))] = (den, {(occ, state): w})
         current = nxt
-    return {parked: Fraction(num, den) for parked, (num, den, _) in current.items()}
+    return {parked: Fraction(sum(runs.values()), den) for parked, (den, runs) in current.items()}
 
 
 def parking_probability(pp: Procedure, word: Iterable[int]) -> Fraction:
@@ -198,6 +198,7 @@ def total_parking_mass(
     rule state) pairs (`walk_occupied`).
     """
     _check_r(r)
+    _check_strict(pp, r)
     spots = frozenset(range(1, r + 1))
     if pp.decides_by_block:
         return Fraction(interval_weight(pp, spots, cap))
@@ -221,7 +222,7 @@ def orbit_parking_mass(
     keys, ids, nodes, _ = grow_runs(pp, r, range(1, r + 1), spots, fold, decision_table(pp))
     # every node's mass as an int numerator over one denominator
     den = math.lcm(*(d for d, _ in nodes))
-    node_mass = [sum(weight for weight, _ in node.values()) * (den // d) for d, node in nodes]
+    node_mass = [sum(runs.values()) * (den // d) for d, runs in nodes]
     # an orbit's key is that of its member starting with 1, its smallest
     reps = fold.digits(np.arange((r + 1) ** (r - 1))) + 1
     pairs, counts = np.unique(keys % len(reps) * len(nodes) + ids, return_counts=True)
@@ -236,11 +237,16 @@ def orbit_parking_mass(
 # catalog
 
 
-def kw_procedure(q: Fraction) -> Procedure:
-    """Constant coin: go right with probability q whenever bumped."""
-    q = Fraction(q)
-    if not ZERO <= q <= ONE:
+def _coin(q: QValue) -> Fraction:
+    """`q` as an exact right-probability; ValueError unless it is in [0, 1]."""
+    if isinstance(q, _Infinity) or not ZERO <= Fraction(q) <= ONE:
         raise ValueError(f"q must be in [0,1], got {q}")
+    return Fraction(q)
+
+
+def kw_procedure(q: QValue) -> Procedure:
+    """Constant coin: go right with probability q whenever bumped."""
+    q = _coin(q)
     return Procedure(
         name=f"kw:q={q}",
         decide=lambda st, occ, blk, a: q,
@@ -249,16 +255,13 @@ def kw_procedure(q: Fraction) -> Procedure:
     )
 
 
-def kw_sequence_procedure(qs: Iterable[Fraction]) -> Procedure:
+def kw_sequence_procedure(qs: Iterable[QValue]) -> Procedure:
     """Per-car coins: the i-th car goes right with probability qs[i-1].
 
     The coin depends only on the car's index (= |occupied|+1), which makes
     the rule commute with rotations staying inside {1..r}.
     """
-    qs = tuple(Fraction(q) for q in qs)
-    for q in qs:
-        if not ZERO <= q <= ONE:
-            raise ValueError(f"coin {q} outside [0,1]")
+    qs = tuple(map(_coin, qs))
 
     def decide(st, occ, blk, a):
         i = len(occ) + 1
@@ -363,7 +366,7 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
         seen: dict = {}
         marks = []
         for node in nodes:
-            den, nums = _occupancy(*node)
+            den, nums = _occupancy(node)
             marks.append(seen.setdefault((den, frozenset(nums.items())), len(seen)))
         classes = np.array(marks)[ids]
         # every word is grown, so a word's row is its radix value, and a

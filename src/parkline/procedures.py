@@ -8,14 +8,17 @@ the block of occupied spots containing its preference. One rule type,
 its decision is a Direction or an exact probability of going right, and
 `branches` is the one step that turns a decision into the car's choices.
 Runs follow rules that never branch. A rule remembers the run so far
-only through the state its `update` keeps. `merge_step` is the one step
-over weighted (occupied set, rule state) pairs: `probabilistic.measure`
-follows a word's choices with it, `walk_occupied` sums the weights of
-runs ending on a spot set, `grow_runs`, the one
-prefix-growth engine, grows words as int64 keys that a `Fold` extends
-car by car, merging prefixes whose measures agree, and `count_landing`
-counts the words reaching each pair. The last three ask a rule that
-decides by block once per (block, letter) while one `decision_table` lives.
+only through the hashable state its `update` keeps. Every engine steps
+one format, the level `(den, runs)`: `runs` maps each (occupied set,
+rule state) pair to the weight of the runs reaching it, an int numerator
+over the int `den`. `merge_step` is the one step from a level to the
+next: `probabilistic.measure` follows a word's choices with it,
+`walk_occupied` sums the weights of runs ending on a spot set,
+`grow_runs`, the one prefix-growth engine, grows words as int64 keys that
+a `Fold` extends car by car, merging prefixes whose levels agree, and
+`count_landing` counts the words reaching each pair. The last three ask a
+rule that decides by block once per (block, letter) while one
+`decision_table` lives.
 """
 
 from __future__ import annotations
@@ -67,10 +70,10 @@ class Procedure:
     are all Directions or probabilities 0 and 1 (see `branches`). A rule
     remembers the run only through `state`: `update(state, letter, spot)`
     returns the state after each car, a new one instead of changing its
-    argument, and the state is hashable or a dict. A rule that needs the
-    letters so far keeps them, with `init_state=tuple` and `update=lambda
-    h, a, spot: h + (a,)`. Every rule runs on the same engines, which
-    merge runs that agree on (occupied set, state).
+    argument, and the state is hashable. A rule that needs the letters so
+    far keeps them, with `init_state=tuple` and `update=lambda h, a, spot:
+    h + (a,)`. Every rule runs on the same engines, which merge runs that
+    agree on (occupied set, state).
 
     The two flags are trusted as declared (`check_flags` tests them):
     `is_shift_invariant` says that shifting a word shifts its run, and
@@ -232,43 +235,34 @@ def decision_table(p: Procedure) -> dict | None:
     return {} if p.decides_by_block else None
 
 
-def state_key(state: Any):
-    """Hashable stand-in for a rule state: a dict by its items, any
-    other state as itself. Runs that agree on (occupied set, state key)
-    continue alike and are merged."""
-    return frozenset(state.items()) if isinstance(state, dict) else state
-
-
-def initial_level(p: Procedure) -> dict:
-    """The `merge_step` level before any car: one run of weight 1."""
-    init = p.init_state()
-    return {(frozenset(), state_key(init)): (1, init)}
+def initial_level(p: Procedure) -> tuple[int, dict]:
+    """The level before any car: one run of weight 1."""
+    return 1, {(frozenset(), p.init_state()): 1}
 
 
 def merge_step(
     p: Procedure,
-    level: dict,
+    level: tuple[int, dict],
     letters: Iterable[int],
     inside: frozenset | None = None,
     value_of=None,
     table: dict | None = None,
     check_size: Callable[[int], None] | None = None,
 ) -> tuple[int, dict]:
-    """One car's step of rule `p` over runs keyed by (occupied set,
-    `state_key(state)`) with values (weight, state): `(scale, next level)`.
+    """One car's step of rule `p` from a level to the next.
 
-    A level's weights are int numerators over one denominator, which the
-    caller keeps. Every run takes each choice of a car with letter a, for
-    every letter a in `letters`: its preferred spot if free, or the
-    `int_choices` of `p`. `value_of`
-    maps a letter to its preferred spot, as in `run_engine` (identity for
-    plain integer letters). Choices outside the spot set `inside`, when
-    given, are dropped. Weights multiply along a run, and runs that agree
-    on (occupied, state key) afterwards are merged by adding their weights.
-    `scale` is the lcm of the denominators of the choices taken: the next
-    level's numerators are over the level's denominator times `scale`, so
-    a step that takes no branching choice has scale 1 and keeps int counts
-    as they are.
+    A level is `(den, runs)`: `runs` maps each (occupied set, state) pair
+    to the total weight of the runs reaching it, an int numerator over
+    `den`. Every run takes each choice of a car with letter a, for every
+    letter a in `letters`: its preferred spot if free, or the
+    `int_choices` of `p`. `value_of` maps a letter to its preferred spot,
+    as in `run_engine` (identity for plain integer letters). Choices
+    outside the spot set `inside`, when given, are dropped. Weights
+    multiply along a run, and runs that agree on (occupied set, state)
+    afterwards are merged by adding their weights. The next denominator
+    is `den` times the lcm of the denominators of the choices taken, so a
+    step that takes no branching choice keeps `den` and int counts as they
+    are.
 
     `table` is the engine call's `decision_table`, which `int_choices` reads
     and fills. It is the third thing that trusts `decides_by_block`, after
@@ -278,54 +272,53 @@ def merge_step(
     `check_size`, when given, is passed the next level's size each time a
     pair joins it, and may refuse, so a level is not built past a budget.
     """
+    den, runs = level
     update = p.update
-    nxt: dict[tuple[frozenset, Any], tuple[int, Any]] = {}
+    nxt: dict[tuple[frozenset, Any], int] = {}
     scale = 1
-    for (occ, _), (weight, state) in level.items():
+    for (occ, state), weight in runs.items():
         for a in letters:
             pref = a if value_of is None else value_of(a)
             # a free spot is a choice of weight 1
-            for spot, num, den in ((pref, 1, 1),) if pref not in occ else int_choices(p, state, occ, a, pref, table):
+            for spot, num, d in ((pref, 1, 1),) if pref not in occ else int_choices(p, state, occ, a, pref, table):
                 if inside is not None and spot not in inside:
                     continue
-                if den == 1:
+                if d == 1:
                     # a choice that does not branch has weight 1
                     w = weight * scale
                 else:
-                    if scale % den:
+                    if scale % d:
                         # a new denominator: rescale the runs merged so far
-                        grow = den // math.gcd(scale, den)
+                        grow = d // math.gcd(scale, d)
                         scale *= grow
-                        nxt = {key: (v * grow, st) for key, (v, st) in nxt.items()}
-                    w = weight * num * (scale // den)
-                st = state if update is None else update(state, a, spot)
-                key = (occ | {spot}, state_key(st))
+                        nxt = {key: v * grow for key, v in nxt.items()}
+                    w = weight * num * (scale // d)
+                key = (occ | {spot}, state if update is None else update(state, a, spot))
                 prev = nxt.get(key)
                 if prev is None:
-                    nxt[key] = (w, st)
+                    nxt[key] = w
                     if check_size is not None:
                         check_size(len(nxt))
                 else:
-                    nxt[key] = (prev[0] + w, st)
-    return scale, nxt
+                    nxt[key] = prev + w
+    return den * scale, nxt
 
 
-def _reduced(den: int, level: dict) -> tuple[int, dict]:
-    """A level's `(den, level)` in lowest terms: its denominator and every
-    numerator divided by their gcd. Equal measures then have equal
-    numerators over equal denominators."""
-    if den == 1:
-        return den, level
-    g = math.gcd(den, *(w for w, _ in level.values()))
+def _reduced(level: tuple[int, dict]) -> tuple[int, dict]:
+    """A level in lowest terms: its denominator and every numerator divided
+    by their gcd. Equal measures then have equal numerators over equal
+    denominators."""
+    den, runs = level
+    g = math.gcd(den, *runs.values()) if den > 1 else 1
     if g == 1:
-        return den, level
-    return den // g, {key: (w // g, st) for key, (w, st) in level.items()}
+        return level
+    return den // g, {key: w // g for key, w in runs.items()}
 
 
 def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], None]):
     """Total weight of the runs of |target| cars of rule `p` that end on
-    exactly the spot set `target`, summed over (occupied set, rule state)
-    pairs instead of words.
+    exactly the spot set `target`, stepped car by car as `merge_step`
+    levels over (occupied set, rule state) pairs instead of words.
 
     A car parked outside the target never leaves, so only letters and
     spots inside it are followed: for a memoryless rule at most 2^n sets
@@ -341,15 +334,14 @@ def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], 
     table = decision_table(p)
     n = len(target)
     steps = 0
-    den = 1
     for car in range(n):
-        steps += len(level) * n
+        steps += len(level[1]) * n
         check_steps(steps)
         grows = None if car == n - 1 else (lambda size, done=steps: check_steps(done + size * n))
-        scale, level = merge_step(p, level, target, target, table=table, check_size=grows)
-        den *= scale
+        level = merge_step(p, level, target, target, table=table, check_size=grows)
+    den, runs = level
     # every surviving run parked |target| distinct cars inside the target
-    total = sum(weight for weight, _ in level.values())
+    total = sum(runs.values())
     # a denominator above 1 means some decision branched
     return Fraction(total, den) if den > 1 else total
 
@@ -359,31 +351,30 @@ def _branch_error(p: Procedure) -> ValueError:
 
 
 def _grow_level(p, nodes, sums, letters, inside, table):
-    """One car's step of `grow_runs` from every node of a level and every
-    letter: the next level `(nodes, sums)` and, one entry per (node,
-    letter) pair row by row, the next node's id (-1 where the measure left
-    inside is empty) and the car's spot. A node is a `merge_step` level
-    with its denominator, `(den, level)`, in lowest terms (`_reduced`), so
-    that equal measures key equally. A step is sure if it goes from a
-    point mass of weight 1 to another; `sums` holds the sum of such a
-    node's occupied spots, else None, so a car's spot is the difference,
-    and 0 stands in for the spot of a step that was not sure. `table` is
-    the call's `decision_table`."""
+    """One car's step of `grow_runs` from every node of a generation and
+    every letter: the next generation `(nodes, sums)` and, one entry per
+    (node, letter) pair row by row, the next node's id (-1 where the
+    measure left inside is empty) and the car's spot. A node is a
+    `merge_step` level in lowest terms (`_reduced`), so that equal measures
+    key equally. A step is sure if it goes from a point mass of weight 1 to
+    another; `sums` holds the sum of such a node's occupied spots, else
+    None, so a car's spot is the difference, and 0 stands in for the spot
+    of a step that was not sure. `table` is the call's `decision_table`."""
     index: dict = {}
     nodes_next, sums_next, next_node, spot_of = [], [], [], []
-    for (den, node), total in zip(nodes, sums):
+    for node, total in zip(nodes, sums):
         for a in letters:
-            scale, nxt = merge_step(p, node, (a,), inside, table=table)
-            if not nxt:
+            nxt = merge_step(p, node, (a,), inside, table=table)
+            if not nxt[1]:
                 next_node.append(-1)
                 spot_of.append(0)
                 continue
-            den_next, nxt = _reduced(den * scale, nxt)
-            j = index.setdefault((den_next, frozenset([(k, v[0]) for k, v in nxt.items()])), len(nodes_next))
+            den, runs = nxt = _reduced(nxt)
+            j = index.setdefault((den, frozenset(runs.items())), len(nodes_next))
             if j == len(nodes_next):
-                nodes_next.append((den_next, nxt))
-                ((occ, _), (weight, _)), *more = nxt.items()
-                sums_next.append(None if more or weight != den_next else sum(occ))
+                nodes_next.append(nxt)
+                ((occ, _), weight), *more = runs.items()
+                sums_next.append(None if more or weight != den else sum(occ))
             after = sums_next[j]
             next_node.append(j)
             spot_of.append(0 if total is None or after is None else after - total)
@@ -407,13 +398,12 @@ class Fold(NamedTuple):
 
 def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, table):
     """Every word of length r over `letters` that keeps some weight inside
-    the spot set `inside` (every word if None), grown one car (level) at a
-    time: `(keys, ids, nodes, sure)`.
+    the spot set `inside` (every word if None), grown one car (generation)
+    at a time: `(keys, ids, nodes, sure)`.
 
     A prefix's node is its `merge_step` level, its measure restricted to
-    `inside`, as `(den, level)`: int numerators over one
-    denominator, in lowest terms. Prefixes whose measures are the same
-    ((occupied set, state key), weight) pairs continue alike: `merge_step`
+    `inside`, in lowest terms. Prefixes whose measures are the same
+    ((occupied set, state), weight) pairs continue alike: `merge_step`
     runs once per node and letter, and numpy extends every prefix from its
     node's row. The measures of a rule that keeps its letters as state
     hold them, so no two of its prefixes share a node.
@@ -421,20 +411,20 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     `table`, the caller's `decision_table`, lives (see `merge_step`).
 
     `keys` holds each word's `fold` key, the words in lexicographic order,
-    and `ids` its node in `nodes`, the last level. `sure` says whether every
+    and `ids` its node in `nodes`, the last generation. `sure` says whether every
     node grown is a point mass of weight 1, so that the fold was passed the
     runs' spots. A fold whose keys could pass int64 raises
     RadixOverflowError before any car is placed.
     """
     radix_weights(fold.base, fold.width)
-    level = ([(1, initial_level(p))], [0])
+    gen = ([initial_level(p)], [0])
     ids = np.zeros(1, np.int32)
     keys = np.zeros(1, np.int64)
     sure = True
     for k in range(r):
-        shape = (len(level[0]), len(letters))
-        level, next_node, spot_of = _grow_level(p, *level, letters, inside, table)
-        sure = sure and None not in level[1]
+        shape = (len(gen[0]), len(letters))
+        gen, next_node, spot_of = _grow_level(p, *gen, letters, inside, table)
+        sure = sure and None not in gen[1]
         next_node = np.array(next_node, np.int32).reshape(shape)
         spot_of = np.array(spot_of, np.int64).reshape(shape)
         # nonzero scans row by row, so prefixes stay in lexicographic order
@@ -442,7 +432,7 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
         keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
-    return keys, ids, level[0], sure
+    return keys, ids, gen[0], sure
 
 
 def parking_keys(p: Procedure, r: int, fold: Fold) -> np.ndarray:
@@ -468,12 +458,12 @@ def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> in
     table = decision_table(p)
     level = initial_level(p)
     for _ in range(len(target) - 1):
-        scale, level = merge_step(p, level, letters, table=table)
-        # a branch scales the counts, even where its runs merge back
-        if scale > 1:
+        level = merge_step(p, level, letters, table=table)
+        # a branch raises the denominator, even where its runs merge back
+        if level[0] > 1:
             raise _branch_error(p)
     lands = 0
-    for (occ, _), (count, state) in level.items():
+    for (occ, state), count in level[1].items():
         # |occ| is |target| - 1, so a pair inside the target misses one spot
         last = sum(target) - sum(occ) if occ < target else None
         for a in letters:

@@ -39,7 +39,8 @@ def grown_runs(p: Procedure, r: int, letters, inside: frozenset | None = None):
     that appends each spot in a radix that holds letters +- r, as a bumped
     car parks next to a block of at most r - 1 cars. `parked` is None
     unless `sure`, since only then are the spots those of the runs.
-    `nodes` are the last level's measures, each weight a Fraction: its int
+    `nodes` are the last generation's measures, each mapping (occupied
+    set, state) to (weight, state), the weight a Fraction: its int
     numerator over the node's denominator."""
     letters = list(letters)
     lo = min(letters) - r
@@ -50,7 +51,7 @@ def grown_runs(p: Procedure, r: int, letters, inside: frozenset | None = None):
     spot_keys, _, _, _ = grow_runs(p, r, letters, inside, spot_fold, decision_table(p))
     words = np.array(letters)[word_fold.digits(keys)]
     parked = spot_fold.digits(spot_keys) + lo if sure else None
-    measures = [{key: (Fraction(w, den), st) for key, (w, st) in node.items()} for den, node in nodes]
+    measures = [{key: (Fraction(w, den), key[1]) for key, w in runs.items()} for den, runs in nodes]
     return words, parked, ids, measures, sure
 
 

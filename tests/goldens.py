@@ -227,6 +227,7 @@ def line(key: str, text) -> str:
 
 
 def engine_line(key: str, result) -> str:
+    """One engine golden line: the pair `[key, result]` as compact JSON."""
     return json.dumps([key, result], separators=(",", ":")) + "\n"
 
 

@@ -63,6 +63,12 @@ class TestEnumerate:
         code, _, _ = invoke(capsys, "enumerate", "--r", "2")
         assert code == 3
 
+    def test_every_catalog_spec(self, capsys):
+        # pq:q=0 never branches, so it counts like right
+        code, out, _ = invoke(capsys, "enumerate", "--proc", "pq:q=0", "--r", "3")
+        assert code == 0
+        assert "proc=pq:q=0" in out and "count: 16" in out
+
     def test_missing_parameter_exit_3(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "--proc", "naples", "--r", "3")
         assert code == 3
@@ -144,6 +150,12 @@ class TestProb:
     def test_word_and_mass_conflict(self, capsys):
         code, _, _ = invoke(capsys, "prob", "--proc", "kw:q=1/2", "--word", "1", "--mass", "2")
         assert code == 3
+
+    @pytest.mark.parametrize("spec", ["kw:q=inf", "kwseq:qs=1/2+inf"])
+    def test_infinite_coin_exit_3(self, capsys, spec):
+        code, out, err = invoke(capsys, "prob", "--proc", spec, "--mass", "2")
+        assert code == 3 and out == ""
+        assert "q must be in [0,1], got inf" in err
 
     def test_missing_parameter_exit_3(self, capsys):
         code, _, err = invoke(capsys, "prob", "--proc", "kw", "--mass", "2")
@@ -330,6 +342,26 @@ class TestTableFile:
         )
         assert code == 3
         assert "strict" in err
+
+    def test_prob_reads_the_file_and_strict(self, tmp_path, capsys):
+        table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table.to_json()))
+        code, out, _ = invoke(capsys, "prob", "--proc-file", str(path), "--mass", "3")
+        assert code == 0
+        assert "proc=table(r_max=2)" in out and "total_parking_mass: 16/1" in out
+        code, out, err = invoke(capsys, "prob", "--proc-file", str(path), "--mass", "3", "--strict")
+        assert code == 3 and out == ""
+        assert "strict with r_max=2; refusing r=3" in err
+
+    @pytest.mark.parametrize("command", [["enumerate", "--r", "2"], ["prob", "--mass", "2"]])
+    def test_proc_and_proc_file_exclude_each_other(self, tmp_path, capsys, command):
+        table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table.to_json()))
+        code, out, err = invoke(capsys, *command, "--proc", "right", "--proc-file", str(path))
+        assert code == 3 and out == ""
+        assert "--proc and --proc-file exclude each other" in err
 
     def test_malformed_table(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

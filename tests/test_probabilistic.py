@@ -24,7 +24,8 @@ from parkline.probabilistic import (
     right_prob_table,
     total_parking_mass,
 )
-from parkline.procedures import Procedure, builtin, dir_of, run
+from parkline.enumeration import StrictTableError, count_parking
+from parkline.procedures import Direction, DirTable, Procedure, builtin, dir_of, run, table_procedure
 
 HALF = F(1, 2)
 
@@ -491,3 +492,18 @@ class TestParseSpec:
             pq_procedure(F(-1))
         with pytest.raises(ValueError):
             kw_sequence_procedure([F(2)])
+        # a coin is a probability; q=inf is a pq value only
+        for make in (lambda: kw_procedure(INFINITY), lambda: kw_sequence_procedure([HALF, INFINITY])):
+            with pytest.raises(ValueError, match=re.escape("q must be in [0,1], got inf")):
+                make()
+
+
+class TestStrictMass:
+    def test_total_mass_refuses_lengths_beyond_the_table(self):
+        table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
+        p = table_procedure(table, strict=True)
+        assert total_parking_mass(p, 2) == 3
+        # the same refusal as counting the parking words
+        for query in (total_parking_mass, count_parking):
+            with pytest.raises(StrictTableError, match="r_max=2; refusing r=3"):
+                query(p, 3)
