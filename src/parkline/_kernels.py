@@ -9,7 +9,10 @@ Call sites choose one via `backend=`.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BACKENDS = ("numpy", "python")
 
@@ -30,6 +33,8 @@ def radix_weights(base: int, r: int) -> np.ndarray:
     """int64 place values base^(r-1), ..., base, 1 of length-r numbers in
     radix `base`. Raises RadixOverflowError unless every such number,
     up to base^r - 1, fits in int64."""
+    import numpy as np
+
     if base**r - 1 > np.iinfo(np.int64).max:
         raise RadixOverflowError(
             f"{base}^{r} words overflow int64 indices and keys"

@@ -28,12 +28,11 @@ from .enumeration import (
     orbit_audit,
 )
 from .forests import (
+    all_shape_counts,
     encode,
     fiber_counts,
     fiber_counts_brute,
-    iter_tree_shapes,
     pair_to_json,
-    shape_counts,
     total_displacement,
 )
 from .probabilistic import (
@@ -116,6 +115,9 @@ def _resolve_proc(args):
         return table_procedure(load_dir_table(args.proc_file), strict=args.strict)
     if not args.proc:
         raise InputError("one of --proc / --proc-file is required")
+    # only a table has rows to hold r to
+    if args.strict:
+        raise InputError("--strict needs --proc-file")
     return parse_prob_spec(args.proc)
 
 
@@ -219,7 +221,7 @@ def cmd_fibers(args) -> Report:
         {"sigma": word_str(s), "formula": f, "brute": brute.get(s, 0)}
         for s, f in zip(sigmas, fiber_counts(p, sigmas))
     ]
-    shapes = sorted(shape_counts(p, iter_tree_shapes(args.r)), reverse=True)
+    shapes = sorted(all_shape_counts(p, args.r), reverse=True)
     results = {
         "fibers": table,
         "formula_total": sum(row["formula"] for row in table),

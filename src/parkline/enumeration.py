@@ -31,8 +31,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-import numpy as np
-
 from . import _kernels
 from .procedures import Fold, Procedure, branches, count_landing, parking_keys, run, walk_occupied
 from .words import Word, as_int, blocks, multinomial, rotate
@@ -266,6 +264,8 @@ def orbit_audit(
     (`_orbit_fold`). Only the parking words are grown, as their keys
     (`parking_keys`), which give each orbit's parking members.
     """
+    import numpy as np
+
     _check_runs(p, r, cap)
     fold, lead = _orbit_fold(r), (r + 1) ** (r - 1)
     keys = parking_keys(p, r, fold)

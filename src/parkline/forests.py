@@ -27,17 +27,19 @@ shift invariant) and keeps nothing after it returns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import _kernels
 from .enumeration import WORK_BUDGET, _block_sides_memo, _check_r, _check_runs
 from .procedures import Direction, Fold, Procedure, dir_of_set, parking_keys, run
 from .words import Block, SpotSet, Word, as_int, as_word, blocks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,8 @@ def label_set(p: Procedure, node: int, lo: int, hi: int) -> frozenset[int]:
 def _as_sigmas(sigmas: Iterable[Sequence[int]]) -> np.ndarray:
     """The batch as an int64 (m, r) array; every row must be a permutation
     of 1..r for one r, its entries ints (`words.as_int`)."""
+    import numpy as np
+
     rows = [tuple(s) for s in sigmas]
     if not all(type(a) is int for row in rows for a in row):
         rows = [tuple(as_int(a, "not a permutation: entry") for a in row) for row in rows]
@@ -270,6 +274,8 @@ def _spans(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spot i is the run of smaller arrivals around it, so it starts just
     past the nearest larger arrival on its left and ends just before the
     nearest larger one on its right."""
+    import numpy as np
+
     m, r = s.shape
     pos = np.arange(1, r + 1)
     lo = np.empty((m, r), np.int64)
@@ -288,6 +294,8 @@ def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]]) -> list[int]:
     size of i on its subtree span (see `_spans`). The spans are read off
     the batch without building any tree, and each distinct (spot, span)
     is sized once, from block sides probed once per call."""
+    import numpy as np
+
     s = _as_sigmas(sigmas)
     label_size = _label_sizes(p)
     m, r = s.shape
@@ -320,6 +328,8 @@ def fiber_counts_brute(
     """Outcome histogram of all parking words of length r: each word is
     grown as its outcome sigma in radix r+1 (`parking_keys`), and the keys
     are counted with np.unique."""
+    import numpy as np
+
     _check_runs(p, r, cap)
     fold = _outcome_fold(r)
     keys, counts = np.unique(parking_keys(p, r, fold), return_counts=True)
@@ -355,6 +365,32 @@ def shape_counts(p: Procedure, trees: Iterable[Tree]) -> list[int]:
         * decreasing_labelings_count(t)
         for t in trees
     ]
+
+
+def all_shape_counts(p: Procedure, r: int) -> list[int]:
+    """`shape_counts(p, iter_tree_shapes(r))`, built without any tree.
+    The counts of the shapes of n nodes on the span starting at lo come
+    from those of their subtrees, in `iter_tree_shapes` order: a root with
+    ls nodes on its left weighs its label-set size times the C(n-1, ls)
+    ways to share the smaller labels, times one count of each side."""
+    label_size = _label_sizes(p)
+
+    @functools.cache
+    def counts(lo: int, n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        out = []
+        for ls in range(n):
+            root = lo + ls
+            weight = label_size(root, lo, lo + n - 1) * math.comb(n - 1, ls)
+            out.extend(
+                weight * left * right
+                for left in counts(lo, ls)
+                for right in counts(root + 1, n - 1 - ls)
+            )
+        return out
+
+    return counts(1, r)
 
 
 def shape_count(p: Procedure, t: Tree) -> int:

@@ -27,9 +27,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Any, Iterable
-
-import numpy as np
 
 from .colored import language_word, letter_value
 from .enumeration import (
@@ -216,6 +215,8 @@ def orbit_parking_mass(
     over the lcm of the nodes' denominators, and each orbit's sum becomes
     one Fraction.
     """
+    import numpy as np
+
     _check_runs(pp, r, cap)
     fold = _orbit_fold(r)
     spots = frozenset(range(1, r + 1))
@@ -237,11 +238,23 @@ def orbit_parking_mass(
 # catalog
 
 
-def _coin(q: QValue) -> Fraction:
-    """`q` as an exact right-probability; ValueError unless it is in [0, 1]."""
-    if isinstance(q, _Infinity) or not ZERO <= Fraction(q) <= ONE:
-        raise ValueError(f"q must be in [0,1], got {q}")
+def _exact(q) -> Fraction:
+    """`q` as a Fraction: an int, a Fraction or a string such as "1/2". A
+    float or a bool raises ValueError, since its value is not the one
+    written (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(q, bool) or not isinstance(q, (Rational, str)):
+        raise ValueError(f"q must be an int, a Fraction or a string, got {q!r}")
     return Fraction(q)
+
+
+def _coin(q: QValue) -> Fraction:
+    """`q` as an exact right-probability (`_exact`); ValueError unless it
+    is in [0, 1]."""
+    if not isinstance(q, _Infinity):
+        q = _exact(q)
+        if ZERO <= q <= ONE:
+            return q
+    raise ValueError(f"q must be in [0,1], got {q}")
 
 
 def kw_procedure(q: QValue) -> Procedure:
@@ -280,7 +293,7 @@ def pq_procedure(q: QValue) -> Procedure:
     """Right-probability [i]/[r+1] on the standard block; q=0 degenerates
     to the deterministic right rule and q=inf to the left rule."""
     if not isinstance(q, _Infinity):
-        q = Fraction(q)
+        q = _exact(q)
         if q < 0:
             raise ValueError(f"q must be >= 0, got {q}")
     # `pq_right_prob` of the block, with each q-integer built once per rule
@@ -357,6 +370,8 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
     witness is the first multiset that fails, in `combinations_with_replacement`
     order: its smallest ordering against the first one that differs.
     """
+    import numpy as np
+
     _check_r(r_max)
     steps = sum((r + 1) ** r * r for r in range(1, r_max + 1))
     take_path("engine", f"abelian check up to length {r_max}", steps, WORK_BUDGET)
@@ -383,6 +398,8 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
 
 def _multiset_fold(r: int) -> Fold:
     """Multiset key of a word of length r: (r+1)^i per letter of index i."""
+    import numpy as np
+
     places = (r + 1) ** np.arange(r + 1, dtype=np.int64)
     return Fold(r + 1, r + 1, lambda k, keys, cols, _: keys + places[cols])
 

@@ -30,12 +30,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, product
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._kernels import radix_weights
 from .words import Block, SpotSet, Word, as_word, block_of, shift
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Direction(Enum):
@@ -416,6 +418,8 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     runs' spots. A fold whose keys could pass int64 raises
     RadixOverflowError before any car is placed.
     """
+    import numpy as np
+
     radix_weights(fold.base, fold.width)
     gen = ([initial_level(p)], [0])
     ids = np.zeros(1, np.int32)
@@ -582,7 +586,7 @@ def evenodd_procedure() -> Procedure:
 def naples_procedure(k: int) -> Procedure:
     """Back up at most k spots looking for a free one, but never to a spot
     below 1; otherwise go right."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
         raise ValueError(f"naples requires an integer k >= 1, got {k!r}")
 
     def decide(st, occ, blk, a):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -354,6 +357,13 @@ class TestTableFile:
         assert code == 3 and out == ""
         assert "strict with r_max=2; refusing r=3" in err
 
+    @pytest.mark.parametrize("command", [["enumerate", "--r", "3"], ["prob", "--mass", "3"]])
+    def test_strict_needs_a_table(self, capsys, command):
+        # a --proc rule has no rows to hold r to, so --strict is refused, not dropped
+        code, out, err = invoke(capsys, *command, "--proc", "right", "--strict")
+        assert code == 3 and out == ""
+        assert "--strict needs --proc-file" in err
+
     @pytest.mark.parametrize("command", [["enumerate", "--r", "2"], ["prob", "--mass", "2"]])
     def test_proc_and_proc_file_exclude_each_other(self, tmp_path, capsys, command):
         table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
@@ -419,31 +429,50 @@ class TestParser:
         assert _cap(args) is None
 
 
+def run_child(*args):
+    """A fresh interpreter that imports the same package, wherever pytest
+    found it."""
+    import parkline
+
+    src = str(Path(parkline.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import parkline
-
-        # the child imports the same package, wherever pytest found it
-        src = str(Path(parkline.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = ["orbits", "--proc", "right", "--r", "3", "--format", "json"]
-        out = subprocess.run(
-            [sys.executable, "-m", "parkline", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        out = run_child("-m", "parkline", *argv)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["results"]["histogram"] == {"1": 16}
-        out = subprocess.run(
-            [sys.executable, "-m", "parkline", "orbits", "--proc", "right", "--r", "8"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        out = run_child("-m", "parkline", "orbits", "--proc", "right", "--r", "8")
         assert out.returncode == 2 and "budget" in out.stderr
+
+    def test_cold_start_loads_numpy_only_for_arrays(self):
+        # numpy is imported by the engines that build arrays, not by the
+        # package, so one-shot commands that need none start without it
+        script = """
+import contextlib, io, json, sys
+import parkline, parkline.cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert parkline.cli.main(argv) == 0, argv
+    loaded[" ".join(argv)] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+        commands = [
+            ["encode", "--proc", "right", "--word", "1,2,1"],
+            ["prob", "--proc", "kw:q=1/2", "--word", "1,1,2"],
+            ["prob", "--proc", "pq:q=2", "--mass", "4"],
+            ["enumerate", "--proc", "right", "--r", "4"],
+            ["enumerate", "--proc", "lbs", "--r", "4"],
+            ["enumerate", "--proc", "naples:k=2", "--r", "4"],
+            ["orbits", "--proc", "right", "--r", "3"],
+        ]
+        out = run_child("-c", script, json.dumps(commands))
+        assert out.returncode == 0, out.stderr
+        loaded = json.loads(out.stdout)
+        assert list(loaded.values()) == [False] * 7 + [True], loaded

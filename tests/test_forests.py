@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import random_dir_tables
 from parkline.forests import (
     ForestPair,
     Tree,
+    all_shape_counts,
     decreasing_labelings_count,
     decreasing_tree,
     encode,
@@ -397,6 +399,22 @@ class TestShapeCounts:
 
     def test_single_node(self):
         assert shape_count(builtin("right"), Tree(None, None)) == 1
+
+    @pytest.mark.parametrize("spec", LABEL_RULES + list(RANDOM_TABLES))
+    def test_all_shapes_match_the_trees(self, spec):
+        p = RANDOM_TABLES.get(spec) or parse_proc_spec(spec)
+        for r in range(7):
+            assert all_shape_counts(p, r) == shape_counts(p, iter_tree_shapes(r))
+
+    @pytest.mark.parametrize("spec", ["lbs", "far", "kw:q=1/2"])
+    def test_all_shapes_refuse_as_the_trees_do(self, spec):
+        from parkline.probabilistic import parse_prob_spec
+
+        p = parse_prob_spec(spec)
+        with pytest.raises(ValueError) as tree_error:
+            shape_counts(p, iter_tree_shapes(3))
+        with pytest.raises(ValueError, match=re.escape(str(tree_error.value))):
+            all_shape_counts(p, 3)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_naples_shape_sum_recovers_count(self, k):

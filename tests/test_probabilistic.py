@@ -497,6 +497,24 @@ class TestParseSpec:
             with pytest.raises(ValueError, match=re.escape("q must be in [0,1], got inf")):
                 make()
 
+    FACTORIES = {
+        "kw": kw_procedure,
+        "kwseq": lambda q: kw_sequence_procedure([HALF, q]),
+        "pq": pq_procedure,
+    }
+
+    @pytest.mark.parametrize("family", FACTORIES)
+    @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, True, False, None])
+    def test_inexact_q_refused(self, family, q):
+        # a float's binary value is not the q written, and a bool is no q
+        with pytest.raises(ValueError, match=re.escape(f"got {q!r}")):
+            self.FACTORIES[family](q)
+
+    @pytest.mark.parametrize("family", FACTORIES)
+    def test_exact_q_accepted(self, family):
+        for q, name in ((1, "1"), (F(1, 10), "1/10"), ("0.1", "1/10"), (parse_q("1/2"), "1/2")):
+            assert self.FACTORIES[family](q).name.endswith(name)
+
 
 class TestStrictMass:
     def test_total_mass_refuses_lengths_beyond_the_table(self):
