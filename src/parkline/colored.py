@@ -53,12 +53,11 @@ class LanguageClosureError(ValueError):
 
 @dataclass(frozen=True)
 class Language:
-    """Membership predicate with declared closure properties."""
+    """Membership predicate of a language that must be closed under
+    subwords and value rotations; `verify_closures` spot-checks both."""
 
     name: str
     contains: Callable[[ColoredWord], bool]
-    subword_closed: bool = True
-    rotation_closed: bool = True
 
 
 def distinct_letters_language() -> Language:
@@ -146,23 +145,21 @@ def grow_language_words(
 def verify_closures(
     language: Language, words: Iterable[ColoredWord], r: int
 ) -> None:
-    """Spot-check declared closures on the given members; raises with a
-    witness on violation."""
+    """Spot-check closure under subwords and value rotations on the given
+    members; raises with a witness on violation."""
     for w in words:
-        if language.subword_closed:
-            for i in range(len(w)):
-                sub = w[:i] + w[i + 1 :]
-                if not language.contains(sub):
-                    raise LanguageClosureError(
-                        f"{language.name} not closed under deleting letter {i}",
-                        (w, sub),
-                    )
-        if language.rotation_closed:
-            rot = rotate_values(w, r)
-            if not language.contains(rot):
+        for i in range(len(w)):
+            sub = w[:i] + w[i + 1 :]
+            if not language.contains(sub):
                 raise LanguageClosureError(
-                    f"{language.name} not closed under value rotation", (w, rot)
+                    f"{language.name} not closed under deleting letter {i}",
+                    (w, sub),
                 )
+        rot = rotate_values(w, r)
+        if not language.contains(rot):
+            raise LanguageClosureError(
+                f"{language.name} not closed under value rotation", (w, rot)
+            )
 
 
 def colored_orbit_audit(
@@ -183,8 +180,6 @@ def colored_orbit_audit(
     the keys and parking words. The work is estimated at |alphabet|^r * r
     car steps and refused beyond `cap` before the first word is grown."""
     _check_r(r)
-    if not (language.subword_closed and language.rotation_closed):
-        raise ValueError(f"{language.name} lacks declared closure properties")
     colors = tuple(colors)
     if not colors:
         raise ValueError("no colors: the audit needs at least one")

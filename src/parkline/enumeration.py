@@ -2,11 +2,14 @@
 universality checks, cyclic-orbit audits, and the shuffle decomposition
 of words landing on a given spot set.
 
-A rule that decides by block (memoryless and locally decided) counts by
-the interval DP over the forest encoding (`interval_weight`): the words
-landing on a block are summed over the decreasing trees of their runs,
-in time polynomial in the block size. Any other rule walks (occupied
-set, rule state) pairs (`procedures.walk_occupied`).
+Counts and masses weigh the runs landing on a spot set in one place,
+`landing_weight`: an int numerator over an int denominator, which is 1
+unless some decision branched. A rule that decides by block (memoryless
+and locally decided) sums the interval DP over the forest encoding
+(`interval_weight`): the words landing on a block are summed over the
+decreasing trees of their runs, in time polynomial in the block size.
+Any other rule walks (occupied set, rule state) pairs
+(`procedures.walk_occupied`).
 Orbit audits grow the parking words over the same pairs as their orbit
 keys (`procedures.parking_keys`), so the rule is consulted once per pair
 and letter, not once per prefix.
@@ -27,12 +30,11 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
 from . import _kernels
-from .procedures import Fold, Procedure, branches, count_landing, parking_keys, run, walk_occupied
+from .procedures import Fold, Procedure, count_landing, int_choices, parking_keys, run, walk_occupied
 from .words import Word, as_int, blocks, multinomial, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
@@ -71,37 +73,44 @@ def take_path(kind: str, path: str, steps: int, cap: int | None) -> None:
     check_budget(path, steps, cap)
 
 
-def walk_weight(p: Procedure, target: frozenset, cap: int | None):
-    """Total weight of the runs of `p` ending on exactly `target` (`walk_occupied`),
-    estimated at 2^n * n car steps over n spots before any car is placed; a rule
-    state can multiply the pairs, so the walk also counts its steps car by car."""
+def landing_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[int, int]:
+    """Total weight `(num, den)` of the runs of `p` ending on exactly
+    `target`, as ints: `den` is 1 unless some decision on the way branched,
+    so a rule that never branches gets its count as `num`. A rule that
+    `decides_by_block` sums the forest encoding (`interval_weight`); any
+    other rule walks (occupied set, state) pairs (`walk_occupied`),
+    estimated at 2^n * n car steps over n spots before any car is placed.
+    A rule state can multiply the pairs, so the walk also counts its steps
+    car by car. A strict table refuses a target beyond its rows."""
     n = len(target)
+    _check_strict(p, n)
+    if p.decides_by_block:
+        return interval_weight(p, target, cap)
     path = f"walk over {n} spots"
     take_path("walk", path, 2**n * n, cap)
     return walk_occupied(target, p, lambda steps: check_budget(path, steps, cap))
 
 
-def block_sides(p: Procedure, a: int, b: int) -> tuple:
-    """(R, L): the right- and left-probabilities of a car preferring j,
+def block_sides(p: Procedure, a: int, b: int) -> tuple[int, int, int]:
+    """(R, L, D): the right- and left-probabilities of a car preferring j,
     summed over every j in [a, b], while exactly [a, b] is occupied, as
-    `branches` gives them with the rule's initial state. For a
-    deterministic rule they count the preferences bumped right and left:
-    ints, unless some decision branches."""
+    `int_choices` gives them with the rule's initial state: int numerators
+    R and L over the lcm D of the choices' denominators. D is 1 unless
+    some decision branches; with D = 1, R and L count the preferences
+    bumped right and left."""
     occupied = frozenset(range(a, b + 1))
     init = p.init_state()
-    right = left = 0
-    for j in range(a, b + 1):
-        for spot, weight in branches(p, init, occupied, j, j):
-            if spot > j:
-                right += weight
-            else:
-                left += weight
-    return right, left
+    choices = [(j, *c) for j in range(a, b + 1) for c in int_choices(p, init, occupied, j, j)]
+    den = math.lcm(*(d for *_, d in choices))
+    right = sum(num * (den // d) for j, spot, num, d in choices if spot > j)
+    left = sum(num * (den // d) for j, spot, num, d in choices if spot < j)
+    return right, left, den
 
 
-def interval_weight(p: Procedure, target: frozenset, cap: int | None):
-    """Total weight of the runs of `p` ending on exactly `target`, summed
-    over the forest encoding instead of words or occupied sets.
+def interval_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[int, int]:
+    """Total weight `(num, den)` of the runs of `p` ending on exactly
+    `target`, summed over the forest encoding instead of words or occupied
+    sets.
 
     The last car to park on a block [lo, hi] takes some spot k, the root of
     the block's decreasing tree. The cars before it landed on [lo, k-1] and
@@ -114,9 +123,8 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None):
 
     and the blocks of `target` interleave likewise, each taken at its own
     position, so the weight is the multinomial of the block sizes times F
-    of each block. The sides of a block are taken as int numerators over
-    one denominator (`_block_weight`): a rule that never branches gives an
-    exact int count, and one that does an exact Fraction mass.
+    of each block. F of a block is an int numerator over a power of its
+    sides' denominator (`_block_weight`), 1 for a rule that never branches.
 
     This holds only if every decision depends on nothing but the letter and
     the block it lands on. The DP trusts the flag `Procedure.decides_by_block`
@@ -130,38 +138,37 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None):
         sum(b.size**4 for b in parts),
         cap,
     )
-    total = multinomial([b.size for b in parts])
+    num, den = multinomial([b.size for b in parts]), 1
     for b in parts:
-        total *= _block_weight(p, b.lo, b.size)
-    return total
+        f, d = _block_weight(p, b.lo, b.size)
+        num, den = num * f, den * d
+    return num, den
 
 
 def _block_sides_memo(p: Procedure):
     """`block_sides` of `p` for one call, kept while the caller keeps the
-    returned function; an empty block has sides (0, 0). A rule that
+    returned function; an empty block has sides (0, 0, 1). A rule that
     `is_local` is probed once per block size, on the block [1, size], which
     trusts `is_shift_invariant` as `via="formula"` does: n probes for the
     blocks inside n spots instead of one per block. Any other rule is
     probed once per block."""
     if p.is_local:
         by_size = functools.cache(lambda n: block_sides(p, 1, n))
-        return lambda a, b: by_size(b - a + 1) if a <= b else (0, 0)
-    return functools.cache(lambda a, b: block_sides(p, a, b) if a <= b else (0, 0))
+        return lambda a, b: by_size(b - a + 1) if a <= b else (0, 0, 1)
+    return functools.cache(lambda a, b: block_sides(p, a, b) if a <= b else (0, 0, 1))
 
 
-def _block_weight(p: Procedure, lo: int, n: int):
-    """F(lo, lo+n-1) of `interval_weight`. Intervals are taken half-open in
-    offsets from lo: [i, j) holds the spots lo+i .. lo+j-1. The sides are
-    taken as int numerators over D, the lcm of their denominators, so F of
-    an interval of m spots is an int numerator over D^m; a Fraction is
-    built only at the end, and only if some side is not an int."""
+def _block_weight(p: Procedure, lo: int, n: int) -> tuple[int, int]:
+    """F(lo, lo+n-1) of `interval_weight` as `(num, den)`. Intervals are
+    taken half-open in offsets from lo: [i, j) holds the spots lo+i ..
+    lo+j-1. The sides are taken over D, the lcm of their denominators, so
+    F of an interval of m spots is an int numerator over D^m."""
     side = _block_sides_memo(p)
     # the whole block is never a side: no car comes after the last
-    sides = [[side(lo + i, lo + j - 1) if (i, j) != (0, n) else (0, 0) for j in range(n + 1)]
+    sides = [[side(lo + i, lo + j - 1) if (i, j) != (0, n) else (0, 0, 1) for j in range(n + 1)]
              for i in range(n + 1)]
-    every = [x for row in sides for pair in row for x in pair]
-    den = math.lcm(*(x.denominator for x in every))
-    sides = [[[x.numerator * (den // x.denominator) for x in pair] for pair in row] for row in sides]
+    den = math.lcm(*(d for row in sides for _, _, d in row))
+    sides = [[(right * (den // d), left * (den // d)) for right, left, d in row] for row in sides]
     f = [[1] * (n + 1) for _ in range(n + 1)]
     for size in range(1, n + 1):
         comb = [math.comb(size - 1, t) for t in range(size)]
@@ -171,10 +178,7 @@ def _block_weight(p: Procedure, lo: int, n: int):
                 comb[k - i] * (den + sides[i][k][0] + sides[k + 1][j][1]) * f[i][k] * f[k + 1][j]
                 for k in range(i, j)
             )
-    # a side that is not an int came from a decision that branched
-    if all(type(x) is int for x in every):
-        return f[0][n]
-    return Fraction(f[0][n], den**n)
+    return f[0][n], den**n
 
 
 def expected_parking_count(r: int) -> int:
@@ -356,9 +360,9 @@ def count_words_to_set(
 
     Every word landing exactly on S has all its letters in S: a letter
     outside the final set would park there and stay. By default, unless a
-    `backend` is named, a rule that `decides_by_block` sums the forest
-    encoding over S's blocks (`interval_weight`), and any other rule walks
-    (occupied subset of S, rule state) pairs (`walk_occupied`); a rule
+    `backend` is named, the count is S's `landing_weight`: a rule that
+    `decides_by_block` sums the forest encoding over S's blocks, and any
+    other rule walks (occupied subset of S, rule state) pairs; a rule
     that branches on the way to S raises ValueError. With "brute" or a
     `backend`, every word with letters in S is run: "numpy" (the default)
     counts them on (occupied set, state) pairs (`count_landing`), asking
@@ -396,14 +400,13 @@ def count_words_to_set(
             out *= count_parking(p, s, cap=cap, backend=backend)
         return out
 
-    _check_strict(p, n)
     if default:
-        count = interval_weight(p, target, cap) if p.decides_by_block else walk_weight(p, target, cap)
-        # a run weighs an int 1 unless one of its decisions branched
-        if type(count) is not int:
+        count, den = landing_weight(p, target, cap)
+        if den > 1:
             raise ValueError(f"{p.name} branches; total_parking_mass weighs its runs")
         return count
 
+    _check_strict(p, n)
     alphabet = range(min(target) - pad, max(target) + pad + 1) if pad else sorted(target)
     take_path(
         "per-word" if backend == "python" else "engine",

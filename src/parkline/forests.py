@@ -20,7 +20,8 @@ left of spot i to just before the nearest larger arrival right of it.
 `fiber_counts` reads the spans of a whole batch of outcomes this way;
 `fiber_counts_brute` counts outcome keys of grown parking words instead.
 A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
-preferences bumped right and left off a block (`enumeration.block_sides`);
+preferences bumped right and left off a block (`enumeration.block_sides`,
+whose denominator D is 1 unless a decision branches);
 each call probes each block size once (each block, for a rule that is not
 shift invariant) and keeps nothing after it returns.
 """
@@ -220,11 +221,11 @@ def _label_sizes(p: Procedure) -> Callable[[int, int, int], int]:
     side = _block_sides_memo(p)
 
     def size(node: int, lo: int, hi: int) -> int:
-        got = 1 + side(lo, node - 1)[0] + side(node + 1, hi)[1]
-        # a branching decision adds a Fraction to both sides of its block
-        if type(got) is not int:
+        right, _, d_left = side(lo, node - 1)
+        _, left, d_right = side(node + 1, hi)
+        if d_left > 1 or d_right > 1:
             raise ValueError(f"{p.name}: a decision branches; it has no label sets")
-        return got
+        return 1 + right + left
 
     return size
 

@@ -5,19 +5,20 @@ family, and abelianity checks.
 A probabilistic rule is a `Procedure` whose `decide` returns an exact
 right-probability; a deterministic rule is the case where every decision
 is a Direction, 0 or 1, so every function here takes both. Everything is
-exact; `procedures.branches` refuses floats. The branching run is
+exact; `procedures.int_choices` refuses floats. The branching run is
 expanded car by car as `procedures.merge_step` levels `(den, runs)`,
 which merge runs on (occupied set, rule state) and weigh each pair by an
 int numerator over the level's one int denominator. Occupancies are
 compared in lowest terms, so distributions compare by strict equality; a
 `Fraction` is built only for what is returned: `Measure.probs`, trace
-weights and masses. The total parking mass of a rule that decides by
-block sums the forest encoding over the intervals of {1..r}
-(`enumeration.interval_weight`); any other rule walks (occupied set,
-rule state) pairs. Orbit masses and abelianity checks grow all their
-words at once as keys (`procedures.grow_runs`) and read each word's
-measure off its node, a level in lowest terms: words whose prefixes
-share a measure share its work.
+weights and masses. The total parking mass is the `(num, den)` weight
+of the runs landing on {1..r} (`enumeration.landing_weight`): a rule
+that decides by block sums the forest encoding over its intervals, and
+any other rule walks (occupied set, rule state) pairs. Orbit masses and
+abelianity checks grow all their words at once as keys
+(`procedures.grow_runs`) and read each word's measure off its node, a
+level in lowest terms: words whose prefixes share a measure share its
+work.
 """
 
 from __future__ import annotations
@@ -31,25 +32,17 @@ from numbers import Rational
 from typing import Any, Iterable
 
 from .colored import language_word, letter_value
-from .enumeration import (
-    WORK_BUDGET,
-    _check_r,
-    _check_runs,
-    _check_strict,
-    _orbit_fold,
-    interval_weight,
-    take_path,
-    walk_weight,
-)
+from .enumeration import WORK_BUDGET, _check_r, _check_runs, _orbit_fold, landing_weight, take_path
 from .procedures import (
     Fold,
     Procedure,
-    branches,
     decision_table,
     grow_runs,
     initial_level,
+    int_choices,
     merge_step,
     parse_proc_spec,
+    spec_params,
 )
 from .words import SpotSet, Word, as_word
 
@@ -191,17 +184,13 @@ def total_parking_mass(
 ) -> Fraction:
     """Sum of parking probabilities over all words in {1..r+1}^r.
 
-    The branch probabilities are the weights. A rule that
-    `decides_by_block` sums them over the forest encoding of {1..r}
-    (`interval_weight`); any other rule walks (occupied subset of {1..r},
-    rule state) pairs (`walk_occupied`).
+    The branch probabilities are the weights of the runs landing on
+    {1..r} (`landing_weight`): a rule that `decides_by_block` sums them
+    over the forest encoding of {1..r}, and any other rule walks
+    (occupied subset of {1..r}, rule state) pairs.
     """
     _check_r(r)
-    _check_strict(pp, r)
-    spots = frozenset(range(1, r + 1))
-    if pp.decides_by_block:
-        return Fraction(interval_weight(pp, spots, cap))
-    return Fraction(walk_weight(pp, spots, cap))
+    return Fraction(*landing_weight(pp, frozenset(range(1, r + 1)), cap))
 
 
 def orbit_parking_mass(
@@ -314,10 +303,9 @@ _PROB_PARAMS = {"kw": "q", "kwseq": "qs", "pq": "q"}
 def parse_prob_spec(spec: str) -> Procedure:
     """Parse "kw:q=1/2", "kwseq:qs=1/2+1/3", "pq:q=2" or any deterministic
     catalog spec, which is returned as it is."""
-    name, _, tail = spec.partition(":")
+    name, params = spec_params(spec)
     wanted = _PROB_PARAMS.get(name)
     if wanted is not None:
-        params = dict(item.partition("=")[::2] for item in tail.split(",")) if tail else {}
         for key in params:
             if key != wanted:
                 raise ValueError(f"{name} takes no parameter {key!r}")
@@ -346,8 +334,9 @@ def right_prob_table(pp: Procedure, r_max: int) -> dict[tuple[int, int], Fractio
     for r in range(1, r_max + 1):
         occ = frozenset(range(1, r + 1))
         for i in range(1, r + 1):
-            choices = branches(pp, pp.init_state(), occ, i, i)
-            table[(r, i)] = Fraction(sum(w for spot, w in choices if spot > i))
+            choices = int_choices(pp, pp.init_state(), occ, i, i)
+            # the choices of one decision share its denominator
+            table[(r, i)] = Fraction(sum(num for spot, num, _ in choices if spot > i), choices[0][2])
     return table
 
 

@@ -6,8 +6,9 @@ spot is free parks there; otherwise it parks immediately left or right of
 the block of occupied spots containing its preference. One rule type,
 `Procedure`, serves deterministic, probabilistic and colored procedures:
 its decision is a Direction or an exact probability of going right, and
-`branches` is the one step that turns a decision into the car's choices.
-Runs follow rules that never branch. A rule remembers the run so far
+`int_choices` is the one step that turns a decision into the car's
+choices, each weight an int numerator over an int denominator. Runs
+follow rules that never branch. A rule remembers the run so far
 only through the hashable state its `update` keeps. Every engine steps
 one format, the level `(den, runs)`: `runs` maps each (occupied set,
 rule state) pair to the weight of the runs reaching it, an int numerator
@@ -16,9 +17,10 @@ next: `probabilistic.measure` follows a word's choices with it,
 `walk_occupied` sums the weights of runs ending on a spot set,
 `grow_runs`, the one prefix-growth engine, grows words as int64 keys that
 a `Fold` extends car by car, merging prefixes whose levels agree, and
-`count_landing` counts the words reaching each pair. The last three ask a
+`count_landing` counts the words reaching each pair. The last two ask a
 rule that decides by block once per (block, letter) while one
-`decision_table` lives.
+`decision_table` lives; such a rule never walks, since the interval DP
+weighs its landing runs (`enumeration.landing_weight`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ LEFT = Direction.LEFT
 RIGHT = Direction.RIGHT
 
 # decide(state, occupied, block, letter) -> Direction or an exact
-# right-probability (see `branches`). Consulted only when the letter's
+# right-probability (see `int_choices`). Consulted only when the letter's
 # preferred spot is occupied; `block` is the block containing it.
 DecideFn = Callable[[Any, frozenset, Block, Any], Direction | int | Fraction]
 # update(state, letter, parked_spot) -> new state
@@ -69,7 +71,7 @@ class Procedure:
 
     `decide(state, occupied, block, letter)` returns a Direction or an
     exact right-probability; a deterministic rule is one whose decisions
-    are all Directions or probabilities 0 and 1 (see `branches`). A rule
+    are all Directions or probabilities 0 and 1 (see `int_choices`). A rule
     remembers the run only through `state`: `update(state, letter, spot)`
     returns the state after each car, a new one instead of changing its
     argument, and the state is hashable. A rule that needs the letters so
@@ -138,26 +140,17 @@ class RunResult:
         return {spot: i + 1 for i, spot in enumerate(self.parked)}
 
 
-def branches(p: Procedure, state, occupied, a, pref, table: dict | None = None) -> tuple:
-    """(spot, weight) choices of car `a` whose preferred spot `pref` is
-    taken, as `p.decide` says: just right of the block containing `pref`
-    with the right-probability, just left with the rest.
+def int_choices(p: Procedure, state, occupied, a, pref, table: dict | None = None) -> tuple:
+    """(spot, numerator, denominator) choices of car `a` whose preferred
+    spot `pref` is taken, as `p.decide` says: just right of the block
+    containing `pref` with the right-probability, just left with the rest,
+    each weight in lowest terms over the one denominator of the decision.
 
     A decision is a Direction (RIGHT counts as 1, LEFT as 0), an int 0 or
     1, or a Fraction in [0, 1]. A probability of exactly 0 or 1 gives one
-    choice with int weight 1. Anything else, floats and bools included,
-    raises ValueError, so weights stay exact. The weights are those of
-    `int_choices` as numbers: an int 1 or a Fraction.
-    """
-    return tuple(
-        (spot, num if den == 1 else Fraction(num, den))
-        for spot, num, den in int_choices(p, state, occupied, a, pref, table)
-    )
-
-
-def int_choices(p: Procedure, state, occupied, a, pref, table: dict | None = None) -> tuple:
-    """The choices of `branches` as (spot, numerator, denominator) ints, the
-    weight in lowest terms: (spot, 1, 1) for a choice that does not branch.
+    choice (spot, 1, 1); so does every choice that does not branch.
+    Anything else, floats and bools included, raises ValueError, so
+    weights stay exact.
 
     `table`, when given, is one engine call's `decision_table`: the
     choices are looked up there by (block lo, block hi, letter), and
@@ -177,7 +170,7 @@ def int_choices(p: Procedure, state, occupied, a, pref, table: dict | None = Non
 
 def _choices(p: Procedure, blk: Block, d) -> tuple:
     """The (spot, numerator, denominator) choices of decision `d` on block
-    `blk` (see `branches`)."""
+    `blk` (see `int_choices`)."""
     if d is RIGHT:
         return ((blk.hi + 1, 1, 1),)
     if d is LEFT:
@@ -318,34 +311,33 @@ def _reduced(level: tuple[int, dict]) -> tuple[int, dict]:
 
 
 def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], None]):
-    """Total weight of the runs of |target| cars of rule `p` that end on
-    exactly the spot set `target`, stepped car by car as `merge_step`
-    levels over (occupied set, rule state) pairs instead of words.
+    """Total weight `(num, den)` of the runs of |target| cars of rule `p`
+    that end on exactly the spot set `target`, stepped car by car as
+    `merge_step` levels over (occupied set, rule state) pairs instead of
+    words.
 
     A car parked outside the target never leaves, so only letters and
     spots inside it are followed: for a memoryless rule at most 2^n sets
-    times n letters per car, against n^n words. A rule that never branches
-    gives an exact int count; one that does gives an exact Fraction mass,
-    even where it is a whole number. `check_steps` is passed the car steps
-    taken so far and about to be taken, and may refuse them: before each
-    car, and, as each level but the last grows, with the steps its pairs
-    will take, so that a rule state that multiplies the pairs is refused
-    before the level that passes the budget is built.
+    times n letters per car, against n^n words. `den` is the last level's:
+    1 for a rule that never branches on the way, whose `num` counts the
+    runs, and above 1 for one that does, even where the mass is a whole
+    number. `check_steps` is passed the car steps taken so far and about
+    to be taken, and may refuse them: before each car, and, as each level
+    but the last grows, with the steps its pairs will take, so that a rule
+    state that multiplies the pairs is refused before the level that
+    passes the budget is built.
     """
     level = initial_level(p)
-    table = decision_table(p)
     n = len(target)
     steps = 0
     for car in range(n):
         steps += len(level[1]) * n
         check_steps(steps)
         grows = None if car == n - 1 else (lambda size, done=steps: check_steps(done + size * n))
-        level = merge_step(p, level, target, target, table=table, check_size=grows)
+        level = merge_step(p, level, target, target, check_size=grows)
     den, runs = level
     # every surviving run parked |target| distinct cars inside the target
-    total = sum(runs.values())
-    # a denominator above 1 means some decision branched
-    return Fraction(total, den) if den > 1 else total
+    return sum(runs.values()), den
 
 
 def _branch_error(p: Procedure) -> ValueError:
@@ -700,9 +692,10 @@ class DirTable:
             raise ValueError(f"unsupported table type {kind!r}")
         if "rows" not in doc:
             raise ValueError("direction table has no 'rows'")
-        rows = tuple(
-            tuple(Direction(entry) for entry in row) for row in doc["rows"]
-        )
+        rows = doc["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"direction table rows must be a list of lists, got {rows!r}")
+        rows = tuple(tuple(Direction(entry) for entry in row) for row in rows)
         table = cls(rows, Direction(doc.get("default_beyond", "R")))
         if "r_max" in doc and doc["r_max"] != table.r_max:
             raise ValueError(
@@ -720,6 +713,8 @@ def table_procedure(
     table: DirTable, name: str | None = None, strict: bool = False
 ) -> Procedure:
     """Memoryless local procedure driven by an explicit direction table."""
+    if not isinstance(table, DirTable):
+        raise ValueError(f"table requires parameter 'table' as a DirTable, got {table!r}")
 
     def decide(st, occ, blk, a):
         return table.direction(blk.size, a - blk.lo + 1)
@@ -786,17 +781,27 @@ def builtin(name: str, **params) -> Procedure:
     return factory(**params)
 
 
-def parse_proc_spec(spec: str) -> Procedure:
-    """Parse "name" or "name:k=v,..." into a catalog procedure."""
+def spec_params(spec: str) -> tuple[str, dict[str, str]]:
+    """Split "name" or "name:k=v,..." into the name and its parameters, as
+    strings; ValueError for an item without "=" or a repeated parameter."""
     name, _, tail = spec.partition(":")
-    params: dict[str, Any] = {}
-    if tail:
-        for item in tail.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise ValueError(f"bad parameter {item!r} in {spec!r}")
-            params[key] = int(value) if value.lstrip("-").isdigit() else value
-    return builtin(name, **params)
+    params: dict[str, str] = {}
+    for item in tail.split(",") if tail else ():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"bad parameter {item!r} in {spec!r}")
+        if key in params:
+            raise ValueError(f"{name} repeats parameter {key!r} in {spec!r}")
+        params[key] = value
+    return name, params
+
+
+def parse_proc_spec(spec: str) -> Procedure:
+    """Parse "name" or "name:k=v,..." into a catalog procedure. A table
+    comes only as a DirTable (`builtin`, `load_dir_table`), never from a
+    spec."""
+    name, params = spec_params(spec)
+    return builtin(name, **{k: int(v) if v.lstrip("-").isdigit() else v for k, v in params.items()})
 
 
 # ---------------------------------------------------------------------------

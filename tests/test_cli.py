@@ -82,6 +82,19 @@ class TestEnumerate:
         assert code == 3
         assert "no parameter 'z'" in err
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("table:table=x", "table requires parameter 'table' as a DirTable"),
+            ("naples:k=2,k=3", "naples repeats parameter 'k'"),
+            ("kw:q=1/2,q=1/3", "kw repeats parameter 'q'"),
+        ],
+    )
+    def test_table_and_repeated_parameters_exit_3(self, capsys, spec, message):
+        code, out, err = invoke(capsys, "enumerate", "--proc", spec, "--r", "3")
+        assert code == 3 and out == ""
+        assert message in err
+
 
 class TestOrbits:
     def test_far_lists_empty_orbits(self, capsys):
@@ -379,6 +392,14 @@ class TestTableFile:
         code, _, _ = invoke(capsys, "enumerate", "--proc-file", str(path), "--r", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("rows", [5, [5], None, ["R", "LR"]])
+    def test_rows_not_a_list_of_lists_exit_3(self, tmp_path, capsys, rows):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"type": "memoryless_local", "rows": rows}))
+        code, out, err = invoke(capsys, "enumerate", "--proc-file", str(path), "--r", "2")
+        assert code == 3 and out == ""
+        assert "rows must be a list of lists" in err
+
 
 class TestFormats:
     def test_json_round_trip_identical(self, capsys):
@@ -476,3 +497,17 @@ print(json.dumps(loaded))
         assert out.returncode == 0, out.stderr
         loaded = json.loads(out.stdout)
         assert list(loaded.values()) == [False] * 7 + [True], loaded
+        # perfbench/run.py asks this before it times anything, then reads
+        # sys.modules["numpy"], which a count that names a backend loads
+        # while it checks the word space against int64 (`radix_weights`)
+        preflight = """
+import sys
+import parkline as pk
+pk._kernels.resolve_backend("numpy")
+table = pk.DirTable.from_json({"type": "memoryless_local", "rows": [["R"], ["L", "R"], ["R", "L", "L"]]})
+for p in [*map(pk.builtin, ("right", "closest", "prime", "lbs")), pk.table_procedure(table)]:
+    assert pk.count_parking(p, 3, backend="numpy") == pk.count_parking(p, 3, backend="python"), p.name
+print(sys.modules["numpy"].__version__)
+"""
+        out = run_child("-c", preflight)
+        assert out.returncode == 0 and out.stdout.strip(), out.stderr

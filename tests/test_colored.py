@@ -154,10 +154,13 @@ class TestColoredOrbits:
         monkeypatch.setattr(colored, "grow_language_words", real)
         assert colored_orbit_audit(CLBS, DISTINCT, 3, (1, 2), cap=1536).all_one
 
-    def test_requires_declared_closures(self):
-        undeclared = Language("opaque", lambda w: True, subword_closed=False)
-        with pytest.raises(ValueError):
-            colored_orbit_audit(CLBS, undeclared, 2, (1,))
+    def test_refuses_a_rotation_open_language(self):
+        # closed under subwords, but value 3 never appears: the spot checks
+        # find the first key (1:1, 2:1) rotated to (2:1, 3:1)
+        no_three = Language("no-3", lambda w: DISTINCT.contains(w) and all(a.value != 3 for a in w))
+        with pytest.raises(LanguageClosureError, match="no-3 not closed under value rotation") as err:
+            colored_orbit_audit(CLBS, no_three, 2, (1,))
+        assert err.value.witness == (colored_word([(1, 1), (2, 1)]), colored_word([(2, 1), (3, 1)]))
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_refuses_r_below_one(self, r):

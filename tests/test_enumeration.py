@@ -16,9 +16,8 @@ from parkline.enumeration import (
     check_universal,
     count_parking,
     count_words_to_set,
-    interval_weight,
+    landing_weight,
     orbit_audit,
-    walk_weight,
 )
 from conftest import (
     alternating_rule,
@@ -31,7 +30,7 @@ from conftest import (
     state_parity_rule,
 )
 from parkline.forests import fiber_counts
-from parkline.probabilistic import INFINITY, kw_procedure, pq_procedure, total_parking_mass
+from parkline.probabilistic import INFINITY, kw_procedure, parse_prob_spec, pq_procedure, total_parking_mass
 from parkline.procedures import (
     LEFT,
     RIGHT,
@@ -41,6 +40,7 @@ from parkline.procedures import (
     parse_proc_spec,
     table_procedure,
 )
+from parkline.words import Block
 
 LOCAL = ["right", "left", "closest", "prime", "lbs"]
 
@@ -110,6 +110,11 @@ MEMORYLESS.append(index_rule_procedure((RIGHT, LEFT, LEFT, RIGHT, LEFT, RIGHT)))
 MEMORYLESS += random_dir_tables(3, 6, seed=11)
 
 
+def walked(p, target):
+    """`landing_weight` on the walk, also for a rule that decides by block."""
+    return landing_weight(dataclasses.replace(p, is_locally_decided=False), target, None)
+
+
 class TestWalk:
     """count_parking's walk over occupied sets against word enumeration."""
 
@@ -118,9 +123,9 @@ class TestWalk:
         for r in range(1, 7):
             brute = count_parking(p, r, backend="python" if r <= 4 else "numpy")
             counted = count_parking(p, r)
-            walked = walk_weight(p, frozenset(range(1, r + 1)), None)
-            assert type(counted) is int and type(walked) is int
-            assert counted == walked == brute, (p.name, r)
+            num, den = walked(p, frozenset(range(1, r + 1)))
+            assert type(counted) is int and type(num) is int
+            assert counted == num == brute and den == 1, (p.name, r)
 
     def test_walk_beyond_word_cap(self):
         assert count_parking(builtin("right"), 12, cap=None) == 13**11
@@ -230,9 +235,9 @@ class TestWalk:
         assert 100_000 < seen[-1] <= 100_000 + 9
         # the last level is only summed, so 2,780 car steps fit r = 5,
         # although its 1,164 pairs would take 5,820 more
-        assert walk_weight(history_parity_rule(), frozenset(range(1, 6)), 2780) == 1164
+        assert landing_weight(history_parity_rule(), frozenset(range(1, 6)), 2780) == (1164, 1)
         with pytest.raises(CapExceededError, match="walk over 5 spots: 2,780 car steps"):
-            walk_weight(history_parity_rule(), frozenset(range(1, 6)), 2779)
+            landing_weight(history_parity_rule(), frozenset(range(1, 6)), 2779)
 
     def test_caps_still_apply(self):
         with pytest.raises(CapExceededError):
@@ -275,8 +280,8 @@ class TestIntervalDP:
         words = itertools.product(sorted(target), repeat=len(target))
         oracle = sum(oracle_run("table", w, table=table)[0] == target for w in words)
         assert type(counted) is int
-        walked = walk_weight(p, target, None) if target else 1
-        assert counted == walked == count_words_to_set(p, spots, "brute") == oracle
+        assert walked(p, target) == (counted, 1)
+        assert counted == count_words_to_set(p, spots, "brute") == oracle
 
     @settings(max_examples=40, deadline=None)
     @given(COINS, st.integers(1, 6), SPOT_SETS)
@@ -286,20 +291,22 @@ class TestIntervalDP:
         full = frozenset(range(1, r + 1))
         mass = total_parking_mass(pp, r)
         assert type(mass) is Fraction
-        assert mass == walk_weight(pp, full, None) == (r + 1) ** (r - 1)
+        assert mass == Fraction(*walked(pp, full)) == (r + 1) ** (r - 1)
         target = frozenset(spots)
         right_prob = _pq_right_prob(q) if family == "pq" else lambda size, i: q
-        weight = interval_weight(pp, target, None)
-        assert weight == walk_weight(pp, target, None) == oracle_mass(right_prob, target)
+        weight = Fraction(*landing_weight(pp, target, None))
+        assert weight == Fraction(*walked(pp, target)) == oracle_mass(right_prob, target)
 
     def test_far_takes_the_walk(self, monkeypatch):
         import parkline.enumeration as enumeration
 
         far = builtin("far")
         # far decides on the whole occupied set: the DP would count 16
-        assert interval_weight(far, frozenset({1, 2, 3}), None) == 16
+        flagged = dataclasses.replace(far, is_locally_decided=True)
+        assert landing_weight(flagged, frozenset({1, 2, 3}), None) == (16, 1)
         monkeypatch.setattr(enumeration, "block_sides", None)
-        assert count_parking(far, 3) == walk_weight(far, frozenset({1, 2, 3}), None) == 14
+        assert landing_weight(far, frozenset({1, 2, 3}), None) == (14, 1)
+        assert count_parking(far, 3) == 14
         assert total_parking_mass(far, 3) == 14
 
     def test_lbs_never_reaches_block_sides(self, monkeypatch):
@@ -341,9 +348,29 @@ class TestIntervalDP:
         # the same rule flagged not shift invariant is probed once per block
         by_block = dataclasses.replace(p, is_shift_invariant=False)
         for spots in ({1, 2, 3, 4, 5}, {-1, 0, 2, 3, 4, 6}, {3, 4, 5, 6, 7, 8, 9}):
-            sized = interval_weight(p, frozenset(spots), None)
-            blocked = interval_weight(by_block, frozenset(spots), None)
-            assert sized == blocked and type(sized) is type(blocked), spots
+            sized = landing_weight(p, frozenset(spots), None)
+            blocked = landing_weight(by_block, frozenset(spots), None)
+            assert sized == blocked and list(map(type, sized)) == [int, int], spots
+
+    @pytest.mark.parametrize("spec,sure", [("kw:q=1/2", "kw:q=0"), ("pq:q=2", "pq:q=0")])
+    def test_branching_sides_keep_their_fractions(self, spec, sure):
+        # a branching block has D > 1, and R/D and L/D are the sums of the
+        # right- and left-probabilities its decisions return
+        pp = parse_prob_spec(spec)
+        for a, b in ((1, 1), (1, 3), (2, 5)):
+            right, left, den = block_sides(pp, a, b)
+            assert den > 1 and list(map(type, (right, left, den))) == [int, int, int]
+            occupied, blk = frozenset(range(a, b + 1)), Block(a, b)
+            probs = [Fraction(pp.decide(None, occupied, blk, j)) for j in range(a, b + 1)]
+            assert Fraction(right, den) == sum(probs) and Fraction(left, den) == sum(1 - q for q in probs)
+        # the mass stays a Fraction, even where it is whole, and the count
+        # of the same family's rule that never branches an int
+        mass = total_parking_mass(pp, 3)
+        assert type(mass) is Fraction and mass == 16
+        count = count_parking(parse_prob_spec(sure), 3)
+        assert type(count) is int and count == 16
+        with pytest.raises(ValueError, match=f"^{re.escape(spec)} branches; total_parking_mass weighs its runs$"):
+            count_parking(pp, 3)
 
     def test_lbs_is_local_but_has_no_block_sides(self):
         # its decisions read the block's record, which the empty state lacks

@@ -33,8 +33,8 @@ from parkline.enumeration import (
     OrbitViolation,
     count_parking,
     count_words_to_set,
+    landing_weight,
     orbit_audit,
-    walk_weight,
 )
 from parkline.forests import fiber_counts_brute
 from parkline.probabilistic import (
@@ -56,8 +56,8 @@ from parkline.procedures import (
     RIGHT,
     DirTable,
     Procedure,
-    branches,
     index_rule_procedure,
+    int_choices,
     parse_proc_spec,
     run,
     table_procedure,
@@ -273,10 +273,10 @@ def expanded(p, word) -> dict:
     for a in word:
         nxt: dict = {}
         for parked, (weight, state) in traces.items():
-            choices = [(a, 1)] if a not in parked else branches(p, state, frozenset(parked), a, a)
-            for spot, w in choices:
+            choices = [(a, 1, 1)] if a not in parked else int_choices(p, state, frozenset(parked), a, a)
+            for spot, num, den in choices:
                 # distinct choices give distinct traces
-                nxt[parked + (spot,)] = (weight * w, p.update(state, a, spot))
+                nxt[parked + (spot,)] = (weight * Fraction(num, den), p.update(state, a, spot))
         traces = nxt
     return {parked: weight for parked, (weight, _) in traces.items()}
 
@@ -390,14 +390,16 @@ class Asked:
 SPLIT = frozenset({1, 2, 4, 5})
 
 # query, rule spec, decisions asked per call (the engine asked 253, 106,
-# 186, 43 and 28 at every (node, letter) step before decision tables);
-# is_abelian keeps one table for all its lengths
+# 186 and 43 at every (node, letter) step before decision tables);
+# is_abelian keeps one table for all its lengths. Such a rule's landing
+# weight takes the interval DP, which probes each block size below 4
+# once: 1 + 2 + 3 decisions
 TABLED = [
     (is_abelian, "pq:q=2", (4,), 30),
     (orbit_parking_mass, "pq:q=3", (4,), 16),
     (orbit_audit, "closest", (6,), 50),
     (count_words_to_set, "right", (SPLIT, "brute"), 17),
-    (walk_weight, "pq:q=2", (frozenset(range(1, 5)), None), 16),
+    (landing_weight, "pq:q=2", (frozenset(range(1, 5)), None), 6),
 ]
 
 
@@ -530,7 +532,7 @@ def test_refused_decisions_are_never_stored(answer, message):
     assert table == {}
     for tries in (1, 2):
         with pytest.raises(ValueError, match=re.escape(f"bad: {message}")):
-            branches(p, None, frozenset({1}), 1, 1, table)
+            int_choices(p, None, frozenset({1}), 1, 1, table)
         assert table == {} and len(asked) == tries
     # each engine call refuses alike: nothing refused was kept
     for query in (orbit_parking_mass, orbit_parking_mass, is_abelian, is_abelian):

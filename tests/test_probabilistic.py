@@ -197,18 +197,17 @@ class TestMassWalk:
 
     def test_which_masses_walk(self, monkeypatch):
         import parkline.enumeration as enumeration
-        import parkline.probabilistic as probabilistic
         from conftest import alternating_rule, history_parity_rule, state_parity_rule
 
         walks, dps = [], []
-        real, real_dp = enumeration.walk_occupied, probabilistic.interval_weight
+        real, real_dp = enumeration.walk_occupied, enumeration.interval_weight
         monkeypatch.setattr(
             enumeration,
             "walk_occupied",
             lambda target, *args, **kw: walks.append(len(target)) or real(target, *args, **kw),
         )
         monkeypatch.setattr(
-            probabilistic,
+            enumeration,
             "interval_weight",
             lambda pp, target, *args: dps.append(len(target)) or real_dp(pp, target, *args),
         )
@@ -479,6 +478,9 @@ class TestParseSpec:
             ("kw", "requires parameter 'q'"),
             ("pq:z=2", "takes no parameter 'z'"),
             ("kwseq:q=1/2", "takes no parameter 'q'"),
+            ("kw:q=1/2,q=1/3", "kw repeats parameter 'q'"),
+            ("pq:q=2,q=2", "pq repeats parameter 'q'"),
+            ("naples:k=2,k=3", "naples repeats parameter 'k'"),
         ],
     )
     def test_bad_parameters_name_the_parameter(self, spec, message):

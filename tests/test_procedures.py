@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,9 @@ class TestBuiltins:
             ("right:z=1", "right takes no parameter 'z'"),
             ("far:k=2", "far takes no parameter 'k'"),
             ("naples:k=x", "integer k"),
+            ("naples:k=2,k=3", "naples repeats parameter 'k'"),
+            ("table:table=x", "table requires parameter 'table' as a DirTable, got 'x'"),
+            ("table:table=3", "table requires parameter 'table' as a DirTable, got 3"),
         ],
     )
     def test_bad_parameters_name_the_parameter(self, spec, message):
@@ -334,6 +338,12 @@ class TestDirTable:
     def test_from_json_requires_rows(self):
         with pytest.raises(ValueError, match="rows"):
             DirTable.from_json({"type": "memoryless_local"})
+
+    @pytest.mark.parametrize("rows", [5, [5], None, ["R", "LR"], [["R"], "LR"], "R"])
+    def test_from_json_requires_a_list_of_lists(self, rows):
+        # a string row would load letter by letter as a row of directions
+        with pytest.raises(ValueError, match=re.escape(f"rows must be a list of lists, got {rows!r}")):
+            DirTable.from_json({"type": "memoryless_local", "rows": rows})
 
     def test_default_beyond(self):
         table = DirTable(((LEFT,),), RIGHT)
