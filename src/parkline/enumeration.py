@@ -139,8 +139,9 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[i
         cap,
     )
     num, den = multinomial([b.size for b in parts]), 1
+    side = _block_sides_memo(p)
     for b in parts:
-        f, d = _block_weight(p, b.lo, b.size)
+        f, d = _block_weight(side, b.lo, b.size)
         num, den = num * f, den * d
     return num, den
 
@@ -158,12 +159,13 @@ def _block_sides_memo(p: Procedure):
     return functools.cache(lambda a, b: block_sides(p, a, b) if a <= b else (0, 0, 1))
 
 
-def _block_weight(p: Procedure, lo: int, n: int) -> tuple[int, int]:
-    """F(lo, lo+n-1) of `interval_weight` as `(num, den)`. Intervals are
-    taken half-open in offsets from lo: [i, j) holds the spots lo+i ..
-    lo+j-1. The sides are taken over D, the lcm of their denominators, so
-    F of an interval of m spots is an int numerator over D^m."""
-    side = _block_sides_memo(p)
+def _block_weight(side, lo: int, n: int) -> tuple[int, int]:
+    """F(lo, lo+n-1) of `interval_weight` as `(num, den)`, from the sides
+    of the call's `_block_sides_memo`, which every block of the target
+    shares. Intervals are taken half-open in offsets from lo: [i, j) holds
+    the spots lo+i .. lo+j-1. The sides are taken over D, the lcm of their
+    denominators, so F of an interval of m spots is an int numerator over
+    D^m."""
     # the whole block is never a side: no car comes after the last
     sides = [[side(lo + i, lo + j - 1) if (i, j) != (0, n) else (0, 0, 1) for j in range(n + 1)]
              for i in range(n + 1)]

@@ -8,6 +8,10 @@ rewritten only by this command, never by hand.
 
 - `cli.jsonl` and `prob.jsonl`: a CLI query and its canonical JSON output,
   `elapsed_s` aside.
+- `usage.jsonl`: a CLI call that asks for help or that the CLI refuses,
+  as `[argv, exit code, stdout, stderr]`, the exit code being `main`'s
+  return value or the code of the `SystemExit` it raised. Help is wrapped
+  at `COLUMNS=80`, whatever the terminal.
 - `engines.jsonl`: a library call on the run engines over one rule and
   its result in `pin`'s tagged form, which keeps each value's type and
   each refusal's exception type and message.
@@ -18,11 +22,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 from conftest import alternating_rule, history_coin_rule, history_parity_rule, state_parity_rule
 from parkline.cli import main
@@ -88,6 +94,36 @@ def cli_text(query: str) -> str:
     if code != 0:
         raise RuntimeError(f"{query!r} exited {code}")
     return re.sub(r'"elapsed_s":[^,]*,', "", out.getvalue(), count=1)
+
+
+# help, usage errors and the refusals made before any rule runs
+ENUM = ["enumerate", "--proc", "right"]
+USAGE_ARGV = [
+    [],
+    ["bogus"],
+    ["-h"],
+    *([command, "--help"] for command in ("enumerate", "orbits", "prob", "fibers", "encode")),
+    ENUM,
+    [*ENUM, "--r", "x"],
+    [*ENUM, "--r", "3", "extra"],
+    [*ENUM, "--r", "3", "--format", "xml"],
+    [*ENUM, "--r", "3", "--sigma", "1"],
+    [*ENUM, "--r", "3", "--proc-file", "table.json"],
+    [*ENUM, "--r", "3", "--strict"],
+]
+
+
+def usage_outcome(argv: list[str]) -> list:
+    """`[argv, exit code, stdout, stderr]` of one CLI call, with help
+    wrapped at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+    return [argv, code, out.getvalue(), err.getvalue()]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +270,9 @@ def engine_line(key: str, result) -> str:
 def write_all(folder: Path = GOLDEN) -> None:
     (folder / "cli.jsonl").write_text("".join(line(q, cli_text(q)) for q in cli_queries()))
     (folder / "prob.jsonl").write_text("".join(line(q, cli_text(q)) for q in PROB_QUERIES))
+    (folder / "usage.jsonl").write_text(
+        "".join(json.dumps(usage_outcome(argv)) + "\n" for argv in USAGE_ARGV)
+    )
     (folder / "engines.jsonl").write_text(
         "".join(engine_line(key, call()) for key, call in engine_cases().items())
     )

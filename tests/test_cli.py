@@ -439,6 +439,39 @@ class TestParser:
         code, out, _ = invoke(capsys, *argv, "--r", "3")
         assert code == 0
         assert out.startswith("enumerate") and "count: 16" in out
+        # nor with a call of another subcommand: the DP over 57 spots is
+        # over the budget unless --cap-unsafe lifts it
+        right = ["enumerate", "--proc", "right"]
+        code, out, _ = invoke(capsys, *right, "--r", "57", "--format", "json", "--cap-unsafe")
+        assert code == 0 and json.loads(out)["results"]["count"] == 58**56
+        code, out, _ = invoke(capsys, "prob", "--proc", "pq:q=2", "--word", "1,1")
+        assert code == 0 and out.startswith("prob") and "parking_probability: 1/3" in out
+        code, _, err = invoke(capsys, *right, "--r", "57")
+        assert code == 2 and "interval DP over 57 spots" in err
+        code, out, _ = invoke(capsys, *right, "--r", "3")
+        assert code == 0 and out.startswith("enumerate") and "count: 16" in out
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        import parkline.cli as cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(args) or real(*args))
+        argv = ["parkline", "encode", "--proc", "right", "--word", "1,1", "--format", "json"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["params"] == {"proc": "right", "word": "1,1"}
+        # the parser registers the subcommand that sys.argv[1] names
+        assert built == [("encode",)]
+
+    def test_parser_registers_the_named_subcommand_or_all(self):
+        from parkline.cli import build_parser
+
+        every = "usage: parkline [-h] {enumerate,orbits,prob,fibers,encode} ...\n"
+        for command in (None, "-h", "bogus"):
+            assert build_parser(command).format_usage() == every
+        assert build_parser().format_usage() == every
+        assert build_parser("prob").format_usage() == "usage: parkline [-h] {prob} ...\n"
 
     def test_cap_unsafe_lifts_cap(self):
         from parkline.cli import _cap, build_parser

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import math
 import re
 from fractions import Fraction
 
@@ -351,6 +352,23 @@ class TestIntervalDP:
             sized = landing_weight(p, frozenset(spots), None)
             blocked = landing_weight(by_block, frozenset(spots), None)
             assert sized == blocked and list(map(type, sized)) == [int, int], spots
+
+    def test_blocks_of_one_target_share_their_probes(self, monkeypatch):
+        import parkline.enumeration as enumeration
+
+        probes = []
+        real = enumeration.block_sides
+        monkeypatch.setattr(
+            enumeration, "block_sides", lambda *args: probes.append(args[1:]) or real(*args)
+        )
+        target = {*range(1, 7), *range(10, 16), *range(20, 26)}
+        # three blocks of 6 interleave in 18!/(6!)^3 ways, and 7^5 words
+        # land on each block
+        count = count_words_to_set(builtin("right"), target)
+        assert count == math.factorial(18) // math.factorial(6) ** 3 * 7**15
+        # right is local, so each side size below 6 is probed once, on
+        # [1, size], for the whole target, not once per block
+        assert sorted(probes) == [(1, n) for n in range(1, 6)]
 
     @pytest.mark.parametrize("spec,sure", [("kw:q=1/2", "kw:q=0"), ("pq:q=2", "pq:q=0")])
     def test_branching_sides_keep_their_fractions(self, spec, sure):

@@ -31,9 +31,19 @@ def test_engine_result_is_byte_identical(text):
     assert goldens.engine_line(key, CASES[key]()) == text
 
 
+USAGE_LINES = (goldens.GOLDEN / "usage.jsonl").read_text().splitlines()
+
+
+@pytest.mark.parametrize("text", USAGE_LINES, ids=[" ".join(json.loads(t)[0]) or "-" for t in USAGE_LINES])
+def test_usage_is_byte_identical(text):
+    # help, usage errors and early refusals, whichever subcommands a call
+    # registers
+    assert json.dumps(goldens.usage_outcome(json.loads(text)[0])) == text
+
+
 def test_script_writes_every_golden(tmp_path):
     goldens.write_all(tmp_path)
-    for name in ("cli.jsonl", "prob.jsonl", "engines.jsonl"):
+    for name in ("cli.jsonl", "prob.jsonl", "usage.jsonl", "engines.jsonl"):
         assert (tmp_path / name).read_bytes() == (goldens.GOLDEN / name).read_bytes(), name
 
 
