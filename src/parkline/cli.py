@@ -39,6 +39,7 @@ from .enumeration import (
 from .forests import (
     all_shape_counts,
     encode,
+    fiber_count_brute,
     fiber_counts,
     fiber_counts_brute,
     pair_to_json,
@@ -217,20 +218,22 @@ def cmd_fibers(args) -> Report:
     if not p.decides_by_block:
         raise InputError(f"{p.name} is not memoryless+locally decided; no fiber formula")
     if args.sigma is not None:
-        sigmas = [_parse_word(args.sigma)]
-        if len(sigmas[0]) != args.r:
-            raise InputError(f"--sigma {args.sigma} has length {len(sigmas[0])}, not --r {args.r}")
+        sigma = _parse_word(args.sigma)
+        if len(sigma) != args.r:
+            raise InputError(f"--sigma {args.sigma} has length {len(sigma)}, not --r {args.r}")
+        # one outcome's words, walked without growing the others
+        sigmas = [sigma]
+        brute = {sigma: fiber_count_brute(p, sigma, cap=_cap(args))}
     else:
         # lexicographic, as permutations of a sorted range come; listed
-        # only once the brute count below has passed the work budget
-        sigmas = permutations(range(1, args.r + 1))
-    brute = fiber_counts_brute(p, args.r, cap=_cap(args))
-    sigmas = list(sigmas)
+        # only once the brute count has passed the work budget
+        brute = fiber_counts_brute(p, args.r, cap=_cap(args))
+        sigmas = list(permutations(range(1, args.r + 1)))
     table = [
         {"sigma": word_str(s), "formula": f, "brute": brute.get(s, 0)}
         for s, f in zip(sigmas, fiber_counts(p, sigmas))
     ]
-    shapes = sorted(all_shape_counts(p, args.r), reverse=True)
+    shapes = sorted(all_shape_counts(p, args.r, cap=_cap(args)), reverse=True)
     results = {
         "fibers": table,
         "formula_total": sum(row["formula"] for row in table),

@@ -21,7 +21,8 @@ state) pairs, each carrying its number of words
 Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
 query reports the path it takes and that estimate in one DEBUG record on
-the `parkline` logger (`take_path`).
+the `parkline` logger (`take_path`), and each prefix-growth call it makes
+adds one record of the work it did (`procedures.grow_runs`).
 """
 
 from __future__ import annotations
@@ -373,8 +374,10 @@ def count_words_to_set(
     `pad`, an int >= 0 or a numpy integer as spots are (`words.as_int`),
     but no bool, widens that alphabet to [min(S)-pad, max(S)+pad], gaps
     included, which re-verifies the claim above empirically; the default
-    path refuses it. "formula" multiplies shuffle counts with per-block
-    parking counts and requires a local procedure.
+    path refuses it. "formula" multiplies the shuffle count of S's blocks
+    with the count of each block, taken at its own position on the same
+    path, and requires a locally decided rule (every rule that
+    `decides_by_block` or `is_local`), whose blocks never interact.
     """
     if via not in (None, "brute", "formula"):
         raise ValueError(f"unknown mode {via!r}")
@@ -394,12 +397,13 @@ def count_words_to_set(
         return 1
 
     if via == "formula":
-        if not p.is_local:
-            raise ValueError(f"{p.name} is not local; the product formula needs locality")
-        sizes = [b.size for b in blocks(target)]
-        out = multinomial(sizes)
-        for s in sizes:
-            out *= count_parking(p, s, cap=cap, backend=backend)
+        if not p.is_locally_decided:
+            raise ValueError(f"{p.name} is not locally decided; the product formula needs locality")
+        parts = blocks(target)
+        out = multinomial([b.size for b in parts])
+        for b in parts:
+            # each block at its own position, as `interval_weight` takes it
+            out *= count_words_to_set(p, b.spots(), cap=cap, backend=backend)
         return out
 
     if default:

@@ -18,7 +18,9 @@ i on its subtree span [lo, hi] in the decreasing tree of sigma. That
 span needs no tree: it runs from just past the nearest larger arrival
 left of spot i to just before the nearest larger arrival right of it.
 `fiber_counts` reads the spans of a whole batch of outcomes this way;
-`fiber_counts_brute` counts outcome keys of grown parking words instead.
+`fiber_counts_brute` counts outcome keys of grown parking words instead,
+and `fiber_count_brute` counts one outcome's words on a walk that keeps
+only the runs whose cars park where the outcome puts them.
 A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
 preferences bumped right and left off a block (`enumeration.block_sides`,
 whose denominator D is 1 unless a decision branches);
@@ -35,8 +37,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import _kernels
-from .enumeration import WORK_BUDGET, _block_sides_memo, _check_r, _check_runs
-from .procedures import Direction, Fold, Procedure, dir_of_set, parking_keys, run
+from .enumeration import WORK_BUDGET, _block_sides_memo, _check_r, _check_runs, check_budget, take_path
+from .procedures import (
+    Direction,
+    Fold,
+    Procedure,
+    _branch_error,
+    decision_table,
+    dir_of_set,
+    initial_level,
+    merge_step,
+    parking_keys,
+    run,
+)
 from .words import Block, SpotSet, Word, as_int, as_word, blocks
 
 if TYPE_CHECKING:
@@ -337,6 +350,36 @@ def fiber_counts_brute(
     return dict(zip(map(tuple, fold.digits(keys).tolist()), counts.tolist()))
 
 
+def fiber_count_brute(p: Procedure, sigma: Sequence[int], *, cap: int | None = WORK_BUDGET) -> int:
+    """Number of words of length len(sigma) whose run has outcome sigma,
+    counted on a walk instead of growing every parking word: car k tries
+    every letter in {1..r}, and only the runs that park it where sigma puts
+    it are kept (`merge_step` with `inside` that one spot), each pair
+    carrying the number of prefixes reaching it. sigma is checked as
+    `fiber_counts` checks it, before any car moves. A rule without state
+    keeps one pair per car, so the work is estimated at r^2 car steps; a
+    rule with state is refused once its levels pass the budget, as a walk
+    is. ValueError if a kept run branches."""
+    s = _as_sigmas([sigma])[0].tolist()
+    r = len(s)
+    spots = [0] * r
+    for spot, car in enumerate(s, start=1):
+        spots[car - 1] = spot
+    path = f"walk over the outcome of {r} cars"
+    take_path("walk", path, r * r, cap)
+    table = decision_table(p)
+    level = initial_level(p)
+    steps = 0
+    for spot in spots:
+        steps += len(level[1]) * r
+        check_budget(path, steps, cap)
+        level = merge_step(p, level, range(1, r + 1), frozenset({spot}), table=table)
+    den, runs = level
+    if den > 1:
+        raise _branch_error(p)
+    return sum(runs.values())
+
+
 def _outcome_fold(r: int) -> Fold:
     """Outcome key of each parking run of length r in radix r+1: car k+1
     parked on spot s sets sigma[s-1] = k+1, digit s-1 from the top."""
@@ -368,12 +411,16 @@ def shape_counts(p: Procedure, trees: Iterable[Tree]) -> list[int]:
     ]
 
 
-def all_shape_counts(p: Procedure, r: int) -> list[int]:
+def all_shape_counts(p: Procedure, r: int, *, cap: int | None = WORK_BUDGET) -> list[int]:
     """`shape_counts(p, iter_tree_shapes(r))`, built without any tree.
     The counts of the shapes of n nodes on the span starting at lo come
     from those of their subtrees, in `iter_tree_shapes` order: a root with
     ls nodes on its left weighs its label-set size times the C(n-1, ls)
-    ways to share the smaller labels, times one count of each side."""
+    ways to share the smaller labels, times one count of each side. The
+    work is estimated at Catalan(r) * r steps, one per shape and node,
+    before any block is probed."""
+    shapes = math.comb(2 * r, r) // (r + 1)
+    take_path("interval DP", f"shape counts of {r} nodes", shapes * r, cap)
     label_size = _label_sizes(p)
 
     @functools.cache

@@ -70,10 +70,12 @@ ONE = Fraction(1)
 
 
 def parse_q(text: str) -> QValue:
+    """`text` as a q value: "inf" (also "infinity" or "oo") or an exact
+    number >= 0 such as "2" or "1/2" (`_exact`); ValueError otherwise."""
     text = text.strip().lower()
     if text in ("inf", "infinity", "oo"):
         return INFINITY
-    q = Fraction(text)
+    q = _exact(text)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     return q
@@ -230,10 +232,14 @@ def orbit_parking_mass(
 def _exact(q) -> Fraction:
     """`q` as a Fraction: an int, a Fraction or a string such as "1/2". A
     float or a bool raises ValueError, since its value is not the one
-    written (0.1 is 3602879701896397/36028797018963968)."""
+    written (0.1 is 3602879701896397/36028797018963968), and so does a
+    string with a zero denominator, such as "1/0"."""
     if isinstance(q, bool) or not isinstance(q, (Rational, str)):
         raise ValueError(f"q must be an int, a Fraction or a string, got {q!r}")
-    return Fraction(q)
+    try:
+        return Fraction(q)
+    except ZeroDivisionError:
+        raise ValueError(f"q has a zero denominator, got {q!r}") from None
 
 
 def _coin(q: QValue) -> Fraction:

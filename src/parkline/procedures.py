@@ -12,21 +12,26 @@ follow rules that never branch. A rule remembers the run so far
 only through the hashable state its `update` keeps. Every engine steps
 one format, the level `(den, runs)`: `runs` maps each (occupied set,
 rule state) pair to the weight of the runs reaching it, an int numerator
-over the int `den`. `merge_step` is the one step from a level to the
-next: `probabilistic.measure` follows a word's choices with it,
-`walk_occupied` sums the weights of runs ending on a spot set,
-`grow_runs`, the one prefix-growth engine, grows words as int64 keys that
-a `Fold` extends car by car, merging prefixes whose levels agree, and
-`count_landing` counts the words reaching each pair. The last two ask a
-rule that decides by block once per (block, letter) while one
-`decision_table` lives; such a rule never walks, since the interval DP
-weighs its landing runs (`enumeration.landing_weight`).
+over the int `den`. One helper, `_successors`, steps a pair by one car.
+`merge_step`, built on it, is the one step from a level to the next:
+`probabilistic.measure` follows a word's choices with it, `walk_occupied`
+sums the weights of runs ending on a spot set, and `count_landing` counts
+the words reaching each pair. `grow_runs`, the one prefix-growth engine,
+grows words as int64 keys that a `Fold` extends car by car, merging
+prefixes whose levels agree: each generation interns its pairs as int
+ids, steps each distinct (pair, letter) once with `_successors`, and
+steps every prefix's level, a tuple of (pair id, numerator), by adding up
+its pairs' successors. The last two ask a rule that decides by block once
+per (block, letter) while one `decision_table` lives; such a rule never
+walks, since the interval DP weighs its landing runs
+(`enumeration.landing_weight`).
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +42,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._kernels import radix_weights
 from .words import Block, SpotSet, Word, as_word, block_of, shift
+
+log = logging.getLogger("parkline")
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,41 +159,49 @@ def int_choices(p: Procedure, state, occupied, a, pref, table: dict | None = Non
     Anything else, floats and bools included, raises ValueError, so
     weights stay exact.
 
-    `table`, when given, is one engine call's `decision_table`: the
-    choices are looked up there by (block lo, block hi, letter), and
-    `decide` is asked only on a miss, whose checked choices are stored. A
-    refused decision raises before anything is stored.
+    The block's bounds are found inline, and a `Block` is built only when
+    `decide` is asked. `table`, when given, is one engine call's
+    `decision_table`: the choices are looked up there by (block lo, block
+    hi, letter), and `decide` is asked only on a miss, whose checked
+    choices are stored. A refused decision raises before anything is
+    stored.
     """
-    # block_of returns a maximal block, so both spots next to it are free
-    blk = block_of(occupied, pref)
+    if pref not in occupied:
+        raise ValueError(f"spot {pref} is not occupied")
+    # the maximal block containing pref, so both spots next to it are free
+    lo = hi = pref
+    while lo - 1 in occupied:
+        lo -= 1
+    while hi + 1 in occupied:
+        hi += 1
     if table is None:
-        return _choices(p, blk, p.decide(state, occupied, blk, a))
-    key = (blk.lo, blk.hi, a)
+        return _choices(p, lo, hi, p.decide(state, occupied, Block(lo, hi), a))
+    key = (lo, hi, a)
     choices = table.get(key)
     if choices is None:
-        choices = table[key] = _choices(p, blk, p.decide(state, occupied, blk, a))
+        choices = table[key] = _choices(p, lo, hi, p.decide(state, occupied, Block(lo, hi), a))
     return choices
 
 
-def _choices(p: Procedure, blk: Block, d) -> tuple:
-    """The (spot, numerator, denominator) choices of decision `d` on block
-    `blk` (see `int_choices`)."""
+def _choices(p: Procedure, lo: int, hi: int, d) -> tuple:
+    """The (spot, numerator, denominator) choices of decision `d` on the
+    block lo..hi (see `int_choices`)."""
     if d is RIGHT:
-        return ((blk.hi + 1, 1, 1),)
+        return ((hi + 1, 1, 1),)
     if d is LEFT:
-        return ((blk.lo - 1, 1, 1),)
+        return ((lo - 1, 1, 1),)
     if type(d) is not int and not isinstance(d, Fraction):
         raise ValueError(
             f"{p.name}: decide returned {d!r}, not a Direction or an exact probability"
         )
     if d == 1:
-        return ((blk.hi + 1, 1, 1),)
+        return ((hi + 1, 1, 1),)
     if d == 0:
-        return ((blk.lo - 1, 1, 1),)
+        return ((lo - 1, 1, 1),)
     if not 0 < d < 1:
         raise ValueError(f"{p.name}: decide returned probability {d} outside [0, 1]")
     num, den = d.numerator, d.denominator
-    return ((blk.hi + 1, num, den), (blk.lo - 1, den - num, den))
+    return ((hi + 1, num, den), (lo - 1, den - num, den))
 
 
 def _sure_spot(p: Procedure, choices: tuple) -> int:
@@ -224,15 +239,36 @@ def decision_table(p: Procedure) -> dict | None:
     """A fresh decision table for one engine call of rule `p`: an empty
     dict if `p` `decides_by_block`, else None. `int_choices` stores there the
     checked choices of each (block lo, block hi, letter) it is asked
-    about, so such a rule is asked once per (block, letter) per call
-    instead of at every (node, letter) step. The table lives as long as
-    the call."""
+    about, keyed before any `Block` is built, so such a rule is asked once
+    per (block, letter) per call instead of once per (pair, letter) per
+    car, as any other rule is. The table lives as long as the call."""
     return {} if p.decides_by_block else None
 
 
 def initial_level(p: Procedure) -> tuple[int, dict]:
     """The level before any car: one run of weight 1."""
     return 1, {(frozenset(), p.init_state()): 1}
+
+
+def _successors(p: Procedure, occ, state, a, pref, inside, table) -> list:
+    """The pairs a run on (occupied set `occ`, rule state `state`) moves to
+    when car `a`, preferring spot `pref`, arrives: `[(next pair, numerator,
+    denominator), ...]`, one entry per choice that lands inside the spot set
+    `inside` (every choice if None). A free `pref` is the one choice, of
+    weight 1; a taken one gives the `int_choices` of `p`, read from and
+    stored in `table`, the call's `decision_table`. This is the one step of
+    a run that every engine takes: `merge_step` per (run, letter), and
+    `grow_runs` once per (pair, letter) per generation."""
+    update = p.update
+    if pref not in occ:
+        if inside is not None and pref not in inside:
+            return []
+        return [((occ | {pref}, state if update is None else update(state, a, pref)), 1, 1)]
+    out = []
+    for spot, num, d in int_choices(p, state, occ, a, pref, table):
+        if inside is None or spot in inside:
+            out.append(((occ | {spot}, state if update is None else update(state, a, spot)), num, d))
+    return out
 
 
 def merge_step(
@@ -249,15 +285,16 @@ def merge_step(
     A level is `(den, runs)`: `runs` maps each (occupied set, state) pair
     to the total weight of the runs reaching it, an int numerator over
     `den`. Every run takes each choice of a car with letter a, for every
-    letter a in `letters`: its preferred spot if free, or the
-    `int_choices` of `p`. `value_of` maps a letter to its preferred spot,
-    as in `run_engine` (identity for plain integer letters). Choices
-    outside the spot set `inside`, when given, are dropped. Weights
-    multiply along a run, and runs that agree on (occupied set, state)
-    afterwards are merged by adding their weights. The next denominator
-    is `den` times the lcm of the denominators of the choices taken, so a
-    step that takes no branching choice keeps `den` and int counts as they
-    are.
+    letter a in `letters`, as `_successors` gives it: its preferred spot
+    if free, or the `int_choices` of `p`. `value_of` maps a letter to its
+    preferred spot, as in `run_engine` (identity for plain integer
+    letters). Choices outside the spot set `inside`, when given, are
+    dropped. Weights multiply along a run, and runs that agree on
+    (occupied set, state) afterwards are merged by adding their weights.
+    The next denominator is `den` times the lcm of the denominators of the
+    choices taken, so a step that takes no branching choice keeps `den`
+    and int counts as they are. A level holds each pair once, so walks,
+    `measure` and `count_landing` step each (pair, letter) once per car.
 
     `table` is the engine call's `decision_table`, which `int_choices` reads
     and fills. It is the third thing that trusts `decides_by_block`, after
@@ -268,16 +305,12 @@ def merge_step(
     pair joins it, and may refuse, so a level is not built past a budget.
     """
     den, runs = level
-    update = p.update
     nxt: dict[tuple[frozenset, Any], int] = {}
     scale = 1
     for (occ, state), weight in runs.items():
         for a in letters:
             pref = a if value_of is None else value_of(a)
-            # a free spot is a choice of weight 1
-            for spot, num, d in ((pref, 1, 1),) if pref not in occ else int_choices(p, state, occ, a, pref, table):
-                if inside is not None and spot not in inside:
-                    continue
+            for key, num, d in _successors(p, occ, state, a, pref, inside, table):
                 if d == 1:
                     # a choice that does not branch has weight 1
                     w = weight * scale
@@ -288,7 +321,6 @@ def merge_step(
                         scale *= grow
                         nxt = {key: v * grow for key, v in nxt.items()}
                     w = weight * num * (scale // d)
-                key = (occ | {spot}, state if update is None else update(state, a, spot))
                 prev = nxt.get(key)
                 if prev is None:
                     nxt[key] = w
@@ -297,17 +329,6 @@ def merge_step(
                 else:
                     nxt[key] = prev + w
     return den * scale, nxt
-
-
-def _reduced(level: tuple[int, dict]) -> tuple[int, dict]:
-    """A level in lowest terms: its denominator and every numerator divided
-    by their gcd. Equal measures then have equal numerators over equal
-    denominators."""
-    den, runs = level
-    g = math.gcd(den, *runs.values()) if den > 1 else 1
-    if g == 1:
-        return level
-    return den // g, {key: w // g for key, w in runs.items()}
 
 
 def walk_occupied(target: frozenset, p: Procedure, check_steps: Callable[[int], None]):
@@ -344,37 +365,6 @@ def _branch_error(p: Procedure) -> ValueError:
     return ValueError(f"{p.name}: a decision branches; measure() follows both choices")
 
 
-def _grow_level(p, nodes, sums, letters, inside, table):
-    """One car's step of `grow_runs` from every node of a generation and
-    every letter: the next generation `(nodes, sums)` and, one entry per
-    (node, letter) pair row by row, the next node's id (-1 where the
-    measure left inside is empty) and the car's spot. A node is a
-    `merge_step` level in lowest terms (`_reduced`), so that equal measures
-    key equally. A step is sure if it goes from a point mass of weight 1 to
-    another; `sums` holds the sum of such a node's occupied spots, else
-    None, so a car's spot is the difference, and 0 stands in for the spot
-    of a step that was not sure. `table` is the call's `decision_table`."""
-    index: dict = {}
-    nodes_next, sums_next, next_node, spot_of = [], [], [], []
-    for node, total in zip(nodes, sums):
-        for a in letters:
-            nxt = merge_step(p, node, (a,), inside, table=table)
-            if not nxt[1]:
-                next_node.append(-1)
-                spot_of.append(0)
-                continue
-            den, runs = nxt = _reduced(nxt)
-            j = index.setdefault((den, frozenset(runs.items())), len(nodes_next))
-            if j == len(nodes_next):
-                nodes_next.append(nxt)
-                ((occ, _), weight), *more = runs.items()
-                sums_next.append(None if more or weight != den else sum(occ))
-            after = sums_next[j]
-            next_node.append(j)
-            spot_of.append(0 if total is None or after is None else after - total)
-    return (nodes_next, sums_next), next_node, spot_of
-
-
 class Fold(NamedTuple):
     """The int64 key `grow_runs` carries for each word, `width` digits in
     radix `base`: `step(k, keys, cols, spots)` extends the kept prefixes'
@@ -396,31 +386,76 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     at a time: `(keys, ids, nodes, sure)`.
 
     A prefix's node is its `merge_step` level, its measure restricted to
-    `inside`, in lowest terms. Prefixes whose measures are the same
-    ((occupied set, state), weight) pairs continue alike: `merge_step`
-    runs once per node and letter, and numpy extends every prefix from its
-    node's row. The measures of a rule that keeps its letters as state
-    hold them, so no two of its prefixes share a node.
-    A rule that `decides_by_block` is asked once per (block, letter) while
-    `table`, the caller's `decision_table`, lives (see `merge_step`).
+    `inside`, in lowest terms. Each generation gives its (occupied set,
+    state) pairs int ids, and steps each distinct (pair, letter) once: its
+    successors `((next pair id, numerator, denominator), ...)`, from the
+    `_successors` that `merge_step` also takes. A node is then `(den,
+    ((pair id, numerator), ...))`, sorted by pair id, and a node's step by
+    a letter adds up its pairs' successors under the lcm of their
+    denominators, is reduced to lowest terms and is interned on that
+    tuple. Prefixes whose nodes agree continue alike, and numpy extends
+    every prefix from its node's row. A rule whose decisions never branch
+    keeps one pair per node. The measures of a rule that keeps its letters
+    as state hold them, so no two of its prefixes share a pair. A rule that
+    `decides_by_block` is asked once per (block, letter) while `table`,
+    the caller's `decision_table`, lives; any other rule is asked once per
+    (pair, letter) per generation.
 
     `keys` holds each word's `fold` key, the words in lexicographic order,
-    and `ids` its node in `nodes`, the last generation. `sure` says whether every
-    node grown is a point mass of weight 1, so that the fold was passed the
-    runs' spots. A fold whose keys could pass int64 raises
+    and `ids` its node in `nodes`, the last generation, each node in the
+    level form `(den, {(occupied set, state): numerator})`. `sure` says
+    whether every node grown is a point mass of weight 1, so that the fold
+    was passed the runs' spots. A fold whose keys could pass int64 raises
     RadixOverflowError before any car is placed.
+
+    Each call writes one DEBUG record on the `parkline` logger, with the
+    fields `pairs` and `nodes`, the sizes of the generations grown after
+    each car, and `pair_steps`, the (pair, letter) successors computed.
     """
     import numpy as np
 
     radix_weights(fold.base, fold.width)
-    gen = ([initial_level(p)], [0])
+    width = len(letters)
+    pairs = [(frozenset(), p.init_state())]
+    # None while every node is a point mass of weight 1, node i on pair i
+    nodes: list[tuple[int, tuple]] | None = None
+    # a point mass's sum of occupied spots, else None (see `_step_nodes`)
+    sums: list[int | None] = [0]
     ids = np.zeros(1, np.int32)
     keys = np.zeros(1, np.int64)
     sure = True
+    pair_steps, pair_sizes, node_sizes = 0, [], []
     for k in range(r):
-        shape = (len(gen[0]), len(letters))
-        gen, next_node, spot_of = _grow_level(p, *gen, letters, inside, table)
-        sure = sure and None not in gen[1]
+        # the successors of pair i and letter column c, at succ[i * width + c],
+        # as (den, ((next pair id, numerator), ...)) over their lcm den
+        index: dict = {}
+        succ = []
+        for occ, state in pairs:
+            for a in letters:
+                out = _successors(p, occ, state, a, a, inside, table)
+                if len(out) == 1 and out[0][2] == 1:
+                    succ.append((1, ((index.setdefault(out[0][0], len(index)), 1),)))
+                    continue
+                d = math.lcm(*[e for _, _, e in out])
+                ids_out = tuple((index.setdefault(key, len(index)), num * (d // e)) for key, num, e in out)
+                succ.append((d, ids_out))
+        pair_steps += len(succ)
+        pairs = list(index)
+        if nodes is None and all(d == 1 for d, _ in succ):
+            # no run branched: each stays a point mass of weight 1, and the
+            # pairs are numbered as the nodes would be, so node j is pair j
+            after = [sum(occ) for occ, _ in pairs]
+            next_node = [out[0][0] if out else -1 for _, out in succ]
+            spot_of = [after[j] - sums[i // width] if j >= 0 else 0 for i, j in enumerate(next_node)]
+            sums = after
+        else:
+            if nodes is None:
+                nodes = [(1, ((i, 1),)) for i in range(len(sums))]
+            nodes, sums, next_node, spot_of = _step_nodes(nodes, sums, succ, width, pairs)
+            sure = sure and None not in sums
+        pair_sizes.append(len(pairs))
+        node_sizes.append(len(sums))
+        shape = (len(next_node) // width, width)
         next_node = np.array(next_node, np.int32).reshape(shape)
         spot_of = np.array(spot_of, np.int64).reshape(shape)
         # nonzero scans row by row, so prefixes stay in lexicographic order
@@ -428,7 +463,64 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
         keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
-    return keys, ids, gen[0], sure
+    log.debug(
+        "grow_runs: %s over %d letters, %s pair steps, pairs %s, nodes %s",
+        p.name, width, f"{pair_steps:,}", pair_sizes, node_sizes,
+        extra={"pairs": pair_sizes, "nodes": node_sizes, "pair_steps": pair_steps},
+    )
+    if nodes is None:
+        return keys, ids, [(1, {pair: 1}) for pair in pairs], sure
+    return keys, ids, [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
+
+
+def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
+    """One car's step of every `grow_runs` node and letter column: the next
+    generation `(nodes, sums)` and, one entry per (node, letter) row by row,
+    the next node's id (-1 where the measure left is empty) and the car's
+    spot. A node `(den, ((pair id, numerator), ...))` steps by adding up its
+    pairs' successors in `succ` under the lcm of their denominators, in
+    lowest terms, so that equal measures intern equally. A step is sure if
+    it goes from a point mass of weight 1 to another; `sums` holds the sum
+    of such a node's occupied spots, else None, so a car's spot is the
+    difference, and 0 stands in for the spot of a step that was not sure."""
+    interned: dict = {}
+    nodes_next, sums_next, next_node, spot_of = [], [], [], []
+    for (den, items), total in zip(nodes, sums):
+        rows = [(weight, succ[i * width : (i + 1) * width]) for i, weight in items]
+        for col in range(width):
+            weight, row = rows[0]
+            d, out = row[col]
+            if d == 1 and out and len(rows) == 1:
+                # one run that does not branch: the node stays in lowest terms
+                node = (den, ((out[0][0], weight),))
+            else:
+                scale = math.lcm(*[row[col][0] for _, row in rows])
+                nums: dict[int, int] = {}
+                for weight, row in rows:
+                    d, out = row[col]
+                    factor = weight * (scale // d)
+                    for j, num in out:
+                        nums[j] = nums.get(j, 0) + factor * num
+                if not nums:
+                    next_node.append(-1)
+                    spot_of.append(0)
+                    continue
+                d = den * scale
+                g = math.gcd(d, *nums.values())
+                if g == 1:
+                    node = (d, tuple(sorted(nums.items())))
+                else:
+                    node = (d // g, tuple(sorted((j, num // g) for j, num in nums.items())))
+            j = interned.get(node)
+            if j is None:
+                j = interned[node] = len(nodes_next)
+                nodes_next.append(node)
+                (first, weight), *more = node[1]
+                sums_next.append(None if more or weight != node[0] else sum(pairs[first][0]))
+            after = sums_next[j]
+            next_node.append(j)
+            spot_of.append(0 if total is None or after is None else after - total)
+    return nodes_next, sums_next, next_node, spot_of
 
 
 def parking_keys(p: Procedure, r: int, fold: Fold) -> np.ndarray:

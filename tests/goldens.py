@@ -110,6 +110,7 @@ USAGE_ARGV = [
     [*ENUM, "--r", "3", "--sigma", "1"],
     [*ENUM, "--r", "3", "--proc-file", "table.json"],
     [*ENUM, "--r", "3", "--strict"],
+    ["prob", "--proc", "pq:q=1/0", "--word", "1"],
 ]
 
 

@@ -248,6 +248,25 @@ class TestFibers:
         doc = json.loads(out)
         assert doc["results"]["fibers"] == [{"sigma": "1,2,3", "formula": 6, "brute": 6}]
 
+    def test_sigma_beyond_the_histogram(self, capsys):
+        # one outcome is walked in r^2 car steps, where the whole histogram
+        # takes r^r * r; the shape counts are held to Catalan(r) * r
+        sigma = ",".join(map(str, range(9, 0, -1)))
+        code, out, _ = invoke(
+            capsys, "fibers", "--proc", "closest", "--r", "9", "--sigma", sigma, "--format", "json"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        [row] = results["fibers"]
+        assert row["sigma"] == sigma and row["formula"] == row["brute"] > 1
+        assert len(results["shape_counts"]) == math.comb(18, 9) // 10
+        code, out, err = invoke(capsys, "fibers", "--proc", "closest", "--r", "9")
+        assert (code, out) == (2, "") and "parking runs of length 9" in err
+        sigma = ",".join(map(str, range(1, 15)))
+        code, out, err = invoke(capsys, "fibers", "--proc", "closest", "--r", "14", "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert "shape counts of 14 nodes: 37,442,160 car steps exceed the work budget" in err
+
     def test_sigma_of_wrong_length_exit_3(self, capsys):
         for sigma, length in (("1,2,3,4", 4), ("2,1", 2)):
             code, out, err = invoke(

@@ -457,21 +457,23 @@ class TestPathLog:
         def colored(r):
             return colored_orbit_audit(colored_lbs_procedure(), distinct_letters_language(), r, (1, 2))
 
+        # and the grow_runs calls made after the path record, one per length
         cases = [
-            (lambda: is_abelian(pq_procedure(Fraction(2)), 3), "abelian check up to length 3", 212),
-            (lambda: colored(2), "colored words over 6 letters", 6**2 * 2),
-            (lambda: is_abelian(pq_procedure(Fraction(2)), 7), "abelian check up to length 7", 15_427_550),
-            (lambda: colored(6), "colored words over 14 letters", 14**6 * 6),
+            (lambda: is_abelian(pq_procedure(Fraction(2)), 3), "abelian check up to length 3", 212, 3),
+            (lambda: colored(2), "colored words over 6 letters", 6**2 * 2, 0),
+            (lambda: is_abelian(pq_procedure(Fraction(2)), 7), "abelian check up to length 7", 15_427_550, 0),
+            (lambda: colored(6), "colored words over 14 letters", 14**6 * 6, 0),
         ]
         caplog.set_level(logging.DEBUG, logger="parkline")
-        for query, path, estimate in cases:
+        for query, path, estimate, grown in cases:
             caplog.clear()
             if estimate > WORK_BUDGET:
                 with pytest.raises(CapExceededError, match=f"^{path}: {estimate:,} car steps exceed"):
                     query()
             else:
                 query()
-            [record] = caplog.records
+            [record, *runs] = caplog.records
+            assert [len(run.pairs) for run in runs] == list(range(1, grown + 1))
             assert (record.path, record.estimate, record.budget) == ("engine", estimate, WORK_BUDGET)
             assert record.getMessage() == (
                 f"engine: {path}, {estimate:,} car steps estimated, budget 10,000,000"
@@ -592,6 +594,19 @@ class TestCountWordsToSet:
         for S in ({2, 3, 5}, {-1, 0, 2, 4}, {1, 2, 3, 4}, {0, 2, 4}):
             assert count_words_to_set(p, S, "formula") == count_words_to_set(p, S, "brute")
 
+    @pytest.mark.parametrize("spec", ["evenodd", "naples:k=2"])
+    def test_formula_takes_each_block_at_its_position(self, spec):
+        # neither rule is shift invariant: a block of {1, 2} | {4, 5, 6} is
+        # counted where it lies, not as the block {1..size}
+        p = parse_proc_spec(spec)
+        assert p.decides_by_block and not p.is_local
+        for S in ({1, 2, 4, 5, 6}, {2, 3, 5}, {-1, 0, 2, 4, 5}):
+            formula = count_words_to_set(p, S, "formula")
+            assert formula == count_words_to_set(p, S) == count_words_to_set(p, S, "brute"), S
+        # the blocks {2, 3} and {5} do not park as {1, 2} and {1} do
+        on_first_spots = 3 * count_parking(p, 2) * count_parking(p, 1)
+        assert count_words_to_set(p, {2, 3, 5}, "formula") != on_first_spots
+
     @pytest.mark.parametrize("name", ["right", "lbs", "naples:k=2", "far"])
     def test_pad_invariance(self, name):
         # letters outside S never produce S, so widening the alphabet is moot
@@ -659,8 +674,8 @@ class TestCountWordsToSet:
                 count_words_to_set(p, {1, 2, 3}, "brute", pad=pad)
 
     def test_formula_requires_local(self):
-        with pytest.raises(ValueError):
-            count_words_to_set(builtin("naples", k=1), {1, 2}, "formula")
+        with pytest.raises(ValueError, match="far is not locally decided"):
+            count_words_to_set(builtin("far"), {1, 2}, "formula")
         with pytest.raises(ValueError):
             count_words_to_set(builtin("right"), {1, 2}, "nonsense")
 

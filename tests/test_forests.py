@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dir_tables
+from goldens import BLOCK_RULES
 from parkline.forests import (
     ForestPair,
     Tree,
@@ -16,6 +17,7 @@ from parkline.forests import (
     decreasing_tree,
     encode,
     fiber_count,
+    fiber_count_brute,
     fiber_counts,
     fiber_counts_brute,
     is_decreasing,
@@ -36,7 +38,7 @@ from parkline.forests import (
     word_of_pair,
 )
 from parkline.probabilistic import kw_procedure, measure
-from parkline.procedures import builtin, is_parking, outcome, parse_proc_spec, run
+from parkline.procedures import RIGHT, Procedure, builtin, is_parking, outcome, parse_proc_spec, run
 
 CATALOG = ["right", "left", "closest", "prime", "evenodd", "far", "lbs"]
 LABEL_RULES = ["right", "left", "closest", "prime", "evenodd", "naples:k=1", "naples:k=2"]
@@ -272,6 +274,45 @@ class TestFibers:
         assert fiber_counts(p, sigmas) == products
         assert fiber_counts(p, sigmas[:1]) == products[:1]
 
+    @pytest.mark.parametrize("spec", [*BLOCK_RULES, "far", "lbs"])
+    def test_one_outcome_walk_equals_the_histogram(self, spec):
+        # far and lbs have no fiber formula, but their words have outcomes;
+        # lbs keeps state, so its walk holds several pairs per car
+        p = parse_proc_spec(spec)
+        for r in range(1, 6):
+            brute = fiber_counts_brute(p, r)
+            for sigma in itertools.permutations(range(1, r + 1)):
+                assert fiber_count_brute(p, sigma) == brute.get(sigma, 0), (spec, sigma)
+
+    def test_one_outcome_walk_beyond_the_histogram(self, caplog):
+        import logging
+
+        from parkline.enumeration import CapExceededError
+
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        for spec, r in (("right", 9), ("closest", 12), ("naples:k=2", 12)):
+            p = parse_proc_spec(spec)
+            for sigma in (tuple(range(1, r + 1)), tuple(range(r, 0, -1)), tuple(range(2, r + 1)) + (1,)):
+                caplog.clear()
+                assert fiber_count_brute(p, sigma) == fiber_count(p, sigma), (spec, sigma)
+                [record] = caplog.records
+                assert (record.path, record.estimate) == ("walk", r * r)
+        with pytest.raises(CapExceededError, match="walk over the outcome of 4 cars: 16 car steps"):
+            fiber_count_brute(builtin("right"), (1, 2, 3, 4), cap=15)
+
+    def test_one_outcome_walk_checks_sigma_first(self):
+        asked = []
+        p = Procedure("asked", decide=lambda *args: asked.append(args) or RIGHT, is_locally_decided=True)
+        for sigma, message in (((1, 1, 2), "(1, 1, 2) is not a permutation of 1..3"),
+                               ((1, "2"), "not a permutation: entry '2' is not an int")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fiber_count_brute(p, sigma)
+        assert not asked
+        assert fiber_count_brute(p, ()) == 1
+        # a kept run that branches has no word count
+        with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
+            fiber_count_brute(kw_procedure(F(1, 2)), (1, 2))
+
     def test_products_beyond_int64_are_exact(self):
         # r! passes 2^63 at r = 21; the product must not wrap
         p = builtin("right")
@@ -405,6 +446,20 @@ class TestShapeCounts:
         p = RANDOM_TABLES.get(spec) or parse_proc_spec(spec)
         for r in range(7):
             assert all_shape_counts(p, r) == shape_counts(p, iter_tree_shapes(r))
+
+    def test_all_shapes_are_held_to_the_budget(self, caplog):
+        import logging
+
+        from parkline.enumeration import CapExceededError
+
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        all_shape_counts(builtin("right"), 6)
+        [record] = caplog.records
+        assert (record.path, record.estimate) == ("interval DP", 132 * 6)
+        # Catalan(14) = 2,674,440 shapes of 14 nodes
+        with pytest.raises(CapExceededError, match="shape counts of 14 nodes: 37,442,160 car steps"):
+            all_shape_counts(builtin("right"), 14)
+        assert len(all_shape_counts(builtin("right"), 8, cap=1430 * 8)) == 1430
 
     @pytest.mark.parametrize("spec", ["lbs", "far", "kw:q=1/2"])
     def test_all_shapes_refuse_as_the_trees_do(self, spec):

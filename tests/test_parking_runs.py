@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -435,17 +437,20 @@ def per_word_orbit_masses(pp, r: int) -> dict:
 
 
 # rule, length of its counts (None: its decisions branch), length of its
-# masses and abelian checks, and the decisions asked, as before decision
-# tables, by: count_parking, the brute count of SPLIT and orbit_audit at the
-# first length; orbit_parking_mass, total_parking_mass and is_abelian at the
-# second
+# masses and abelian checks, and the decisions asked by: count_parking, the
+# brute count of SPLIT and orbit_audit at the first length;
+# orbit_parking_mass, total_parking_mass and is_abelian at the second. Walks
+# ask once per (pair, letter) per car, and grow_runs once per (pair,
+# letter) per generation, however many nodes hold the pair: the branching
+# kwseq rule's orbit masses asked 130 times and its abelian check 33 times
+# when each node stepped its own pairs
 UNTABLED = [
     (parse_proc_spec("lbs"), 4, 3, (52, 69, 52, 13, 13, 26)),
     (alternating_rule(), 4, 3, (28, 52, 28, 9, 9, 20)),
     # its count walks, asking as its orbit audit does
     (history_parity_rule(), 4, 3, (192, 198, 192, 19, 19, 39)),
     (parse_prob_spec("kwseq:qs=1/2+1/3"), None, 2, (2, 2, 3)),
-    (parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), None, 4, (130, 28, 33)),
+    (parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), None, 4, (28, 28, 21)),
     (history_coin_rule(), None, 4, (244, 244, 38)),
 ]
 
@@ -473,6 +478,74 @@ def test_other_rules_are_asked_at_every_step(p, count_r, mass_r, asked, monkeypa
     assert tuple(counts) == asked
 
 
+def parity_coin_rule() -> Procedure:
+    """Goes right with probability 1/3 after an even letter sum and 1/2
+    after an odd one: a rule that keeps a small state and branches, so
+    that prefixes share (occupied set, state) pairs in different nodes."""
+    return Procedure(
+        "parity-coin",
+        decide=lambda st, occ, blk, a: Fraction(1, 2) if st else Fraction(1, 3),
+        init_state=lambda: 0,
+        update=lambda st, a, spot: (st + a) % 2,
+    )
+
+
+def word_fold(letters, r: int) -> procedures.Fold:
+    """Each word's key: its letters' indices in radix len(letters)."""
+    return procedures.Fold(len(letters), r, lambda k, keys, cols, _: keys * len(letters) + cols)
+
+
+@pytest.mark.parametrize(
+    "p", [parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), parity_coin_rule()], ids=ids
+)
+def test_grow_runs_asks_once_per_pair_and_letter(p):
+    # a branching rule with no decision table, asked at every step
+    asked = Counter()
+    decide = p.decide
+
+    def recorded(st, occ, blk, a):
+        asked.update([(occ, st, a)])
+        return decide(st, occ, blk, a)
+
+    rule = dataclasses.replace(p, decide=recorded)
+    r, letters = 4, range(1, 5)
+    spots = frozenset(letters)
+    assert procedures.decision_table(rule) is None
+    procedures.grow_runs(rule, r, letters, spots, word_fold(letters, r), None)
+    # the pairs of each generation, stepped over every letter at once; the
+    # generation is the size of the occupied set
+    expected = Counter()
+    level = procedures.initial_level(p)
+    for _ in range(r):
+        expected.update((occ, st, a) for occ, st in level[1] for a in letters if a in occ)
+        level = procedures.merge_step(p, level, letters, spots)
+    assert asked == expected
+    assert set(asked.values()) == {1}
+
+
+def test_grow_runs_logs_its_generations(caplog):
+    caplog.set_level(logging.DEBUG, logger="parkline")
+    # pair steps per query; stepping each pair in every node that holds it
+    # would take 545 and 172
+    for query, spec, steps in ((is_abelian, "pq:q=2", 256), (orbit_parking_mass, "pq:q=3", 60)):
+        caplog.clear()
+        query(parse_prob_spec(spec), 4)
+        grown = [record for record in caplog.records if hasattr(record, "pair_steps")]
+        assert sum(record.pair_steps for record in grown) == steps
+        for record in grown:
+            assert (record.name, record.levelno) == ("parkline", logging.DEBUG)
+            # each generation's pairs, and the first one pair, over every letter
+            width = len(record.pairs) + (query is is_abelian)
+            assert record.pair_steps == width * (1 + sum(record.pairs[:-1]))
+            assert f"{record.pair_steps:,} pair steps" in record.getMessage()
+            assert all(nodes >= 1 for nodes in record.nodes)
+    # a rule that never branches keeps one pair per node
+    caplog.clear()
+    orbit_audit(parse_proc_spec("closest"), 5)
+    [record] = [record for record in caplog.records if hasattr(record, "pair_steps")]
+    assert record.pairs == record.nodes and len(record.pairs) == 5
+
+
 PROBABILITIES = st.one_of(st.sampled_from((0, 1)), st.fractions(0, 1, max_denominator=6))
 
 
@@ -494,6 +567,28 @@ def block_rules(draw):
         return probs[blk.lo % 2 if by_parity else 0, blk.size, a - blk.lo + 1]
 
     return Procedure("random-block", decide=decide, is_shift_invariant=not by_parity, is_locally_decided=True)
+
+
+@given(pp=block_rules(), r=st.integers(1, 4), kept=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_nodes_are_their_prefixes_levels_in_lowest_terms(pp, r, kept):
+    # merge_step, one word at a time with no decision table, is the reference
+    letters = range(1, r + 2)
+    spots = frozenset(range(1, r + 1)) if kept else None
+    fold = word_fold(letters, r)
+    keys, ids, nodes, _ = procedures.grow_runs(pp, r, letters, spots, fold, procedures.decision_table(pp))
+    grown = dict(zip(map(tuple, (fold.digits(keys) + 1).tolist()), ids.tolist()))
+    for word in word_space(r):
+        level = procedures.initial_level(pp)
+        for a in word:
+            level = procedures.merge_step(pp, level, (a,), spots)
+        den, runs = level
+        if not runs:
+            assert word not in grown
+            continue
+        g = math.gcd(den, *runs.values())
+        assert nodes[grown.pop(word)] == (den // g, {key: w // g for key, w in runs.items()}), word
+    assert not grown
 
 
 def assert_tables_exact(pp, r: int):

@@ -306,6 +306,9 @@ class TestQIntegers:
         assert parse_q("inf") is INFINITY
         with pytest.raises(ValueError):
             parse_q("-1")
+        for text in ("1/0", " 3/0 "):
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_q(text)
 
 
 class TestPqDegenerate:
@@ -487,6 +490,11 @@ class TestParseSpec:
         with pytest.raises(ValueError, match=message):
             parse_prob_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["pq:q=1/0", "kw:q=1/0", "kwseq:qs=1/2+1/0"])
+    def test_zero_denominator_is_a_value_error(self, spec):
+        with pytest.raises(ValueError, match=re.escape("q has a zero denominator, got '1/0'")):
+            parse_prob_spec(spec)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kw_procedure(F(3, 2))
@@ -511,6 +519,11 @@ class TestParseSpec:
         # a float's binary value is not the q written, and a bool is no q
         with pytest.raises(ValueError, match=re.escape(f"got {q!r}")):
             self.FACTORIES[family](q)
+
+    @pytest.mark.parametrize("family", FACTORIES)
+    def test_zero_denominator_refused(self, family):
+        with pytest.raises(ValueError, match=re.escape("q has a zero denominator, got '1/0'")):
+            self.FACTORIES[family]("1/0")
 
     @pytest.mark.parametrize("family", FACTORIES)
     def test_exact_q_accepted(self, family):
