@@ -376,8 +376,9 @@ def count_words_to_set(
     included, which re-verifies the claim above empirically; the default
     path refuses it. "formula" multiplies the shuffle count of S's blocks
     with the count of each block, taken at its own position on the same
-    path, and requires a locally decided rule (every rule that
-    `decides_by_block` or `is_local`), whose blocks never interact.
+    path, and requires a rule that `decides_by_block` or `is_local`, so
+    that its blocks never interact; a locally decided rule that keeps state
+    and is not shift invariant is refused.
     """
     if via not in (None, "brute", "formula"):
         raise ValueError(f"unknown mode {via!r}")
@@ -397,8 +398,9 @@ def count_words_to_set(
         return 1
 
     if via == "formula":
-        if not p.is_locally_decided:
-            raise ValueError(f"{p.name} is not locally decided; the product formula needs locality")
+        if not (p.decides_by_block or p.is_local):
+            why = "keeps state and is not shift invariant" if p.is_locally_decided else "is not locally decided"
+            raise ValueError(f"{p.name} {why}; the product formula needs blocks that never interact")
         parts = blocks(target)
         out = multinomial([b.size for b in parts])
         for b in parts:

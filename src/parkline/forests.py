@@ -37,7 +37,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import _kernels
-from .enumeration import WORK_BUDGET, _block_sides_memo, _check_r, _check_runs, check_budget, take_path
+from .enumeration import (
+    WORK_BUDGET,
+    _block_sides_memo,
+    _check_r,
+    _check_runs,
+    _check_strict,
+    check_budget,
+    take_path,
+)
 from .procedures import (
     Direction,
     Fold,
@@ -356,7 +364,8 @@ def fiber_count_brute(p: Procedure, sigma: Sequence[int], *, cap: int | None = W
     every letter in {1..r}, and only the runs that park it where sigma puts
     it are kept (`merge_step` with `inside` that one spot), each pair
     carrying the number of prefixes reaching it. sigma is checked as
-    `fiber_counts` checks it, before any car moves. A rule without state
+    `fiber_counts` checks it, and r against a strict table's rows, before
+    any car moves. A rule without state
     keeps one pair per car, so the work is estimated at r^2 car steps; a
     rule with state is refused once its levels pass the budget, as a walk
     is. ValueError if a kept run branches."""
@@ -365,6 +374,7 @@ def fiber_count_brute(p: Procedure, sigma: Sequence[int], *, cap: int | None = W
     spots = [0] * r
     for spot, car in enumerate(s, start=1):
         spots[car - 1] = spot
+    _check_strict(p, r)
     path = f"walk over the outcome of {r} cars"
     take_path("walk", path, r * r, cap)
     table = decision_table(p)

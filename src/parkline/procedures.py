@@ -41,7 +41,7 @@ from numbers import Integral
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._kernels import radix_weights
-from .words import Block, SpotSet, Word, as_word, block_of, shift
+from .words import Block, SpotSet, Word, as_word, block_bounds, block_of, shift
 
 log = logging.getLogger("parkline")
 
@@ -159,21 +159,15 @@ def int_choices(p: Procedure, state, occupied, a, pref, table: dict | None = Non
     Anything else, floats and bools included, raises ValueError, so
     weights stay exact.
 
-    The block's bounds are found inline, and a `Block` is built only when
-    `decide` is asked. `table`, when given, is one engine call's
-    `decision_table`: the choices are looked up there by (block lo, block
-    hi, letter), and `decide` is asked only on a miss, whose checked
+    The block's bounds come from `words.block_bounds`, and a `Block` is
+    built only when `decide` is asked. `table`, when given, is one engine
+    call's `decision_table`: the choices are looked up there by (block lo,
+    block hi, letter), and `decide` is asked only on a miss, whose checked
     choices are stored. A refused decision raises before anything is
     stored.
     """
-    if pref not in occupied:
-        raise ValueError(f"spot {pref} is not occupied")
     # the maximal block containing pref, so both spots next to it are free
-    lo = hi = pref
-    while lo - 1 in occupied:
-        lo -= 1
-    while hi + 1 in occupied:
-        hi += 1
+    lo, hi = block_bounds(occupied, pref)
     if table is None:
         return _choices(p, lo, hi, p.decide(state, occupied, Block(lo, hi), a))
     key = (lo, hi, a)
@@ -395,8 +389,9 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     denominators, is reduced to lowest terms and is interned on that
     tuple. Prefixes whose nodes agree continue alike, and numpy extends
     every prefix from its node's row. A rule whose decisions never branch
-    keeps one pair per node. The measures of a rule that keeps its letters
-    as state hold them, so no two of its prefixes share a pair. A rule that
+    keeps one pair per node, a point mass interned on its pair id. The
+    measures of a rule that keeps its letters as state hold them, so no
+    two of its prefixes share a pair. A rule that
     `decides_by_block` is asked once per (block, letter) while `table`,
     the caller's `decision_table`, lives; any other rule is asked once per
     (pair, letter) per generation.
@@ -417,8 +412,7 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     radix_weights(fold.base, fold.width)
     width = len(letters)
     pairs = [(frozenset(), p.init_state())]
-    # None while every node is a point mass of weight 1, node i on pair i
-    nodes: list[tuple[int, tuple]] | None = None
+    nodes: list[tuple[int, tuple]] = [(1, ((0, 1),))]
     # a point mass's sum of occupied spots, else None (see `_step_nodes`)
     sums: list[int | None] = [0]
     ids = np.zeros(1, np.int32)
@@ -441,18 +435,8 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
                 succ.append((d, ids_out))
         pair_steps += len(succ)
         pairs = list(index)
-        if nodes is None and all(d == 1 for d, _ in succ):
-            # no run branched: each stays a point mass of weight 1, and the
-            # pairs are numbered as the nodes would be, so node j is pair j
-            after = [sum(occ) for occ, _ in pairs]
-            next_node = [out[0][0] if out else -1 for _, out in succ]
-            spot_of = [after[j] - sums[i // width] if j >= 0 else 0 for i, j in enumerate(next_node)]
-            sums = after
-        else:
-            if nodes is None:
-                nodes = [(1, ((i, 1),)) for i in range(len(sums))]
-            nodes, sums, next_node, spot_of = _step_nodes(nodes, sums, succ, width, pairs)
-            sure = sure and None not in sums
+        nodes, sums, next_node, spot_of = _step_nodes(nodes, sums, succ, width, pairs)
+        sure = sure and None not in sums
         pair_sizes.append(len(pairs))
         node_sizes.append(len(sums))
         shape = (len(next_node) // width, width)
@@ -468,8 +452,6 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
         p.name, width, f"{pair_steps:,}", pair_sizes, node_sizes,
         extra={"pairs": pair_sizes, "nodes": node_sizes, "pair_steps": pair_steps},
     )
-    if nodes is None:
-        return keys, ids, [(1, {pair: 1}) for pair in pairs], sure
     return keys, ids, [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
 
 
@@ -479,20 +461,26 @@ def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
     the next node's id (-1 where the measure left is empty) and the car's
     spot. A node `(den, ((pair id, numerator), ...))` steps by adding up its
     pairs' successors in `succ` under the lcm of their denominators, in
-    lowest terms, so that equal measures intern equally. A step is sure if
-    it goes from a point mass of weight 1 to another; `sums` holds the sum
-    of such a node's occupied spots, else None, so a car's spot is the
-    difference, and 0 stands in for the spot of a step that was not sure."""
+    lowest terms, so that equal measures intern equally. A point mass of
+    weight 1 interns on its pair id alone, so a rule that never branches
+    steps a pair id to a pair id. A step is sure if it goes from such a
+    node to another; `sums` holds the sum of such a node's occupied spots,
+    else None, so a car's spot is the difference, and 0 stands in for the
+    spot of a step that was not sure."""
     interned: dict = {}
     nodes_next, sums_next, next_node, spot_of = [], [], [], []
     for (den, items), total in zip(nodes, sums):
         rows = [(weight, succ[i * width : (i + 1) * width]) for i, weight in items]
-        for col in range(width):
-            weight, row = rows[0]
-            d, out = row[col]
-            if d == 1 and out and len(rows) == 1:
+        one = len(rows) == 1
+        for col, (d, out) in enumerate(rows[0][1]):
+            if d == 1 and one:
+                if not out:
+                    next_node.append(-1)
+                    spot_of.append(0)
+                    continue
                 # one run that does not branch: the node stays in lowest terms
-                node = (den, ((out[0][0], weight),))
+                j = out[0][0]
+                key = j if total is not None else (den, ((j, items[0][1]),))
             else:
                 scale = math.lcm(*[row[col][0] for _, row in rows])
                 nums: dict[int, int] = {}
@@ -507,18 +495,24 @@ def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
                     continue
                 d = den * scale
                 g = math.gcd(d, *nums.values())
-                if g == 1:
-                    node = (d, tuple(sorted(nums.items())))
+                if d == g and len(nums) == 1:
+                    # a point mass of weight 1, since no mass passes 1
+                    (key,) = nums
+                elif g == 1:
+                    key = (d, tuple(sorted(nums.items())))
                 else:
-                    node = (d // g, tuple(sorted((j, num // g) for j, num in nums.items())))
-            j = interned.get(node)
-            if j is None:
-                j = interned[node] = len(nodes_next)
-                nodes_next.append(node)
-                (first, weight), *more = node[1]
-                sums_next.append(None if more or weight != node[0] else sum(pairs[first][0]))
-            after = sums_next[j]
-            next_node.append(j)
+                    key = (d // g, tuple(sorted((j, num // g) for j, num in nums.items())))
+            node = interned.get(key)
+            if node is None:
+                node = interned[key] = len(nodes_next)
+                if type(key) is int:
+                    nodes_next.append((1, ((key, 1),)))
+                    sums_next.append(sum(pairs[key][0]))
+                else:
+                    nodes_next.append(key)
+                    sums_next.append(None)
+            next_node.append(node)
+            after = sums_next[node]
             spot_of.append(0 if total is None or after is None else after - total)
     return nodes_next, sums_next, next_node, spot_of
 

@@ -69,18 +69,23 @@ def blocks(spots: Iterable[int]) -> tuple[Block, ...]:
     return tuple(out)
 
 
+def block_bounds(occupied: set[int] | frozenset[int], spot: int) -> tuple[int, int]:
+    """Bounds (lo, hi) of the block of the spot set `occupied` containing
+    `spot`, found without building a `Block`; `spot` must be occupied."""
+    if spot not in occupied:
+        raise ValueError(f"spot {spot} is not occupied")
+    lo = hi = spot
+    while lo - 1 in occupied:
+        lo -= 1
+    while hi + 1 in occupied:
+        hi += 1
+    return lo, hi
+
+
 def block_of(occupied: Iterable[int], spot: int) -> Block:
     """Block of `occupied` containing `spot`; `spot` must be occupied."""
     occ = occupied if isinstance(occupied, (set, frozenset)) else set(occupied)
-    if spot not in occ:
-        raise ValueError(f"spot {spot} is not occupied")
-    lo = spot
-    while lo - 1 in occ:
-        lo -= 1
-    hi = spot
-    while hi + 1 in occ:
-        hi += 1
-    return Block(lo, hi)
+    return Block(*block_bounds(occ, spot))
 
 
 def shift(x: Word | SpotSet | set[int], k: int):

@@ -377,6 +377,12 @@ class TestTableFile:
         )
         assert code == 3
         assert "strict" in err
+        # one outcome's walk refuses the rows the table lacks as well
+        code, out, err = invoke(
+            capsys, "fibers", "--proc-file", str(path), "--strict", "--r", "4", "--sigma", "1,2,3,4"
+        )
+        assert (code, out) == (3, "")
+        assert "strict with r_max=2; refusing r=4" in err
 
     def test_prob_reads_the_file_and_strict(self, tmp_path, capsys):
         table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))

@@ -676,6 +676,13 @@ class TestCountWordsToSet:
     def test_formula_requires_local(self):
         with pytest.raises(ValueError, match="far is not locally decided"):
             count_words_to_set(builtin("far"), {1, 2}, "formula")
+        # a rule with state is taken only if it is shift invariant as well
+        drifting = dataclasses.replace(builtin("lbs"), name="drifting-lbs", is_shift_invariant=False)
+        with pytest.raises(ValueError, match="drifting-lbs keeps state and is not shift invariant"):
+            count_words_to_set(drifting, {1, 2, 4}, "formula")
+        assert count_words_to_set(builtin("lbs"), {1, 2, 4}, "formula") == count_words_to_set(
+            builtin("lbs"), {1, 2, 4}, "brute"
+        )
         with pytest.raises(ValueError):
             count_words_to_set(builtin("right"), {1, 2}, "nonsense")
 

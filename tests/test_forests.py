@@ -313,6 +313,19 @@ class TestFibers:
         with pytest.raises(ValueError, match="kw:q=1/2: a decision branches"):
             fiber_count_brute(kw_procedure(F(1, 2)), (1, 2))
 
+    def test_one_outcome_walk_refuses_rows_a_strict_table_lacks(self):
+        from parkline.enumeration import StrictTableError
+        from parkline.procedures import DirTable, Direction, table_procedure
+
+        table = DirTable(((Direction.RIGHT,), (Direction.LEFT, Direction.RIGHT)))
+        strict = table_procedure(table, strict=True)
+        assert fiber_count_brute(strict, (2, 1)) == fiber_counts_brute(strict, 2)[(2, 1)]
+        for sigma in ((1, 2, 3), (3, 2, 1)):
+            with pytest.raises(StrictTableError, match="refusing r=3"):
+                fiber_count_brute(strict, sigma)
+        lenient = table_procedure(table)
+        assert fiber_count_brute(lenient, (1, 2, 3)) == fiber_counts_brute(lenient, 3).get((1, 2, 3), 0)
+
     def test_products_beyond_int64_are_exact(self):
         # r! passes 2^63 at r = 21; the product must not wrap
         p = builtin("right")
