@@ -25,7 +25,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from ._kernels import RadixOverflowError
 from .enumeration import (
@@ -37,11 +36,11 @@ from .enumeration import (
     orbit_audit,
 )
 from .forests import (
+    all_fiber_counts_brute,
     all_shape_counts,
     encode,
     fiber_count_brute,
     fiber_counts,
-    fiber_counts_brute,
     pair_to_json,
     total_displacement,
 )
@@ -78,7 +77,7 @@ def frac_str(x: Fraction) -> str:
 
 
 def word_str(word) -> str:
-    return ",".join(str(a) for a in word)
+    return ",".join(map(str, word))
 
 
 def canonical_json(obj) -> str:
@@ -214,6 +213,8 @@ def cmd_prob(args) -> Report:
 
 
 def cmd_fibers(args) -> Report:
+    import numpy as np
+
     p = _resolve_proc(args)
     if not p.decides_by_block:
         raise InputError(f"{p.name} is not memoryless+locally decided; no fiber formula")
@@ -222,16 +223,13 @@ def cmd_fibers(args) -> Report:
         if len(sigma) != args.r:
             raise InputError(f"--sigma {args.sigma} has length {len(sigma)}, not --r {args.r}")
         # one outcome's words, walked without growing the others
-        sigmas = [sigma]
-        brute = {sigma: fiber_count_brute(p, sigma, cap=_cap(args))}
+        brute = [fiber_count_brute(p, sigma, cap=_cap(args))]
+        sigmas = np.array([sigma], np.int64)
     else:
-        # lexicographic, as permutations of a sorted range come; listed
-        # only once the brute count has passed the work budget
-        brute = fiber_counts_brute(p, args.r, cap=_cap(args))
-        sigmas = list(permutations(range(1, args.r + 1)))
+        sigmas, brute = all_fiber_counts_brute(p, args.r, cap=_cap(args))
     table = [
-        {"sigma": word_str(s), "formula": f, "brute": brute.get(s, 0)}
-        for s, f in zip(sigmas, fiber_counts(p, sigmas))
+        {"sigma": word_str(s), "formula": f, "brute": b}
+        for s, f, b in zip(sigmas.tolist(), fiber_counts(p, sigmas), brute)
     ]
     shapes = sorted(all_shape_counts(p, args.r, cap=_cap(args)), reverse=True)
     results = {

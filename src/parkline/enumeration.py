@@ -10,9 +10,12 @@ and locally decided) sums the interval DP over the forest encoding
 decreasing trees of their runs, in time polynomial in the block size.
 Any other rule walks (occupied set, rule state) pairs
 (`procedures.walk_occupied`).
-Orbit audits grow the parking words over the same pairs as their orbit
-keys (`procedures.parking_keys`), so the rule is consulted once per pair
-and letter, not once per prefix.
+Orbit audits count orbits on rotation tuples (`procedures.orbit_tuples`):
+each orbit grows as its difference word, carrying the pairs of its r+1
+rotations, and orbits with equal tuples merge, so the rule is consulted
+once per pair and letter and no word is grown. Only a rule with some
+orbit that holds k != 1 parking words then grows the parking words as
+their orbit keys (`procedures.parking_keys`), to list those orbits.
 Every word over an alphabet is counted only for `count_words_to_set(...,
 "brute")` and counts that name a `backend`: by default on (occupied set,
 state) pairs, each carrying its number of words
@@ -35,7 +38,17 @@ from itertools import product
 from typing import Iterable
 
 from . import _kernels
-from .procedures import Fold, Procedure, count_landing, int_choices, parking_keys, run, walk_occupied
+from .procedures import (
+    Fold,
+    Procedure,
+    count_landing,
+    decision_table,
+    int_choices,
+    orbit_tuples,
+    parking_keys,
+    run,
+    walk_occupied,
+)
 from .words import Word, as_int, blocks, multinomial, rotate
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
@@ -52,26 +65,28 @@ class StrictTableError(ValueError):
     """A strict table procedure was asked about blocks beyond its table."""
 
 
-def check_budget(path: str, steps: int, cap: int | None) -> None:
-    """Refuse `steps` car steps along `path` beyond `cap`; None lifts it."""
+def check_budget(path: str, steps: int, cap: int | None, unit: str = "car steps") -> None:
+    """Refuse `steps` units of work along `path` beyond `cap`; None lifts
+    it. `unit` names what is counted, car steps unless a path counts other
+    work."""
     if cap is not None and steps > cap:
         raise CapExceededError(
-            f"{path}: {steps:,} car steps exceed the work budget {cap:,}"
+            f"{path}: {steps:,} {unit} exceed the work budget {cap:,}"
             " (--cap-unsafe or cap=None lifts it)"
         )
 
 
-def take_path(kind: str, path: str, steps: int, cap: int | None) -> None:
+def take_path(kind: str, path: str, steps: int, cap: int | None, unit: str = "car steps") -> None:
     """Report the path a query takes, one of "interval DP", "walk",
-    "engine" or "per-word", with its estimate in one DEBUG record on the
-    `parkline` logger (fields `path`, `estimate` and `budget`), then check
-    the estimate against the budget."""
+    "engine" or "per-word", with its estimate in `unit`s of work in one
+    DEBUG record on the `parkline` logger (fields `path`, `estimate` and
+    `budget`), then check the estimate against the budget."""
     log.debug(
-        "%s: %s, %s car steps estimated, budget %s",
-        kind, path, f"{steps:,}", "lifted" if cap is None else f"{cap:,}",
+        "%s: %s, %s %s estimated, budget %s",
+        kind, path, f"{steps:,}", unit, "lifted" if cap is None else f"{cap:,}",
         extra={"path": kind, "estimate": steps, "budget": cap},
     )
-    check_budget(path, steps, cap)
+    check_budget(path, steps, cap, unit)
 
 
 def landing_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[int, int]:
@@ -268,31 +283,39 @@ def orbit_audit(
 
     An orbit holds the r+1 letterwise rotations of a word mod r+1, so
     exactly one member starts with 1, its smallest, which keys it
-    (`_orbit_fold`). Only the parking words are grown, as their keys
-    (`parking_keys`), which give each orbit's parking members.
+    (`_orbit_fold`). The histogram and the orbit count come from rotation
+    tuples (`orbit_tuples`): each orbit is grown as its difference word,
+    carrying the (occupied set, state) pairs of its r+1 rotations, and
+    orbits with equal tuples merge, so a rule with one parking word per
+    orbit grows no word. Only when some orbit holds k != 1 parking words
+    are the parking words grown as their orbit keys (`parking_keys`), which
+    list each violating orbit's parking members. The budget is checked on
+    the parking runs' estimate before either starts, as is a fold of
+    int64 keys, even where no key is grown.
     """
     import numpy as np
 
     _check_runs(p, r, cap)
     fold, lead = _orbit_fold(r), (r + 1) ** (r - 1)
-    keys = parking_keys(p, r, fold)
-    per_orbit = np.bincount(keys % lead, minlength=lead)
-
-    # violating orbits' parking keys: orbit o's member j has key j*lead + o
-    found = set(keys[per_orbit[keys % lead] != 1].tolist())
-    bad = np.flatnonzero(per_orbit != 1)
+    histogram = orbit_tuples(p, r, decision_table(p))
     violations = []
-    for key, rep in zip(bad.tolist(), (fold.digits(bad) + 1).tolist()):
-        members = [tuple(rep)]
-        for _ in range(r):
-            members.append(rotate(members[-1], r))
-        parking = tuple(w for j, w in enumerate(members) if j * lead + key in found)
-        violations.append(OrbitViolation(members[0], tuple(members), int(per_orbit[key]), parking))
+    if histogram.keys() != {1}:
+        keys, _ = parking_keys(p, r, fold)
+        per_orbit = np.bincount(keys % lead, minlength=lead)
+        # violating orbits' parking keys: orbit o's member j has key j*lead + o
+        found = set(keys[per_orbit[keys % lead] != 1].tolist())
+        bad = np.flatnonzero(per_orbit != 1)
+        for key, rep in zip(bad.tolist(), (fold.digits(bad) + 1).tolist()):
+            members = [tuple(rep)]
+            for _ in range(r):
+                members.append(rotate(members[-1], r))
+            parking = tuple(w for j, w in enumerate(members) if j * lead + key in found)
+            violations.append(OrbitViolation(members[0], tuple(members), int(per_orbit[key]), parking))
     return OrbitReport(
         procedure=p.name,
         r=r,
-        orbit_count=len(per_orbit),
-        histogram={k: v for k, v in enumerate(np.bincount(per_orbit).tolist()) if v},
+        orbit_count=sum(histogram.values()),
+        histogram=histogram,
         violations=tuple(violations),
     )
 

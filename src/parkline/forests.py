@@ -18,9 +18,10 @@ i on its subtree span [lo, hi] in the decreasing tree of sigma. That
 span needs no tree: it runs from just past the nearest larger arrival
 left of spot i to just before the nearest larger arrival right of it.
 `fiber_counts` reads the spans of a whole batch of outcomes this way;
-`fiber_counts_brute` counts outcome keys of grown parking words instead,
-and `fiber_count_brute` counts one outcome's words on a walk that keeps
-only the runs whose cars park where the outcome puts them.
+`fiber_counts_brute` counts the parking words by outcome instead, grown as
+partial outcomes whose rows merge after every car, and `fiber_count_brute`
+counts one outcome's words on a walk that keeps only the runs whose cars
+park where the outcome puts them.
 A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
 preferences bumped right and left off a block (`enumeration.block_sides`,
 whose denominator D is 1 unless a decision branches);
@@ -270,23 +271,30 @@ def label_set(p: Procedure, node: int, lo: int, hi: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _as_sigmas(sigmas: Iterable[Sequence[int]]) -> np.ndarray:
+def _as_sigmas(sigmas: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     """The batch as an int64 (m, r) array; every row must be a permutation
-    of 1..r for one r, its entries ints (`words.as_int`)."""
+    of 1..r for one r, its entries ints (`words.as_int`). An integer
+    ndarray of shape (m, r) is checked in one pass; any other ndarray is
+    checked as the list of its entries, which refuses floats and bools."""
     import numpy as np
 
-    rows = [tuple(s) for s in sigmas]
-    if not all(type(a) is int for row in rows for a in row):
-        rows = [tuple(as_int(a, "not a permutation: entry") for a in row) for row in rows]
-    lengths = sorted({len(s) for s in rows})
-    if len(lengths) > 1:
-        raise ValueError(f"outcomes of different lengths {lengths} in one batch")
-    r = lengths[0] if rows else 0
-    s = np.array(rows).reshape(len(rows), r)
+    if isinstance(sigmas, np.ndarray) and (sigmas.ndim != 2 or sigmas.dtype.kind not in "iu"):
+        sigmas = sigmas.tolist()
+    if isinstance(sigmas, np.ndarray):
+        s = sigmas
+    else:
+        rows = [tuple(row) for row in sigmas]
+        if not all(type(a) is int for row in rows for a in row):
+            rows = [tuple(as_int(a, "not a permutation: entry") for a in row) for row in rows]
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise ValueError(f"outcomes of different lengths {lengths} in one batch")
+        s = np.array(rows).reshape(len(rows), lengths[0] if rows else 0)
+    r = s.shape[1]
     # every entry is an int, and one beyond 1..r is refused by value, never cast
     bad = np.flatnonzero((np.sort(s, axis=1) != np.arange(1, r + 1)).any(axis=1))
     if len(bad):
-        raise ValueError(f"{rows[bad[0]]} is not a permutation of 1..{r}")
+        raise ValueError(f"{tuple(s[bad[0]].tolist())} is not a permutation of 1..{r}")
     return s.astype(np.int64, copy=False)
 
 
@@ -309,13 +317,15 @@ def _spans(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]]) -> list[int]:
+def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]] | np.ndarray) -> list[int]:
     """Fiber size of each outcome in a batch (sigma[i-1] = arrival index of
     the car at spot i, every sigma of one length r): the number of parking
     words with that outcome, the product over spots i of the label-set
-    size of i on its subtree span (see `_spans`). The spans are read off
-    the batch without building any tree, and each distinct (spot, span)
-    is sized once, from block sides probed once per call."""
+    size of i on its subtree span (see `_spans`). The batch is a sequence
+    of sigmas or an integer ndarray of shape (m, r), checked in one pass.
+    The spans are read off the batch without building any tree, and each
+    distinct (spot, span) is sized once, from block sides probed once per
+    call."""
     import numpy as np
 
     s = _as_sigmas(sigmas)
@@ -347,15 +357,54 @@ def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
 def fiber_counts_brute(
     p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[tuple[int, ...], int]:
-    """Outcome histogram of all parking words of length r: each word is
-    grown as its outcome sigma in radix r+1 (`parking_keys`), and the keys
-    are counted with np.unique."""
+    """Outcome histogram of all parking words of length r, in ascending
+    order of sigma (`_outcome_histogram`)."""
+    keys, counts = _outcome_histogram(p, r, cap)
+    return dict(zip(map(tuple, _outcome_fold(r).digits(keys).tolist()), counts.tolist()))
+
+
+def all_fiber_counts_brute(
+    p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
+) -> tuple[np.ndarray, list[int]]:
+    """Every outcome of length r, as the rows of an int64 (r!, r) array in
+    lexicographic order, and the number of parking words with each, 0 for
+    an outcome that none has: `fiber_counts_brute`, found by key. The
+    outcomes are listed only once the brute count has passed the budget."""
+    import numpy as np
+
+    keys, counts = _outcome_histogram(p, r, cap)
+    sigmas = _permutations(r)
+    wanted = _outcome_fold(r).keys(sigmas)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return sigmas, np.where(keys[at] == wanted, counts[at], 0).tolist()
+
+
+def _permutations(r: int) -> np.ndarray:
+    """Every permutation of 1..r as the rows of an int64 (r!, r) array, in
+    lexicographic order: those of 0..n-1 are, for each first entry i in
+    turn, i before those of 0..n-2 with the entries >= i raised by one."""
+    import numpy as np
+
+    s = np.zeros((1, 0), np.int64)
+    for n in range(1, r + 1):
+        s = np.concatenate([np.column_stack([np.full(len(s), i), s + (s >= i)]) for i in range(n)])
+    return s + 1
+
+
+def _outcome_histogram(p: Procedure, r: int, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct outcome keys of the parking words of length r in
+    ascending order, and the number of words with each. The words are
+    grown as their partial outcomes (`parking_keys` with `_outcome_fold`),
+    and rows that agree on (partial outcome, node) merge after every car,
+    so the work follows the r!/(r-k)! partial outcomes of k cars, times
+    their rule states, instead of the (r+1)^(r-1) words. The last rows are
+    sorted by key; rows of one key differ in their rule states."""
     import numpy as np
 
     _check_runs(p, r, cap)
-    fold = _outcome_fold(r)
-    keys, counts = np.unique(parking_keys(p, r, fold), return_counts=True)
-    return dict(zip(map(tuple, fold.digits(keys).tolist()), counts.tolist()))
+    keys, counts = parking_keys(p, r, _outcome_fold(r))
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.add.reduceat(counts, first)
 
 
 def fiber_count_brute(p: Procedure, sigma: Sequence[int], *, cap: int | None = WORK_BUDGET) -> int:
@@ -392,9 +441,10 @@ def fiber_count_brute(p: Procedure, sigma: Sequence[int], *, cap: int | None = W
 
 def _outcome_fold(r: int) -> Fold:
     """Outcome key of each parking run of length r in radix r+1: car k+1
-    parked on spot s sets sigma[s-1] = k+1, digit s-1 from the top."""
+    parked on spot s sets sigma[s-1] = k+1, digit s-1 from the top. Words
+    with one outcome share its key, so the fold is `shared`."""
     places = _kernels.radix_weights(r + 1, r)
-    return Fold(r + 1, r, lambda k, keys, cols, spots: keys + (k + 1) * places[spots - 1])
+    return Fold(r + 1, r, lambda k, keys, cols, spots: keys + (k + 1) * places[spots - 1], shared=True)
 
 
 def decreasing_labelings_count(t: Tree | None) -> int:
@@ -427,10 +477,10 @@ def all_shape_counts(p: Procedure, r: int, *, cap: int | None = WORK_BUDGET) -> 
     from those of their subtrees, in `iter_tree_shapes` order: a root with
     ls nodes on its left weighs its label-set size times the C(n-1, ls)
     ways to share the smaller labels, times one count of each side. The
-    work is estimated at Catalan(r) * r steps, one per shape and node,
-    before any block is probed."""
+    work is estimated at Catalan(r) * r (shape, node) pairs, one product
+    term each, before any block is probed; no car is stepped."""
     shapes = math.comb(2 * r, r) // (r + 1)
-    take_path("interval DP", f"shape counts of {r} nodes", shapes * r, cap)
+    take_path("interval DP", f"shape counts of {r} nodes", shapes * r, cap, "(shape, node) pairs")
     label_size = _label_sizes(p)
 
     @functools.cache

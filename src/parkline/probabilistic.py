@@ -211,7 +211,7 @@ def orbit_parking_mass(
     _check_runs(pp, r, cap)
     fold = _orbit_fold(r)
     spots = frozenset(range(1, r + 1))
-    keys, ids, nodes, _ = grow_runs(pp, r, range(1, r + 1), spots, fold, decision_table(pp))
+    keys, _, ids, nodes, _ = grow_runs(pp, r, range(1, r + 1), spots, fold, decision_table(pp))
     # every node's mass as an int numerator over one denominator
     den = math.lcm(*(d for d, _ in nodes))
     node_mass = [sum(runs.values()) * (den // d) for d, runs in nodes]
@@ -372,7 +372,7 @@ def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
     take_path("engine", f"abelian check up to length {r_max}", steps, WORK_BUDGET)
     table = decision_table(pp)
     for r in range(1, r_max + 1):
-        keys, ids, nodes, _ = grow_runs(pp, r, range(1, r + 2), None, _multiset_fold(r), table)
+        keys, _, ids, nodes, _ = grow_runs(pp, r, range(1, r + 2), None, _multiset_fold(r), table)
         seen: dict = {}
         marks = []
         for node in nodes:

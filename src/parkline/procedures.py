@@ -19,10 +19,14 @@ sums the weights of runs ending on a spot set, and `count_landing` counts
 the words reaching each pair. `grow_runs`, the one prefix-growth engine,
 grows words as int64 keys that a `Fold` extends car by car, merging
 prefixes whose levels agree: each generation interns its pairs as int
-ids, steps each distinct (pair, letter) once with `_successors`, and
-steps every prefix's level, a tuple of (pair id, numerator), by adding up
-its pairs' successors. The last two ask a rule that decides by block once
-per (block, letter) while one `decision_table` lives; such a rule never
+ids, steps each distinct (pair, letter) once with `_successors`
+(`_step_pairs`), and steps every prefix's level, a tuple of (pair id,
+numerator), by adding up its pairs' successors. A fold whose key several
+words share, such as an outcome, merges its rows on (key, level) after
+every car, each with its word count. `orbit_tuples` steps the same pairs
+for cyclic orbits, one tuple of pair ids per orbit, one entry per
+rotation. The last three ask a rule that decides by block once per
+(block, letter) while one `decision_table` lives; such a rule never
 walks, since the interval DP weighs its landing runs
 (`enumeration.landing_weight`).
 """
@@ -301,9 +305,24 @@ def merge_step(
     den, runs = level
     nxt: dict[tuple[frozenset, Any], int] = {}
     scale = 1
+    update = p.update
     for (occ, state), weight in runs.items():
         for a in letters:
             pref = a if value_of is None else value_of(a)
+            if pref not in occ:
+                # a free spot, as `_successors` takes it, without its call and list
+                if inside is not None and pref not in inside:
+                    continue
+                key = (occ | {pref}, state if update is None else update(state, a, pref))
+                w = weight * scale
+                prev = nxt.get(key)
+                if prev is None:
+                    nxt[key] = w
+                    if check_size is not None:
+                        check_size(len(nxt))
+                else:
+                    nxt[key] = prev + w
+                continue
             for key, num, d in _successors(p, occ, state, a, pref, inside, table):
                 if d == 1:
                     # a choice that does not branch has weight 1
@@ -363,49 +382,87 @@ class Fold(NamedTuple):
     """The int64 key `grow_runs` carries for each word, `width` digits in
     radix `base`: `step(k, keys, cols, spots)` extends the kept prefixes'
     keys by car k (from 0), from its letter's index in the letters and its
-    spot, and `digits` decodes keys."""
+    spot, and `digits` decodes keys.
+
+    `shared` says that several words can share a key whose prefixes then
+    continue alike, as words with one outcome do: `grow_runs` then merges
+    the rows that agree on (key, node) after every car, each carrying its
+    number of words. A fold that keys each word on its own (words, orbits,
+    multisets) keeps one row per word."""
 
     base: int
     width: int
     step: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    shared: bool = False
 
     def digits(self, keys: np.ndarray) -> np.ndarray:
         """The `width` digits of each key, the most significant first."""
         return keys[:, None] // radix_weights(self.base, self.width) % self.base
 
+    def keys(self, digits: np.ndarray) -> np.ndarray:
+        """The key of each row of `width` digits, the inverse of `digits`."""
+        return digits @ radix_weights(self.base, self.width)
+
+
+def _step_pairs(p: Procedure, pairs: list, letters: Sequence[int], inside, table) -> tuple[list, list]:
+    """One generation's step of every (occupied set, state) pair by every
+    letter, each distinct (pair, letter) once, from the `_successors` that
+    `merge_step` also takes: `(succ, next pairs)`. The successors of pair i
+    and letter column c are at succ[i * len(letters) + c], as `(den, ((next
+    pair id, numerator), ...))` over the lcm den of their denominators, and
+    the next generation's pairs are interned as ids in the order first
+    reached. `grow_runs` and `orbit_tuples` step their pairs here."""
+    index: dict = {}
+    succ = []
+    for occ, state in pairs:
+        for a in letters:
+            out = _successors(p, occ, state, a, a, inside, table)
+            if len(out) == 1 and out[0][2] == 1:
+                succ.append((1, ((index.setdefault(out[0][0], len(index)), 1),)))
+                continue
+            d = math.lcm(*[e for _, _, e in out])
+            succ.append((d, tuple((index.setdefault(key, len(index)), num * (d // e)) for key, num, e in out)))
+    return succ, list(index)
+
 
 def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, table):
     """Every word of length r over `letters` that keeps some weight inside
     the spot set `inside` (every word if None), grown one car (generation)
-    at a time: `(keys, ids, nodes, sure)`.
+    at a time: `(keys, counts, ids, nodes, sure)`.
 
     A prefix's node is its `merge_step` level, its measure restricted to
     `inside`, in lowest terms. Each generation gives its (occupied set,
-    state) pairs int ids, and steps each distinct (pair, letter) once: its
-    successors `((next pair id, numerator, denominator), ...)`, from the
-    `_successors` that `merge_step` also takes. A node is then `(den,
-    ((pair id, numerator), ...))`, sorted by pair id, and a node's step by
-    a letter adds up its pairs' successors under the lcm of their
-    denominators, is reduced to lowest terms and is interned on that
-    tuple. Prefixes whose nodes agree continue alike, and numpy extends
-    every prefix from its node's row. A rule whose decisions never branch
-    keeps one pair per node, a point mass interned on its pair id. The
-    measures of a rule that keeps its letters as state hold them, so no
-    two of its prefixes share a pair. A rule that
+    state) pairs int ids, and steps each distinct (pair, letter) once
+    (`_step_pairs`). A node is then `(den, ((pair id, numerator), ...))`,
+    sorted by pair id, and a node's step by a letter adds up its pairs'
+    successors under the lcm of their denominators, is reduced to lowest
+    terms and is interned on that tuple. Prefixes whose nodes agree
+    continue alike, and numpy extends every prefix from its node's row. A
+    rule whose decisions never branch keeps one pair per node, a point mass
+    interned on its pair id. The measures of a rule that keeps its letters
+    as state hold them, so no two of its prefixes share a pair. A rule that
     `decides_by_block` is asked once per (block, letter) while `table`,
     the caller's `decision_table`, lives; any other rule is asked once per
     (pair, letter) per generation.
 
-    `keys` holds each word's `fold` key, the words in lexicographic order,
-    and `ids` its node in `nodes`, the last generation, each node in the
-    level form `(den, {(occupied set, state): numerator})`. `sure` says
+    Each row holds a `fold` key in `keys` and its node in `ids`, an index
+    into `nodes`, the last generation, each node in the level form `(den,
+    {(occupied set, state): numerator})`. A fold that keys each word on its
+    own keeps one row per word, the words in lexicographic order, and
+    `counts` is None. A `shared` fold's rows are merged after every car
+    where they agree on (key, node), so the work follows the distinct
+    (key, node) rows instead of the words: `counts` holds each row's int64
+    number of words, and the rows are sorted by key, then node. `sure` says
     whether every node grown is a point mass of weight 1, so that the fold
     was passed the runs' spots. A fold whose keys could pass int64 raises
-    RadixOverflowError before any car is placed.
+    RadixOverflowError before any car is placed. A count is exact while
+    len(letters)^r words fit int64, as they do under the outcome fold's
+    (r+1)^r keys over r letters.
 
     Each call writes one DEBUG record on the `parkline` logger, with the
-    fields `pairs` and `nodes`, the sizes of the generations grown after
-    each car, and `pair_steps`, the (pair, letter) successors computed.
+    fields `pairs`, `nodes` and `rows`, the sizes of the generations grown
+    and the rows kept after each car, and `pair_steps`, the (pair, letter)
+    successors computed.
     """
     import numpy as np
 
@@ -417,24 +474,12 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     sums: list[int | None] = [0]
     ids = np.zeros(1, np.int32)
     keys = np.zeros(1, np.int64)
+    counts = np.ones(1, np.int64) if fold.shared else None
     sure = True
-    pair_steps, pair_sizes, node_sizes = 0, [], []
+    pair_steps, pair_sizes, node_sizes, row_sizes = 0, [], [], []
     for k in range(r):
-        # the successors of pair i and letter column c, at succ[i * width + c],
-        # as (den, ((next pair id, numerator), ...)) over their lcm den
-        index: dict = {}
-        succ = []
-        for occ, state in pairs:
-            for a in letters:
-                out = _successors(p, occ, state, a, a, inside, table)
-                if len(out) == 1 and out[0][2] == 1:
-                    succ.append((1, ((index.setdefault(out[0][0], len(index)), 1),)))
-                    continue
-                d = math.lcm(*[e for _, _, e in out])
-                ids_out = tuple((index.setdefault(key, len(index)), num * (d // e)) for key, num, e in out)
-                succ.append((d, ids_out))
+        succ, pairs = _step_pairs(p, pairs, letters, inside, table)
         pair_steps += len(succ)
-        pairs = list(index)
         nodes, sums, next_node, spot_of = _step_nodes(nodes, sums, succ, width, pairs)
         sure = sure and None not in sums
         pair_sizes.append(len(pairs))
@@ -447,12 +492,29 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
         keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
+        if counts is not None:
+            keys, ids, counts = _merge_rows(keys, ids, counts[rows])
+        row_sizes.append(len(keys))
     log.debug(
-        "grow_runs: %s over %d letters, %s pair steps, pairs %s, nodes %s",
-        p.name, width, f"{pair_steps:,}", pair_sizes, node_sizes,
-        extra={"pairs": pair_sizes, "nodes": node_sizes, "pair_steps": pair_steps},
+        "grow_runs: %s over %d letters, %s pair steps, pairs %s, nodes %s, rows %s",
+        p.name, width, f"{pair_steps:,}", pair_sizes, node_sizes, row_sizes,
+        extra={"pairs": pair_sizes, "nodes": node_sizes, "rows": row_sizes, "pair_steps": pair_steps},
     )
-    return keys, ids, [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
+    return keys, counts, ids, [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
+
+
+def _merge_rows(keys: np.ndarray, ids: np.ndarray, counts: np.ndarray):
+    """`(keys, ids, counts)` with the rows that agree on (key, node) merged
+    and their counts added, sorted by key, then node. Two sort keys, not
+    one packed int64, so that no key range can overflow."""
+    import numpy as np
+
+    order = np.lexsort((ids, keys))
+    keys, ids = keys[order], ids[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])
+    starts = np.flatnonzero(first)
+    return keys[starts], ids[starts], np.add.reduceat(counts[order], starts)
 
 
 def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
@@ -517,15 +579,86 @@ def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
     return nodes_next, sums_next, next_node, spot_of
 
 
-def parking_keys(p: Procedure, r: int, fold: Fold) -> np.ndarray:
-    """The `fold` key of every parking word of length r, in lexicographic
-    order, grown over {1..r} with the spots kept inside {1..r}, since a car
-    parked outside never leaves. ValueError if a decision branches."""
+def parking_keys(p: Procedure, r: int, fold: Fold) -> tuple[np.ndarray, np.ndarray | None]:
+    """`(keys, counts)` of `grow_runs` over the parking words of length r,
+    grown over {1..r} with the spots kept inside {1..r}, since a car parked
+    outside never leaves: every word's `fold` key in lexicographic order,
+    or for a `shared` fold each distinct (key, node) row with its number of
+    words. ValueError if a decision branches."""
     spots = frozenset(range(1, r + 1))
-    keys, _, _, sure = grow_runs(p, r, range(1, r + 1), spots, fold, decision_table(p))
+    keys, counts, _, _, sure = grow_runs(p, r, range(1, r + 1), spots, fold, decision_table(p))
     if not sure:
         raise _branch_error(p)
-    return keys
+    return keys, counts
+
+
+def orbit_tuples(p: Procedure, r: int, table) -> dict[int, int]:
+    """Number of cyclic orbits of {1..r+1}^r with k parking words, for each
+    k that occurs, in ascending k, grown on rotation tuples instead of
+    words.
+
+    An orbit is grown as its difference word: d_1 = 0, then d_i = (a_i -
+    a_1) mod r+1 for each member a. Rotation j of the orbit (j = 0..r)
+    reads letter (d + j) mod (r+1) + 1 at each car, and the orbit carries
+    the tuple of its r+1 rotations' (occupied set, state) pair ids, -1 once
+    a car parks outside {1..r}, where it stays. Each generation steps its
+    pairs once over the letters 1..r (`_step_pairs`, with `table`, the
+    caller's `decision_table`), since letter r+1 parks outside at once, and
+    each tuple steps by looking its ids up there.
+    Orbits whose tuples agree continue alike, so equal tuples merge, each
+    with a Python int count of the orbits reaching it; after r cars an
+    orbit's live entries are its parking words. The pairs and the
+    decisions asked are those of `parking_keys`. ValueError if a decision
+    branches, once every car has been stepped, as `parking_keys` raises it.
+
+    Each call writes one DEBUG record on the `parkline` logger, with the
+    fields `pairs` and `tuples`, the sizes of each generation after each
+    car, and `pair_steps`, the (pair, letter) successors computed.
+    """
+    base = r + 1
+    inside = frozenset(range(1, base))
+    pairs = [(frozenset(), p.init_state())]
+    tuples = {(0,) * base: 1}
+    # the letter column of rotation j at difference d
+    columns = [[(d + j) % base for j in range(base)] for d in range(base)]
+    sure = True
+    pair_steps, pair_sizes, tuple_sizes = 0, [], []
+    for k in range(r):
+        # letter r+1 parks outside {1..r} at once, so only 1..r are stepped
+        succ, pairs = _step_pairs(p, pairs, range(1, base), inside, table)
+        pair_steps += len(succ)
+        nxt = []
+        for d, out in succ:
+            if d == 1 and len(out) < 2:
+                nxt.append(out[0][0] if out else -1)
+            else:
+                sure = False
+                nxt.append(-1)
+        # one row of next ids per pair and letter 1..r+1, and a last one
+        # for -1, which stays
+        rows = [nxt[i : i + r] + [-1] for i in range(0, len(nxt), r)] + [[-1] * base]
+        grown: dict[tuple, int] = {}
+        for ids, count in tuples.items():
+            steps = [rows[i] for i in ids]
+            # the first letter is d_1 = 0 for every orbit
+            for cols in columns if k else columns[:1]:
+                key = tuple(map(list.__getitem__, steps, cols))
+                grown[key] = grown.get(key, 0) + count
+        tuples = grown
+        pair_sizes.append(len(pairs))
+        tuple_sizes.append(len(tuples))
+    log.debug(
+        "orbit_tuples: %s, %s pair steps, pairs %s, tuples %s",
+        p.name, f"{pair_steps:,}", pair_sizes, tuple_sizes,
+        extra={"pairs": pair_sizes, "tuples": tuple_sizes, "pair_steps": pair_steps},
+    )
+    if not sure:
+        raise _branch_error(p)
+    histogram: dict[int, int] = {}
+    for ids, count in tuples.items():
+        k = base - ids.count(-1)
+        histogram[k] = histogram.get(k, 0) + count
+    return dict(sorted(histogram.items()))
 
 
 def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> int:

@@ -47,8 +47,8 @@ def grown_runs(p: Procedure, r: int, letters, inside: frozenset | None = None):
     spot_base = max(letters) + r - lo + 1
     word_fold = Fold(len(letters), r, lambda k, keys, cols, spots: keys * len(letters) + cols)
     spot_fold = Fold(spot_base, r, lambda k, keys, cols, spots: keys * spot_base + spots - lo)
-    keys, ids, nodes, sure = grow_runs(p, r, letters, inside, word_fold, decision_table(p))
-    spot_keys, _, _, _ = grow_runs(p, r, letters, inside, spot_fold, decision_table(p))
+    keys, _, ids, nodes, sure = grow_runs(p, r, letters, inside, word_fold, decision_table(p))
+    spot_keys, _, _, _, _ = grow_runs(p, r, letters, inside, spot_fold, decision_table(p))
     words = np.array(letters)[word_fold.digits(keys)]
     parked = spot_fold.digits(spot_keys) + lo if sure else None
     measures = [{key: (Fraction(w, den), key[1]) for key, w in runs.items()} for den, runs in nodes]

@@ -4,12 +4,15 @@ import os
 import re
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
+from goldens import BLOCK_RULES
 from parkline.cli import canonical_json, main
-from parkline.procedures import DirTable, Direction
+from parkline.enumeration import count_parking
+from parkline.procedures import DirTable, Direction, parse_proc_spec
 
 
 def invoke(capsys, *argv):
@@ -240,6 +243,15 @@ class TestFibers:
         for row in doc["results"]["fibers"]:
             assert row["formula"] == row["brute"]
 
+    @pytest.mark.parametrize("spec", BLOCK_RULES)
+    def test_formula_equals_brute_on_every_row(self, capsys, spec):
+        code, out, _ = invoke(capsys, "fibers", "--proc", spec, "--r", "7", "--format", "json")
+        rows = json.loads(out)["results"]["fibers"]
+        assert code == 0
+        assert [row["sigma"] for row in rows] == [",".join(map(str, s)) for s in permutations(range(1, 8))]
+        assert all(row["formula"] == row["brute"] for row in rows)
+        assert sum(row["brute"] for row in rows) == count_parking(parse_proc_spec(spec), 7)
+
     def test_sigma(self, capsys):
         code, out, _ = invoke(
             capsys, "fibers", "--proc", "right", "--r", "3", "--sigma", "1,2,3",
@@ -265,7 +277,7 @@ class TestFibers:
         sigma = ",".join(map(str, range(1, 15)))
         code, out, err = invoke(capsys, "fibers", "--proc", "closest", "--r", "14", "--sigma", sigma)
         assert (code, out) == (2, "")
-        assert "shape counts of 14 nodes: 37,442,160 car steps exceed the work budget" in err
+        assert "shape counts of 14 nodes: 37,442,160 (shape, node) pairs exceed the work budget" in err
 
     def test_sigma_of_wrong_length_exit_3(self, capsys):
         for sigma, length in (("1,2,3,4", 4), ("2,1", 2)):

@@ -1,13 +1,15 @@
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dir_tables
+from conftest import parking_runs, random_dir_tables
 from goldens import BLOCK_RULES
 from parkline.forests import (
     ForestPair,
@@ -250,6 +252,41 @@ class TestFibers:
             assert fiber_counts(p, sigmas) == expected, (spec, r)
             assert [fiber_count(p, sigma) for sigma in sigmas] == expected, (spec, r)
 
+    @pytest.mark.parametrize("spec", BLOCK_RULES)
+    def test_merged_histogram_equals_the_words(self, spec):
+        # the outcome of each parking word, one row per word
+        p = parse_proc_spec(spec)
+        for r in range(1, 7):
+            _, parked = parking_runs(p, r)
+            expected = Counter(map(tuple, (np.argsort(parked, axis=1) + 1).tolist()))
+            brute = fiber_counts_brute(p, r)
+            assert brute == expected and list(brute) == sorted(expected), (spec, r)
+            assert all(type(count) is int for count in brute.values())
+
+    @pytest.mark.parametrize("spec", LABEL_RULES)
+    def test_array_batch_equals_the_list(self, spec):
+        p = parse_proc_spec(spec)
+        for r in range(7):
+            sigmas = list(itertools.permutations(range(1, r + 1)))
+            expected = fiber_counts(p, sigmas)
+            for dtype in (np.int64, np.int32, np.uint8):
+                array = np.array(sigmas, dtype).reshape(len(sigmas), r)
+                assert fiber_counts(p, array) == expected, (spec, r, dtype)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(2.0, 1.0)], [(1, 2), (2.5, 1)], [(True, False)], [(1, 2), (1, 1)], [(0, 1)], [(1, 2), (2, 3)]],
+        ids=repr,
+    )
+    def test_array_batch_refused_as_the_list(self, rows):
+        # the list path on the array's own entries, floats and bools included
+        p, array = builtin("right"), np.array(rows)
+        with pytest.raises(ValueError) as listed:
+            fiber_counts(p, array.tolist())
+        with pytest.raises(ValueError) as refused:
+            fiber_counts(p, array)
+        assert str(refused.value) == str(listed.value)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.sampled_from(LABEL_RULES),
@@ -470,7 +507,7 @@ class TestShapeCounts:
         [record] = caplog.records
         assert (record.path, record.estimate) == ("interval DP", 132 * 6)
         # Catalan(14) = 2,674,440 shapes of 14 nodes
-        with pytest.raises(CapExceededError, match="shape counts of 14 nodes: 37,442,160 car steps"):
+        with pytest.raises(CapExceededError, match=re.escape("shape counts of 14 nodes: 37,442,160 (shape, node) pairs exceed the work budget")):
             all_shape_counts(builtin("right"), 14)
         assert len(all_shape_counts(builtin("right"), 8, cap=1430 * 8)) == 1430
 

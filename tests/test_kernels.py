@@ -337,7 +337,7 @@ class TestFolds:
         orbits = [orbit_key(w) for w in words]
         multisets = [sum(base ** at[a] for a in w) for w in words]
         for fold, expected in ((_orbit_fold(r), orbits), (_multiset_fold(r), multisets)):
-            keys, _, _, sure = grow_runs(p, r, letters, None, fold, decision_table(p))
+            keys, _, _, _, sure = grow_runs(p, r, letters, None, fold, decision_table(p))
             assert sure and keys.tolist() == expected
         _, parked, _, _, sure = grown_runs(p, r, letters)
         assert sure and parked.tolist() == [list(res.parked) for res in runs]
@@ -345,8 +345,10 @@ class TestFolds:
         full = frozenset(range(1, r + 1))
         parking = [res for res in runs if res.spots == full]
         outcomes = [radix([res.outcome[s] for s in range(1, r + 1)], base) for res in parking]
-        keys, _, _, sure = grow_runs(p, r, letters, full, _outcome_fold(r), decision_table(p))
-        assert sure and keys.tolist() == outcomes
+        # the outcome fold keeps one row per (outcome, node), with its words
+        keys, counts, ids, _, sure = grow_runs(p, r, letters, full, _outcome_fold(r), decision_table(p))
+        assert sure and np.repeat(keys, counts).tolist() == sorted(outcomes)
+        assert len(set(zip(keys.tolist(), ids.tolist()))) == len(keys)
         # a car parking on spot 0 is no branch; a coin is one
         _, parked, _, _, sure = grown_runs(builtin("right"), 2, [-1, 0])
         assert sure and [-1, 0] in parked.tolist()
@@ -363,7 +365,7 @@ class TestFolds:
         # 2^64 - 1 passes int64's largest value, 2^63 - 1
         with pytest.raises(_kernels.RadixOverflowError):
             grow_runs(p, 2, [1, 2], None, Fold(2, 64, keep), decision_table(p))
-        keys, _, _, _ = grow_runs(builtin("right"), 2, [1, 2], None, Fold(2, 63, keep), None)
+        keys, _, _, _, _ = grow_runs(builtin("right"), 2, [1, 2], None, Fold(2, 63, keep), None)
         assert keys.tolist() == [0] * 4
         # 17^16 - 1 orbit and outcome keys, with the budget lifted
         for query in (orbit_audit, fiber_counts_brute):

@@ -29,10 +29,11 @@ from conftest import (
     random_dir_tables,
     state_parity_rule,
 )
-from parkline import procedures
+from parkline import enumeration, procedures
 from parkline.enumeration import (
     OrbitReport,
     OrbitViolation,
+    _orbit_fold,
     count_parking,
     count_words_to_set,
     landing_weight,
@@ -188,6 +189,42 @@ def test_fibers_equal_word_space(p):
                 sigma[spot - 1] = idx + 1
             expected[tuple(sigma)] += 1
         assert fiber_counts_brute(p, r, cap=None) == dict(expected), r
+
+
+def key_engine_report(p, r: int) -> OrbitReport:
+    """`orbit_audit` from the key engine alone, the reference for rotation
+    tuples: every parking word's orbit key (`parking_keys`), counted per
+    orbit, with each violating orbit's parking members read off the keys."""
+    fold, lead = _orbit_fold(r), (r + 1) ** (r - 1)
+    keys, counts = procedures.parking_keys(p, r, fold)
+    assert counts is None
+    per_orbit = np.bincount(keys % lead, minlength=lead)
+    found = set(keys.tolist())
+    violations = []
+    for key in np.flatnonzero(per_orbit != 1).tolist():
+        members = orbit_members(tuple(fold.digits(np.array([key]))[0] + 1), r)
+        parking = tuple(w for j, w in enumerate(members) if j * lead + key in found)
+        violations.append(OrbitViolation(members[0], members, int(per_orbit[key]), parking))
+    histogram = {k: v for k, v in enumerate(np.bincount(per_orbit).tolist()) if v}
+    return OrbitReport(p.name, r, lead, histogram, tuple(violations))
+
+
+@pytest.mark.parametrize("p", CATALOG + [alternating_rule(), history_parity_rule()], ids=ids)
+def test_orbit_tuples_equal_the_key_engine(p, monkeypatch):
+    # the parking words are grown only for a rule with violating orbits
+    grown = []
+    keys = procedures.parking_keys
+    monkeypatch.setattr(enumeration, "parking_keys", lambda *args: grown.append(args) or keys(*args))
+    for r in range(1, 7):
+        grown.clear()
+        report = orbit_audit(p, r, cap=None)
+        assert report == key_engine_report(p, r), r
+        assert list(report.histogram) == sorted(report.histogram)
+        assert all(type(v) is int for v in report.histogram.values())
+        assert len(grown) == (not report.all_one), r
+    # these list violating orbits at r = 6, identically
+    if p.name in ("far", "naples:k=2", "evenodd"):
+        assert report.violations
 
 
 PROB_RULES = RULES + [
@@ -440,15 +477,16 @@ def per_word_orbit_masses(pp, r: int) -> dict:
 # masses and abelian checks, and the decisions asked by: count_parking, the
 # brute count of SPLIT and orbit_audit at the first length;
 # orbit_parking_mass, total_parking_mass and is_abelian at the second. Walks
-# ask once per (pair, letter) per car, and grow_runs once per (pair,
-# letter) per generation, however many nodes hold the pair: the branching
-# kwseq rule's orbit masses asked 130 times and its abelian check 33 times
-# when each node stepped its own pairs
+# ask once per (pair, letter) per car, and grow_runs and orbit_tuples once
+# per (pair, letter) per generation, however many nodes or tuples hold the
+# pair: the branching kwseq rule's orbit masses asked 130 times and its
+# abelian check 33 times when each node stepped its own pairs
 UNTABLED = [
     (parse_proc_spec("lbs"), 4, 3, (52, 69, 52, 13, 13, 26)),
     (alternating_rule(), 4, 3, (28, 52, 28, 9, 9, 20)),
-    # its count walks, asking as its orbit audit does
-    (history_parity_rule(), 4, 3, (192, 198, 192, 19, 19, 39)),
+    # its count walks, asking as orbit_tuples does; its orbits violate, so
+    # orbit_audit then grows the parking words to list them, asking again
+    (history_parity_rule(), 4, 3, (192, 198, 384, 19, 19, 39)),
     (parse_prob_spec("kwseq:qs=1/2+1/3"), None, 2, (2, 2, 3)),
     (parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), None, 4, (28, 28, 21)),
     (history_coin_rule(), None, 4, (244, 244, 38)),
@@ -488,6 +526,16 @@ def parity_coin_rule() -> Procedure:
         init_state=lambda: 0,
         update=lambda st, a, spot: (st + a) % 2,
     )
+
+
+@pytest.mark.parametrize("p", [merge_back_rule(), kw_procedure(Fraction(1, 2)), parity_coin_rule()], ids=ids)
+def test_orbit_tuples_refuse_a_branch_as_the_key_engine(p):
+    for r in (2, 3, 4):
+        with pytest.raises(ValueError) as engine:
+            procedures.parking_keys(p, r, _orbit_fold(r))
+        with pytest.raises(ValueError) as tuples:
+            orbit_audit(p, r)
+        assert str(tuples.value) == str(engine.value) == f"{p.name}: a decision branches; measure() follows both choices"
 
 
 def word_fold(letters, r: int) -> procedures.Fold:
@@ -539,11 +587,24 @@ def test_grow_runs_logs_its_generations(caplog):
             assert record.pair_steps == width * (1 + sum(record.pairs[:-1]))
             assert f"{record.pair_steps:,} pair steps" in record.getMessage()
             assert all(nodes >= 1 for nodes in record.nodes)
-    # a rule that never branches keeps one pair per node
+            # these folds keep one row per word
+            if query is is_abelian:
+                assert record.rows == [width**k for k in range(1, width)]
+    # a rule with one parking word per orbit grows no word: one tuple
+    # record, with the pairs and pair steps of the parking words over r = 5
+    # letters, and last tuples that each hold one rotation on the full set
     caplog.clear()
     orbit_audit(parse_proc_spec("closest"), 5)
     [record] = [record for record in caplog.records if hasattr(record, "pair_steps")]
-    assert record.pairs == record.nodes and len(record.pairs) == 5
+    assert (record.name, record.levelno) == ("parkline", logging.DEBUG)
+    assert (record.pairs, record.tuples) == ([5, 10, 10, 5, 1], [1, 5, 10, 10, 5])
+    assert record.pair_steps == 5 * (1 + sum(record.pairs[:-1])) == 155
+    assert "155 pair steps" in record.getMessage()
+    # the outcome fold merges words with one partial outcome: 5!/(5-k)! rows
+    caplog.clear()
+    fiber_counts_brute(parse_proc_spec("closest"), 5)
+    [record] = [record for record in caplog.records if hasattr(record, "pair_steps")]
+    assert record.pairs == record.nodes and record.rows == [5, 20, 60, 120, 120]
 
 
 PROBABILITIES = st.one_of(st.sampled_from((0, 1)), st.fractions(0, 1, max_denominator=6))
@@ -576,7 +637,7 @@ def test_nodes_are_their_prefixes_levels_in_lowest_terms(pp, r, kept):
     letters = range(1, r + 2)
     spots = frozenset(range(1, r + 1)) if kept else None
     fold = word_fold(letters, r)
-    keys, ids, nodes, _ = procedures.grow_runs(pp, r, letters, spots, fold, procedures.decision_table(pp))
+    keys, _, ids, nodes, _ = procedures.grow_runs(pp, r, letters, spots, fold, procedures.decision_table(pp))
     grown = dict(zip(map(tuple, (fold.digits(keys) + 1).tolist()), ids.tolist()))
     for word in word_space(r):
         level = procedures.initial_level(pp)
