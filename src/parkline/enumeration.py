@@ -10,22 +10,19 @@ and locally decided) sums the interval DP over the forest encoding
 decreasing trees of their runs, in time polynomial in the block size.
 Any other rule walks (occupied set, rule state) pairs
 (`procedures.walk_occupied`).
-Orbit audits count orbits on rotation tuples (`procedures.orbit_tuples`):
-each orbit grows as its difference word, carrying the pairs of its r+1
-rotations, and orbits with equal tuples merge, so the rule is consulted
-once per pair and letter and no word is grown. Only a rule with some
-orbit that holds k != 1 parking words then grows the parking words as
-their orbit keys (`procedures.parking_keys`), to list those orbits.
-Every word over an alphabet is counted only for `count_words_to_set(...,
-"brute")` and counts that name a `backend`: by default on (occupied set,
-state) pairs, each carrying its number of words
-(`procedures.count_landing`), or word by word on the per-word engine with
-`backend="python"`.
+Orbit audits count orbits on rotation tuples (`procedures.orbit_tuples`),
+merged where equal, so no word is grown; only for an orbit with k != 1
+parking words are that pass's tables replayed over every orbit
+(`procedures.replay_orbits`) to list the violations. Every word over an
+alphabet is counted only by `count_words_to_set(..., "brute")` and counts
+that name a `backend`: on (occupied set, state) pairs, each carrying its
+number of words (`procedures.count_landing`), or word by word on the
+per-word engine with `backend="python"`.
 Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
 query reports the path it takes and that estimate in one DEBUG record on
-the `parkline` logger (`take_path`), and each prefix-growth call it makes
-adds one record of the work it did (`procedures.grow_runs`).
+the `parkline` logger (`take_path`), and each pass it makes adds one
+record of the work it did (`procedures.grow_runs`, `orbit_tuples`).
 """
 
 from __future__ import annotations
@@ -39,17 +36,16 @@ from typing import Iterable
 
 from . import _kernels
 from .procedures import (
-    Fold,
     Procedure,
     count_landing,
     decision_table,
     int_choices,
     orbit_tuples,
-    parking_keys,
+    replay_orbits,
     run,
     walk_occupied,
 )
-from .words import Word, as_int, blocks, multinomial, rotate
+from .words import Word, as_int, blocks, multinomial
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
 WORK_BUDGET = 10_000_000
@@ -217,10 +213,12 @@ def _check_strict(p: Procedure, n: int) -> None:
 
 def _check_runs(p: Procedure, r: int, cap: int | None) -> None:
     """Checks before the parking words of length r are grown: r >= 1, a strict
-    table's rows and the budget; `grow_runs` checks int64 keys even if it is lifted."""
+    table's rows and the budget, then, even if it is lifted, that (r+1)^r
+    orbit entries or outcome keys fit int64 (`_kernels.radix_weights`)."""
     _check_r(r)
     _check_strict(p, r)
     take_path("engine", f"parking runs of length {r}", r**r * r, cap)
+    _kernels.radix_weights(r + 1, r)
 
 
 def count_parking(
@@ -242,10 +240,10 @@ def count_parking(
 
 @dataclass(frozen=True)
 class OrbitViolation:
-    representative: Word
-    members: tuple[Word, ...]
+    representative: Word  # the member that starts with 1, its smallest
+    members: tuple[Word, ...]  # rotations j = 0..r of it, in order
     parking_count: int
-    parking_words: tuple[Word, ...]
+    parking_words: tuple[Word, ...]  # in member order
 
 
 @dataclass(frozen=True)
@@ -265,59 +263,38 @@ class OrbitReport:
         return not self.violations
 
 
-def _orbit_fold(r: int) -> Fold:
-    """Orbit key of each word of length r over at most r+1 letters, in radix
-    r+1: its first letter's index, then (a - first) mod r+1 for each later
-    letter a. Key // (r+1)^(r-1) is that index, and key % (r+1)^(r-1) keys
-    the orbit as the key of its member starting with the first letter."""
-    places = _kernels.radix_weights(r + 1, r)
-    lead, base = places[0], r + 1
-    # the first car meets keys 0 and puts its own index in the lead place
-    return Fold(base, r, lambda k, keys, cols, _: keys + (cols - keys // lead) % base * places[k])
-
-
 def orbit_audit(
     p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> OrbitReport:
     """Count parking words in every cyclic orbit of {1..r+1}^r.
 
     An orbit holds the r+1 letterwise rotations of a word mod r+1, so
-    exactly one member starts with 1, its smallest, which keys it
-    (`_orbit_fold`). The histogram and the orbit count come from rotation
-    tuples (`orbit_tuples`): each orbit is grown as its difference word,
-    carrying the (occupied set, state) pairs of its r+1 rotations, and
-    orbits with equal tuples merge, so a rule with one parking word per
-    orbit grows no word. Only when some orbit holds k != 1 parking words
-    are the parking words grown as their orbit keys (`parking_keys`), which
-    list each violating orbit's parking members. The budget is checked on
-    the parking runs' estimate before either starts, as is a fold of
-    int64 keys, even where no key is grown.
+    exactly one member starts with 1, its smallest. The histogram comes
+    from rotation tuples (`orbit_tuples`): each orbit grows as its
+    difference word d, carrying the pairs of its r+1 rotations, and equal
+    tuples merge. Only if some orbit holds k != 1 parking words are that
+    pass's tables replayed over every orbit (`replay_orbits`), asking no
+    decision again: rotation j, the word (d + j) mod (r+1) + 1, parks where
+    its entry is live. The budget and the replay's (r+1)^r int64 entries
+    are checked before any car is placed.
     """
     import numpy as np
 
     _check_runs(p, r, cap)
-    fold, lead = _orbit_fold(r), (r + 1) ** (r - 1)
-    histogram = orbit_tuples(p, r, decision_table(p))
+    histogram, tables = orbit_tuples(p, r, decision_table(p))
     violations = []
     if histogram.keys() != {1}:
-        keys, _ = parking_keys(p, r, fold)
-        per_orbit = np.bincount(keys % lead, minlength=lead)
-        # violating orbits' parking keys: orbit o's member j has key j*lead + o
-        found = set(keys[per_orbit[keys % lead] != 1].tolist())
-        bad = np.flatnonzero(per_orbit != 1)
-        for key, rep in zip(bad.tolist(), (fold.digits(bad) + 1).tolist()):
-            members = [tuple(rep)]
-            for _ in range(r):
-                members.append(rotate(members[-1], r))
-            parking = tuple(w for j, w in enumerate(members) if j * lead + key in found)
-            violations.append(OrbitViolation(members[0], tuple(members), int(per_orbit[key]), parking))
-    return OrbitReport(
-        procedure=p.name,
-        r=r,
-        orbit_count=sum(histogram.values()),
-        histogram=histogram,
-        violations=tuple(violations),
-    )
+        live = replay_orbits(tables, r) >= 0
+        bad = np.flatnonzero(live.sum(axis=1) != 1)
+        # violating orbits' difference words and members, 4096 at a time
+        for chunk in np.array_split(bad, len(bad) // 4096 + 1):
+            d = np.stack(np.unravel_index(chunk, (r + 1,) * r), axis=1).astype(np.int8)
+            members = (d[:, None, :] + np.arange(r + 1, dtype=np.int8)[:, None]) % (r + 1) + 1
+            for words, parks in zip(members.tolist(), live[chunk].tolist()):
+                words = tuple(map(tuple, words))
+                parking = tuple(w for w, parked in zip(words, parks) if parked)
+                violations.append(OrbitViolation(words[0], words, len(parking), parking))
+    return OrbitReport(p.name, r, sum(histogram.values()), histogram, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

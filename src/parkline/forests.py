@@ -54,9 +54,9 @@ from .procedures import (
     _branch_error,
     decision_table,
     dir_of_set,
+    grow_runs,
     initial_level,
     merge_step,
-    parking_keys,
     run,
 )
 from .words import Block, SpotSet, Word, as_int, as_word, blocks
@@ -374,7 +374,7 @@ def all_fiber_counts_brute(
 
     keys, counts = _outcome_histogram(p, r, cap)
     sigmas = _permutations(r)
-    wanted = _outcome_fold(r).keys(sigmas)
+    wanted = sigmas @ _kernels.radix_weights(r + 1, r)
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     return sigmas, np.where(keys[at] == wanted, counts[at], 0).tolist()
 
@@ -392,17 +392,20 @@ def _permutations(r: int) -> np.ndarray:
 
 
 def _outcome_histogram(p: Procedure, r: int, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct outcome keys of the parking words of length r in
-    ascending order, and the number of words with each. The words are
-    grown as their partial outcomes (`parking_keys` with `_outcome_fold`),
-    and rows that agree on (partial outcome, node) merge after every car,
-    so the work follows the r!/(r-k)! partial outcomes of k cars, times
-    their rule states, instead of the (r+1)^(r-1) words. The last rows are
-    sorted by key; rows of one key differ in their rule states."""
+    """The distinct outcome keys of the parking words of length r, ascending,
+    and the number of words with each, grown in {1..r} as partial outcomes
+    (`grow_runs` with `_outcome_fold`): rows that agree on (partial outcome,
+    node) merge after every car, so the work follows the r!/(r-k)! partial
+    outcomes of k cars, times their rule states, not the (r+1)^(r-1) words;
+    the rows of one key, in several states, are summed. ValueError if a
+    decision branches."""
     import numpy as np
 
     _check_runs(p, r, cap)
-    keys, counts = parking_keys(p, r, _outcome_fold(r))
+    inside = frozenset(range(1, r + 1))
+    keys, counts, _, _, sure = grow_runs(p, r, range(1, r + 1), inside, _outcome_fold(r), decision_table(p))
+    if not sure:
+        raise _branch_error(p)
     first = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[first], np.add.reduceat(counts, first)
 
@@ -572,8 +575,11 @@ def is_good_correspondence(p: Procedure, r_max: int) -> GoodnessReport:
     """Check that relabeling the arrival forest of any image pair with any
     other decreasing labeling stays in the image, for every word with
     letters in {1..r_max+1} and length <= r_max. Membership of (P, Q') is
-    decided by replaying its unique candidate word. r_max must be >= 1."""
+    decided by replaying its unique candidate word. r_max must be >= 1. A
+    word of n cars takes up to n * n! car steps, checked against `WORK_BUDGET`."""
     _check_r(r_max, "r_max")
+    steps = sum((r_max + 1) ** n * n * math.factorial(n) for n in range(1, r_max + 1))
+    take_path("per-word", f"correspondence check up to length {r_max}", steps, WORK_BUDGET)
     for r in range(1, r_max + 1):
         for word in itertools.product(range(1, r_max + 2), repeat=r):
             pair = encode(p, word)

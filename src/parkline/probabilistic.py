@@ -14,11 +14,11 @@ compared in lowest terms, so distributions compare by strict equality; a
 weights and masses. The total parking mass is the `(num, den)` weight
 of the runs landing on {1..r} (`enumeration.landing_weight`): a rule
 that decides by block sums the forest encoding over its intervals, and
-any other rule walks (occupied set, rule state) pairs. Orbit masses and
-abelianity checks grow all their words at once as keys
-(`procedures.grow_runs`) and read each word's measure off its node, a
-level in lowest terms: words whose prefixes share a measure share its
-work.
+any other rule walks (occupied set, rule state) pairs. Orbit masses
+replay the parking words' node tables over every orbit
+(`procedures.replay_orbits`), and abelianity checks grow every word as
+its multiset key (`procedures.grow_runs`): measures are nodes, levels in
+lowest terms, so words whose prefixes share a measure share its work.
 """
 
 from __future__ import annotations
@@ -32,16 +32,18 @@ from numbers import Rational
 from typing import Any, Iterable
 
 from .colored import language_word, letter_value
-from .enumeration import WORK_BUDGET, _check_r, _check_runs, _orbit_fold, landing_weight, take_path
+from .enumeration import WORK_BUDGET, _check_r, _check_runs, landing_weight, take_path
 from .procedures import (
     Fold,
     Procedure,
+    _grow_nodes,
     decision_table,
     grow_runs,
     initial_level,
     int_choices,
     merge_step,
     parse_proc_spec,
+    replay_orbits,
     spec_params,
 )
 from .words import SpotSet, Word, as_word
@@ -199,30 +201,31 @@ def orbit_parking_mass(
     pp: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[Word, Fraction]:
     """Parking mass of each cyclic orbit, keyed by its representative;
-    orbits of mass zero included. Only words in {1..r}^r can park, so
-    their measures are grown with the spots kept inside {1..r}, each word
-    as its orbit key (`grow_runs`, `enumeration._orbit_fold`); each (orbit,
-    node) pair adds its word count times the node's mass, an int numerator
-    over the lcm of the nodes' denominators, and each orbit's sum becomes
-    one Fraction.
+    orbits of mass zero included. Only words in {1..r}^r can park, so their
+    measures are grown with the spots kept inside {1..r}, one node per
+    distinct measure (`grow_runs`' `_grow_nodes`). Each node table gains a
+    -1 column for letter r+1 and the -1 sentinel row, and is replayed over
+    every orbit (`replay_orbits`): an orbit's mass sums its rotations' node
+    masses, int numerators over the nodes' lcm denominator, as one Fraction.
     """
     import numpy as np
 
     _check_runs(pp, r, cap)
-    fold = _orbit_fold(r)
-    spots = frozenset(range(1, r + 1))
-    keys, _, ids, nodes, _ = grow_runs(pp, r, range(1, r + 1), spots, fold, decision_table(pp))
-    # every node's mass as an int numerator over one denominator
+    base = r + 1
+    tables = []
+
+    def extend(k, next_node, _):
+        tables.append(np.full((len(next_node) + 1, base), -1, np.int32))
+        tables[-1][:-1, :-1] = next_node
+        return base**k
+
+    nodes, _ = _grow_nodes(pp, r, range(1, base), frozenset(range(1, base)), decision_table(pp), extend)
     den = math.lcm(*(d for d, _ in nodes))
-    node_mass = [sum(runs.values()) * (den // d) for d, runs in nodes]
-    # an orbit's key is that of its member starting with 1, its smallest
-    reps = fold.digits(np.arange((r + 1) ** (r - 1))) + 1
-    pairs, counts = np.unique(keys % len(reps) * len(nodes) + ids, return_counts=True)
-    masses = [0] * len(reps)
-    for pair, count in zip(pairs.tolist(), counts.tolist()):
-        key, node = divmod(pair, len(nodes))
-        masses[key] += count * node_mass[node]
-    return {tuple(rep): Fraction(mass, den) for rep, mass in zip(reps.tolist(), masses)}
+    # every node's mass as an int numerator over den, and the sentinel's last
+    mass = np.array([sum(runs.values()) * (den // d) for d, runs in nodes] + [0], object)
+    masses = mass[replay_orbits(tables, r)].sum(axis=1).tolist()
+    reps = np.stack(np.unravel_index(np.arange(base ** (r - 1)), (base,) * r), axis=1) + 1
+    return {tuple(rep): Fraction(m, den) for rep, m in zip(reps.tolist(), masses)}
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +434,13 @@ def abelian_uniqueness_check(
 
     with q read off p(1,1) = 1/(1+q) (p(1,1)=0 means q=inf). Passing both
     for 2 <= r <= r_max is equivalent to p(r,i) = [i]/[r+1] throughout,
-    which is also reported explicitly. r_max must be >= 1.
+    which is also reported explicitly. r_max must be >= 1, and the table
+    must hold every p(r, i) up to it; ValueError names the first missing.
     """
     _check_r(r_max, "r_max")
+    missing = [(r, i) for r in range(1, r_max + 1) for i in range(1, r + 1) if (r, i) not in table]
+    if missing:
+        raise ValueError(f"the table has no p{missing[0]}, needed up to r_max={r_max}")
     p11 = Fraction(table[(1, 1)])
     if not ZERO <= p11 <= ONE:
         raise ValueError(f"p(1,1)={p11} outside [0,1]")

@@ -8,27 +8,22 @@ the block of occupied spots containing its preference. One rule type,
 its decision is a Direction or an exact probability of going right, and
 `int_choices` is the one step that turns a decision into the car's
 choices, each weight an int numerator over an int denominator. Runs
-follow rules that never branch. A rule remembers the run so far
-only through the hashable state its `update` keeps. Every engine steps
-one format, the level `(den, runs)`: `runs` maps each (occupied set,
-rule state) pair to the weight of the runs reaching it, an int numerator
-over the int `den`. One helper, `_successors`, steps a pair by one car.
-`merge_step`, built on it, is the one step from a level to the next:
-`probabilistic.measure` follows a word's choices with it, `walk_occupied`
-sums the weights of runs ending on a spot set, and `count_landing` counts
-the words reaching each pair. `grow_runs`, the one prefix-growth engine,
-grows words as int64 keys that a `Fold` extends car by car, merging
-prefixes whose levels agree: each generation interns its pairs as int
-ids, steps each distinct (pair, letter) once with `_successors`
-(`_step_pairs`), and steps every prefix's level, a tuple of (pair id,
-numerator), by adding up its pairs' successors. A fold whose key several
-words share, such as an outcome, merges its rows on (key, level) after
-every car, each with its word count. `orbit_tuples` steps the same pairs
-for cyclic orbits, one tuple of pair ids per orbit, one entry per
-rotation. The last three ask a rule that decides by block once per
-(block, letter) while one `decision_table` lives; such a rule never
-walks, since the interval DP weighs its landing runs
-(`enumeration.landing_weight`).
+follow rules that never branch. A rule remembers the run so far only
+through the hashable state its `update` keeps. Every engine steps one
+format, the level `(den, runs)`: `runs` maps each (occupied set, rule
+state) pair to the weight of the runs reaching it, an int numerator over
+`den`. `_successors` steps a pair by one car, and `merge_step`, built on
+it, a level: `probabilistic.measure`, `walk_occupied` and `count_landing`
+take it. `grow_runs`, the one prefix-growth engine, grows words as int64
+keys that a `Fold` extends car by car: each generation interns its pairs
+as int ids, steps each distinct (pair, letter) once (`_step_pairs`) and
+every prefix's level, a tuple of (pair id, numerator), by adding up its
+pairs' successors (`_step_nodes`). Cyclic orbits are rotation tuples:
+`orbit_tuples` steps the same pairs, one tuple of pair ids per orbit and
+one entry per rotation, and `replay_orbits` replays a pass's tables over
+every orbit. These ask a rule that decides by block once per (block,
+letter) while one `decision_table` lives; such a rule never walks, since
+the interval DP weighs its landing runs (`enumeration.landing_weight`).
 """
 
 from __future__ import annotations
@@ -387,7 +382,7 @@ class Fold(NamedTuple):
     `shared` says that several words can share a key whose prefixes then
     continue alike, as words with one outcome do: `grow_runs` then merges
     the rows that agree on (key, node) after every car, each carrying its
-    number of words. A fold that keys each word on its own (words, orbits,
+    number of words. A fold that keys each word on its own (words,
     multisets) keeps one row per word."""
 
     base: int
@@ -398,10 +393,6 @@ class Fold(NamedTuple):
     def digits(self, keys: np.ndarray) -> np.ndarray:
         """The `width` digits of each key, the most significant first."""
         return keys[:, None] // radix_weights(self.base, self.width) % self.base
-
-    def keys(self, digits: np.ndarray) -> np.ndarray:
-        """The key of each row of `width` digits, the inverse of `digits`."""
-        return digits @ radix_weights(self.base, self.width)
 
 
 def _step_pairs(p: Procedure, pairs: list, letters: Sequence[int], inside, table) -> tuple[list, list]:
@@ -431,50 +422,71 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     at a time: `(keys, counts, ids, nodes, sure)`.
 
     A prefix's node is its `merge_step` level, its measure restricted to
-    `inside`, in lowest terms. Each generation gives its (occupied set,
-    state) pairs int ids, and steps each distinct (pair, letter) once
-    (`_step_pairs`). A node is then `(den, ((pair id, numerator), ...))`,
-    sorted by pair id, and a node's step by a letter adds up its pairs'
-    successors under the lcm of their denominators, is reduced to lowest
-    terms and is interned on that tuple. Prefixes whose nodes agree
-    continue alike, and numpy extends every prefix from its node's row. A
-    rule whose decisions never branch keeps one pair per node, a point mass
-    interned on its pair id. The measures of a rule that keeps its letters
-    as state hold them, so no two of its prefixes share a pair. A rule that
-    `decides_by_block` is asked once per (block, letter) while `table`,
-    the caller's `decision_table`, lives; any other rule is asked once per
-    (pair, letter) per generation.
+    `inside`, in lowest terms: `(den, ((pair id, numerator), ...))` over
+    the generation's (occupied set, state) pairs, interned as int ids and
+    stepped once per distinct (pair, letter) (`_step_pairs`). A node's step
+    by a letter adds up its pairs' successors under the lcm of their
+    denominators, in lowest terms, interned on that tuple (`_step_nodes`).
+    Prefixes whose nodes agree continue alike, and numpy extends every
+    prefix from its node's row. A rule that never branches keeps one pair
+    per node, a point mass interned on its pair id; one that keeps its
+    letters as state shares no pair between prefixes. A rule that
+    `decides_by_block` is asked once per (block, letter) while `table`, the
+    caller's `decision_table`, lives; any other once per (pair, letter)
+    per generation.
 
     Each row holds a `fold` key in `keys` and its node in `ids`, an index
-    into `nodes`, the last generation, each node in the level form `(den,
-    {(occupied set, state): numerator})`. A fold that keys each word on its
-    own keeps one row per word, the words in lexicographic order, and
-    `counts` is None. A `shared` fold's rows are merged after every car
-    where they agree on (key, node), so the work follows the distinct
-    (key, node) rows instead of the words: `counts` holds each row's int64
-    number of words, and the rows are sorted by key, then node. `sure` says
-    whether every node grown is a point mass of weight 1, so that the fold
-    was passed the runs' spots. A fold whose keys could pass int64 raises
-    RadixOverflowError before any car is placed. A count is exact while
-    len(letters)^r words fit int64, as they do under the outcome fold's
-    (r+1)^r keys over r letters.
+    into `nodes`, the last generation in the level form `(den, {(occupied
+    set, state): numerator})`. A fold that keys each word on its own keeps
+    one row per word, in lexicographic order, and `counts` is None. A
+    `shared` fold's rows are merged after every car where they agree on
+    (key, node), so the work follows those rows instead of the words:
+    `counts` holds each row's int64 number of words, sorted by key, then
+    node. `sure` says whether every node grown is a point mass of weight 1,
+    so that the fold was passed the runs' spots. A fold whose keys could
+    pass int64 raises RadixOverflowError before any car is placed. A count
+    is exact while len(letters)^r words fit int64, as under the outcome
+    fold's (r+1)^r keys over r letters.
 
-    Each call writes one DEBUG record on the `parkline` logger, with the
-    fields `pairs`, `nodes` and `rows`, the sizes of the generations grown
-    and the rows kept after each car, and `pair_steps`, the (pair, letter)
-    successors computed.
+    Each call writes one DEBUG record on the `parkline` logger
+    (`_grow_nodes`), with the fields `pairs`, `nodes` and `rows`, the sizes
+    of the generations and the rows kept after each car, and `pair_steps`,
+    the (pair, letter) successors computed.
     """
     import numpy as np
 
     radix_weights(fold.base, fold.width)
+    ids = np.zeros(1, np.int32)
+    keys = np.zeros(1, np.int64)
+    counts = np.ones(1, np.int64) if fold.shared else None
+
+    def extend(k, next_node, spot_of):
+        nonlocal ids, keys, counts
+        # nonzero scans row by row, so prefixes stay in lexicographic order
+        rows, cols = np.nonzero((next_node >= 0)[ids])
+        from_ids = ids[rows]
+        ids = next_node[from_ids, cols]
+        keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
+        if counts is not None:
+            keys, ids, counts = _merge_rows(keys, ids, counts[rows])
+        return len(keys)
+
+    nodes, sure = _grow_nodes(p, r, letters, inside, table, extend)
+    return keys, counts, ids, nodes, sure
+
+
+def _grow_nodes(p: Procedure, r: int, letters: Sequence[int], inside, table, extend) -> tuple[list, bool]:
+    """`(nodes, sure)` of `grow_runs`, one generation per car: `_step_pairs`,
+    then `_step_nodes`, whose tables, int (nodes, letters) arrays of the next
+    node (-1 if none) and the car's spot, go to `extend(k, next_node,
+    spot_of)`, which returns the rows it keeps; logs `grow_runs`' record."""
+    import numpy as np
+
     width = len(letters)
     pairs = [(frozenset(), p.init_state())]
     nodes: list[tuple[int, tuple]] = [(1, ((0, 1),))]
     # a point mass's sum of occupied spots, else None (see `_step_nodes`)
     sums: list[int | None] = [0]
-    ids = np.zeros(1, np.int32)
-    keys = np.zeros(1, np.int64)
-    counts = np.ones(1, np.int64) if fold.shared else None
     sure = True
     pair_steps, pair_sizes, node_sizes, row_sizes = 0, [], [], []
     for k in range(r):
@@ -486,21 +498,13 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
         node_sizes.append(len(sums))
         shape = (len(next_node) // width, width)
         next_node = np.array(next_node, np.int32).reshape(shape)
-        spot_of = np.array(spot_of, np.int64).reshape(shape)
-        # nonzero scans row by row, so prefixes stay in lexicographic order
-        rows, cols = np.nonzero((next_node >= 0)[ids])
-        from_ids = ids[rows]
-        ids = next_node[from_ids, cols]
-        keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
-        if counts is not None:
-            keys, ids, counts = _merge_rows(keys, ids, counts[rows])
-        row_sizes.append(len(keys))
+        row_sizes.append(extend(k, next_node, np.array(spot_of, np.int64).reshape(shape)))
     log.debug(
         "grow_runs: %s over %d letters, %s pair steps, pairs %s, nodes %s, rows %s",
         p.name, width, f"{pair_steps:,}", pair_sizes, node_sizes, row_sizes,
         extra={"pairs": pair_sizes, "nodes": node_sizes, "rows": row_sizes, "pair_steps": pair_steps},
     )
-    return keys, counts, ids, [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
+    return [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
 
 
 def _merge_rows(keys: np.ndarray, ids: np.ndarray, counts: np.ndarray):
@@ -579,23 +583,10 @@ def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
     return nodes_next, sums_next, next_node, spot_of
 
 
-def parking_keys(p: Procedure, r: int, fold: Fold) -> tuple[np.ndarray, np.ndarray | None]:
-    """`(keys, counts)` of `grow_runs` over the parking words of length r,
-    grown over {1..r} with the spots kept inside {1..r}, since a car parked
-    outside never leaves: every word's `fold` key in lexicographic order,
-    or for a `shared` fold each distinct (key, node) row with its number of
-    words. ValueError if a decision branches."""
-    spots = frozenset(range(1, r + 1))
-    keys, counts, _, _, sure = grow_runs(p, r, range(1, r + 1), spots, fold, decision_table(p))
-    if not sure:
-        raise _branch_error(p)
-    return keys, counts
-
-
-def orbit_tuples(p: Procedure, r: int, table) -> dict[int, int]:
-    """Number of cyclic orbits of {1..r+1}^r with k parking words, for each
-    k that occurs, in ascending k, grown on rotation tuples instead of
-    words.
+def orbit_tuples(p: Procedure, r: int, table) -> tuple[dict[int, int], list]:
+    """`(histogram, tables)`: the number of cyclic orbits of {1..r+1}^r with
+    k parking words, for each k that occurs, in ascending k, grown on
+    rotation tuples instead of words, and each generation's table.
 
     An orbit is grown as its difference word: d_1 = 0, then d_i = (a_i -
     a_1) mod r+1 for each member a. Rotation j of the orbit (j = 0..r)
@@ -603,13 +594,12 @@ def orbit_tuples(p: Procedure, r: int, table) -> dict[int, int]:
     the tuple of its r+1 rotations' (occupied set, state) pair ids, -1 once
     a car parks outside {1..r}, where it stays. Each generation steps its
     pairs once over the letters 1..r (`_step_pairs`, with `table`, the
-    caller's `decision_table`), since letter r+1 parks outside at once, and
-    each tuple steps by looking its ids up there.
-    Orbits whose tuples agree continue alike, so equal tuples merge, each
-    with a Python int count of the orbits reaching it; after r cars an
-    orbit's live entries are its parking words. The pairs and the
-    decisions asked are those of `parking_keys`. ValueError if a decision
-    branches, once every car has been stepped, as `parking_keys` raises it.
+    caller's `decision_table`), since letter r+1 parks outside at once,
+    into a table of lists (see `replay_orbits`), where each tuple looks its
+    ids up. Orbits whose tuples agree continue alike, so equal tuples merge,
+    each with a Python int count of the orbits reaching it; after r cars an
+    orbit's live entries are its parking words. ValueError if a decision
+    branches, once every car has been stepped.
 
     Each call writes one DEBUG record on the `parkline` logger, with the
     fields `pairs` and `tuples`, the sizes of each generation after each
@@ -621,22 +611,19 @@ def orbit_tuples(p: Procedure, r: int, table) -> dict[int, int]:
     tuples = {(0,) * base: 1}
     # the letter column of rotation j at difference d
     columns = [[(d + j) % base for j in range(base)] for d in range(base)]
-    sure = True
+    sure, tables = True, []
     pair_steps, pair_sizes, tuple_sizes = 0, [], []
     for k in range(r):
         # letter r+1 parks outside {1..r} at once, so only 1..r are stepped
         succ, pairs = _step_pairs(p, pairs, range(1, base), inside, table)
         pair_steps += len(succ)
-        nxt = []
-        for d, out in succ:
-            if d == 1 and len(out) < 2:
-                nxt.append(out[0][0] if out else -1)
-            else:
-                sure = False
-                nxt.append(-1)
+        # a branch is refused once every car has been stepped
+        sure = sure and all(d == 1 and len(out) < 2 for d, out in succ)
+        nxt = [out[0][0] if d == 1 and len(out) == 1 else -1 for d, out in succ]
         # one row of next ids per pair and letter 1..r+1, and a last one
         # for -1, which stays
         rows = [nxt[i : i + r] + [-1] for i in range(0, len(nxt), r)] + [[-1] * base]
+        tables.append(rows)
         grown: dict[tuple, int] = {}
         for ids, count in tuples.items():
             steps = [rows[i] for i in ids]
@@ -658,7 +645,25 @@ def orbit_tuples(p: Procedure, r: int, table) -> dict[int, int]:
     for ids, count in tuples.items():
         k = base - ids.count(-1)
         histogram[k] = histogram.get(k, 0) + count
-    return dict(sorted(histogram.items()))
+    return dict(sorted(histogram.items())), tables
+
+
+def replay_orbits(tables: list, r: int) -> np.ndarray:
+    """The id rotation j of every cyclic orbit of {1..r+1}^r reaches through
+    the per-generation `tables`, unmerged, at [orbit, j] of an int32 array.
+    A table's row i holds id i's next id by letter column 0..r, -1 if none,
+    and its last row is the -1 sentinel's. Orbit o grows as the difference
+    word 0 followed by the r-1 radix-(r+1) digits of o, its representative
+    those digits plus 1 after a 1; each car is one numpy gather."""
+    import numpy as np
+
+    base = r + 1
+    columns = (np.arange(base)[:, None] + np.arange(base)) % base
+    ids = np.zeros((1, base), np.int32)
+    for k, table in enumerate(tables):
+        # the first difference is 0 for every orbit
+        ids = np.asarray(table, np.int32)[ids[:, None], columns if k else columns[:1]].reshape(-1, base)
+    return ids
 
 
 def count_landing(p: Procedure, letters: Sequence[int], target: frozenset) -> int:
@@ -1063,9 +1068,14 @@ def check_flags(p: Procedure, r_max: int) -> FlagReport:
     {1..r_max+1} and length <= r_max; a found violation is returned as a
     witness. A flag is consistent if declared as observed, so one left
     False on a rule that satisfies it is not, and one declared False needs
-    r_max large enough for a witness to exist. r_max must be >= 1."""
+    r_max large enough for a witness to exist. r_max must be >= 1. A word
+    of n cars takes up to n(n+1) car steps, checked against `WORK_BUDGET`."""
+    from .enumeration import WORK_BUDGET, take_path
+
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
+    steps = sum((r_max + 1) ** n * n * (n + 1) for n in range(1, r_max + 1))
+    take_path("per-word", f"flag check up to length {r_max}", steps, WORK_BUDGET)
     shift_w = None
     memory_w = None
     local_w = None

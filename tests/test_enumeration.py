@@ -188,7 +188,6 @@ class TestWalk:
 
         monkeypatch.setattr(enumeration, "walk_occupied", refuse)
         monkeypatch.setattr(enumeration, "block_sides", refuse)
-        monkeypatch.setattr(enumeration, "parking_keys", refuse)
         monkeypatch.setattr(enumeration, "orbit_tuples", refuse)
         with pytest.raises(CapExceededError, match="walk over 30 spots: 32,212,254,720 car steps"):
             count_parking(builtin("lbs"), 30)

@@ -538,6 +538,20 @@ class TestGoodCorrespondence:
         with pytest.raises(ValueError, match=f"r_max must be >= 1, got {r_max}"):
             is_good_correspondence(builtin("right"), r_max)
 
+    def test_over_budget_refused_before_any_word(self, monkeypatch):
+        import parkline.forests as forests
+        from parkline.enumeration import CapExceededError
+
+        def refuse(*args):
+            raise AssertionError("encode called")
+
+        monkeypatch.setattr(forests, "encode", refuse)
+        with pytest.raises(CapExceededError, match="correspondence check up to length 6: 518,564,753 car"):
+            is_good_correspondence(builtin("right"), 6)
+        # r_max = 5, at 4,794,054 steps, is admitted: its first word is encoded
+        with pytest.raises(AssertionError, match="encode called"):
+            is_good_correspondence(builtin("right"), 5)
+
     @pytest.mark.parametrize("name", ["right", "prime"])
     def test_memoryless_local_is_good(self, name):
         assert is_good_correspondence(builtin(name), 3).good

@@ -25,7 +25,6 @@ from conftest import (
 )
 from parkline import _kernels
 from parkline.enumeration import (
-    _orbit_fold,
     count_parking,
     count_words_to_set,
     expected_parking_count,
@@ -322,23 +321,16 @@ class TestFolds:
     @example(p=FOLD_RULES[0], r=2, lo=-1)
     @settings(max_examples=40, deadline=None)
     def test_keys_equal_per_word_keys(self, p, r, lo):
-        # r+1 letters, the most the orbit and multiset folds read; the
-        # window holds 0 when lo <= 0 <= lo + r, and negative letters when lo < 0
+        # r+1 letters, the most the multiset fold reads; the window holds
+        # 0 when lo <= 0 <= lo + r, and negative letters when lo < 0
         letters = range(lo, lo + r + 1)
         base = r + 1
         words = list(itertools.product(letters, repeat=r))
         runs = [run(p, word) for word in words]
         at = {a: i for i, a in enumerate(letters)}
-
-        def orbit_key(word):
-            first = at[word[0]]
-            return radix([first] + [(at[a] - first) % base for a in word[1:]], base)
-
-        orbits = [orbit_key(w) for w in words]
         multisets = [sum(base ** at[a] for a in w) for w in words]
-        for fold, expected in ((_orbit_fold(r), orbits), (_multiset_fold(r), multisets)):
-            keys, _, _, _, sure = grow_runs(p, r, letters, None, fold, decision_table(p))
-            assert sure and keys.tolist() == expected
+        keys, _, _, _, sure = grow_runs(p, r, letters, None, _multiset_fold(r), decision_table(p))
+        assert sure and keys.tolist() == multisets
         _, parked, _, _, sure = grown_runs(p, r, letters)
         assert sure and parked.tolist() == [list(res.parked) for res in runs]
         # outcome keys of the parking runs, the only ones kept inside {1..r}

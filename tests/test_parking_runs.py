@@ -33,7 +33,6 @@ from parkline import enumeration, procedures
 from parkline.enumeration import (
     OrbitReport,
     OrbitViolation,
-    _orbit_fold,
     count_parking,
     count_words_to_set,
     landing_weight,
@@ -191,37 +190,38 @@ def test_fibers_equal_word_space(p):
         assert fiber_counts_brute(p, r, cap=None) == dict(expected), r
 
 
-def key_engine_report(p, r: int) -> OrbitReport:
-    """`orbit_audit` from the key engine alone, the reference for rotation
-    tuples: every parking word's orbit key (`parking_keys`), counted per
-    orbit, with each violating orbit's parking members read off the keys."""
-    fold, lead = _orbit_fold(r), (r + 1) ** (r - 1)
-    keys, counts = procedures.parking_keys(p, r, fold)
-    assert counts is None
-    per_orbit = np.bincount(keys % lead, minlength=lead)
-    found = set(keys.tolist())
+def grouped_report(p, r: int) -> OrbitReport:
+    """`orbit_audit` with no orbit fold, the reference for rotation tuples:
+    the parking words of the key engine (`conftest.parking_runs`) grouped by
+    `orbit_representative`, every orbit listed by its representative."""
+    words, _ = parking_runs(p, r)
+    parking = set(map(tuple, words.tolist()))
+    per_orbit = Counter(orbit_representative(word, r) for word in parking)
+    histogram: Counter = Counter()
     violations = []
-    for key in np.flatnonzero(per_orbit != 1).tolist():
-        members = orbit_members(tuple(fold.digits(np.array([key]))[0] + 1), r)
-        parking = tuple(w for j, w in enumerate(members) if j * lead + key in found)
-        violations.append(OrbitViolation(members[0], members, int(per_orbit[key]), parking))
-    histogram = {k: v for k, v in enumerate(np.bincount(per_orbit).tolist()) if v}
-    return OrbitReport(p.name, r, lead, histogram, tuple(violations))
+    for tail in itertools.product(range(1, r + 2), repeat=r - 1):
+        rep = (1,) + tail
+        count = per_orbit[rep]
+        histogram[count] += 1
+        if count != 1:
+            members = orbit_members(rep, r)
+            violations.append(OrbitViolation(rep, members, count, tuple(w for w in members if w in parking)))
+    return OrbitReport(p.name, r, sum(histogram.values()), dict(sorted(histogram.items())), tuple(violations))
 
 
 @pytest.mark.parametrize("p", CATALOG + [alternating_rule(), history_parity_rule()], ids=ids)
 def test_orbit_tuples_equal_the_key_engine(p, monkeypatch):
-    # the parking words are grown only for a rule with violating orbits
-    grown = []
-    keys = procedures.parking_keys
-    monkeypatch.setattr(enumeration, "parking_keys", lambda *args: grown.append(args) or keys(*args))
+    # the tuple pass's tables are replayed only for a rule with violating orbits
+    replayed = []
+    replay = enumeration.replay_orbits
+    monkeypatch.setattr(enumeration, "replay_orbits", lambda *args: replayed.append(args) or replay(*args))
     for r in range(1, 7):
-        grown.clear()
+        replayed.clear()
         report = orbit_audit(p, r, cap=None)
-        assert report == key_engine_report(p, r), r
+        assert report == grouped_report(p, r), r
         assert list(report.histogram) == sorted(report.histogram)
         assert all(type(v) is int for v in report.histogram.values())
-        assert len(grown) == (not report.all_one), r
+        assert len(replayed) == (not report.all_one), r
     # these list violating orbits at r = 6, identically
     if p.name in ("far", "naples:k=2", "evenodd"):
         assert report.violations
@@ -432,11 +432,14 @@ SPLIT = frozenset({1, 2, 4, 5})
 # 186 and 43 at every (node, letter) step before decision tables);
 # is_abelian keeps one table for all its lengths. Such a rule's landing
 # weight takes the interval DP, which probes each block size below 4
-# once: 1 + 2 + 3 decisions
+# once: 1 + 2 + 3 decisions. naples:k=2 has violating orbits, which
+# orbit_audit lists by replaying the tuple pass's tables, with no second
+# table that would ask them again
 TABLED = [
     (is_abelian, "pq:q=2", (4,), 30),
     (orbit_parking_mass, "pq:q=3", (4,), 16),
     (orbit_audit, "closest", (6,), 50),
+    (orbit_audit, "naples:k=2", (5,), 30),
     (count_words_to_set, "right", (SPLIT, "brute"), 17),
     (landing_weight, "pq:q=2", (frozenset(range(1, 5)), None), 6),
 ]
@@ -485,8 +488,9 @@ UNTABLED = [
     (parse_proc_spec("lbs"), 4, 3, (52, 69, 52, 13, 13, 26)),
     (alternating_rule(), 4, 3, (28, 52, 28, 9, 9, 20)),
     # its count walks, asking as orbit_tuples does; its orbits violate, so
-    # orbit_audit then grows the parking words to list them, asking again
-    (history_parity_rule(), 4, 3, (192, 198, 384, 19, 19, 39)),
+    # orbit_audit then replays the tuple pass's tables to list them, asking
+    # nothing again
+    (history_parity_rule(), 4, 3, (192, 198, 192, 19, 19, 39)),
     (parse_prob_spec("kwseq:qs=1/2+1/3"), None, 2, (2, 2, 3)),
     (parse_prob_spec("kwseq:qs=1/2+1/3+1/5+1"), None, 4, (28, 28, 21)),
     (history_coin_rule(), None, 4, (244, 244, 38)),
@@ -530,9 +534,10 @@ def parity_coin_rule() -> Procedure:
 
 @pytest.mark.parametrize("p", [merge_back_rule(), kw_procedure(Fraction(1, 2)), parity_coin_rule()], ids=ids)
 def test_orbit_tuples_refuse_a_branch_as_the_key_engine(p):
+    # the key engine over the parking words, as the outcome fold grows them
     for r in (2, 3, 4):
         with pytest.raises(ValueError) as engine:
-            procedures.parking_keys(p, r, _orbit_fold(r))
+            fiber_counts_brute(p, r)
         with pytest.raises(ValueError) as tuples:
             orbit_audit(p, r)
         assert str(tuples.value) == str(engine.value) == f"{p.name}: a decision branches; measure() follows both choices"

@@ -447,6 +447,15 @@ class TestUniqueness:
         with pytest.raises(ValueError, match=message):
             abelian_uniqueness_check(right_prob_table(pq_procedure(F(2)), 3), r_max)
 
+    def test_table_short_of_r_max_refused(self):
+        # not a bare KeyError: the first (r, i) missing, in (r, i) order, is named
+        with pytest.raises(ValueError, match=re.escape("the table has no p(4, 1), needed up to r_max=5")):
+            abelian_uniqueness_check(right_prob_table(pq_procedure(F(2)), 3), 5)
+        table = right_prob_table(pq_procedure(F(2)), 3)
+        del table[(2, 2)]
+        with pytest.raises(ValueError, match=re.escape("no p(2, 2), needed up to r_max=3")):
+            abelian_uniqueness_check(table, 3)
+
     def test_recurrence_failure_detected(self):
         table = right_prob_table(pq_procedure(F(1)), 3)
         table[(3, 3)] = F(9, 10)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_lbs_run, oracle_run, random_tables
+from parkline import procedures
+from parkline.enumeration import CapExceededError
 from parkline.procedures import (
     LEFT,
     RIGHT,
@@ -394,6 +396,17 @@ class TestCheckFlags:
         # no word would be tested, and every flag would read as confirmed
         with pytest.raises(ValueError, match=f"r_max must be >= 1, got {r_max}"):
             check_flags(builtin("right"), r_max)
+
+    def test_over_budget_refused_before_any_word(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("run called")
+
+        monkeypatch.setattr(procedures, "run", refuse)
+        with pytest.raises(CapExceededError, match="flag check up to length 7: 129,522,064 car steps"):
+            check_flags(builtin("right"), 7)
+        # r_max = 6, at 5,497,912 steps, is admitted: its first word runs
+        with pytest.raises(AssertionError, match="run called"):
+            check_flags(builtin("right"), 6)
 
     @pytest.mark.parametrize(
         "p",
