@@ -8,8 +8,9 @@ unless some decision branched. A rule that decides by block (memoryless
 and locally decided) sums the interval DP over the forest encoding
 (`interval_weight`): the words landing on a block are summed over the
 decreasing trees of their runs, in time polynomial in the block size.
-Any other rule walks (occupied set, rule state) pairs
-(`procedures.walk_occupied`).
+A locally decided rule whose state is a block record, such as `lbs`,
+takes the same DP with each interval's record carried. Any other rule
+walks (occupied set, rule state) pairs (`procedures.walk_occupied`).
 Orbit audits count orbits on rotation tuples (`procedures.orbit_tuples`),
 merged where equal, so no word is grown; only for an orbit with k != 1
 parking words are that pass's tables replayed over every orbit
@@ -89,14 +90,15 @@ def landing_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[in
     """Total weight `(num, den)` of the runs of `p` ending on exactly
     `target`, as ints: `den` is 1 unless some decision on the way branched,
     so a rule that never branches gets its count as `num`. A rule that
-    `decides_by_block` sums the forest encoding (`interval_weight`); any
-    other rule walks (occupied set, state) pairs (`walk_occupied`),
+    `decides_by_block` or `decides_by_block_record` sums the forest
+    encoding (`interval_weight`); any other rule walks (occupied set,
+    state) pairs (`walk_occupied`),
     estimated at 2^n * n car steps over n spots before any car is placed.
     A rule state can multiply the pairs, so the walk also counts its steps
     car by car. A strict table refuses a target beyond its rows."""
     n = len(target)
     _check_strict(p, n)
-    if p.decides_by_block:
+    if p.decides_by_block or p.decides_by_block_record:
         return interval_weight(p, target, cap)
     path = f"walk over {n} spots"
     take_path("walk", path, 2**n * n, cap)
@@ -117,6 +119,27 @@ def block_sides(p: Procedure, a: int, b: int) -> tuple[int, int, int]:
     right = sum(num * (den // d) for j, spot, num, d in choices if spot > j)
     left = sum(num * (den // d) for j, spot, num, d in choices if spot < j)
     return right, left, den
+
+
+def letter_sides(p: Procedure, a: int, b: int, state) -> tuple[list[int], list[int], int]:
+    """(rights, lefts, D): the right- and left-probability of a car
+    preferring j, for each j in [a, b] in turn, while exactly [a, b] is
+    occupied and the rule is in `state`, as `int_choices` gives them:
+    int numerators over the lcm D of the choices' denominators."""
+    occupied = frozenset(range(a, b + 1))
+    choices = [int_choices(p, state, occupied, j, j) for j in range(a, b + 1)]
+    den = math.lcm(*[d for c in choices for _, _, d in c])
+    rights, lefts = [], []
+    for c in choices:
+        right = left = 0
+        for spot, num, d in c:
+            if spot > b:
+                right += num * (den // d)
+            else:
+                left += num * (den // d)
+        rights.append(right)
+        lefts.append(left)
+    return rights, lefts, den
 
 
 def interval_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[int, int]:
@@ -142,18 +165,27 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[i
     the block it lands on. The DP trusts the flag `Procedure.decides_by_block`
     reads. Its work is estimated at n^4 car steps per block of n spots,
     before the first probe: about n^3/6 products whose operands grow with n.
+
+    A rule that `decides_by_block_record` also reads the block's record,
+    the letter of the last car parked on it. Its DP carries the record of
+    each interval (`_record_weight`): the last car sets it to the letter it
+    preferred, and a bumped car's side is decided by the record of the
+    block it was bumped from. Its work is estimated at n^5 car steps per
+    block: intervals, roots, records and letters.
     """
     parts = blocks(target)
+    record = not p.decides_by_block
     take_path(
         "interval DP",
         f"interval DP over {len(target)} spots",
-        sum(b.size**4 for b in parts),
+        sum(b.size ** (5 if record else 4) for b in parts),
         cap,
     )
     num, den = multinomial([b.size for b in parts]), 1
     side = _block_sides_memo(p)
+    weight = _record_weight if record else _block_weight
     for b in parts:
-        f, d = _block_weight(side, b.lo, b.size)
+        f, d = weight(side, b.lo, b.size)
         num, den = num * f, den * d
     return num, den
 
@@ -161,10 +193,17 @@ def interval_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[i
 def _block_sides_memo(p: Procedure):
     """`block_sides` of `p` for one call, kept while the caller keeps the
     returned function; an empty block has sides (0, 0, 1). A rule that
-    `is_local` is probed once per block size, on the block [1, size], which
-    trusts `is_shift_invariant` as `via="formula"` does: n probes for the
-    blocks inside n spots instead of one per block. Any other rule is
-    probed once per block."""
+    `decides_by_block_record` is asked `side(a, b, rec)` instead, the
+    `letter_sides` of the block [a, b] with record `rec`. A rule that
+    `is_local` is probed once per block size, on the block [1, size] with
+    the record shifted alike, which trusts `is_shift_invariant` as
+    `via="formula"` does: n probes for the blocks inside n spots instead of
+    one per block. Any other rule is probed once per block."""
+    if p.decides_by_block_record:
+        if p.is_local:
+            by_size = functools.cache(lambda n, t: letter_sides(p, 1, n, ((1, n, t),)))
+            return lambda a, b, rec: by_size(b - a + 1, rec - a + 1)
+        return functools.cache(lambda a, b, rec: letter_sides(p, a, b, ((a, b, rec),)))
     if p.is_local:
         by_size = functools.cache(lambda n: block_sides(p, 1, n))
         return lambda a, b: by_size(b - a + 1) if a <= b else (0, 0, 1)
@@ -195,6 +234,63 @@ def _block_weight(side, lo: int, n: int) -> tuple[int, int]:
     return f[0][n], den**n
 
 
+def _record_weight(side, lo: int, n: int, den: int = 1) -> tuple[int, int]:
+    """F(lo, lo+n-1) of `interval_weight` for a rule that
+    `decides_by_block_record`, as `(num, den**n)`, from the sides of the
+    call's `_block_sides_memo`. Intervals are half-open offsets from lo, as
+    in `_block_weight`, and the weight of an interval of m spots is an int
+    numerator over den^m.
+
+    g[t] of [i, j) is the weight of the runs that fill it whose last car
+    had letter lo+i+t, the block's record. That car parks on the root k:
+    it preferred k, or a spot of [i, k) and was bumped right, or a spot of
+    [k+1, j) and was bumped left, and its letter becomes the record. Once
+    g of a proper interval is known, its records are summed into the
+    weight by which each of its letters lands just right of it, `right`,
+    and just left, `left`, so the root loop reads one weight per letter.
+    Every letter of an interval has nonzero weight as its record, since the
+    car preferring the root may come last, so the walk reaches every
+    (interval, record) probed here, and a rule undefined on some record
+    raises where the walk raises. A probe over a denominator that `den`
+    does not divide starts the DP again over their lcm; the memo keeps the
+    probes already made."""
+    total = [[1] * (n + 1) for _ in range(n + 1)]
+    right = [[None] * (n + 1) for _ in range(n + 1)]
+    left = [[None] * (n + 1) for _ in range(n + 1)]
+    for size in range(1, n + 1):
+        comb = [math.comb(size - 1, t) for t in range(size)]
+        for i in range(n - size + 1):
+            j = i + size
+            g = [0] * size
+            for k in range(i, j):
+                c = comb[k - i]
+                tl, tr = total[i][k], total[k + 1][j]
+                g[k - i] += c * den * tl * tr
+                if k > i:
+                    w = c * tr
+                    for t, x in enumerate(right[i][k]):
+                        g[t] += w * x
+                if k + 1 < j:
+                    w, at = c * tl, k + 1 - i
+                    for t, x in enumerate(left[k + 1][j]):
+                        g[at + t] += w * x
+            total[i][j] = sum(g)
+            if size == n:
+                # the whole block is never a side: no car comes after the last
+                break
+            rs, ls = [0] * size, [0] * size
+            for t, x in enumerate(g):
+                rights, lefts, d = side(lo + i, lo + j - 1, lo + i + t)
+                if den % d:
+                    return _record_weight(side, lo, n, math.lcm(den, d))
+                x *= den // d
+                for u in range(size):
+                    rs[u] += x * rights[u]
+                    ls[u] += x * lefts[u]
+            right[i][j], left[i][j] = rs, ls
+    return total[0][n], den**n
+
+
 def expected_parking_count(r: int) -> int:
     return (r + 1) ** (r - 1)
 
@@ -211,13 +307,14 @@ def _check_strict(p: Procedure, n: int) -> None:
         )
 
 
-def _check_runs(p: Procedure, r: int, cap: int | None) -> None:
+def _check_runs(p: Procedure, r: int, cap: int | None, steps: int | None = None) -> None:
     """Checks before the parking words of length r are grown: r >= 1, a strict
-    table's rows and the budget, then, even if it is lifted, that (r+1)^r
-    orbit entries or outcome keys fit int64 (`_kernels.radix_weights`)."""
+    table's rows and the budget, against `steps` car steps or else r^r * r,
+    then, even if it is lifted, that (r+1)^r orbit entries or outcome keys
+    fit int64 (`_kernels.radix_weights`)."""
     _check_r(r)
     _check_strict(p, r)
-    take_path("engine", f"parking runs of length {r}", r**r * r, cap)
+    take_path("engine", f"parking runs of length {r}", r**r * r if steps is None else steps, cap)
     _kernels.radix_weights(r + 1, r)
 
 

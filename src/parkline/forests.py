@@ -398,10 +398,13 @@ def _outcome_histogram(p: Procedure, r: int, cap: int | None) -> tuple[np.ndarra
     node) merge after every car, so the work follows the r!/(r-k)! partial
     outcomes of k cars, times their rule states, not the (r+1)^(r-1) words;
     the rows of one key, in several states, are summed. ValueError if a
-    decision branches."""
+    decision branches. A rule without state keeps one row per partial
+    outcome, so its work is estimated at sum_{k<r} r!/(r-k)! * r car steps;
+    a rule with state at r^r * r, as any parking runs."""
     import numpy as np
 
-    _check_runs(p, r, cap)
+    steps = sum(math.perm(r, k) for k in range(r)) * r if p.is_memoryless else None
+    _check_runs(p, r, cap, steps)
     inside = frozenset(range(1, r + 1))
     keys, counts, _, _, sure = grow_runs(p, r, range(1, r + 1), inside, _outcome_fold(r), decision_table(p))
     if not sure:

@@ -13,9 +13,9 @@ compared in lowest terms, so distributions compare by strict equality; a
 `Fraction` is built only for what is returned: `Measure.probs`, trace
 weights and masses. The total parking mass is the `(num, den)` weight
 of the runs landing on {1..r} (`enumeration.landing_weight`): a rule
-that decides by block sums the forest encoding over its intervals, and
-any other rule walks (occupied set, rule state) pairs. Orbit masses
-replay the parking words' node tables over every orbit
+that decides by block, or by block record, sums the forest encoding over
+its intervals, and any other rule walks (occupied set, rule state)
+pairs. Orbit masses replay the parking words' node tables over every orbit
 (`procedures.replay_orbits`), and abelianity checks grow every word as
 its multiset key (`procedures.grow_runs`): measures are nodes, levels in
 lowest terms, so words whose prefixes share a measure share its work.
@@ -189,9 +189,10 @@ def total_parking_mass(
     """Sum of parking probabilities over all words in {1..r+1}^r.
 
     The branch probabilities are the weights of the runs landing on
-    {1..r} (`landing_weight`): a rule that `decides_by_block` sums them
-    over the forest encoding of {1..r}, and any other rule walks
-    (occupied subset of {1..r}, rule state) pairs.
+    {1..r} (`landing_weight`): a rule that `decides_by_block` or
+    `decides_by_block_record` sums them over the forest encoding of
+    {1..r}, and any other rule walks (occupied subset of {1..r}, rule
+    state) pairs.
     """
     _check_r(r)
     return Fraction(*landing_weight(pp, frozenset(range(1, r + 1)), cap))

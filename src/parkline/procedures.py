@@ -24,6 +24,8 @@ one entry per rotation, and `replay_orbits` replays a pass's tables over
 every orbit. These ask a rule that decides by block once per (block,
 letter) while one `decision_table` lives; such a rule never walks, since
 the interval DP weighs its landing runs (`enumeration.landing_weight`).
+Nor does a locally decided rule whose state is a block record
+(`record_parked`, as `lbs` keeps it): the DP carries the record.
 """
 
 from __future__ import annotations
@@ -124,8 +126,20 @@ class Procedure:
         counts and masses sum the forest encoding block by block
         (`enumeration.interval_weight`), and the engines ask it once per
         (block, letter) per call (`decision_table`); all three trust the
-        flag. Any other rule walks, and is asked at every step."""
+        flag. A rule that `decides_by_block_record` takes the DP too; any
+        other rule walks, and is asked at every step."""
         return self.is_memoryless and self.is_locally_decided
+
+    @property
+    def decides_by_block_record(self) -> bool:
+        """Whether the rule's state is a block record (`update is
+        record_parked`) and it is flagged locally decided: a bumped car's
+        choice then depends only on its letter, the block it lands on and
+        that block's record, as for `lbs`. Its counts and masses sum the
+        interval DP with the record carried (`enumeration.interval_weight`),
+        which trusts the flag. It has no label sets and no decision table,
+        whose (block, letter) key leaves the record out."""
+        return self.update is record_parked and self.is_locally_decided
 
     def __repr__(self) -> str:
         return f"Procedure({self.name!r})"

@@ -45,10 +45,14 @@ class TestEnumerate:
 
     def test_cap_exit_2(self, capsys):
         # a walk over 30 spots is refused before any car is placed
-        code, _, err = invoke(capsys, "enumerate", "--proc", "lbs", "--r", "30")
+        code, _, err = invoke(capsys, "enumerate", "--proc", "far", "--r", "30")
         assert code == 2
         assert "cap" in err
         assert "budget" in err and "walk over 30 spots: 32,212,254,720 car steps" in err
+        # and so is the record DP of lbs past 25 spots
+        code, _, err = invoke(capsys, "enumerate", "--proc", "lbs", "--r", "30")
+        assert code == 2
+        assert "interval DP over 30 spots: 24,300,000 car steps" in err
         # and so is an interval DP past 56 spots
         code, _, err = invoke(capsys, "enumerate", "--proc", "right", "--r", "57")
         assert code == 2
@@ -262,7 +266,8 @@ class TestFibers:
 
     def test_sigma_beyond_the_histogram(self, capsys):
         # one outcome is walked in r^2 car steps, where the whole histogram
-        # takes r^r * r; the shape counts are held to Catalan(r) * r
+        # of a rule without state takes sum_{k<r} r!/(r-k)! * r, past the
+        # budget at r = 10; the shape counts are held to Catalan(r) * r
         sigma = ",".join(map(str, range(9, 0, -1)))
         code, out, _ = invoke(
             capsys, "fibers", "--proc", "closest", "--r", "9", "--sigma", sigma, "--format", "json"
@@ -272,8 +277,8 @@ class TestFibers:
         [row] = results["fibers"]
         assert row["sigma"] == sigma and row["formula"] == row["brute"] > 1
         assert len(results["shape_counts"]) == math.comb(18, 9) // 10
-        code, out, err = invoke(capsys, "fibers", "--proc", "closest", "--r", "9")
-        assert (code, out) == (2, "") and "parking runs of length 9" in err
+        code, out, err = invoke(capsys, "fibers", "--proc", "closest", "--r", "10")
+        assert (code, out) == (2, "") and "parking runs of length 10: 62,353,010 car steps" in err
         sigma = ",".join(map(str, range(1, 15)))
         code, out, err = invoke(capsys, "fibers", "--proc", "closest", "--r", "14", "--sigma", sigma)
         assert (code, out) == (2, "")

@@ -35,11 +35,15 @@ from parkline.probabilistic import INFINITY, kw_procedure, parse_prob_spec, pq_p
 from parkline.procedures import (
     LEFT,
     RIGHT,
+    Procedure,
+    block_record,
     builtin,
     index_rule_procedure,
     is_parking,
     parse_proc_spec,
+    record_parked,
     table_procedure,
+    walk_occupied,
 )
 from parkline.words import Block
 
@@ -79,9 +83,12 @@ class TestCountParking:
             assert count_parking(p, r) == direct
 
     def test_cap(self):
-        # a walk over 30 spots, and an interval DP past 56 spots
+        # a walk over 30 spots, a record DP past 25 spots, and an interval
+        # DP past 56 spots
         with pytest.raises(CapExceededError, match="walk over 30 spots"):
-            count_parking(builtin("lbs"), 30)
+            count_parking(state_parity_rule(), 30)
+        with pytest.raises(CapExceededError, match="interval DP over 26 spots"):
+            count_parking(builtin("lbs"), 26)
         with pytest.raises(CapExceededError, match="interval DP over 57 spots"):
             count_parking(builtin("right"), 57)
         assert count_parking(builtin("right"), 56) == 57**55
@@ -146,11 +153,12 @@ class TestWalk:
             "interval_weight",
             lambda p, target, *args: dps.append(target) or real_dp(p, target, *args),
         )
-        # memoryless, locally decided rules take the interval DP
-        decided = [parse_proc_spec(s) for s in ("right", "closest", "evenodd", "naples:k=2")]
+        # memoryless, locally decided rules take the interval DP, and so
+        # does lbs, a locally decided rule whose state is a block record
+        decided = [parse_proc_spec(s) for s in ("right", "closest", "evenodd", "naples:k=2", "lbs")]
         for p in decided + random_dir_tables(2, 4, seed=5):
             assert count_parking(p, 3) == count_parking(p, 3, backend="python"), p.name
-        assert dps == [{1, 2, 3}] * 6 and walks == []
+        assert dps == [{1, 2, 3}] * 7 and walks == []
         dps.clear()
         for backend in ("numpy", "python"):
             assert count_parking(builtin("right"), 3, backend=backend) == 16
@@ -161,8 +169,8 @@ class TestWalk:
             assert count_parking(p, 3) == count_parking(p, 3, backend="python")
             assert walks == [{1, 2, 3}]
         walks.clear()
-        # rules with an `update` walk (occupied set, state) pairs
-        for p in (builtin("lbs"), alternating_rule(), state_parity_rule()):
+        # other rules with an `update` walk (occupied set, state) pairs
+        for p in (alternating_rule(), state_parity_rule()):
             for r in range(1, 6):
                 words = itertools.product(range(1, r + 2), repeat=r)
                 per_word = sum(is_parking(p, w) for w in words)
@@ -188,8 +196,12 @@ class TestWalk:
 
         monkeypatch.setattr(enumeration, "walk_occupied", refuse)
         monkeypatch.setattr(enumeration, "block_sides", refuse)
+        monkeypatch.setattr(enumeration, "letter_sides", refuse)
         monkeypatch.setattr(enumeration, "orbit_tuples", refuse)
         with pytest.raises(CapExceededError, match="walk over 30 spots: 32,212,254,720 car steps"):
+            count_parking(state_parity_rule(), 30)
+        # the record DP is estimated at 30^5
+        with pytest.raises(CapExceededError, match="interval DP over 30 spots: 24,300,000 car steps"):
             count_parking(builtin("lbs"), 30)
         with pytest.raises(CapExceededError, match="interval DP over 57 spots: 10,556,001 car steps"):
             count_parking(builtin("right"), 57)
@@ -204,18 +216,22 @@ class TestWalk:
 
     def test_walk_levels_count_against_budget(self):
         # the estimate 2^6 * 6 = 384 bounds a memoryless walk (far is not
-        # locally decided, so it walks); lbs visits 1+6+20+40+48+30
-        # (occupied set, state) pairs, 870 car steps. Its third level is
-        # refused as it grows, at its 38th pair: 6 * (1+6+20) + 6 * 38 = 390
+        # locally decided, so it walks); state-parity visits 1+6+18+34+30+12
+        # (occupied set, state) pairs, 606 car steps. Its fourth level is
+        # refused as it grows, at its 6th pair: 6 * (1+6+18+34) + 6 * 6 = 390
         estimate = 2**6 * 6
         assert count_parking(builtin("far"), 6, cap=estimate) == count_parking(builtin("far"), 6)
         with pytest.raises(CapExceededError, match="walk over 6 spots: 390 car steps"):
-            count_parking(builtin("lbs"), 6, cap=estimate)
-        assert count_parking(builtin("lbs"), 6, cap=870) == 7**5
-        # the interval DP over 6 spots is estimated at 6^4 car steps
+            count_parking(state_parity_rule(), 6, cap=estimate)
+        assert count_parking(state_parity_rule(), 6, cap=606) == 16954
+        # the interval DP over 6 spots is estimated at 6^4 car steps, and
+        # the record DP of lbs at 6^5
         with pytest.raises(CapExceededError, match="interval DP over 6 spots: 1,296 car steps"):
             count_parking(builtin("right"), 6, cap=estimate)
         assert count_parking(builtin("right"), 6, cap=6**4) == 7**5
+        with pytest.raises(CapExceededError, match="interval DP over 6 spots: 7,776 car steps"):
+            count_parking(builtin("lbs"), 6, cap=6**5 - 1)
+        assert count_parking(builtin("lbs"), 6, cap=6**5) == 7**5
 
     def test_walk_refuses_a_level_before_it_passes_the_budget(self):
         from parkline.procedures import walk_occupied
@@ -242,6 +258,8 @@ class TestWalk:
 
     def test_caps_still_apply(self):
         with pytest.raises(CapExceededError):
+            count_parking(state_parity_rule(), 30)
+        with pytest.raises(CapExceededError, match="interval DP"):
             count_parking(builtin("lbs"), 30)
         with pytest.raises(CapExceededError):
             count_parking(builtin("right"), 57)
@@ -421,12 +439,14 @@ class TestPathLog:
         cases = [
             (lambda: count_parking(right, 5), "interval DP", 5**4),
             (lambda: count_words_to_set(right, {1, 2, 4}), "interval DP", 2**4 + 1),
-            (lambda: count_parking(lbs, 5), "walk", 2**5 * 5),
+            (lambda: count_parking(lbs, 5), "interval DP", 5**5),
+            (lambda: count_parking(state_parity_rule(), 5), "walk", 2**5 * 5),
             (lambda: count_words_to_set(right, {1, 2, 4}, "brute"), "engine", 3**3 * 3),
             (lambda: count_parking(history_parity_rule(), 3), "walk", 2**3 * 3),
             (lambda: count_parking(right, 3, backend="python"), "per-word", 3**3 * 3),
             (lambda: total_parking_mass(pq_procedure(Fraction(2)), 4), "interval DP", 4**4),
-            (lambda: total_parking_mass(lbs, 3), "walk", 2**3 * 3),
+            (lambda: total_parking_mass(lbs, 3), "interval DP", 3**5),
+            (lambda: total_parking_mass(state_parity_rule(), 3), "walk", 2**3 * 3),
             (lambda: total_parking_mass(history_parity_rule(), 3), "walk", 2**3 * 3),
         ]
         caplog.set_level(logging.DEBUG, logger="parkline")
@@ -480,8 +500,15 @@ class TestPathLog:
             )
 
 
+def walked_pairs(p, target):
+    """`walk_occupied` of `p` on `target`, with no budget: (occupied set,
+    state) pairs, which for lbs are block records."""
+    return walk_occupied(frozenset(target), p, lambda steps: None)
+
+
 class TestLbsWalk:
-    """count_parking walks lbs over (occupied set, block records)."""
+    """lbs counted on the record DP against its walk over (occupied set,
+    block record) pairs, the per-word engine and the conftest oracle."""
 
     def test_walk_equals_engine_and_oracle(self):
         p = builtin("lbs")
@@ -489,6 +516,7 @@ class TestLbsWalk:
             full = set(range(1, r + 1))
             words = itertools.product(range(1, r + 2), repeat=r)
             oracle = sum(oracle_lbs_run(w)[0] == full for w in words)
+            assert walked_pairs(p, full) == landing_weight(p, frozenset(full), None)
             counts = {
                 count_parking(p, r),
                 count_parking(p, r, backend="python"),
@@ -497,8 +525,105 @@ class TestLbsWalk:
             assert counts == {(r + 1) ** (r - 1)}, r
 
     def test_walk_beyond_word_enumeration(self):
+        p = builtin("lbs")
         for r in range(7, 10):
-            assert count_parking(builtin("lbs"), r, cap=None) == (r + 1) ** (r - 1)
+            full = range(1, r + 1)
+            assert walked_pairs(p, full) == landing_weight(p, frozenset(full), None) == ((r + 1) ** (r - 1), 1)
+
+
+def record_rule(name, decide) -> Procedure:
+    """A locally decided rule whose state is a block record, kept as lbs
+    keeps it."""
+    return Procedure(name, decide=decide, init_state=tuple, update=record_parked, is_locally_decided=True)
+
+
+class TestRecordDP:
+    """The interval DP with block records carried, against the walk."""
+
+    def test_lbs_universal_up_to_the_budget(self, caplog):
+        lbs = builtin("lbs")
+        assert lbs.decides_by_block_record and not lbs.decides_by_block
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        for r in range(1, 26):
+            caplog.clear()
+            assert count_parking(lbs, r) == (r + 1) ** (r - 1), r
+            [record] = caplog.records
+            assert (record.path, record.estimate) == ("interval DP", r**5)
+        with pytest.raises(CapExceededError, match="interval DP over 26 spots: 11,881,376 car steps"):
+            count_parking(lbs, 26)
+
+    @pytest.mark.parametrize("spots", [{1, 2, 4}, {-1, 0, 2, 3, 4, 6}, {3, 4, 5, 6, 7, 8, 9}, {1, 3, 5}])
+    def test_multi_block_targets_equal_the_walk(self, spots):
+        lbs = builtin("lbs")
+        counted = count_words_to_set(lbs, spots)
+        assert (counted, 1) == walked_pairs(lbs, spots) == landing_weight(lbs, frozenset(spots), None)
+        assert counted == count_words_to_set(lbs, spots, "formula") == count_words_to_set(lbs, spots, "brute")
+
+    def test_local_rule_probed_once_per_size_and_record(self, monkeypatch):
+        import parkline.enumeration as enumeration
+
+        probes = []
+        real = enumeration.letter_sides
+        monkeypatch.setattr(
+            enumeration, "letter_sides", lambda *args: probes.append(args[1:]) or real(*args)
+        )
+        target = {*range(1, 6), *range(10, 15)}
+        assert count_words_to_set(builtin("lbs"), target) == math.comb(10, 5) * 6**8
+        # both blocks share the probes of the blocks [1, n], one per record
+        assert sorted(probes) == [(1, n, ((1, n, t),)) for n in range(1, 5) for t in range(1, n + 1)]
+
+    def test_rule_not_shift_invariant_is_probed_per_block(self, monkeypatch):
+        import parkline.enumeration as enumeration
+
+        # right iff the letter reaches the record on blocks that start even,
+        # and iff it does not on the others
+        p = record_rule(
+            "parity-lbs",
+            lambda st, occ, blk, a: RIGHT if (a >= block_record(st, blk)) == (blk.lo % 2 == 0) else LEFT,
+        )
+        assert p.decides_by_block_record and not p.is_local
+        probes = []
+        real = enumeration.letter_sides
+        monkeypatch.setattr(
+            enumeration, "letter_sides", lambda *args: probes.append(args[1:3]) or real(*args)
+        )
+        for spots in ({1, 2, 3, 4, 5}, {-1, 0, 2, 3, 4, 6}, {2, 3, 4, 5, 6, 7}):
+            probes.clear()
+            assert landing_weight(p, frozenset(spots), None) == walked_pairs(p, spots), spots
+            assert {lo for lo, _ in probes} - {1}
+        assert count_parking(p, 5) == 1040 != 6**4
+
+    def test_branching_record_rule_mass_equals_the_walk(self):
+        # right with probability 2/3 or 1/4, as the letter reaches the
+        # record or not, and 1/2 on blocks that start odd
+        def decide(st, occ, blk, a):
+            if blk.lo % 2:
+                return Fraction(1, 2)
+            return Fraction(2, 3) if a >= block_record(st, blk) else Fraction(1, 4)
+
+        p = record_rule("coin-lbs", decide)
+        for r in range(1, 7):
+            full = frozenset(range(1, r + 1))
+            num, den = landing_weight(p, full, None)
+            assert type(num) is int and type(den) is int
+            assert total_parking_mass(p, r) == Fraction(num, den) == Fraction(*walked_pairs(p, full)), r
+        spots = {-1, 0, 2, 3, 5}
+        assert Fraction(*landing_weight(p, frozenset(spots), None)) == Fraction(*walked_pairs(p, spots))
+        with pytest.raises(ValueError, match="coin-lbs branches"):
+            count_parking(p, 3)
+
+    def test_partial_rule_raises_as_the_walk_does(self):
+        from parkline.colored import UndefinedRuleError, colored_lbs_procedure
+
+        p = colored_lbs_procedure()
+        assert p.decides_by_block_record
+        assert count_parking(p, 1) == walked_pairs(p, {1})[0] == 1
+        for r in (2, 3, 4):
+            with pytest.raises(UndefinedRuleError) as dp:
+                count_parking(p, r)
+            with pytest.raises(UndefinedRuleError) as walk:
+                walked_pairs(p, range(1, r + 1))
+            assert str(dp.value) == str(walk.value)
 
 
 class TestOrbitAudit:

@@ -337,6 +337,22 @@ class TestFibers:
         with pytest.raises(CapExceededError, match="walk over the outcome of 4 cars: 16 car steps"):
             fiber_count_brute(builtin("right"), (1, 2, 3, 4), cap=15)
 
+    def test_histogram_of_a_rule_without_state_is_estimated_by_partial_outcomes(self):
+        from parkline.enumeration import CapExceededError
+
+        # sum_{k<r} r!/(r-k)! * r car steps, one per partial outcome and
+        # letter: 554,248 at r = 8 and 5,611,770 at r = 9 are admitted
+        closest = builtin("closest")
+        for r, steps in ((8, 554_248), (9, 5_611_770), (10, 62_353_010)):
+            with pytest.raises(CapExceededError, match=f"parking runs of length {r}: {steps:,} car steps"):
+                fiber_counts_brute(closest, r, cap=steps - 1)
+        assert sum(fiber_counts_brute(closest, 8).values()) == 9**7
+        with pytest.raises(CapExceededError, match="parking runs of length 10"):
+            fiber_counts_brute(closest, 10)
+        # a rule with state is still estimated at r^r * r
+        with pytest.raises(CapExceededError, match="parking runs of length 8: 134,217,728 car steps"):
+            fiber_counts_brute(builtin("lbs"), 8)
+
     def test_one_outcome_walk_checks_sigma_first(self):
         asked = []
         p = Procedure("asked", decide=lambda *args: asked.append(args) or RIGHT, is_locally_decided=True)

@@ -485,7 +485,10 @@ def per_word_orbit_masses(pp, r: int) -> dict:
 # pair: the branching kwseq rule's orbit masses asked 130 times and its
 # abelian check 33 times when each node stepped its own pairs
 UNTABLED = [
-    (parse_proc_spec("lbs"), 4, 3, (52, 69, 52, 13, 13, 26)),
+    # lbs's count and mass take the record DP, which probes each block size
+    # below r once per record, 1 + 4 + 9 and 1 + 4 decisions, where its
+    # walks asked 52 and 13
+    (parse_proc_spec("lbs"), 4, 3, (14, 69, 52, 13, 5, 26)),
     (alternating_rule(), 4, 3, (28, 52, 28, 9, 9, 20)),
     # its count walks, asking as orbit_tuples does; its orbits violate, so
     # orbit_audit then replays the tuple pass's tables to list them, asking

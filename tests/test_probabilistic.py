@@ -211,10 +211,11 @@ class TestMassWalk:
             "interval_weight",
             lambda pp, target, *args: dps.append(len(target)) or real_dp(pp, target, *args),
         )
-        # memoryless, locally decided rules take the interval DP
-        for pp in (kw_procedure(HALF), pq_procedure(F(2)), builtin("closest")):
+        # memoryless, locally decided rules take the interval DP, and so
+        # does lbs, whose state is a block record
+        for pp in (kw_procedure(HALF), pq_procedure(F(2)), builtin("closest"), builtin("lbs")):
             assert total_parking_mass(pp, 3) == 16
-        assert dps == [3, 3, 3] and walks == []
+        assert dps == [3, 3, 3, 3] and walks == []
         dps.clear()
         # the rest walk: kwseq and far are not locally decided
         for pp in (kw_sequence_procedure([HALF, F(1, 3), F(1, 5)]), builtin("far")):
@@ -223,8 +224,8 @@ class TestMassWalk:
             per_word = sum((parking_probability(pp, w) for w in words), F(0))
             assert total_parking_mass(pp, 3) == per_word
             assert walks == [3]
-        # rules with an `update` walk (occupied set, state) pairs
-        for pp in (builtin("lbs"), alternating_rule(), state_parity_rule()):
+        # other rules with an `update` walk (occupied set, state) pairs
+        for pp in (alternating_rule(), state_parity_rule()):
             for r in range(1, 4):
                 words = itertools.product(range(1, r + 2), repeat=r)
                 per_word = sum((parking_probability(pp, w) for w in words), F(0))
