@@ -72,7 +72,7 @@ class Report:
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    """`x`, a Fraction or an int, as "numerator/denominator"."""
     return f"{x.numerator}/{x.denominator}"
 
 

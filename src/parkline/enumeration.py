@@ -38,15 +38,15 @@ from typing import Iterable
 from . import _kernels
 from .procedures import (
     Procedure,
+    _choices,
     count_landing,
     decision_table,
-    int_choices,
     orbit_tuples,
     replay_orbits,
     run,
     walk_occupied,
 )
-from .words import Word, as_int, blocks, multinomial
+from .words import Block, Word, as_int, blocks, multinomial
 
 # car steps one query may take unless `cap` says otherwise; None lifts it
 WORK_BUDGET = 10_000_000
@@ -108,26 +108,23 @@ def landing_weight(p: Procedure, target: frozenset, cap: int | None) -> tuple[in
 def block_sides(p: Procedure, a: int, b: int) -> tuple[int, int, int]:
     """(R, L, D): the right- and left-probabilities of a car preferring j,
     summed over every j in [a, b], while exactly [a, b] is occupied, as
-    `int_choices` gives them with the rule's initial state: int numerators
+    `letter_sides` gives them with the rule's initial state: int numerators
     R and L over the lcm D of the choices' denominators. D is 1 unless
     some decision branches; with D = 1, R and L count the preferences
     bumped right and left."""
-    occupied = frozenset(range(a, b + 1))
-    init = p.init_state()
-    choices = [(j, *c) for j in range(a, b + 1) for c in int_choices(p, init, occupied, j, j)]
-    den = math.lcm(*(d for *_, d in choices))
-    right = sum(num * (den // d) for j, spot, num, d in choices if spot > j)
-    left = sum(num * (den // d) for j, spot, num, d in choices if spot < j)
-    return right, left, den
+    rights, lefts, den = letter_sides(p, a, b, p.init_state())
+    return sum(rights), sum(lefts), den
 
 
 def letter_sides(p: Procedure, a: int, b: int, state) -> tuple[list[int], list[int], int]:
     """(rights, lefts, D): the right- and left-probability of a car
     preferring j, for each j in [a, b] in turn, while exactly [a, b] is
     occupied and the rule is in `state`, as `int_choices` gives them:
-    int numerators over the lcm D of the choices' denominators."""
+    int numerators over the lcm D of the choices' denominators. The block
+    is [a, b] for every j, so it is built once, not found per letter."""
     occupied = frozenset(range(a, b + 1))
-    choices = [int_choices(p, state, occupied, j, j) for j in range(a, b + 1)]
+    blk = Block(a, b)
+    choices = [_choices(p, a, b, p.decide(state, occupied, blk, j)) for j in range(a, b + 1)]
     den = math.lcm(*[d for c in choices for _, _, d in c])
     rights, lefts = [], []
     for c in choices:

@@ -16,14 +16,17 @@ of the runs landing on {1..r} (`enumeration.landing_weight`): a rule
 that decides by block, or by block record, sums the forest encoding over
 its intervals, and any other rule walks (occupied set, rule state)
 pairs. Orbit masses replay the parking words' node tables over every orbit
-(`procedures.replay_orbits`), and abelianity checks grow every word as
-its multiset key (`procedures.grow_runs`): measures are nodes, levels in
+(`procedures.replay_orbits`). An abelianity check first tries to prove
+that any two cars commute on every reachable (occupied set, rule state)
+pair (`_commutes`), and only where that fails grows every word as its
+multiset key (`procedures.grow_runs`): measures are nodes, levels in
 lowest terms, so words whose prefixes share a measure share its work.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -37,6 +40,7 @@ from .procedures import (
     Fold,
     Procedure,
     _grow_nodes,
+    _step_pairs,
     decision_table,
     grow_runs,
     initial_level,
@@ -47,6 +51,8 @@ from .procedures import (
     spec_params,
 )
 from .words import SpotSet, Word, as_word
+
+log = logging.getLogger("parkline")
 
 
 class _Infinity:
@@ -359,22 +365,131 @@ class AbelianReport:
 
 
 def is_abelian(pp: Procedure, r_max: int) -> AbelianReport:
-    """Exhaustively compare measures across reorderings of every word with
-    letters in {1..r+1}, length r <= r_max, within `WORK_BUDGET`.
+    """Whether every reordering of every word with letters in {1..r+1},
+    length r <= r_max, has the same occupancy measure, within `WORK_BUDGET`.
 
-    Each length grows every word once as its multiset key (`grow_runs`,
-    `_multiset_fold`), with one decision table for every length. Reorderings
-    must have the same occupancy, compared as int numerators over one
-    denominator in lowest terms; their nodes may differ in rule states. The
-    witness is the first multiset that fails, in `combinations_with_replacement`
-    order: its smallest ordering against the first one that differs.
+    Two cars that commute on every reachable (occupied set, state) pair
+    prove it (`_commutes`), and the verdict is then abelian with no
+    witness. Otherwise, or if a step of the proof raises, the exhaustive
+    search decides and finds the witness (`_abelian_search`). It takes the
+    proof's decision table, so a rule that `decides_by_block` is not asked
+    again what the proof asked; any other rule is. The estimate is the
+    search's, Σ (r+1)^r·r car steps, since it may still run.
     """
-    import numpy as np
-
     _check_r(r_max)
     steps = sum((r + 1) ** r * r for r in range(1, r_max + 1))
     take_path("engine", f"abelian check up to length {r_max}", steps, WORK_BUDGET)
     table = decision_table(pp)
+    if _commutes(pp, r_max, table):
+        return AbelianReport(pp.name, r_max, True, None)
+    return _abelian_search(pp, r_max, table)
+
+
+def _commutes(pp: Procedure, r_max: int, table) -> bool:
+    """Whether every two cars commute on every (occupied set, state) pair x
+    that r_max - 2 or fewer cars reach over the letters 1..r_max+1:
+    T_b T_a δ_x = T_a T_b δ_x for all letters a < b, where T_a steps a
+    distribution over pairs by a car of letter a.
+
+    If so, every word of length r <= r_max has one pair distribution over
+    all its reorderings: any two reorderings are joined by swaps of
+    adjacent cars, and a swap of cars i+1 and i+2 (i <= r - 2) changes only
+    T_b T_a applied to the mixture of pairs after i cars, which is the
+    mixture of T_a T_b. Equal distributions give equal occupancy. Two cars
+    that do not commute prove nothing, since the occupancies may still
+    agree.
+
+    The pairs are stepped one generation at a time (`_step_pairs`, with
+    `table`, the caller's `decision_table`), generations 0..r_max-1 by
+    every letter: the (pair, letter) steps the search takes at length
+    r_max, so every decision the search asks is asked here too. The two
+    orders are composed from the tables of generations k and k+1
+    (`_two_cars`) and compared exactly. A rule with no `update` skips a
+    comparison, not its steps, where neither a nor b is in x's occupied
+    set: both cars then park at their own letters in either order. The
+    pass stops at the first comparison that fails, or at a step that
+    raises, since the search then decides; it returns True only after
+    every step and comparison.
+
+    Writes one DEBUG record on the `parkline` logger, with the fields
+    `pairs`, the size of each generation stepped, `pair_steps`, the (pair,
+    letter) successors computed, `compared`, the comparisons made, and
+    `proved`.
+    """
+    letters = range(1, r_max + 2)
+    width = len(letters)
+    no_update = pp.update is None
+    pairs = [(frozenset(), pp.init_state())]
+    # generation k-1's pairs and successors, compared once generation k is stepped
+    before, prev = [], []
+    sizes, pair_steps, compared, proved = [], 0, 0, False
+    try:
+        for k in range(r_max):
+            succ, nxt = _step_pairs(pp, pairs, letters, None, table)
+            sizes.append(len(pairs))
+            pair_steps += len(succ)
+            for x, (occ, _) in enumerate(before):
+                row = prev[x * width : (x + 1) * width]
+                for i in range(width):
+                    for j in range(i + 1, width):
+                        if no_update and letters[i] not in occ and letters[j] not in occ:
+                            continue
+                        compared += 1
+                        if not _same(_two_cars(row[i], succ, j, width), _two_cars(row[j], succ, i, width)):
+                            return False
+            before, prev, pairs = pairs, succ, nxt
+        proved = True
+    except Exception:
+        # whatever a step raises, the search raises too, unless it finds
+        # a witness on a shorter word first
+        pass
+    finally:
+        log.debug(
+            "is_abelian: %s up to length %d, %s pair steps, pairs %s, %s compared, proved %s",
+            pp.name, r_max, f"{pair_steps:,}", sizes, f"{compared:,}", proved,
+            extra={"pairs": sizes, "pair_steps": pair_steps, "compared": compared, "proved": proved},
+        )
+    return proved
+
+
+def _two_cars(first: tuple, succ: list, col: int, width: int) -> tuple[int, dict]:
+    """`(den, {pair id: numerator})`: the distribution that a second car,
+    of letter column `col`, leaves from the pairs `first` = `(den, ((pair
+    id, numerator), ...))` reached by the first car, through `succ`, the
+    next generation's `_step_pairs` table, over the lcm of its
+    denominators."""
+    den, out = first
+    if den == 1:
+        # the first car went one way, with weight 1
+        d, after = succ[out[0][0] * width + col]
+        return d, dict(after)
+    scale = math.lcm(*[succ[y * width + col][0] for y, _ in out])
+    nums: dict[int, int] = {}
+    for y, num in out:
+        d, after = succ[y * width + col]
+        factor = num * (scale // d)
+        for z, m in after:
+            nums[z] = nums.get(z, 0) + factor * m
+    return den * scale, nums
+
+
+def _same(u: tuple[int, dict], v: tuple[int, dict]) -> bool:
+    """Whether two `(den, {pair id: numerator})` distributions are equal."""
+    (du, nu), (dv, nv) = u, v
+    return nu.keys() == nv.keys() and all(nu[z] * dv == nv[z] * du for z in nu)
+
+
+def _abelian_search(pp: Procedure, r_max: int, table) -> AbelianReport:
+    """`is_abelian` by growing every word of each length r <= r_max as its
+    multiset key (`grow_runs`, `_multiset_fold`), with `table` for every
+    length. Reorderings must have the same occupancy, compared as int
+    numerators over one denominator in lowest terms; their nodes may
+    differ in rule states. The witness is the first multiset that fails,
+    in `combinations_with_replacement` order: its smallest ordering
+    against the first one that differs.
+    """
+    import numpy as np
+
     for r in range(1, r_max + 1):
         keys, _, ids, nodes, _ = grow_runs(pp, r, range(1, r + 2), None, _multiset_fold(r), table)
         seen: dict = {}

@@ -477,9 +477,12 @@ class TestPathLog:
         def colored(r):
             return colored_orbit_audit(colored_lbs_procedure(), distinct_letters_language(), r, (1, 2))
 
-        # and the grow_runs calls made after the path record, one per length
+        # and the records after the path record: an admitted abelian
+        # check's proof, then the grow_runs calls, one per length, of a
+        # search made where the proof fails
         cases = [
-            (lambda: is_abelian(pq_procedure(Fraction(2)), 3), "abelian check up to length 3", 212, 3),
+            (lambda: is_abelian(pq_procedure(Fraction(2)), 3), "abelian check up to length 3", 212, 0),
+            (lambda: is_abelian(kw_procedure(Fraction(1, 2)), 3), "abelian check up to length 3", 212, 3),
             (lambda: colored(2), "colored words over 6 letters", 6**2 * 2, 0),
             (lambda: is_abelian(pq_procedure(Fraction(2)), 7), "abelian check up to length 7", 15_427_550, 0),
             (lambda: colored(6), "colored words over 14 letters", 14**6 * 6, 0),
@@ -493,6 +496,9 @@ class TestPathLog:
             else:
                 query()
             [record, *runs] = caplog.records
+            proofs = [run for run in runs if hasattr(run, "proved")]
+            assert len(proofs) == (path.startswith("abelian") and estimate <= WORK_BUDGET)
+            runs = [run for run in runs if not hasattr(run, "proved")]
             assert [len(run.pairs) for run in runs] == list(range(1, grown + 1))
             assert (record.path, record.estimate, record.budget) == ("engine", estimate, WORK_BUDGET)
             assert record.getMessage() == (

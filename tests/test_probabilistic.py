@@ -1,4 +1,5 @@
 import itertools
+import logging
 import re
 from fractions import Fraction as F
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import abelian_by_orderings, history_parity_rule, state_parity_rule
+from goldens import engine_rules, outcome
 from parkline.probabilistic import (
     INFINITY,
+    _abelian_search,
     abelian_uniqueness_check,
     is_abelian,
     kw_procedure,
@@ -25,7 +28,17 @@ from parkline.probabilistic import (
     total_parking_mass,
 )
 from parkline.enumeration import StrictTableError, count_parking
-from parkline.procedures import Direction, DirTable, Procedure, builtin, dir_of, run, table_procedure
+from parkline.procedures import (
+    Direction,
+    DirTable,
+    Procedure,
+    builtin,
+    decision_table,
+    dir_of,
+    index_rule_procedure,
+    run,
+    table_procedure,
+)
 
 HALF = F(1, 2)
 
@@ -410,6 +423,78 @@ class TestAbelian:
             ms = {measure(pp, w).probs == measure(pp, multiset).probs
                   for w in set(itertools.permutations(multiset))}
             assert ms == {True}
+
+
+# the rules whose abelian checks engines.jsonl pins, and two more
+PROOF_RULES = {**engine_rules(), "pq:q=3": pq_procedure(F(3)), "kw:q=1/2": kw_procedure(HALF)}
+
+
+def proof_records(caplog) -> list:
+    return [record for record in caplog.records if hasattr(record, "proved")]
+
+
+class TestAbelianProof:
+    """`is_abelian` proves a rule abelian by commuting two cars on reachable
+    pairs, and searches words only where the proof fails: every report and
+    refusal equals the search's."""
+
+    @pytest.mark.parametrize("pp", PROOF_RULES.values(), ids=PROOF_RULES)
+    def test_reports_and_errors_equal_the_search(self, pp):
+        for r_max in range(1, 6):
+            searched = outcome(lambda: _abelian_search(pp, r_max, decision_table(pp)))
+            assert outcome(lambda: is_abelian(pp, r_max)) == searched, r_max
+
+    def test_a_witness_below_a_refused_car(self, caplog):
+        # not abelian at length 3, and no direction for car 4
+        rule = index_rule_procedure((Direction.RIGHT, Direction.RIGHT, Direction.LEFT))
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        report = is_abelian(rule, 4)
+        assert (report.abelian, report.witness) == abelian_by_orderings(rule, 3)
+        assert report.witness == ((1, 1, 3), (1, 3, 1))
+        assert report == _abelian_search(rule, 4, decision_table(rule))
+        [proof] = proof_records(caplog)
+        assert not proof.proved
+        with pytest.raises(ValueError, match="no direction for car 4"):
+            measure(rule, (1, 1, 1, 1))
+
+    def test_a_step_that_raises_falls_back_to_the_search(self, caplog):
+        # the right rule for three cars: its proof raises at car 4, and the
+        # search raises the same error at length 4
+        rule = index_rule_procedure((Direction.RIGHT,) * 3)
+        assert is_abelian(rule, 3).abelian
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        with pytest.raises(ValueError, match="^no direction for car 4$"):
+            is_abelian(rule, 4)
+        [proof] = proof_records(caplog)
+        assert not proof.proved and len(proof.pairs) == 3
+        # the search grew lengths 1 to 3, then raised at length 4
+        assert len([record for record in caplog.records if hasattr(record, "nodes")]) == 3
+
+    def test_a_proof_logs_one_record_and_grows_no_word(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        assert is_abelian(pq_procedure(F(2)), 4).abelian
+        [proof] = proof_records(caplog)
+        assert (proof.name, proof.levelno) == ("parkline", logging.DEBUG)
+        assert proof.proved and proof.pair_steps == 190
+        # each generation's pairs over the letters 1..5
+        assert proof.pairs == [1, 5, 12, 20] and 5 * sum(proof.pairs) == 190
+        assert proof.compared == 98
+        assert proof.getMessage() == (
+            "is_abelian: pq:q=2 up to length 4, 190 pair steps, pairs [1, 5, 12, 20], 98 compared, proved True"
+        )
+        assert not [record for record in caplog.records if record.getMessage().startswith("grow_runs")]
+
+    def test_a_failed_proof_is_logged_before_the_search(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        report = is_abelian(kw_procedure(HALF), 4)
+        assert report.witness == ((1, 1, 2), (1, 2, 1))
+        path, proof, *grown = caplog.records
+        assert proof_records(caplog) == [proof] and not proof.proved
+        # the proof stops at its first failing comparison, once the
+        # generation after it is stepped
+        assert proof.compared >= 1 and len(proof.pairs) < 4
+        assert [len(record.pairs) for record in grown] == [1, 2, 3]
+        assert all(record.getMessage().startswith("grow_runs") for record in grown)
 
 
 class TestUniqueness:
