@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -225,11 +226,14 @@ def cmd_fibers(args) -> Report:
         # one outcome's words, walked without growing the others
         brute = [fiber_count_brute(p, sigma, cap=_cap(args))]
         sigmas = np.array([sigma], np.int64)
+        texts = [word_str(sigma)]
     else:
         sigmas, brute = all_fiber_counts_brute(p, args.r, cap=_cap(args))
+        # the outcomes' texts in the same lexicographic order
+        texts = map(",".join, itertools.permutations([str(i) for i in range(1, args.r + 1)]))
     table = [
-        {"sigma": word_str(s), "formula": f, "brute": b}
-        for s, f, b in zip(sigmas.tolist(), fiber_counts(p, sigmas), brute)
+        {"sigma": text, "formula": f, "brute": b}
+        for text, f, b in zip(texts, fiber_counts(p, sigmas), brute)
     ]
     shapes = sorted(all_shape_counts(p, args.r, cap=_cap(args)), reverse=True)
     results = {

@@ -23,7 +23,8 @@ Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
 query reports the path it takes and that estimate in one DEBUG record on
 the `parkline` logger (`take_path`), and each pass it makes adds one
-record of the work it did (`procedures.grow_runs`, `orbit_tuples`).
+record of the work it did (`procedures.grow_runs`, `orbit_tuples`,
+`step_counts`).
 """
 
 from __future__ import annotations

@@ -18,10 +18,12 @@ i on its subtree span [lo, hi] in the decreasing tree of sigma. That
 span needs no tree: it runs from just past the nearest larger arrival
 left of spot i to just before the nearest larger arrival right of it.
 `fiber_counts` reads the spans of a whole batch of outcomes this way;
-`fiber_counts_brute` counts the parking words by outcome instead, grown as
-partial outcomes whose rows merge after every car, and `fiber_count_brute`
-counts one outcome's words on a walk that keeps only the runs whose cars
-park where the outcome puts them.
+`fiber_counts_brute` counts the parking words by outcome instead: for a
+rule without state, as the product along each outcome of a one-car step
+table over occupied sets, and for a rule with state, grown as partial
+outcomes whose rows merge after every car. `fiber_count_brute` counts one
+outcome's words on a walk that keeps only the runs whose cars park where
+the outcome puts them.
 A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
 preferences bumped right and left off a block (`enumeration.block_sides`,
 whose denominator D is 1 unless a decision branches);
@@ -58,6 +60,7 @@ from .procedures import (
     initial_level,
     merge_step,
     run,
+    step_counts,
 )
 from .words import Block, SpotSet, Word, as_int, as_word, blocks
 
@@ -358,7 +361,12 @@ def fiber_counts_brute(
     p: Procedure, r: int, *, cap: int | None = WORK_BUDGET
 ) -> dict[tuple[int, ...], int]:
     """Outcome histogram of all parking words of length r, in ascending
-    order of sigma (`_outcome_histogram`)."""
+    order of sigma: for a rule without state every outcome, each with the
+    product of its step counts (`all_fiber_counts_brute`), for a rule with
+    state the outcomes its words reach (`_outcome_histogram`)."""
+    if p.is_memoryless:
+        sigmas, counts = all_fiber_counts_brute(p, r, cap=cap)
+        return dict(zip(map(tuple, sigmas.tolist()), counts))
     keys, counts = _outcome_histogram(p, r, cap)
     return dict(zip(map(tuple, _outcome_fold(r).digits(keys).tolist()), counts.tolist()))
 
@@ -368,15 +376,37 @@ def all_fiber_counts_brute(
 ) -> tuple[np.ndarray, list[int]]:
     """Every outcome of length r, as the rows of an int64 (r!, r) array in
     lexicographic order, and the number of parking words with each, 0 for
-    an outcome that none has: `fiber_counts_brute`, found by key. The
-    outcomes are listed only once the brute count has passed the budget."""
+    an outcome that none has. The outcomes are listed only once the brute
+    count has passed the budget.
+
+    A rule without state keeps no pair but its occupied set, which a
+    partial outcome fixes, so the words with outcome sigma number the
+    product over cars k of the step counts c[S_{k-1}][s_k] (`step_counts`):
+    the letters that park car k on its spot s_k from the set S_{k-1} of the
+    cars before it. Each is at least 1, for the letter s_k itself. One
+    gather and product per car reads all r! counts, over int8 spots and
+    int32 masks; the int64 product is exact, since a count is at most the
+    r^r words and `_check_runs` refuses r >= 16, where (r+1)^r passes
+    int64, before any car. The work is estimated at sum_{k<r} r!/(r-k)! * r
+    car steps, the partial outcomes of k cars stepped by r letters. A rule
+    with state takes `fiber_counts_brute`'s histogram, read by outcome."""
     import numpy as np
 
-    keys, counts = _outcome_histogram(p, r, cap)
+    if not p.is_memoryless:
+        histogram = fiber_counts_brute(p, r, cap=cap)
+        sigmas = _permutations(r)
+        return sigmas, [histogram.get(sigma, 0) for sigma in map(tuple, sigmas.tolist())]
+    _check_runs(p, r, cap, sum(math.perm(r, k) for k in range(r)) * r)
+    steps = step_counts(p, r, decision_table(p))
     sigmas = _permutations(r)
-    wanted = sigmas @ _kernels.radix_weights(r + 1, r)
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    return sigmas, np.where(keys[at] == wanted, counts[at], 0).tolist()
+    counts = np.ones(len(sigmas), np.int64)
+    occupied = np.zeros(len(sigmas), np.int32)
+    for car in range(1, r + 1):
+        # the spot of car `car` in every outcome, from 0
+        spot = (sigmas == car).argmax(axis=1).astype(np.int8)
+        counts *= steps[occupied, spot]
+        occupied |= np.left_shift(1, spot, dtype=np.int32)
+    return sigmas, counts.tolist()
 
 
 def _permutations(r: int) -> np.ndarray:
@@ -392,19 +422,17 @@ def _permutations(r: int) -> np.ndarray:
 
 
 def _outcome_histogram(p: Procedure, r: int, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct outcome keys of the parking words of length r, ascending,
-    and the number of words with each, grown in {1..r} as partial outcomes
-    (`grow_runs` with `_outcome_fold`): rows that agree on (partial outcome,
-    node) merge after every car, so the work follows the r!/(r-k)! partial
-    outcomes of k cars, times their rule states, not the (r+1)^(r-1) words;
-    the rows of one key, in several states, are summed. ValueError if a
-    decision branches. A rule without state keeps one row per partial
-    outcome, so its work is estimated at sum_{k<r} r!/(r-k)! * r car steps;
-    a rule with state at r^r * r, as any parking runs."""
+    """The distinct outcome keys of the parking words of length r of a rule
+    with state, ascending, and the number of words with each, grown in
+    {1..r} as partial outcomes (`grow_runs` with `_outcome_fold`): rows that
+    agree on (partial outcome, node) merge after every car, so the work
+    follows the r!/(r-k)! partial outcomes of k cars, times their rule
+    states, not the (r+1)^(r-1) words; the rows of one key, in several
+    states, are summed. The work is estimated at r^r * r car steps, as any
+    parking runs. ValueError if a decision branches."""
     import numpy as np
 
-    steps = sum(math.perm(r, k) for k in range(r)) * r if p.is_memoryless else None
-    _check_runs(p, r, cap, steps)
+    _check_runs(p, r, cap)
     inside = frozenset(range(1, r + 1))
     keys, counts, _, _, sure = grow_runs(p, r, range(1, r + 1), inside, _outcome_fold(r), decision_table(p))
     if not sure:

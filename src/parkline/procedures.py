@@ -19,11 +19,13 @@ keys that a `Fold` extends car by car: each generation interns its pairs
 as int ids, steps each distinct (pair, letter) once (`_step_pairs`) and
 every prefix's level, a tuple of (pair id, numerator), by adding up its
 pairs' successors (`_step_nodes`). Cyclic orbits are rotation tuples:
-`orbit_tuples` steps the same pairs, one tuple of pair ids per orbit and
-one entry per rotation, and `replay_orbits` replays a pass's tables over
-every orbit. These ask a rule that decides by block once per (block,
-letter) while one `decision_table` lives; such a rule never walks, since
-the interval DP weighs its landing runs (`enumeration.landing_weight`).
+`orbit_tuples` steps the same pairs, one int32 row of pair ids per orbit
+and one entry per rotation, and `replay_orbits` replays a pass's tables
+over every orbit. `step_counts` steps the occupied sets of a rule without
+state into a one-car table, from which fibers are products. These ask a
+rule that decides by block once per (block, letter) while one
+`decision_table` lives; such a rule never walks, since the interval DP
+weighs its landing runs (`enumeration.landing_weight`).
 Nor does a locally decided rule whose state is a block record
 (`record_parked`, as `lbs` keeps it): the DP carries the record.
 """
@@ -416,7 +418,8 @@ def _step_pairs(p: Procedure, pairs: list, letters: Sequence[int], inside, table
     and letter column c are at succ[i * len(letters) + c], as `(den, ((next
     pair id, numerator), ...))` over the lcm den of their denominators, and
     the next generation's pairs are interned as ids in the order first
-    reached. `grow_runs` and `orbit_tuples` step their pairs here."""
+    reached. `grow_runs`, `orbit_tuples` and `step_counts` step their pairs
+    here."""
     index: dict = {}
     succ = []
     for occ, state in pairs:
@@ -482,7 +485,7 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
         ids = next_node[from_ids, cols]
         keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
         if counts is not None:
-            keys, ids, counts = _merge_rows(keys, ids, counts[rows])
+            (keys, ids), counts = _merge_rows((keys, ids), counts[rows])
         return len(keys)
 
     nodes, sure = _grow_nodes(p, r, letters, inside, table, extend)
@@ -521,18 +524,22 @@ def _grow_nodes(p: Procedure, r: int, letters: Sequence[int], inside, table, ext
     return [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
 
 
-def _merge_rows(keys: np.ndarray, ids: np.ndarray, counts: np.ndarray):
-    """`(keys, ids, counts)` with the rows that agree on (key, node) merged
-    and their counts added, sorted by key, then node. Two sort keys, not
-    one packed int64, so that no key range can overflow."""
+def _merge_rows(keys: Sequence[np.ndarray], counts: np.ndarray) -> tuple[list, np.ndarray]:
+    """`(keys, counts)` with the rows that agree on every key column merged
+    and their int64 counts added, sorted by the key columns, the first the
+    most significant. `keys` is a sequence of equal-length key columns, or
+    a 2-D array whose rows are the columns: `grow_runs` merges on (fold key,
+    node), `orbit_tuples` on the r+1 entries of each rotation tuple. One
+    lexsort over the columns, not one packed int64 key, so that no key
+    range can overflow."""
     import numpy as np
 
-    order = np.lexsort((ids, keys))
-    keys, ids = keys[order], ids[order]
-    first = np.ones(len(keys), bool)
-    first[1:] = (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])
+    order = np.lexsort(keys[::-1])
+    keys = [column[order] for column in keys]
+    first = np.ones(len(order), bool)
+    first[1:] = np.logical_or.reduce([column[1:] != column[:-1] for column in keys])
     starts = np.flatnonzero(first)
-    return keys[starts], ids[starts], np.add.reduceat(counts[order], starts)
+    return [column[starts] for column in keys], np.add.reduceat(counts[order], starts)
 
 
 def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
@@ -609,22 +616,29 @@ def orbit_tuples(p: Procedure, r: int, table) -> tuple[dict[int, int], list]:
     a car parks outside {1..r}, where it stays. Each generation steps its
     pairs once over the letters 1..r (`_step_pairs`, with `table`, the
     caller's `decision_table`), since letter r+1 parks outside at once,
-    into a table of lists (see `replay_orbits`), where each tuple looks its
-    ids up. Orbits whose tuples agree continue alike, so equal tuples merge,
-    each with a Python int count of the orbits reaching it; after r cars an
-    orbit's live entries are its parking words. ValueError if a decision
-    branches, once every car has been stepped.
+    into an int32 table (see `replay_orbits`). The tuples are the int32
+    rows of one array: each car looks every tuple's next ids up in one
+    numpy gather, and orbits whose tuples agree continue alike, so equal
+    rows merge (`_merge_rows`), each with an int64 count of the orbits
+    reaching it. A count is exact, since it is at most the (r+1)^(r-1)
+    orbits, below the (r+1)^r orbit entries that `enumeration._check_runs`
+    checks fit int64 before any car. After r cars an orbit's live entries
+    are its parking words. ValueError if a decision branches, once every
+    car has been stepped.
 
     Each call writes one DEBUG record on the `parkline` logger, with the
     fields `pairs` and `tuples`, the sizes of each generation after each
     car, and `pair_steps`, the (pair, letter) successors computed.
     """
+    import numpy as np
+
     base = r + 1
     inside = frozenset(range(1, base))
     pairs = [(frozenset(), p.init_state())]
-    tuples = {(0,) * base: 1}
+    tuples = np.zeros((1, base), np.int32)
+    counts = np.ones(1, np.int64)
     # the letter column of rotation j at difference d
-    columns = [[(d + j) % base for j in range(base)] for d in range(base)]
+    columns = (np.arange(base)[:, None] + np.arange(base)) % base
     sure, tables = True, []
     pair_steps, pair_sizes, tuple_sizes = 0, [], []
     for k in range(r):
@@ -633,19 +647,18 @@ def orbit_tuples(p: Procedure, r: int, table) -> tuple[dict[int, int], list]:
         pair_steps += len(succ)
         # a branch is refused once every car has been stepped
         sure = sure and all(d == 1 and len(out) < 2 for d, out in succ)
-        nxt = [out[0][0] if d == 1 and len(out) == 1 else -1 for d, out in succ]
         # one row of next ids per pair and letter 1..r+1, and a last one
         # for -1, which stays
-        rows = [nxt[i : i + r] + [-1] for i in range(0, len(nxt), r)] + [[-1] * base]
+        rows = np.full((len(succ) // r + 1, base), -1, np.int32)
+        rows[:-1, :r] = np.array(
+            [out[0][0] if d == 1 and len(out) == 1 else -1 for d, out in succ], np.int32
+        ).reshape(-1, r)
         tables.append(rows)
-        grown: dict[tuple, int] = {}
-        for ids, count in tuples.items():
-            steps = [rows[i] for i in ids]
-            # the first letter is d_1 = 0 for every orbit
-            for cols in columns if k else columns[:1]:
-                key = tuple(map(list.__getitem__, steps, cols))
-                grown[key] = grown.get(key, 0) + count
-        tuples = grown
+        # the first letter is d_1 = 0 for every orbit
+        cols = columns if k else columns[:1]
+        grown = rows[tuples[:, None, :], cols].reshape(-1, base)
+        merged, counts = _merge_rows(grown.T, np.repeat(counts, len(cols)))
+        tuples = np.stack(merged, axis=1)
         pair_sizes.append(len(pairs))
         tuple_sizes.append(len(tuples))
     log.debug(
@@ -655,11 +668,60 @@ def orbit_tuples(p: Procedure, r: int, table) -> tuple[dict[int, int], list]:
     )
     if not sure:
         raise _branch_error(p)
-    histogram: dict[int, int] = {}
-    for ids, count in tuples.items():
-        k = base - ids.count(-1)
-        histogram[k] = histogram.get(k, 0) + count
-    return dict(sorted(histogram.items())), tables
+    histogram = np.zeros(base + 1, np.int64)
+    np.add.at(histogram, base - (tuples < 0).sum(axis=1), counts)
+    return {k: n for k, n in enumerate(histogram.tolist()) if n}, tables
+
+
+def step_counts(p: Procedure, r: int, table) -> np.ndarray:
+    """The one-car step table of a rule without state over {1..r}: an int64
+    (2^r, r) array whose entry [S, s-1] is the number of letters in 1..r
+    that park the next car on spot s from the occupied set S, a bit mask
+    with spot s at bit s-1; 0 where no run reaches S. A partial outcome of
+    such a rule fixes its occupied set, so the parking words of an outcome
+    number the product of these entries along it
+    (`forests.all_fiber_counts_brute`).
+
+    Each generation steps the occupied sets reached by its cars once over
+    the letters 1..r (`_step_pairs`, with `table`, the caller's
+    `decision_table`), as `grow_runs` does for the outcome fold: the same
+    (pair, letter) steps, so the same decisions are asked. ValueError if a
+    decision branches, once every car has been stepped.
+
+    Each call writes one DEBUG record on the `parkline` logger, with the
+    fields `sets`, the occupied sets reached after each car, and
+    `pair_steps`, the (pair, letter) successors computed.
+    """
+    import numpy as np
+
+    inside = frozenset(range(1, r + 1))
+    pairs = [(frozenset(), p.init_state())]
+    masks = [0]
+    counts = [0] * (r << r)
+    sure = True
+    pair_steps, set_sizes = 0, []
+    for _ in range(r):
+        succ, pairs = _step_pairs(p, pairs, range(1, r + 1), inside, table)
+        pair_steps += len(succ)
+        after = [sum(1 << (s - 1) for s in pair[0]) for pair in pairs]
+        for i, (d, out) in enumerate(succ):
+            if d == 1 and len(out) == 1:
+                mask = masks[i // r]
+                # the one spot the car took, the bit the set gained
+                counts[mask * r + (after[out[0][0]] ^ mask).bit_length() - 1] += 1
+            elif out:
+                # a branch is refused once every car has been stepped
+                sure = False
+        masks = after
+        set_sizes.append(len(pairs))
+    log.debug(
+        "step_counts: %s, %s pair steps, sets %s",
+        p.name, f"{pair_steps:,}", set_sizes,
+        extra={"sets": set_sizes, "pair_steps": pair_steps},
+    )
+    if not sure:
+        raise _branch_error(p)
+    return np.array(counts, np.int64).reshape(1 << r, r)
 
 
 def replay_orbits(tables: list, r: int) -> np.ndarray:

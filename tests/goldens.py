@@ -33,7 +33,8 @@ from unittest import mock
 from conftest import alternating_rule, history_coin_rule, history_parity_rule, state_parity_rule
 from parkline.cli import main
 from parkline.colored import ColoredLetter, colored_lbs_procedure
-from parkline.enumeration import count_parking, count_words_to_set
+from parkline.enumeration import OrbitReport, OrbitViolation, count_parking, count_words_to_set, orbit_audit
+from parkline.forests import fiber_counts_brute
 from parkline.probabilistic import (
     AbelianReport,
     Measure,
@@ -66,6 +67,9 @@ def cli_queries() -> list[str]:
         queries += [f"encode --proc {spec} --word {w}" for w in WORDS]
     for spec in BLOCK_RULES:
         queries += [f"fibers --proc {spec} --r 3", f"fibers --proc {spec} --r 3 --sigma 2,3,1"]
+    # every outcome of a larger size, and orbits with violations to list
+    queries += ["fibers --proc closest --r 5", "fibers --proc naples:k=2 --r 5",
+                "orbits --proc lbs --r 5", "orbits --proc far --r 4"]
     return queries
 
 
@@ -152,6 +156,10 @@ def pin(x):
         return ["AbelianReport", x.procedure, x.r_max, x.abelian, pin(x.witness)]
     if isinstance(x, ColoredLetter):
         return ["ColoredLetter", x.value, x.color]
+    if isinstance(x, OrbitReport):
+        return ["OrbitReport", x.procedure, x.r, x.orbit_count, pin(x.histogram), pin(x.violations)]
+    if isinstance(x, OrbitViolation):
+        return ["OrbitViolation", pin(x.representative), pin(x.members), x.parking_count, pin(x.parking_words)]
     raise TypeError(f"cannot pin {type(x).__name__}")
 
 
@@ -238,6 +246,8 @@ def engine_cases() -> dict:
         cases[f"total_parking_mass {name}"] = lambda p=p: [outcome(lambda: total_parking_mass(p, r)) for r in range(1, 5)]
         cases[f"orbit_parking_mass {name}"] = lambda p=p: [outcome(lambda: orbit_parking_mass(p, r)) for r in range(1, 5)]
         cases[f"is_abelian {name}"] = lambda p=p: [outcome(lambda: is_abelian(p, r)) for r in range(1, 4)]
+        cases[f"orbit_audit {name}"] = lambda p=p: [outcome(lambda: orbit_audit(p, r)) for r in range(1, 5)]
+        cases[f"fiber_counts_brute {name}"] = lambda p=p: [outcome(lambda: fiber_counts_brute(p, r)) for r in range(1, 5)]
         cases[f"count_words_to_set {name}"] = lambda p=p: _counts(p)
         cases[f"refusals {name}"] = lambda p=p: _refusals(p)
     # a colored rule prefers each letter's value and refuses words outside

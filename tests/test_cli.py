@@ -320,6 +320,16 @@ class TestFibers:
                 assert results["formula_total"] == results["shape_total"] == count
                 assert len(results["shape_counts"]) == math.comb(2 * r, r) // (r + 1)
 
+    def test_sigma_texts_follow_the_outcome_rows(self):
+        # the rows' texts come from itertools.permutations of the digit
+        # strings, in the lexicographic order of the outcome array
+        from parkline.cli import word_str
+        from parkline.forests import _permutations
+
+        for r in range(1, 9):
+            texts = list(map(",".join, permutations([str(i) for i in range(1, r + 1)])))
+            assert texts == [word_str(row) for row in _permutations(r).tolist()], r
+
     def test_r1(self, capsys):
         code, out, _ = invoke(capsys, "fibers", "--proc", "right", "--r", "1", "--format", "json")
         doc = json.loads(out)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldens
 from conftest import parking_runs, random_dir_tables
 from goldens import BLOCK_RULES
 from parkline.forests import (
@@ -45,6 +46,8 @@ from parkline.procedures import RIGHT, Procedure, builtin, is_parking, outcome, 
 CATALOG = ["right", "left", "closest", "prime", "evenodd", "far", "lbs"]
 LABEL_RULES = ["right", "left", "closest", "prime", "evenodd", "naples:k=1", "naples:k=2"]
 RANDOM_TABLES = {p.name: p for p in random_dir_tables(3, 5, seed=11)}
+# the pinned engine rules without state, whose fibers take the step table
+STATELESS = {name: p for name, p in goldens.engine_rules().items() if p.is_memoryless}
 
 
 def word_space(r, hi=None):
@@ -627,3 +630,110 @@ class TestSerialization:
                 s = project(pair)
                 by_support[s] = by_support.get(s, 0) + w
             assert by_support == measure(pp, word).probs
+
+
+def raised(call):
+    """`(result, None)` of `call()`, or `(None, (type, message))` of what it
+    raises."""
+    try:
+        return call(), None
+    except Exception as e:  # every refusal is compared, whatever its type
+        return None, (type(e), str(e))
+
+
+def late_error_rule() -> Procedure:
+    """No state; goes right, except that car 2 branches and car 4 has no
+    decision, so a branch is met before the error."""
+
+    def decide(st, occ, blk, a):
+        if len(occ) == 3:
+            raise ValueError("late-error: no decision for car 4")
+        return F(1, 2) if len(occ) == 1 else RIGHT
+
+    return Procedure("late-error", decide=decide)
+
+
+class TestStepCounts:
+    """The fibers of a rule without state, read off its one-car step table
+    (`procedures.step_counts`), against the outcome fold of `grow_runs`
+    (`forests._outcome_histogram`) that took them before."""
+
+    @pytest.mark.parametrize("name", [*STATELESS, "late-error"])
+    def test_products_equal_the_outcome_fold(self, name):
+        from parkline._kernels import radix_weights
+        from parkline.forests import _outcome_histogram, all_fiber_counts_brute
+
+        p = STATELESS.get(name) or late_error_rule()
+        for r in range(1, 7):
+            folded, error = raised(lambda: _outcome_histogram(p, r, None))
+            got, got_error = raised(lambda: all_fiber_counts_brute(p, r))
+            # the same refusal, of the same type, with the same message
+            assert got_error == error == raised(lambda: fiber_counts_brute(p, r))[1], (name, r)
+            if error:
+                continue
+            keys, counts = folded
+            sigmas, brute = got
+            histogram = dict(zip(keys.tolist(), counts.tolist()))
+            # every outcome, zeros included, in the outcome array's order
+            expected = [histogram.get(key, 0) for key in (sigmas @ radix_weights(r + 1, r)).tolist()]
+            assert brute == expected, (name, r)
+            assert all(type(count) is int for count in brute)
+            assert sigmas.shape == (math.factorial(r), r) and sigmas.dtype == np.int64
+
+    def test_a_branch_is_refused_after_every_car(self):
+        # car 2 branches, and car 4's error is met before the branch is refused
+        from parkline.forests import _outcome_histogram, all_fiber_counts_brute
+
+        p = late_error_rule()
+        for r, message in ((2, "late-error: a decision branches"), (3, "late-error: a decision branches"),
+                           (4, "late-error: no decision for car 4"), (5, "late-error: no decision for car 4")):
+            for call in (lambda: _outcome_histogram(p, r, None), lambda: all_fiber_counts_brute(p, r),
+                         lambda: fiber_counts_brute(p, r)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    @pytest.mark.parametrize("name", ["lbs", "state-parity", "history-coin"])
+    def test_a_rule_with_state_keeps_the_outcome_fold(self, name, caplog):
+        import logging
+
+        from parkline.forests import _outcome_histogram, _permutations, all_fiber_counts_brute
+
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        p = goldens.engine_rules()[name]
+        for r in range(1, 6):
+            caplog.clear()
+            histogram, error = raised(lambda: fiber_counts_brute(p, r))
+            assert error == raised(lambda: _outcome_histogram(p, r, None))[1], (name, r)
+            assert [record for record in caplog.records if hasattr(record, "rows")]
+            assert not [record for record in caplog.records if hasattr(record, "sets")]
+            got, got_error = raised(lambda: all_fiber_counts_brute(p, r))
+            assert got_error == error, (name, r)
+            if error:
+                continue
+            sigmas, counts = got
+            assert (sigmas == _permutations(r)).all()
+            assert counts == [histogram.get(sigma, 0) for sigma in map(tuple, sigmas.tolist())]
+
+    @pytest.mark.parametrize("spec", ["far", "closest", "kwseq:qs=1/2+1/3", "pq:q=2"])
+    def test_same_decisions_as_the_outcome_fold(self, spec):
+        # the same pair steps, so the same decisions in the same order,
+        # once per (block, letter) for a rule with a decision table
+        import dataclasses
+
+        from parkline.forests import _outcome_histogram, all_fiber_counts_brute
+
+        asked = []
+        p = goldens.engine_rules()[spec]
+
+        def decide(st, occ, blk, a):
+            asked.append((occ, blk, a))
+            return p.decide(st, occ, blk, a)
+
+        rule = dataclasses.replace(p, decide=decide)
+        for r in (3, 5):
+            raised(lambda: _outcome_histogram(rule, r, None))
+            folded = asked[:]
+            asked.clear()
+            raised(lambda: all_fiber_counts_brute(rule, r))
+            assert asked == folded and folded, (spec, r)
+            asked.clear()

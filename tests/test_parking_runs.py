@@ -29,6 +29,7 @@ from conftest import (
     random_dir_tables,
     state_parity_rule,
 )
+from goldens import engine_rules
 from parkline import enumeration, procedures
 from parkline.enumeration import (
     OrbitReport,
@@ -190,6 +191,9 @@ def test_fibers_equal_word_space(p):
         assert fiber_counts_brute(p, r, cap=None) == dict(expected), r
 
 
+ENGINE_RULES = engine_rules()
+
+
 def grouped_report(p, r: int) -> OrbitReport:
     """`orbit_audit` with no orbit fold, the reference for rotation tuples:
     the parking words of the key engine (`conftest.parking_runs`) grouped by
@@ -225,6 +229,25 @@ def test_orbit_tuples_equal_the_key_engine(p, monkeypatch):
     # these list violating orbits at r = 6, identically
     if p.name in ("far", "naples:k=2", "evenodd"):
         assert report.violations
+
+
+@pytest.mark.parametrize("name", list(ENGINE_RULES))
+def test_merged_tuples_equal_the_unmerged_replay(name):
+    # the merged rows' counts against one row per orbit, replayed from the
+    # same tables; a pass that raises leaves no tables to replay
+    p = ENGINE_RULES[name]
+    compared = 0
+    for r in range(1, 7):
+        try:
+            histogram, tables = procedures.orbit_tuples(p, r, procedures.decision_table(p))
+        except ValueError:
+            continue
+        live = (procedures.replay_orbits(tables, r) >= 0).sum(axis=1)
+        assert histogram == dict(sorted(Counter(live.tolist()).items())), r
+        assert all(type(count) is int for count in histogram.values())
+        assert all(table.dtype == np.int32 for table in tables)
+        compared += 1
+    assert compared >= 1
 
 
 PROB_RULES = RULES + [
@@ -613,11 +636,25 @@ def test_grow_runs_logs_its_generations(caplog):
     assert (record.pairs, record.tuples) == ([5, 10, 10, 5, 1], [1, 5, 10, 10, 5])
     assert record.pair_steps == 5 * (1 + sum(record.pairs[:-1])) == 155
     assert "155 pair steps" in record.getMessage()
-    # the outcome fold merges words with one partial outcome: 5!/(5-k)! rows
+    # a rule with state keeps the outcome fold, which merges words with one
+    # partial outcome and state: more rows than the 5!/(5-k)! outcomes
     caplog.clear()
+    fiber_counts_brute(state_parity_rule(), 5)
+    [record] = [record for record in caplog.records if hasattr(record, "pair_steps")]
+    assert (record.pairs, record.rows) == ([5, 12, 18, 10, 2], [5, 24, 92, 218, 238])
+
+
+def test_step_counts_log_their_sets(caplog):
+    caplog.set_level(logging.DEBUG, logger="parkline")
+    # a rule without state steps the occupied sets, one generation per car:
+    # C(5, k) sets after k cars, each stepped by the 5 letters
     fiber_counts_brute(parse_proc_spec("closest"), 5)
     [record] = [record for record in caplog.records if hasattr(record, "pair_steps")]
-    assert record.pairs == record.nodes and record.rows == [5, 20, 60, 120, 120]
+    assert (record.name, record.levelno) == ("parkline", logging.DEBUG)
+    assert record.sets == [5, 10, 10, 5, 1]
+    assert record.pair_steps == 5 * (1 + sum(record.sets[:-1])) == 155
+    assert record.getMessage() == "step_counts: closest, 155 pair steps, sets [5, 10, 10, 5, 1]"
+    assert not hasattr(record, "rows")
 
 
 PROBABILITIES = st.one_of(st.sampled_from((0, 1)), st.fractions(0, 1, max_denominator=6))
