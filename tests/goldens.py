@@ -245,9 +245,11 @@ def engine_cases() -> dict:
         cases[f"path_distribution {name}"] = lambda p=p: _per_word(path_distribution, p, words)
         cases[f"total_parking_mass {name}"] = lambda p=p: [outcome(lambda: total_parking_mass(p, r)) for r in range(1, 5)]
         cases[f"orbit_parking_mass {name}"] = lambda p=p: [outcome(lambda: orbit_parking_mass(p, r)) for r in range(1, 5)]
-        cases[f"is_abelian {name}"] = lambda p=p: [outcome(lambda: is_abelian(p, r)) for r in range(1, 4)]
+        cases[f"is_abelian {name}"] = lambda p=p: [outcome(lambda: is_abelian(p, r)) for r in range(1, 6)]
         cases[f"orbit_audit {name}"] = lambda p=p: [outcome(lambda: orbit_audit(p, r)) for r in range(1, 5)]
-        cases[f"fiber_counts_brute {name}"] = lambda p=p: [outcome(lambda: fiber_counts_brute(p, r)) for r in range(1, 5)]
+        # a rule with state grows its fibers on its own path, pinned further
+        fiber_r = range(1, 7) if p.update is not None else range(1, 5)
+        cases[f"fiber_counts_brute {name}"] = lambda p=p, rs=fiber_r: [outcome(lambda: fiber_counts_brute(p, r)) for r in rs]
         cases[f"count_words_to_set {name}"] = lambda p=p: _counts(p)
         cases[f"refusals {name}"] = lambda p=p: _refusals(p)
     # a colored rule prefers each letter's value and refuses words outside
