@@ -23,8 +23,8 @@ Every query estimates its work in car steps before any car is placed and
 is refused beyond one budget, `WORK_BUDGET` (see `check_budget`). Each
 query reports the path it takes and that estimate in one DEBUG record on
 the `parkline` logger (`take_path`), and each pass it makes adds one
-record of the work it did (`procedures.grow_runs`, `orbit_tuples`,
-`step_counts`).
+record of the work it did (`procedures.orbit_tuples`, `step_counts` and
+`grow_runs`, and the pair rows of `forests._outcome_histogram`).
 """
 
 from __future__ import annotations
@@ -194,9 +194,9 @@ def _block_sides_memo(p: Procedure):
     `decides_by_block_record` is asked `side(a, b, rec)` instead, the
     `letter_sides` of the block [a, b] with record `rec`. A rule that
     `is_local` is probed once per block size, on the block [1, size] with
-    the record shifted alike, which trusts `is_shift_invariant` as
-    `via="formula"` does: n probes for the blocks inside n spots instead of
-    one per block. Any other rule is probed once per block."""
+    the record shifted alike, which trusts `is_shift_invariant`: n probes
+    for the blocks inside n spots instead of one per block. Any other rule
+    is probed once per block."""
     if p.decides_by_block_record:
         if p.is_local:
             by_size = functools.cache(lambda n, t: letter_sides(p, 1, n, ((1, n, t),)))
@@ -469,13 +469,9 @@ def count_words_to_set(
     `pad`, an int >= 0 or a numpy integer as spots are (`words.as_int`),
     but no bool, widens that alphabet to [min(S)-pad, max(S)+pad], gaps
     included, which re-verifies the claim above empirically; the default
-    path refuses it. "formula" multiplies the shuffle count of S's blocks
-    with the count of each block, taken at its own position on the same
-    path, and requires a rule that `decides_by_block` or `is_local`, so
-    that its blocks never interact; a locally decided rule that keeps state
-    and is not shift invariant is refused.
+    path refuses it.
     """
-    if via not in (None, "brute", "formula"):
+    if via not in (None, "brute"):
         raise ValueError(f"unknown mode {via!r}")
     default = via is None and backend is None
     try:
@@ -485,23 +481,12 @@ def count_words_to_set(
     if width < 0:
         raise ValueError(f"pad must be an int >= 0, got {pad!r}")
     pad = width
-    if pad and (default or via == "formula"):
+    if pad and default:
         raise ValueError("pad widens the alphabet of word enumeration only")
     target = frozenset(as_int(s, "spot") for s in spots)
     n = len(target)
     if n == 0:
         return 1
-
-    if via == "formula":
-        if not (p.decides_by_block or p.is_local):
-            why = "keeps state and is not shift invariant" if p.is_locally_decided else "is not locally decided"
-            raise ValueError(f"{p.name} {why}; the product formula needs blocks that never interact")
-        parts = blocks(target)
-        out = multinomial([b.size for b in parts])
-        for b in parts:
-            # each block at its own position, as `interval_weight` takes it
-            out *= count_words_to_set(p, b.spots(), cap=cap, backend=backend)
-        return out
 
     if default:
         count, den = landing_weight(p, target, cap)

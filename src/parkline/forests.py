@@ -20,8 +20,9 @@ left of spot i to just before the nearest larger arrival right of it.
 `fiber_counts` reads the spans of a whole batch of outcomes this way;
 `fiber_counts_brute` counts the parking words by outcome instead: for a
 rule without state, as the product along each outcome of a one-car step
-table over occupied sets, and for a rule with state, grown as partial
-outcomes whose rows merge after every car. `fiber_count_brute` counts one
+table over occupied sets, and for a rule with state, grown as rows of
+(partial outcome, rule pair) that merge after every car; both step the
+same pairs (`procedures._sure_pass`). `fiber_count_brute` counts one
 outcome's words on a walk that keeps only the runs whose cars park where
 the outcome puts them.
 A label set's size is 1 + R(lo, i-1) + L(i+1, hi), with R and L the
@@ -51,12 +52,12 @@ from .enumeration import (
 )
 from .procedures import (
     Direction,
-    Fold,
     Procedure,
     _branch_error,
+    _merge_rows,
+    _sure_pass,
     decision_table,
     dir_of_set,
-    grow_runs,
     initial_level,
     merge_step,
     run,
@@ -367,8 +368,7 @@ def fiber_counts_brute(
     if p.is_memoryless:
         sigmas, counts = all_fiber_counts_brute(p, r, cap=cap)
         return dict(zip(map(tuple, sigmas.tolist()), counts))
-    keys, counts = _outcome_histogram(p, r, cap)
-    return dict(zip(map(tuple, _outcome_fold(r).digits(keys).tolist()), counts.tolist()))
+    return _outcome_histogram(p, r, cap)
 
 
 def all_fiber_counts_brute(
@@ -421,11 +421,13 @@ def _permutations(r: int) -> np.ndarray:
     return s + 1
 
 
-def _outcome_histogram(p: Procedure, r: int, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct outcome keys of the parking words of length r of a rule
-    with state, ascending, and the number of words with each, grown in
-    {1..r} as partial outcomes (`grow_runs` with `_outcome_fold`): rows that
-    agree on (partial outcome, node) merge after every car, so the work
+def _outcome_histogram(p: Procedure, r: int, cap: int | None) -> dict[tuple[int, ...], int]:
+    """`fiber_counts_brute` of a rule with state: the parking words of
+    length r are grown in {1..r} as rows of (partial outcome key, pair id),
+    car k on spot s adding k * (r+1)^(r-s) to the key, each row with its
+    int64 number of words: each car steps the pairs once (`_sure_pass`,
+    which logs `rows`, the rows kept after each car), extends every row by
+    one gather and merges the rows that agree (`_merge_rows`), so the work
     follows the r!/(r-k)! partial outcomes of k cars, times their rule
     states, not the (r+1)^(r-1) words; the rows of one key, in several
     states, are summed. The work is estimated at r^r * r car steps, as any
@@ -433,12 +435,23 @@ def _outcome_histogram(p: Procedure, r: int, cap: int | None) -> tuple[np.ndarra
     import numpy as np
 
     _check_runs(p, r, cap)
-    inside = frozenset(range(1, r + 1))
-    keys, counts, _, _, sure = grow_runs(p, r, range(1, r + 1), inside, _outcome_fold(r), decision_table(p))
-    if not sure:
-        raise _branch_error(p)
+    places = _kernels.radix_weights(r + 1, r)
+    keys = np.zeros(1, np.int64)
+    ids = np.zeros(1, np.int32)
+    counts = np.ones(1, np.int64)
+
+    def extend(car, next_id, spot, pairs):
+        nonlocal keys, ids, counts
+        rows, cols = np.nonzero(next_id[ids] >= 0)
+        from_ids = ids[rows]
+        grown = (keys[rows] + car * places[spot[from_ids, cols] - 1], next_id[from_ids, cols])
+        (keys, ids), counts = _merge_rows(grown, counts[rows])
+        return len(keys)
+
+    _sure_pass(p, r, decision_table(p), extend, "outcome rows", ("pairs", "rows"))
     first = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[first], np.add.reduceat(counts, first)
+    sigmas = keys[first, None] // places % (r + 1)
+    return dict(zip(map(tuple, sigmas.tolist()), np.add.reduceat(counts, first).tolist()))
 
 
 def fiber_count_brute(p: Procedure, sigma: Sequence[int], *, cap: int | None = WORK_BUDGET) -> int:
@@ -471,14 +484,6 @@ def fiber_count_brute(p: Procedure, sigma: Sequence[int], *, cap: int | None = W
     if den > 1:
         raise _branch_error(p)
     return sum(runs.values())
-
-
-def _outcome_fold(r: int) -> Fold:
-    """Outcome key of each parking run of length r in radix r+1: car k+1
-    parked on spot s sets sigma[s-1] = k+1, digit s-1 from the top. Words
-    with one outcome share its key, so the fold is `shared`."""
-    places = _kernels.radix_weights(r + 1, r)
-    return Fold(r + 1, r, lambda k, keys, cols, spots: keys + (k + 1) * places[spots - 1], shared=True)
 
 
 def decreasing_labelings_count(t: Tree | None) -> int:

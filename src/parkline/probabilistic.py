@@ -18,9 +18,10 @@ its intervals, and any other rule walks (occupied set, rule state)
 pairs. Orbit masses replay the parking words' node tables over every orbit
 (`procedures.replay_orbits`). An abelianity check first tries to prove
 that any two cars commute on every reachable (occupied set, rule state)
-pair (`_commutes`), and only where that fails grows every word as its
-multiset key (`procedures.grow_runs`): measures are nodes, levels in
-lowest terms, so words whose prefixes share a measure share its work.
+pair (`_commutes`), and only where that fails grows every word, one row
+per word keyed on its multiset (`procedures.grow_runs`): measures are
+nodes, levels in lowest terms, so words whose prefixes share a measure
+share its work.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Any, Iterable
 from .colored import language_word, letter_value
 from .enumeration import WORK_BUDGET, _check_r, _check_runs, landing_weight, take_path
 from .procedures import (
-    Fold,
     Procedure,
     _grow_nodes,
     _step_pairs,
@@ -480,42 +480,35 @@ def _same(u: tuple[int, dict], v: tuple[int, dict]) -> bool:
 
 
 def _abelian_search(pp: Procedure, r_max: int, table) -> AbelianReport:
-    """`is_abelian` by growing every word of each length r <= r_max as its
-    multiset key (`grow_runs`, `_multiset_fold`), with `table` for every
-    length. Reorderings must have the same occupancy, compared as int
-    numerators over one denominator in lowest terms; their nodes may
-    differ in rule states. The witness is the first multiset that fails,
-    in `combinations_with_replacement` order: its smallest ordering
-    against the first one that differs.
+    """`is_abelian` by growing every word of each length r <= r_max
+    (`grow_runs`), with `table` for every length, and keying each word on
+    its multiset, (r+1)^(a-1) per letter a, in int64. Reorderings must have
+    the same occupancy, compared as int numerators over one denominator in
+    lowest terms; their nodes may differ in rule states. The witness is the
+    first multiset that fails, in `combinations_with_replacement` order:
+    its smallest ordering against the first one that differs.
     """
     import numpy as np
 
     for r in range(1, r_max + 1):
-        keys, _, ids, nodes, _ = grow_runs(pp, r, range(1, r + 2), None, _multiset_fold(r), table)
+        words, _, ids, nodes = grow_runs(pp, r, range(1, r + 2), None, table)
         seen: dict = {}
         marks = []
         for node in nodes:
             den, nums = _occupancy(node)
             marks.append(seen.setdefault((den, frozenset(nums.items())), len(seen)))
         classes = np.array(marks)[ids]
-        # every word is grown, so a word's row is its radix value, and a
-        # multiset's first row holds its smallest ordering
+        # every word is grown, in lexicographic order, so a multiset's
+        # first row holds its smallest ordering
+        keys = ((r + 1) ** (words - 1)).sum(axis=1)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         smallest = first[inverse]
         differ = np.flatnonzero(classes != classes[smallest])
         if len(differ):
             row = differ[np.argmin(smallest[differ])]
-            words = np.transpose(np.unravel_index([smallest[row], row], (r + 1,) * r)) + 1
-            return AbelianReport(pp.name, r_max, False, tuple(map(tuple, words.tolist())))
+            witness = words[[smallest[row], row]].tolist()
+            return AbelianReport(pp.name, r_max, False, tuple(map(tuple, witness)))
     return AbelianReport(pp.name, r_max, True, None)
-
-
-def _multiset_fold(r: int) -> Fold:
-    """Multiset key of a word of length r: (r+1)^i per letter of index i."""
-    import numpy as np
-
-    places = (r + 1) ** np.arange(r + 1, dtype=np.int64)
-    return Fold(r + 1, r + 1, lambda k, keys, cols, _: keys + places[cols])
 
 
 @dataclass(frozen=True)

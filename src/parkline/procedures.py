@@ -14,15 +14,16 @@ format, the level `(den, runs)`: `runs` maps each (occupied set, rule
 state) pair to the weight of the runs reaching it, an int numerator over
 `den`. `_successors` steps a pair by one car, and `merge_step`, built on
 it, a level: `probabilistic.measure`, `walk_occupied` and `count_landing`
-take it. `grow_runs`, the one prefix-growth engine, grows words as int64
-keys that a `Fold` extends car by car: each generation interns its pairs
+take it. `grow_runs`, the one prefix-growth engine, keeps one row per
+word, its letters and its cars' spots: each generation interns its pairs
 as int ids, steps each distinct (pair, letter) once (`_step_pairs`) and
 every prefix's level, a tuple of (pair id, numerator), by adding up its
-pairs' successors (`_step_nodes`). Cyclic orbits are rotation tuples:
-`orbit_tuples` steps the same pairs, one int32 row of pair ids per orbit
-and one entry per rotation, and `replay_orbits` replays a pass's tables
-over every orbit. `step_counts` steps the occupied sets of a rule without
-state into a one-car table, from which fibers are products. These ask a
+pairs' successors (`_step_nodes`). The passes over {1..r} step the same
+pairs one sure step at a time, without levels (`_sure_pass`): cyclic
+orbits as rotation tuples, one int32 row of pair ids per orbit and one
+entry per rotation (`orbit_tuples`, whose tables `replay_orbits` replays
+over every orbit), and the occupied sets of a rule without state into a
+one-car table, from which fibers are products (`step_counts`). These ask a
 rule that decides by block once per (block, letter) while one
 `decision_table` lives; such a rule never walks, since the interval DP
 weighs its landing runs (`enumeration.landing_weight`).
@@ -41,9 +42,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, product
 from numbers import Integral
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from ._kernels import radix_weights
 from .words import Block, SpotSet, Word, as_word, block_bounds, block_of, shift
 
 log = logging.getLogger("parkline")
@@ -389,28 +389,6 @@ def _branch_error(p: Procedure) -> ValueError:
     return ValueError(f"{p.name}: a decision branches; measure() follows both choices")
 
 
-class Fold(NamedTuple):
-    """The int64 key `grow_runs` carries for each word, `width` digits in
-    radix `base`: `step(k, keys, cols, spots)` extends the kept prefixes'
-    keys by car k (from 0), from its letter's index in the letters and its
-    spot, and `digits` decodes keys.
-
-    `shared` says that several words can share a key whose prefixes then
-    continue alike, as words with one outcome do: `grow_runs` then merges
-    the rows that agree on (key, node) after every car, each carrying its
-    number of words. A fold that keys each word on its own (words,
-    multisets) keeps one row per word."""
-
-    base: int
-    width: int
-    step: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    shared: bool = False
-
-    def digits(self, keys: np.ndarray) -> np.ndarray:
-        """The `width` digits of each key, the most significant first."""
-        return keys[:, None] // radix_weights(self.base, self.width) % self.base
-
-
 def _step_pairs(p: Procedure, pairs: list, letters: Sequence[int], inside, table) -> tuple[list, list]:
     """One generation's step of every (occupied set, state) pair by every
     letter, each distinct (pair, letter) once, from the `_successors` that
@@ -418,8 +396,8 @@ def _step_pairs(p: Procedure, pairs: list, letters: Sequence[int], inside, table
     and letter column c are at succ[i * len(letters) + c], as `(den, ((next
     pair id, numerator), ...))` over the lcm den of their denominators, and
     the next generation's pairs are interned as ids in the order first
-    reached. `grow_runs`, `orbit_tuples` and `step_counts` step their pairs
-    here."""
+    reached. `grow_runs` steps its pairs here, and the passes over {1..r}
+    through `_sure_pass`."""
     index: dict = {}
     succ = []
     for occ, state in pairs:
@@ -433,10 +411,11 @@ def _step_pairs(p: Procedure, pairs: list, letters: Sequence[int], inside, table
     return succ, list(index)
 
 
-def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, table):
+def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, table):
     """Every word of length r over `letters` that keeps some weight inside
     the spot set `inside` (every word if None), grown one car (generation)
-    at a time: `(keys, counts, ids, nodes, sure)`.
+    at a time: `(words, parked, ids, nodes)`, one row per word in
+    lexicographic order.
 
     A prefix's node is its `merge_step` level, its measure restricted to
     `inside`, in lowest terms: `(den, ((pair id, numerator), ...))` over
@@ -452,70 +431,65 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, fold: Fold, 
     caller's `decision_table`, lives; any other once per (pair, letter)
     per generation.
 
-    Each row holds a `fold` key in `keys` and its node in `ids`, an index
-    into `nodes`, the last generation in the level form `(den, {(occupied
-    set, state): numerator})`. A fold that keys each word on its own keeps
-    one row per word, in lexicographic order, and `counts` is None. A
-    `shared` fold's rows are merged after every car where they agree on
-    (key, node), so the work follows those rows instead of the words:
-    `counts` holds each row's int64 number of words, sorted by key, then
-    node. `sure` says whether every node grown is a point mass of weight 1,
-    so that the fold was passed the runs' spots. A fold whose keys could
-    pass int64 raises RadixOverflowError before any car is placed. A count
-    is exact while len(letters)^r words fit int64, as under the outcome
-    fold's (r+1)^r keys over r letters.
+    `words` holds each word's letters and `parked` its cars' spots, as
+    (m, r) int64 arrays; `parked` is None unless every node grown is a
+    point mass of weight 1, since only then are those the runs' spots.
+    `ids` holds each word's node, an index into `nodes`, the last
+    generation in the level form `(den, {(occupied set, state):
+    numerator})`.
 
     Each call writes one DEBUG record on the `parkline` logger
     (`_grow_nodes`), with the fields `pairs`, `nodes` and `rows`, the sizes
-    of the generations and the rows kept after each car, and `pair_steps`,
-    the (pair, letter) successors computed.
+    of the generations and the words kept after each car, and
+    `pair_steps`, the (pair, letter) successors computed.
     """
     import numpy as np
 
-    radix_weights(fold.base, fold.width)
+    letter_of = np.asarray(letters, np.int64)
     ids = np.zeros(1, np.int32)
-    keys = np.zeros(1, np.int64)
-    counts = np.ones(1, np.int64) if fold.shared else None
+    words = parked = np.zeros((1, 0), np.int64)
 
     def extend(k, next_node, spot_of):
-        nonlocal ids, keys, counts
-        # nonzero scans row by row, so prefixes stay in lexicographic order
+        nonlocal ids, words, parked
+        # nonzero scans row by row, so words stay in lexicographic order
         rows, cols = np.nonzero((next_node >= 0)[ids])
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
-        keys = fold.step(k, keys[rows], cols, spot_of[from_ids, cols])
-        if counts is not None:
-            (keys, ids), counts = _merge_rows((keys, ids), counts[rows])
-        return len(keys)
+        words = np.column_stack((words[rows], letter_of[cols]))
+        parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
+        return len(ids)
 
     nodes, sure = _grow_nodes(p, r, letters, inside, table, extend)
-    return keys, counts, ids, nodes, sure
+    return words, parked if sure else None, ids, nodes
 
 
 def _grow_nodes(p: Procedure, r: int, letters: Sequence[int], inside, table, extend) -> tuple[list, bool]:
     """`(nodes, sure)` of `grow_runs`, one generation per car: `_step_pairs`,
-    then `_step_nodes`, whose tables, int (nodes, letters) arrays of the next
-    node (-1 if none) and the car's spot, go to `extend(k, next_node,
-    spot_of)`, which returns the rows it keeps; logs `grow_runs`' record."""
+    then `_step_nodes`, whose int (nodes, letters) array of the next node
+    (-1 if none) goes to `extend(k, next_node, spot_of)`, which returns the
+    rows it keeps. `spot_of` holds the runs' spots while `sure`, every node
+    so far a point mass of weight 1. Logs `grow_runs`' record."""
     import numpy as np
 
     width = len(letters)
     pairs = [(frozenset(), p.init_state())]
     nodes: list[tuple[int, tuple]] = [(1, ((0, 1),))]
-    # a point mass's sum of occupied spots, else None (see `_step_nodes`)
-    sums: list[int | None] = [0]
+    sums = np.zeros(1, np.int64)
     sure = True
     pair_steps, pair_sizes, node_sizes, row_sizes = 0, [], [], []
     for k in range(r):
         succ, pairs = _step_pairs(p, pairs, letters, inside, table)
         pair_steps += len(succ)
-        nodes, sums, next_node, spot_of = _step_nodes(nodes, sums, succ, width, pairs)
-        sure = sure and None not in sums
+        nodes, next_node = _step_nodes(nodes, succ, width)
+        # a node of one pair over denominator 1 is a point mass of weight 1
+        sure = sure and all(den == 1 and len(items) == 1 for den, items in nodes)
         pair_sizes.append(len(pairs))
-        node_sizes.append(len(sums))
-        shape = (len(next_node) // width, width)
-        next_node = np.array(next_node, np.int32).reshape(shape)
-        row_sizes.append(extend(k, next_node, np.array(spot_of, np.int64).reshape(shape)))
+        node_sizes.append(len(nodes))
+        next_node = np.array(next_node, np.int32).reshape(-1, width)
+        # each node's first pair's sum of occupied spots, and a last 0 for -1
+        after = np.array([sum(pairs[items[0][0]][0]) for _, items in nodes] + [0], np.int64)
+        row_sizes.append(extend(k, next_node, after[next_node] - sums[:, None]))
+        sums = after[:-1]
     log.debug(
         "grow_runs: %s over %d letters, %s pair steps, pairs %s, nodes %s, rows %s",
         p.name, width, f"{pair_steps:,}", pair_sizes, node_sizes, row_sizes,
@@ -528,8 +502,9 @@ def _merge_rows(keys: Sequence[np.ndarray], counts: np.ndarray) -> tuple[list, n
     """`(keys, counts)` with the rows that agree on every key column merged
     and their int64 counts added, sorted by the key columns, the first the
     most significant. `keys` is a sequence of equal-length key columns, or
-    a 2-D array whose rows are the columns: `grow_runs` merges on (fold key,
-    node), `orbit_tuples` on the r+1 entries of each rotation tuple. One
+    a 2-D array whose rows are the columns: the fibers of a rule with state
+    merge on (outcome key, pair id) (`forests._outcome_histogram`),
+    `orbit_tuples` on the r+1 entries of each rotation tuple. One
     lexsort over the columns, not one packed int64 key, so that no key
     range can overflow."""
     import numpy as np
@@ -542,32 +517,28 @@ def _merge_rows(keys: Sequence[np.ndarray], counts: np.ndarray) -> tuple[list, n
     return [column[starts] for column in keys], np.add.reduceat(counts[order], starts)
 
 
-def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
+def _step_nodes(nodes: list, succ: list, width: int):
     """One car's step of every `grow_runs` node and letter column: the next
-    generation `(nodes, sums)` and, one entry per (node, letter) row by row,
-    the next node's id (-1 where the measure left is empty) and the car's
-    spot. A node `(den, ((pair id, numerator), ...))` steps by adding up its
-    pairs' successors in `succ` under the lcm of their denominators, in
-    lowest terms, so that equal measures intern equally. A point mass of
-    weight 1 interns on its pair id alone, so a rule that never branches
-    steps a pair id to a pair id. A step is sure if it goes from such a
-    node to another; `sums` holds the sum of such a node's occupied spots,
-    else None, so a car's spot is the difference, and 0 stands in for the
-    spot of a step that was not sure."""
+    generation's nodes and, one entry per (node, letter) row by row, the
+    next node's id, -1 where the measure left is empty. A node `(den,
+    ((pair id, numerator), ...))` steps by adding up its pairs' successors
+    in `succ` under the lcm of their denominators, in lowest terms, so that
+    equal measures intern equally. A point mass of weight 1, `(1, ((pair
+    id, 1),))`, interns on its pair id alone, so a rule that never branches
+    steps a pair id to a pair id."""
     interned: dict = {}
-    nodes_next, sums_next, next_node, spot_of = [], [], [], []
-    for (den, items), total in zip(nodes, sums):
+    nodes_next, next_node = [], []
+    for den, items in nodes:
         rows = [(weight, succ[i * width : (i + 1) * width]) for i, weight in items]
         one = len(rows) == 1
         for col, (d, out) in enumerate(rows[0][1]):
             if d == 1 and one:
                 if not out:
                     next_node.append(-1)
-                    spot_of.append(0)
                     continue
                 # one run that does not branch: the node stays in lowest terms
                 j = out[0][0]
-                key = j if total is not None else (den, ((j, items[0][1]),))
+                key = j if den == 1 else (den, ((j, items[0][1]),))
             else:
                 scale = math.lcm(*[row[col][0] for _, row in rows])
                 nums: dict[int, int] = {}
@@ -578,7 +549,6 @@ def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
                         nums[j] = nums.get(j, 0) + factor * num
                 if not nums:
                     next_node.append(-1)
-                    spot_of.append(0)
                     continue
                 d = den * scale
                 g = math.gcd(d, *nums.values())
@@ -592,16 +562,53 @@ def _step_nodes(nodes: list, sums: list, succ: list, width: int, pairs: list):
             node = interned.get(key)
             if node is None:
                 node = interned[key] = len(nodes_next)
-                if type(key) is int:
-                    nodes_next.append((1, ((key, 1),)))
-                    sums_next.append(sum(pairs[key][0]))
-                else:
-                    nodes_next.append(key)
-                    sums_next.append(None)
+                nodes_next.append((1, ((key, 1),)) if type(key) is int else key)
             next_node.append(node)
-            after = sums_next[node]
-            spot_of.append(0 if total is None or after is None else after - total)
-    return nodes_next, sums_next, next_node, spot_of
+    return nodes_next, next_node
+
+
+def _sure_pass(p: Procedure, r: int, table, extend, name: str, fields: tuple) -> None:
+    """Step the (occupied set, state) pairs of rule `p` one generation per
+    car over the letters 1..r, the spots kept inside {1..r} (`_step_pairs`,
+    with `table`, the caller's `decision_table`), and pass each generation
+    to `extend(car, next_id, spot, pairs)`, cars from 1: int32 (pairs, r)
+    arrays of the next pair's id, -1 where the step leaves {1..r} or
+    branches, and of the car's spot where it does not, then the next pairs.
+    `orbit_tuples`, `step_counts` and `forests._outcome_histogram` step
+    here, so they ask the same decisions in the same order. Writes one
+    DEBUG record on the `parkline` logger: `pair_steps`, the (pair, letter)
+    successors computed, and per name in `fields` the generations' sizes,
+    then the sizes `extend` returns. ValueError if a decision branches,
+    once every car has been stepped."""
+    import numpy as np
+
+    inside = frozenset(range(1, r + 1))
+    pairs = [(frozenset(), p.init_state())]
+    # each pair's sum of occupied spots
+    before = np.zeros(1, np.int32)
+    sure = True
+    pair_steps, pair_sizes, sizes = 0, [], []
+    for car in range(1, r + 1):
+        succ, pairs = _step_pairs(p, pairs, range(1, r + 1), inside, table)
+        pair_steps += len(succ)
+        # a step that leaves {1..r} keeps no successor, and is no branch
+        sure = sure and all(d == 1 and len(out) < 2 for d, out in succ)
+        next_id = np.array([out[0][0] if d == 1 and len(out) == 1 else -1 for d, out in succ], np.int32)
+        next_id = next_id.reshape(-1, r)
+        # a sure step's spot is the one its occupied set gains; a last 0 for id -1
+        after = np.array([sum(occ) for occ, _ in pairs] + [0], np.int32)
+        spot = after[next_id] - before[:, None]
+        before = after[:-1]
+        pair_sizes.append(len(pairs))
+        sizes.append(extend(car, next_id, spot, pairs))
+    series = dict(zip(fields, (pair_sizes, sizes)))
+    log.debug(
+        f"{name}: %s, %s pair steps" + "".join(f", {field} %s" for field in series),
+        p.name, f"{pair_steps:,}", *series.values(),
+        extra={**series, "pair_steps": pair_steps},
+    )
+    if not sure:
+        raise _branch_error(p)
 
 
 def orbit_tuples(p: Procedure, r: int, table) -> tuple[dict[int, int], list]:
@@ -614,7 +621,7 @@ def orbit_tuples(p: Procedure, r: int, table) -> tuple[dict[int, int], list]:
     reads letter (d + j) mod (r+1) + 1 at each car, and the orbit carries
     the tuple of its r+1 rotations' (occupied set, state) pair ids, -1 once
     a car parks outside {1..r}, where it stays. Each generation steps its
-    pairs once over the letters 1..r (`_step_pairs`, with `table`, the
+    pairs once over the letters 1..r (`_sure_pass`, with `table`, the
     caller's `decision_table`), since letter r+1 parks outside at once,
     into an int32 table (see `replay_orbits`). The tuples are the int32
     rows of one array: each car looks every tuple's next ids up in one
@@ -633,41 +640,28 @@ def orbit_tuples(p: Procedure, r: int, table) -> tuple[dict[int, int], list]:
     import numpy as np
 
     base = r + 1
-    inside = frozenset(range(1, base))
-    pairs = [(frozenset(), p.init_state())]
     tuples = np.zeros((1, base), np.int32)
     counts = np.ones(1, np.int64)
     # the letter column of rotation j at difference d
     columns = (np.arange(base)[:, None] + np.arange(base)) % base
-    sure, tables = True, []
-    pair_steps, pair_sizes, tuple_sizes = 0, [], []
-    for k in range(r):
-        # letter r+1 parks outside {1..r} at once, so only 1..r are stepped
-        succ, pairs = _step_pairs(p, pairs, range(1, base), inside, table)
-        pair_steps += len(succ)
-        # a branch is refused once every car has been stepped
-        sure = sure and all(d == 1 and len(out) < 2 for d, out in succ)
+    tables = []
+
+    def extend(car, next_id, spot, pairs):
+        nonlocal tuples, counts
         # one row of next ids per pair and letter 1..r+1, and a last one
         # for -1, which stays
-        rows = np.full((len(succ) // r + 1, base), -1, np.int32)
-        rows[:-1, :r] = np.array(
-            [out[0][0] if d == 1 and len(out) == 1 else -1 for d, out in succ], np.int32
-        ).reshape(-1, r)
+        rows = np.full((len(next_id) + 1, base), -1, np.int32)
+        rows[:-1, :r] = next_id
         tables.append(rows)
         # the first letter is d_1 = 0 for every orbit
-        cols = columns if k else columns[:1]
+        cols = columns if car > 1 else columns[:1]
         grown = rows[tuples[:, None, :], cols].reshape(-1, base)
         merged, counts = _merge_rows(grown.T, np.repeat(counts, len(cols)))
         tuples = np.stack(merged, axis=1)
-        pair_sizes.append(len(pairs))
-        tuple_sizes.append(len(tuples))
-    log.debug(
-        "orbit_tuples: %s, %s pair steps, pairs %s, tuples %s",
-        p.name, f"{pair_steps:,}", pair_sizes, tuple_sizes,
-        extra={"pairs": pair_sizes, "tuples": tuple_sizes, "pair_steps": pair_steps},
-    )
-    if not sure:
-        raise _branch_error(p)
+        return len(tuples)
+
+    # letter r+1 parks outside {1..r} at once, so only 1..r are stepped
+    _sure_pass(p, r, table, extend, "orbit_tuples", ("pairs", "tuples"))
     histogram = np.zeros(base + 1, np.int64)
     np.add.at(histogram, base - (tuples < 0).sum(axis=1), counts)
     return {k: n for k, n in enumerate(histogram.tolist()) if n}, tables
@@ -684,9 +678,9 @@ def step_counts(p: Procedure, r: int, table) -> np.ndarray:
 
     Each generation steps the occupied sets reached by its cars once over
     the letters 1..r (`_step_pairs`, with `table`, the caller's
-    `decision_table`), as `grow_runs` does for the outcome fold: the same
-    (pair, letter) steps, so the same decisions are asked. ValueError if a
-    decision branches, once every car has been stepped.
+    `decision_table`), through the `_sure_pass` that the fibers of a rule
+    with state take too. ValueError if a decision branches, once every car
+    has been stepped.
 
     Each call writes one DEBUG record on the `parkline` logger, with the
     fields `sets`, the occupied sets reached after each car, and
@@ -694,34 +688,17 @@ def step_counts(p: Procedure, r: int, table) -> np.ndarray:
     """
     import numpy as np
 
-    inside = frozenset(range(1, r + 1))
-    pairs = [(frozenset(), p.init_state())]
-    masks = [0]
-    counts = [0] * (r << r)
-    sure = True
-    pair_steps, set_sizes = 0, []
-    for _ in range(r):
-        succ, pairs = _step_pairs(p, pairs, range(1, r + 1), inside, table)
-        pair_steps += len(succ)
-        after = [sum(1 << (s - 1) for s in pair[0]) for pair in pairs]
-        for i, (d, out) in enumerate(succ):
-            if d == 1 and len(out) == 1:
-                mask = masks[i // r]
-                # the one spot the car took, the bit the set gained
-                counts[mask * r + (after[out[0][0]] ^ mask).bit_length() - 1] += 1
-            elif out:
-                # a branch is refused once every car has been stepped
-                sure = False
-        masks = after
-        set_sizes.append(len(pairs))
-    log.debug(
-        "step_counts: %s, %s pair steps, sets %s",
-        p.name, f"{pair_steps:,}", set_sizes,
-        extra={"sets": set_sizes, "pair_steps": pair_steps},
-    )
-    if not sure:
-        raise _branch_error(p)
-    return np.array(counts, np.int64).reshape(1 << r, r)
+    counts = np.zeros((1 << r, r), np.int64)
+    masks = np.zeros(1, np.int64)
+
+    def extend(car, next_id, spot, pairs):
+        nonlocal masks
+        rows, cols = np.nonzero(next_id >= 0)
+        np.add.at(counts, (masks[rows], spot[rows, cols] - 1), 1)
+        masks = np.array([sum(1 << (s - 1) for s in occ) for occ, _ in pairs], np.int64)
+
+    _sure_pass(p, r, table, extend, "step_counts", ("sets",))
+    return counts
 
 
 def replay_orbits(tables: list, r: int) -> np.ndarray:

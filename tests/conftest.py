@@ -5,8 +5,8 @@ free spots operationally (nearest-free-to-the-right, distance comparison,
 back-up-then-go-right, population counts) instead of using the library's
 block-edge formulation, so agreement is a real cross-check.
 
-`grown_runs` reads the words and spots of the prefix-growth engine back
-from two folds, so that tests compare them row by row with `run()`.
+`grown_runs` reads the words and spots of the prefix-growth engine, so
+that tests compare them row by row with `run()`.
 """
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from parkline.colored import ColoredLetter, colored_run
 from parkline.enumeration import OrbitReport, OrbitViolation
 from parkline.probabilistic import measure
 from parkline.procedures import (
     Direction,
     DirTable,
-    Fold,
     Procedure,
     decision_table,
     grow_runs,
@@ -32,35 +29,24 @@ from parkline.procedures import (
 
 
 def grown_runs(p: Procedure, r: int, letters, inside: frozenset | None = None):
-    """`grow_runs` of rule `p` read back as `(words, parked, ids, nodes,
-    sure)`. `words` and `parked` are (m, r) int64 arrays, the words in
-    lexicographic order: the words are decoded from a fold that appends
-    each letter's index in radix len(letters), and the spots from a fold
-    that appends each spot in a radix that holds letters +- r, as a bumped
-    car parks next to a block of at most r - 1 cars. `parked` is None
-    unless `sure`, since only then are the spots those of the runs.
-    `nodes` are the last generation's measures, each mapping (occupied
-    set, state) to (weight, state), the weight a Fraction: its int
-    numerator over the node's denominator."""
-    letters = list(letters)
-    lo = min(letters) - r
-    spot_base = max(letters) + r - lo + 1
-    word_fold = Fold(len(letters), r, lambda k, keys, cols, spots: keys * len(letters) + cols)
-    spot_fold = Fold(spot_base, r, lambda k, keys, cols, spots: keys * spot_base + spots - lo)
-    keys, _, ids, nodes, sure = grow_runs(p, r, letters, inside, word_fold, decision_table(p))
-    spot_keys, _, _, _, _ = grow_runs(p, r, letters, inside, spot_fold, decision_table(p))
-    words = np.array(letters)[word_fold.digits(keys)]
-    parked = spot_fold.digits(spot_keys) + lo if sure else None
+    """`grow_runs` of rule `p`, with a fresh decision table: `(words,
+    parked, ids, nodes)`. `words` and `parked` are (m, r) int64 arrays, the
+    words in lexicographic order, and `parked` is None unless every node
+    is a point mass of weight 1, since only then are the spots those of
+    the runs. `nodes` are the last generation's measures, each mapping
+    (occupied set, state) to (weight, state), the weight a Fraction: its
+    int numerator over the node's denominator."""
+    words, parked, ids, nodes = grow_runs(p, r, letters, inside, decision_table(p))
     measures = [{key: (Fraction(w, den), key[1]) for key, w in runs.items()} for den, runs in nodes]
-    return words, parked, ids, measures, sure
+    return words, parked, ids, measures
 
 
 def parking_runs(p: Procedure, r: int):
     """Every parking word of length r and its cars' spots, `(words,
     parked)` of `grown_runs` over {1..r} with the spots kept inside {1..r}
     (a car parked outside never leaves), for a rule that never branches."""
-    words, parked, _, _, sure = grown_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
-    assert sure, f"{p.name} branches"
+    words, parked, _, _ = grown_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)))
+    assert parked is not None, f"{p.name} branches"
     return words, parked
 
 

@@ -563,7 +563,7 @@ class TestRecordDP:
         lbs = builtin("lbs")
         counted = count_words_to_set(lbs, spots)
         assert (counted, 1) == walked_pairs(lbs, spots) == landing_weight(lbs, frozenset(spots), None)
-        assert counted == count_words_to_set(lbs, spots, "formula") == count_words_to_set(lbs, spots, "brute")
+        assert counted == count_words_to_set(lbs, spots, "brute")
 
     def test_local_rule_probed_once_per_size_and_record(self, monkeypatch):
         import parkline.enumeration as enumeration
@@ -709,7 +709,7 @@ class TestCountWordsToSet:
         assert count_words_to_set(builtin("right"), set()) == 1
 
     @pytest.mark.parametrize("spots", [[1.0, 2], [True, 2], ["1", 2]], ids=repr)
-    @pytest.mark.parametrize("via", [None, "brute", "formula"])
+    @pytest.mark.parametrize("via", [None, "brute"])
     def test_spots_must_be_ints(self, spots, via):
         with pytest.raises(ValueError, match=re.escape(f"spot {spots[0]!r} is not an int")):
             count_words_to_set(builtin("right"), spots, via)
@@ -719,11 +719,13 @@ class TestCountWordsToSet:
 
         assert count_words_to_set(builtin("right"), np.array([1, 2]), "brute") == 3
 
+    # the default path of a rule that decides by block is the product
+    # formula: the shuffle count of S's blocks times each block's count
     @pytest.mark.parametrize("name", ["right", "prime", "closest"])
     def test_formula_equals_brute(self, name):
         p = builtin(name)
         for S in ({2, 3, 5}, {-1, 0, 2, 4}, {1, 2, 3, 4}, {0, 2, 4}):
-            assert count_words_to_set(p, S, "formula") == count_words_to_set(p, S, "brute")
+            assert count_words_to_set(p, S) == count_words_to_set(p, S, "brute")
 
     @pytest.mark.parametrize("spec", ["evenodd", "naples:k=2"])
     def test_formula_takes_each_block_at_its_position(self, spec):
@@ -732,11 +734,10 @@ class TestCountWordsToSet:
         p = parse_proc_spec(spec)
         assert p.decides_by_block and not p.is_local
         for S in ({1, 2, 4, 5, 6}, {2, 3, 5}, {-1, 0, 2, 4, 5}):
-            formula = count_words_to_set(p, S, "formula")
-            assert formula == count_words_to_set(p, S) == count_words_to_set(p, S, "brute"), S
+            assert count_words_to_set(p, S) == count_words_to_set(p, S, "brute"), S
         # the blocks {2, 3} and {5} do not park as {1, 2} and {1} do
         on_first_spots = 3 * count_parking(p, 2) * count_parking(p, 1)
-        assert count_words_to_set(p, {2, 3, 5}, "formula") != on_first_spots
+        assert count_words_to_set(p, {2, 3, 5}) != on_first_spots
 
     @pytest.mark.parametrize("name", ["right", "lbs", "naples:k=2", "far"])
     def test_pad_invariance(self, name):
@@ -778,16 +779,15 @@ class TestCountWordsToSet:
     def test_pad_only_with_brute(self):
         p = builtin("right")
         assert count_words_to_set(p, {1, 2}, "brute", pad=3) == 3
-        for via in (None, "formula"):
-            with pytest.raises(ValueError, match="pad"):
-                count_words_to_set(p, {1, 2}, via, pad=3)
+        with pytest.raises(ValueError, match="pad"):
+            count_words_to_set(p, {1, 2}, pad=3)
 
     def test_bad_pad_refused(self):
         # a negative pad would narrow the alphabet below S, and a bool is no width
         p = builtin("right")
         assert count_words_to_set(p, {1, 2, 3}, "brute") == 16
         for pad in (-1, True, False, 1.0, "1", None):
-            for via in (None, "brute", "formula"):
+            for via in (None, "brute"):
                 with pytest.raises(ValueError, match=re.escape(f"pad must be an int >= 0, got {pad!r}")):
                     count_words_to_set(p, {1, 2, 3}, via, pad=pad)
 
@@ -804,18 +804,11 @@ class TestCountWordsToSet:
             with pytest.raises(ValueError, match=re.escape(f"pad must be an int >= 0, got {pad!r}")):
                 count_words_to_set(p, {1, 2, 3}, "brute", pad=pad)
 
-    def test_formula_requires_local(self):
-        with pytest.raises(ValueError, match="far is not locally decided"):
-            count_words_to_set(builtin("far"), {1, 2}, "formula")
-        # a rule with state is taken only if it is shift invariant as well
-        drifting = dataclasses.replace(builtin("lbs"), name="drifting-lbs", is_shift_invariant=False)
-        with pytest.raises(ValueError, match="drifting-lbs keeps state and is not shift invariant"):
-            count_words_to_set(drifting, {1, 2, 4}, "formula")
-        assert count_words_to_set(builtin("lbs"), {1, 2, 4}, "formula") == count_words_to_set(
-            builtin("lbs"), {1, 2, 4}, "brute"
-        )
-        with pytest.raises(ValueError):
-            count_words_to_set(builtin("right"), {1, 2}, "nonsense")
+    def test_unknown_mode_refused(self):
+        # the default path computes what a "formula" mode did, so there is none
+        for via in ("formula", "nonsense"):
+            with pytest.raises(ValueError, match=re.escape(f"unknown mode {via!r}")):
+                count_words_to_set(builtin("right"), {1, 2}, via)
 
     @pytest.mark.parametrize("name", ["closest", "lbs"])
     def test_window_sum_property(self, name):

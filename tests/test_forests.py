@@ -653,14 +653,45 @@ def late_error_rule() -> Procedure:
     return Procedure("late-error", decide=decide)
 
 
+def per_word_histogram(p, r: int) -> dict[tuple[int, ...], int]:
+    """The outcomes of the parking words of length r and the number of
+    words with each, read off the spots of every parking word that
+    `grow_runs` keeps; the refusal of a branch as
+    `forests._outcome_histogram` words it."""
+    from parkline.procedures import _branch_error, decision_table, grow_runs
+
+    _, parked, _, _ = grow_runs(p, r, range(1, r + 1), frozenset(range(1, r + 1)), decision_table(p))
+    if parked is None:
+        raise _branch_error(p)
+    # car k on spot s puts k at sigma[s-1]
+    sigmas = np.zeros_like(parked)
+    sigmas[np.arange(len(parked))[:, None], parked - 1] = np.arange(1, r + 1)
+    return Counter(map(tuple, sigmas.tolist()))
+
+
 class TestStepCounts:
     """The fibers of a rule without state, read off its one-car step table
-    (`procedures.step_counts`), against the outcome fold of `grow_runs`
-    (`forests._outcome_histogram`) that took them before."""
+    (`procedures.step_counts`), against the pair rows that a rule with state
+    takes (`forests._outcome_histogram`), and those rows against the spots
+    of every parking word (`procedures.grow_runs`)."""
+
+    @pytest.mark.parametrize("name", [*goldens.engine_rules(), "late-error"])
+    def test_pair_rows_equal_the_per_word_outcomes(self, name):
+        from parkline.forests import _outcome_histogram
+
+        p = goldens.engine_rules().get(name) or late_error_rule()
+        for r in range(1, 7):
+            rows, error = raised(lambda: _outcome_histogram(p, r, None))
+            # the same refusal, of the same type, with the same message
+            expected, expected_error = raised(lambda: per_word_histogram(p, r))
+            assert error == expected_error, (name, r)
+            if error:
+                continue
+            assert list(rows) == sorted(expected), (name, r)
+            assert rows == expected and all(type(n) is int for n in rows.values()), (name, r)
 
     @pytest.mark.parametrize("name", [*STATELESS, "late-error"])
     def test_products_equal_the_outcome_fold(self, name):
-        from parkline._kernels import radix_weights
         from parkline.forests import _outcome_histogram, all_fiber_counts_brute
 
         p = STATELESS.get(name) or late_error_rule()
@@ -671,11 +702,9 @@ class TestStepCounts:
             assert got_error == error == raised(lambda: fiber_counts_brute(p, r))[1], (name, r)
             if error:
                 continue
-            keys, counts = folded
             sigmas, brute = got
-            histogram = dict(zip(keys.tolist(), counts.tolist()))
             # every outcome, zeros included, in the outcome array's order
-            expected = [histogram.get(key, 0) for key in (sigmas @ radix_weights(r + 1, r)).tolist()]
+            expected = [folded.get(sigma, 0) for sigma in map(tuple, sigmas.tolist())]
             assert brute == expected, (name, r)
             assert all(type(count) is int for count in brute)
             assert sigmas.shape == (math.factorial(r), r) and sigmas.dtype == np.int64
@@ -694,6 +723,7 @@ class TestStepCounts:
 
     @pytest.mark.parametrize("name", ["lbs", "state-parity", "history-coin"])
     def test_a_rule_with_state_keeps_the_outcome_fold(self, name, caplog):
+        # its fibers are grown on pair rows, which log `rows`, not `sets`
         import logging
 
         from parkline.forests import _outcome_histogram, _permutations, all_fiber_counts_brute
@@ -714,10 +744,11 @@ class TestStepCounts:
             assert (sigmas == _permutations(r)).all()
             assert counts == [histogram.get(sigma, 0) for sigma in map(tuple, sigmas.tolist())]
 
-    @pytest.mark.parametrize("spec", ["far", "closest", "kwseq:qs=1/2+1/3", "pq:q=2"])
+    @pytest.mark.parametrize("spec", ["far", "closest", "kwseq:qs=1/2+1/3", "pq:q=2", "lbs", "history-coin"])
     def test_same_decisions_as_the_outcome_fold(self, spec):
-        # the same pair steps, so the same decisions in the same order,
-        # once per (block, letter) for a rule with a decision table
+        # the pair rows, the step table and the growth of every parking
+        # word take the same pair steps, so the same decisions in the same
+        # order, once per (block, letter) for a rule with a decision table
         import dataclasses
 
         from parkline.forests import _outcome_histogram, all_fiber_counts_brute
@@ -736,4 +767,7 @@ class TestStepCounts:
             asked.clear()
             raised(lambda: all_fiber_counts_brute(rule, r))
             assert asked == folded and folded, (spec, r)
+            asked.clear()
+            raised(lambda: per_word_histogram(rule, r))
+            assert asked == folded, (spec, r)
             asked.clear()

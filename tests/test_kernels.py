@@ -1,8 +1,8 @@
 """Backend contract: the numpy backend, which counts every word on
 (occupied set, state) pairs (`count_landing`), equals the
 per-word engine (`backend="python"`, `run`) and the independent oracle of
-conftest.py, word by word and count by count; and each fold's keys equal
-the keys computed from `run` word by word."""
+conftest.py, word by word and count by count; and the words and spots the
+prefix-growth engine keeps equal those of `run` word by word."""
 
 import dataclasses
 import itertools
@@ -30,18 +30,15 @@ from parkline.enumeration import (
     expected_parking_count,
     orbit_audit,
 )
-from parkline.forests import _outcome_fold, fiber_counts_brute
-from parkline.probabilistic import _multiset_fold, kw_procedure, parse_prob_spec
+from parkline.forests import fiber_counts_brute
+from parkline.probabilistic import kw_procedure, parse_prob_spec
 from parkline.procedures import (
     LEFT,
     RIGHT,
     Direction,
     DirTable,
-    Fold,
     Procedure,
     builtin,
-    decision_table,
-    grow_runs,
     index_rule_procedure,
     parse_proc_spec,
     run,
@@ -58,7 +55,7 @@ TABLE_PROCS += [
 def grown(p, r, letters):
     """Every word of length r over `letters`, grown with nothing dropped:
     `(words, parked)` as lists of tuples."""
-    words, parked, _, _, _ = grown_runs(p, r, letters)
+    words, parked, _, _ = grown_runs(p, r, letters)
     return list(map(tuple, words.tolist())), list(map(tuple, parked.tolist()))
 
 
@@ -174,7 +171,7 @@ class TestRandomTables:
         letters, sample_words = sample
         p = table_procedure(table)
         r = len(sample_words[0])
-        words, parked, _, _, _ = grown_runs(p, r, letters)
+        words, parked, _, _ = grown_runs(p, r, letters)
         # words come in lexicographic order, so a word's row is its radix index
         rows = (np.array(sample_words) - letters[0]) @ _kernels.radix_weights(len(letters), r)
         for word, k in zip(sample_words, rows.tolist()):
@@ -249,7 +246,7 @@ class TestBranching:
     def test_brute_refuses_a_branch_that_merges_back(self):
         # car 2 of word (1, 1, 0) branches onto {0, 1} or {1, 2}; car 3 then
         # fills {0, 1, 2} surely: the last node is a point mass of weight 1,
-        # yet the growth is not sure, although 0 is a spot of the window.
+        # yet the growth keeps no spots, although 0 is a spot of the window.
         # The rule declares that it decides by block, so its decisions are
         # cached per (block, letter) in the decision table.
         def decide(st, occ, blk, a):
@@ -257,9 +254,9 @@ class TestBranching:
 
         p = Procedure("merge-back", decide=decide, is_shift_invariant=True, is_locally_decided=True)
         assert p.decides_by_block
-        words, parked, ids, nodes, sure = grown_runs(p, 3, [0, 1, 2])
+        words, parked, ids, nodes = grown_runs(p, 3, [0, 1, 2])
         k = words.tolist().index([1, 1, 0])
-        assert not sure and parked is None
+        assert parked is None
         assert nodes[ids[k]] == {(frozenset({0, 1, 2}), None): (1, None)}
         for backend in ("numpy", "python"):
             with pytest.raises(ValueError, match="merge-back: a decision branches"):
@@ -305,61 +302,41 @@ FOLD_RULES = [
 ] + [alternating_rule(), history_parity_rule(), state_parity_rule()]
 
 
-def radix(digits, base: int) -> int:
-    """The number with these digits in radix `base`, the most significant first."""
-    value = 0
-    for d in digits:
-        value = value * base + d
-    return value
-
-
 class TestFolds:
-    """Each fold the engine carries, against the key computed from `run` word
-    by word over the whole word space."""
+    """Each row the engine keeps, one per word, against the word and its
+    cars' spots computed from `run` word by word over the whole word
+    space."""
 
     @given(p=st.sampled_from(FOLD_RULES), r=st.integers(1, 4), lo=st.integers(-4, 1))
     @example(p=FOLD_RULES[0], r=2, lo=-1)
     @settings(max_examples=40, deadline=None)
     def test_keys_equal_per_word_keys(self, p, r, lo):
-        # r+1 letters, the most the multiset fold reads; the window holds
+        # r+1 letters, as the abelian search grows them; the window holds
         # 0 when lo <= 0 <= lo + r, and negative letters when lo < 0
         letters = range(lo, lo + r + 1)
-        base = r + 1
-        words = list(itertools.product(letters, repeat=r))
-        runs = [run(p, word) for word in words]
-        at = {a: i for i, a in enumerate(letters)}
-        multisets = [sum(base ** at[a] for a in w) for w in words]
-        keys, _, _, _, sure = grow_runs(p, r, letters, None, _multiset_fold(r), decision_table(p))
-        assert sure and keys.tolist() == multisets
-        _, parked, _, _, sure = grown_runs(p, r, letters)
-        assert sure and parked.tolist() == [list(res.parked) for res in runs]
-        # outcome keys of the parking runs, the only ones kept inside {1..r}
+        runs = [run(p, word) for word in itertools.product(letters, repeat=r)]
+        words, parked, _, _ = grown_runs(p, r, letters)
+        assert words.tolist() == [list(res.word) for res in runs]
+        assert parked.tolist() == [list(res.parked) for res in runs]
+        # the parking runs, the only ones kept inside {1..r}
         full = frozenset(range(1, r + 1))
         parking = [res for res in runs if res.spots == full]
-        outcomes = [radix([res.outcome[s] for s in range(1, r + 1)], base) for res in parking]
-        # the outcome fold keeps one row per (outcome, node), with its words
-        keys, counts, ids, _, sure = grow_runs(p, r, letters, full, _outcome_fold(r), decision_table(p))
-        assert sure and np.repeat(keys, counts).tolist() == sorted(outcomes)
-        assert len(set(zip(keys.tolist(), ids.tolist()))) == len(keys)
+        words, parked, _, _ = grown_runs(p, r, letters, full)
+        assert words.tolist() == [list(res.word) for res in parking]
+        assert parked.tolist() == [list(res.parked) for res in parking]
         # a car parking on spot 0 is no branch; a coin is one
-        _, parked, _, _, sure = grown_runs(builtin("right"), 2, [-1, 0])
-        assert sure and [-1, 0] in parked.tolist()
-        assert not grown_runs(kw_procedure(Fraction(1, 2)), 2, [1, 2])[4]
+        _, parked, _, _ = grown_runs(builtin("right"), 2, [-1, 0])
+        assert [-1, 0] in parked.tolist()
+        assert grown_runs(kw_procedure(Fraction(1, 2)), 2, [1, 2])[1] is None
 
     def test_keys_past_int64_refused_before_any_decision(self):
         def refuse(*args):
             raise AssertionError("decide called")
 
-        def keep(k, keys, cols, spots):
-            return keys
-
-        p = dataclasses.replace(builtin("right"), decide=refuse)
-        # 2^64 - 1 passes int64's largest value, 2^63 - 1
-        with pytest.raises(_kernels.RadixOverflowError):
-            grow_runs(p, 2, [1, 2], None, Fold(2, 64, keep), decision_table(p))
-        keys, _, _, _, _ = grow_runs(builtin("right"), 2, [1, 2], None, Fold(2, 63, keep), None)
-        assert keys.tolist() == [0] * 4
-        # 17^16 - 1 orbit and outcome keys, with the budget lifted
-        for query in (orbit_audit, fiber_counts_brute):
-            with pytest.raises(_kernels.RadixOverflowError):
-                query(p, 16, cap=None)
+        # 17^16 - 1 orbit and outcome keys, with the budget lifted, for a
+        # rule without state and one with
+        for name in ("right", "lbs"):
+            p = dataclasses.replace(builtin(name), decide=refuse)
+            for query in (orbit_audit, fiber_counts_brute):
+                with pytest.raises(_kernels.RadixOverflowError):
+                    query(p, 16, cap=None)

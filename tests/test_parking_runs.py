@@ -371,7 +371,7 @@ def test_measure_nodes_equal_history_nodes():
     ids=lambda x: getattr(x, "name", x),
 )
 def test_prefixes_merge_on_equal_measures(pp, nodes):
-    words, _, ids, last, _ = grown_runs(pp, 6, range(1, 7), frozenset(range(1, 7)))
+    words, _, ids, last = grown_runs(pp, 6, range(1, 7), frozenset(range(1, 7)))
     assert len(last) == nodes and len(words) > 100 * nodes
     assert sorted(set(ids.tolist())) == list(range(nodes))
 
@@ -379,7 +379,7 @@ def test_prefixes_merge_on_equal_measures(pp, nodes):
 @pytest.mark.parametrize("pp", PROB_RULES, ids=ids)
 def test_unfiltered_nodes_are_the_measures(pp):
     for r in range(1, 4):
-        words, _, ids, nodes, _ = grown_runs(pp, r, range(1, r + 2))
+        words, _, ids, nodes = grown_runs(pp, r, range(1, r + 2))
         assert words.tolist() == [list(w) for w in word_space(r)]
         for word, i in zip(words.tolist(), ids.tolist()):
             occupancy: dict = {}
@@ -405,7 +405,7 @@ def test_a_branch_that_merges_back_is_refused():
     # then fills {1,2,3} surely, so every word ends on a point mass of weight 1
     p = merge_back_rule()
     assert measure(p, (2, 2, 2)).probs == {frozenset({1, 2, 3}): 1}
-    assert not grown_runs(p, 3, range(1, 4), frozenset(range(1, 4)))[4]
+    assert grown_runs(p, 3, range(1, 4), frozenset(range(1, 4)))[1] is None
     for query in (orbit_audit, fiber_counts_brute):
         with pytest.raises(ValueError, match="merge-back: a decision branches"):
             query(p, 3)
@@ -564,18 +564,14 @@ def parity_coin_rule() -> Procedure:
 
 @pytest.mark.parametrize("p", [merge_back_rule(), kw_procedure(Fraction(1, 2)), parity_coin_rule()], ids=ids)
 def test_orbit_tuples_refuse_a_branch_as_the_key_engine(p):
-    # the key engine over the parking words, as the outcome fold grows them
+    # the fibers over the parking words: the step table of a rule without
+    # state, and the pair rows of parity-coin, which keeps state
     for r in (2, 3, 4):
         with pytest.raises(ValueError) as engine:
             fiber_counts_brute(p, r)
         with pytest.raises(ValueError) as tuples:
             orbit_audit(p, r)
         assert str(tuples.value) == str(engine.value) == f"{p.name}: a decision branches; measure() follows both choices"
-
-
-def word_fold(letters, r: int) -> procedures.Fold:
-    """Each word's key: its letters' indices in radix len(letters)."""
-    return procedures.Fold(len(letters), r, lambda k, keys, cols, _: keys * len(letters) + cols)
 
 
 @pytest.mark.parametrize(
@@ -594,7 +590,7 @@ def test_grow_runs_asks_once_per_pair_and_letter(p):
     r, letters = 4, range(1, 5)
     spots = frozenset(letters)
     assert procedures.decision_table(rule) is None
-    procedures.grow_runs(rule, r, letters, spots, word_fold(letters, r), None)
+    procedures.grow_runs(rule, r, letters, spots, None)
     # the pairs of each generation, stepped over every letter at once; the
     # generation is the size of the occupied set
     expected = Counter()
@@ -623,7 +619,7 @@ def test_grow_runs_logs_its_generations(caplog):
             assert record.pair_steps == width * (1 + sum(record.pairs[:-1]))
             assert f"{record.pair_steps:,} pair steps" in record.getMessage()
             assert all(nodes >= 1 for nodes in record.nodes)
-            # these folds keep one row per word
+            # the abelian search keeps one row per word
             if query is is_abelian:
                 assert record.rows == [width**k for k in range(1, width)]
     # a rule with one parking word per orbit grows no word: one tuple
@@ -636,12 +632,17 @@ def test_grow_runs_logs_its_generations(caplog):
     assert (record.pairs, record.tuples) == ([5, 10, 10, 5, 1], [1, 5, 10, 10, 5])
     assert record.pair_steps == 5 * (1 + sum(record.pairs[:-1])) == 155
     assert "155 pair steps" in record.getMessage()
-    # a rule with state keeps the outcome fold, which merges words with one
-    # partial outcome and state: more rows than the 5!/(5-k)! outcomes
+    # the fibers of a rule with state merge rows of one partial outcome and
+    # pair: more rows than the 5!/(5-k)! outcomes
     caplog.clear()
     fiber_counts_brute(state_parity_rule(), 5)
     [record] = [record for record in caplog.records if hasattr(record, "pair_steps")]
+    assert (record.name, record.levelno) == ("parkline", logging.DEBUG)
     assert (record.pairs, record.rows) == ([5, 12, 18, 10, 2], [5, 24, 92, 218, 238])
+    assert record.pair_steps == 5 * (1 + sum(record.pairs[:-1])) == 230
+    assert record.getMessage() == (
+        "outcome rows: state-parity, 230 pair steps, pairs [5, 12, 18, 10, 2], rows [5, 24, 92, 218, 238]"
+    )
 
 
 def test_step_counts_log_their_sets(caplog):
@@ -686,9 +687,8 @@ def test_nodes_are_their_prefixes_levels_in_lowest_terms(pp, r, kept):
     # merge_step, one word at a time with no decision table, is the reference
     letters = range(1, r + 2)
     spots = frozenset(range(1, r + 1)) if kept else None
-    fold = word_fold(letters, r)
-    keys, _, ids, nodes, _ = procedures.grow_runs(pp, r, letters, spots, fold, procedures.decision_table(pp))
-    grown = dict(zip(map(tuple, (fold.digits(keys) + 1).tolist()), ids.tolist()))
+    words, _, ids, nodes = procedures.grow_runs(pp, r, letters, spots, procedures.decision_table(pp))
+    grown = dict(zip(map(tuple, words.tolist()), ids.tolist()))
     for word in word_space(r):
         level = procedures.initial_level(pp)
         for a in word:

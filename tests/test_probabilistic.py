@@ -457,6 +457,27 @@ class TestAbelianProof:
         with pytest.raises(ValueError, match="no direction for car 4"):
             measure(rule, (1, 1, 1, 1))
 
+    def test_multiset_keys_stay_exact_past_int8(self, caplog):
+        # at length 5 a letter adds up to 6^5 to its word's multiset key,
+        # and a key reaches 5 * 6^5, far past int8: right keeping its
+        # letters as state is abelian, but no two of its cars commute on
+        # pairs, so the search grows every length; the index rule goes left
+        # only at car 5, so its first witness is at length 5
+        history_right = Procedure(
+            "history-right", decide=lambda *_: Direction.RIGHT, init_state=tuple, update=lambda h, a, spot: h + (a,)
+        )
+        late_left = index_rule_procedure((Direction.RIGHT,) * 4 + (Direction.LEFT,))
+        caplog.set_level(logging.DEBUG, logger="parkline")
+        for rule in (history_right, late_left):
+            caplog.clear()
+            report = is_abelian(rule, 5)
+            assert (report.abelian, report.witness) == abelian_by_orderings(rule, 5), rule.name
+            [proof] = proof_records(caplog)
+            assert not proof.proved
+            grown = [record for record in caplog.records if hasattr(record, "nodes")]
+            assert [record.rows[-1] for record in grown] == [(r + 1) ** r for r in range(1, 6)]
+        assert report.witness and len(report.witness[0]) == 5
+
     def test_a_step_that_raises_falls_back_to_the_search(self, caplog):
         # the right rule for three cars: its proof raises at car 4, and the
         # search raises the same error at length 4
