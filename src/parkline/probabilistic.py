@@ -226,7 +226,7 @@ def orbit_parking_mass(
         tables[-1][:-1, :-1] = next_node
         return base**k
 
-    nodes, _ = _grow_nodes(pp, r, range(1, base), frozenset(range(1, base)), decision_table(pp), extend)
+    nodes = _grow_nodes(pp, r, range(1, base), frozenset(range(1, base)), decision_table(pp), extend)
     den = math.lcm(*(d for d, _ in nodes))
     # every node's mass as an int numerator over den, and the sentinel's last
     mass = np.array([sum(runs.values()) * (den // d) for d, runs in nodes] + [0], object)
@@ -500,7 +500,7 @@ def _abelian_search(pp: Procedure, r_max: int, table) -> AbelianReport:
         classes = np.array(marks)[ids]
         # every word is grown, in lexicographic order, so a multiset's
         # first row holds its smallest ordering
-        keys = ((r + 1) ** (words - 1)).sum(axis=1)
+        keys = ((r + 1) ** np.arange(r + 1, dtype=np.int64))[words - 1].sum(axis=1)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         smallest = first[inverse]
         differ = np.flatnonzero(classes != classes[smallest])

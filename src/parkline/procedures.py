@@ -456,46 +456,48 @@ def grow_runs(p: Procedure, r: int, letters: Sequence[int], inside, table):
         from_ids = ids[rows]
         ids = next_node[from_ids, cols]
         words = np.column_stack((words[rows], letter_of[cols]))
-        parked = np.column_stack((parked[rows], spot_of[from_ids, cols]))
+        parked = None if spot_of is None else np.column_stack((parked[rows], spot_of[from_ids, cols]))
         return len(ids)
 
-    nodes, sure = _grow_nodes(p, r, letters, inside, table, extend)
-    return words, parked if sure else None, ids, nodes
+    nodes = _grow_nodes(p, r, letters, inside, table, extend)
+    return words, parked, ids, nodes
 
 
-def _grow_nodes(p: Procedure, r: int, letters: Sequence[int], inside, table, extend) -> tuple[list, bool]:
-    """`(nodes, sure)` of `grow_runs`, one generation per car: `_step_pairs`,
-    then `_step_nodes`, whose int (nodes, letters) array of the next node
-    (-1 if none) goes to `extend(k, next_node, spot_of)`, which returns the
-    rows it keeps. `spot_of` holds the runs' spots while `sure`, every node
-    so far a point mass of weight 1. Logs `grow_runs`' record."""
+def _grow_nodes(p: Procedure, r: int, letters: Sequence[int], inside, table, extend) -> list:
+    """The nodes of `grow_runs`, one generation per car: `_step_pairs`, then
+    `_step_nodes`, whose int (nodes, letters) array of the next node (-1 if
+    none) goes to `extend(k, next_node, spot_of)`, which returns the rows
+    it keeps. `spot_of` holds the car's spots while every node grown is a
+    point mass of weight 1, and is None from the first generation that
+    holds another node. Logs `grow_runs`' record."""
     import numpy as np
 
     width = len(letters)
     pairs = [(frozenset(), p.init_state())]
     nodes: list[tuple[int, tuple]] = [(1, ((0, 1),))]
+    # each node's sum of occupied spots, while every node is a point mass
     sums = np.zeros(1, np.int64)
-    sure = True
     pair_steps, pair_sizes, node_sizes, row_sizes = 0, [], [], []
     for k in range(r):
         succ, pairs = _step_pairs(p, pairs, letters, inside, table)
         pair_steps += len(succ)
         nodes, next_node = _step_nodes(nodes, succ, width)
-        # a node of one pair over denominator 1 is a point mass of weight 1
-        sure = sure and all(den == 1 and len(items) == 1 for den, items in nodes)
         pair_sizes.append(len(pairs))
         node_sizes.append(len(nodes))
         next_node = np.array(next_node, np.int32).reshape(-1, width)
-        # each node's first pair's sum of occupied spots, and a last 0 for -1
-        after = np.array([sum(pairs[items[0][0]][0]) for _, items in nodes] + [0], np.int64)
-        row_sizes.append(extend(k, next_node, after[next_node] - sums[:, None]))
-        sums = after[:-1]
+        # a point mass of weight 1 is one pair over denominator 1; a last 0 for -1
+        if sums is not None and all(den == 1 and len(items) == 1 for den, items in nodes):
+            after = np.array([sum(pairs[items[0][0]][0]) for _, items in nodes] + [0], np.int64)
+            spot_of, sums = after[next_node] - sums[:, None], after[:-1]
+        else:
+            spot_of = sums = None
+        row_sizes.append(extend(k, next_node, spot_of))
     log.debug(
         "grow_runs: %s over %d letters, %s pair steps, pairs %s, nodes %s, rows %s",
         p.name, width, f"{pair_steps:,}", pair_sizes, node_sizes, row_sizes,
         extra={"pairs": pair_sizes, "nodes": node_sizes, "rows": row_sizes, "pair_steps": pair_steps},
     )
-    return [(den, {pairs[i]: num for i, num in items}) for den, items in nodes], sure
+    return [(den, {pairs[i]: num for i, num in items}) for den, items in nodes]
 
 
 def _merge_rows(keys: Sequence[np.ndarray], counts: np.ndarray) -> tuple[list, np.ndarray]:

@@ -673,7 +673,8 @@ class TestStepCounts:
     """The fibers of a rule without state, read off its one-car step table
     (`procedures.step_counts`), against the pair rows that a rule with state
     takes (`forests._outcome_histogram`), and those rows against the spots
-    of every parking word (`procedures.grow_runs`)."""
+    of every parking word (`procedures.grow_runs`). "The outcome fold" in
+    the test names is that pair-row pass."""
 
     @pytest.mark.parametrize("name", [*goldens.engine_rules(), "late-error"])
     def test_pair_rows_equal_the_per_word_outcomes(self, name):
@@ -696,7 +697,7 @@ class TestStepCounts:
 
         p = STATELESS.get(name) or late_error_rule()
         for r in range(1, 7):
-            folded, error = raised(lambda: _outcome_histogram(p, r, None))
+            histogram, error = raised(lambda: _outcome_histogram(p, r, None))
             got, got_error = raised(lambda: all_fiber_counts_brute(p, r))
             # the same refusal, of the same type, with the same message
             assert got_error == error == raised(lambda: fiber_counts_brute(p, r))[1], (name, r)
@@ -704,7 +705,7 @@ class TestStepCounts:
                 continue
             sigmas, brute = got
             # every outcome, zeros included, in the outcome array's order
-            expected = [folded.get(sigma, 0) for sigma in map(tuple, sigmas.tolist())]
+            expected = [histogram.get(sigma, 0) for sigma in map(tuple, sigmas.tolist())]
             assert brute == expected, (name, r)
             assert all(type(count) is int for count in brute)
             assert sigmas.shape == (math.factorial(r), r) and sigmas.dtype == np.int64
@@ -763,11 +764,11 @@ class TestStepCounts:
         rule = dataclasses.replace(p, decide=decide)
         for r in (3, 5):
             raised(lambda: _outcome_histogram(rule, r, None))
-            folded = asked[:]
+            pair_rows = asked[:]
             asked.clear()
             raised(lambda: all_fiber_counts_brute(rule, r))
-            assert asked == folded and folded, (spec, r)
+            assert asked == pair_rows and pair_rows, (spec, r)
             asked.clear()
             raised(lambda: per_word_histogram(rule, r))
-            assert asked == folded, (spec, r)
+            assert asked == pair_rows, (spec, r)
             asked.clear()
