@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 from unittest import mock
 
@@ -34,7 +34,7 @@ from conftest import alternating_rule, history_coin_rule, history_parity_rule, s
 from parkline.cli import main
 from parkline.colored import ColoredLetter, colored_lbs_procedure
 from parkline.enumeration import OrbitReport, OrbitViolation, count_parking, count_words_to_set, orbit_audit
-from parkline.forests import fiber_counts_brute
+from parkline.forests import fiber_count, fiber_counts, fiber_counts_brute
 from parkline.probabilistic import (
     AbelianReport,
     Measure,
@@ -236,6 +236,37 @@ def _refusals(p) -> list:
     return [outcome(call) for call in calls]
 
 
+def _single_outcomes(r: int) -> list[tuple[int, ...]]:
+    """The identity, its reverse and the outcome i -> 11i mod r, a
+    permutation for the r that are pinned, prime to 11."""
+    identity = tuple(range(1, r + 1))
+    return [identity, identity[::-1], tuple(11 * i % r + 1 for i in range(r))]
+
+
+def fiber_cases() -> dict:
+    """Id -> a thunk that returns the pinned fiber formula of the id's
+    rule: every outcome up to r = 6, single outcomes whose products pass
+    int64, and the rules that have no label sets."""
+    cases = {}
+    for spec in BLOCK_RULES:
+        p = parse_prob_spec(spec)
+        cases[f"fiber_counts {spec}"] = lambda p=p: [
+            outcome(lambda: fiber_counts(p, permutations(range(1, r + 1)))) for r in range(1, 7)
+        ]
+        cases[f"fiber_count {spec}"] = lambda p=p: [
+            [pin(sigma), outcome(lambda: fiber_count(p, sigma))]
+            for r in (13, 21, 25)
+            for sigma in _single_outcomes(r)
+        ]
+    for spec in ("lbs", "far", "kw:q=1/2"):
+        p = parse_prob_spec(spec)
+        cases[f"fiber_counts {spec}"] = lambda p=p: [
+            outcome(lambda: fiber_counts(p, [(2, 1), (1, 2)])),
+            outcome(lambda: fiber_count(p, (1, 2, 3))),
+        ]
+    return cases
+
+
 def engine_cases() -> dict:
     """Id -> a thunk that returns the pinned result of the id's call."""
     cases = {}
@@ -267,7 +298,7 @@ def engine_cases() -> dict:
         outcome(lambda: orbit_parking_mass(strict, 2)),
         outcome(lambda: orbit_parking_mass(strict, 3)),
     ]
-    return cases
+    return cases | fiber_cases()
 
 
 def line(key: str, text) -> str:
