@@ -15,9 +15,9 @@ the two label arrays in canonical (sorted-spot) order.
 Fibers: for a memoryless, locally decided rule, the parking words with
 outcome sigma number the product over spots i of the label-set size of
 i on its subtree span [lo, hi] in the decreasing tree of sigma. That
-span needs no tree: it runs from just past the nearest larger arrival
-left of spot i to just before the nearest larger arrival right of it.
-`fiber_counts` reads the spans of a whole batch of outcomes this way;
+span needs no tree: it is the block that the car at i closes when it
+parks, spot i joined to the blocks the earlier cars leave on either side.
+`fiber_counts` reads the spans of a whole batch on one walk along it;
 `fiber_counts_brute` counts the parking words by outcome instead: for a
 rule without state, as the product along each outcome of a one-car step
 table over occupied sets, and for a rule with state, grown as rows of
@@ -302,53 +302,47 @@ def _as_sigmas(sigmas: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     return s.astype(np.int64, copy=False)
 
 
-def _spans(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subtree span [lo, hi] of every spot of every row's decreasing tree,
-    as `node_intervals(decreasing_tree(row), 1)` gives it: the subtree of
-    spot i is the run of smaller arrivals around it, so it starts just
-    past the nearest larger arrival on its left and ends just before the
-    nearest larger one on its right."""
-    import numpy as np
-
-    m, r = s.shape
-    pos = np.arange(1, r + 1)
-    lo = np.empty((m, r), np.int64)
-    hi = np.empty((m, r), np.int64)
-    for i in range(r):
-        larger = s > s[:, i, None]
-        lo[:, i] = np.where(larger[:, :i], pos[:i], 0).max(axis=1, initial=0) + 1
-        hi[:, i] = np.where(larger[:, i + 1 :], pos[i + 1 :], r + 1).min(axis=1, initial=r + 1) - 1
-    return lo, hi
-
-
 def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]] | np.ndarray) -> list[int]:
     """Fiber size of each outcome in a batch (sigma[i-1] = arrival index of
     the car at spot i, every sigma of one length r): the number of parking
-    words with that outcome, the product over spots i of the label-set
-    size of i on its subtree span (see `_spans`). The batch is a sequence
-    of sigmas or an integer ndarray of shape (m, r), checked in one pass.
-    The spans are read off the batch without building any tree, and each
-    distinct (spot, span) is sized once, from block sides probed once per
-    call."""
+    words with that outcome, the product over cars of the label-set size of
+    the car's spot on its subtree span: the block that the car closes,
+    joined to the blocks the cars before it leave on either side. The batch
+    is a sequence of sigmas or an integer ndarray of shape (m, r), checked
+    in one pass. One walk along the cars reads every span of the batch, and
+    each distinct (spot, span) is sized once, from block sides probed once
+    per call."""
     import numpy as np
 
     s = _as_sigmas(sigmas)
     label_size = _label_sizes(p)
     m, r = s.shape
-    lo, hi = _spans(s)
-    keys = (np.arange(1, r + 1) * (r + 1) + lo) * (r + 1) + hi
-    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
-    node, rest = np.divmod(uniq, (r + 1) ** 2)
-    sizes = [
-        label_size(*key)
-        for key in zip(node.tolist(), (rest // (r + 1)).tolist(), (rest % (r + 1)).tolist())
-    ]
+    n = r + 2
+    # per row, first[i] is the first spot of the block ending at spot i and
+    # last[i] the last spot of the block starting at i: i+1 and i-1 while i
+    # is free, as spots 0 and r+1 stay; -1..n fit the smallest signed type
+    first = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(-n - 1)), m)
+    last = first - 2
+    base = np.arange(0, m * n, n)
+    keys = np.empty((r, m), np.int64)
+    for car, spot in enumerate(np.argsort(s, axis=1).T + 1):
+        lo, hi = first[base + spot - 1], last[base + spot + 1]
+        first[base + hi] = lo
+        last[base + lo] = hi
+        keys[car] = (spot * n + lo) * n + hi
+    keys = keys.ravel()
+    # the distinct keys, counted per slot only in a batch with as many keys
+    if len(keys) >= n**3:
+        uniq = np.flatnonzero(np.bincount(keys))
+    else:
+        uniq = np.array(sorted(set(keys.tolist())), np.int64)
+    sizes = [label_size(key // n**2, key // n % n, key % n) for key in uniq.tolist()]
     # a label set lies inside its span, and the subtree sizes of an r-node
     # tree multiply to at most r! (hook length formula), so below 2^63 the
     # int64 product is exact; beyond it the product runs on Python ints
     dtype = np.int64 if math.factorial(r) <= np.iinfo(np.int64).max else object
-    sizes = np.array(sizes, dtype=dtype)
-    return np.prod(sizes[inverse].reshape(m, r), axis=1, dtype=dtype).tolist()
+    factors = np.array(sizes, dtype=dtype)[np.searchsorted(uniq, keys)]
+    return np.prod(factors.reshape(r, m), axis=0, dtype=dtype).tolist()
 
 
 def fiber_count(p: Procedure, sigma: Sequence[int]) -> int:
@@ -401,9 +395,8 @@ def all_fiber_counts_brute(
     sigmas = _permutations(r)
     counts = np.ones(len(sigmas), np.int64)
     occupied = np.zeros(len(sigmas), np.int32)
-    for car in range(1, r + 1):
-        # the spot of car `car` in every outcome, from 0
-        spot = (sigmas == car).argmax(axis=1).astype(np.int8)
+    # the spot of each car in every outcome, from 0
+    for spot in np.argsort(sigmas, axis=1).astype(np.int8).T:
         counts *= steps[occupied, spot]
         occupied |= np.left_shift(1, spot, dtype=np.int32)
     return sigmas, counts.tolist()

@@ -247,8 +247,10 @@ class TestFibers:
 
     @pytest.mark.parametrize("spec", [*LABEL_RULES, *RANDOM_TABLES])
     def test_formula_matches_brute(self, spec):
+        # a batch of every outcome counts its keys' slots from r = 5 on, one
+        # outcome takes the set of its keys
         p = RANDOM_TABLES.get(spec) or parse_proc_spec(spec)
-        for r in range(1, 6):
+        for r in range(1, 6 if spec in RANDOM_TABLES else 8):
             brute = fiber_counts_brute(p, r)
             sigmas = list(itertools.permutations(range(1, r + 1)))
             expected = [brute.get(sigma, 0) for sigma in sigmas]
@@ -298,20 +300,33 @@ class TestFibers:
         ),
     )
     def test_batch_spans_and_products_equal_trees(self, spec, sigmas):
-        from parkline.forests import _as_sigmas, _spans
+        from unittest import mock
 
+        import parkline.forests as forests
+
+        # every (spot, span) sized is some spot's subtree span in its
+        # outcome's decreasing tree, each sized once, and the products are
+        # the trees' label-set products
         p = parse_proc_spec(spec)
-        lo, hi = _spans(_as_sigmas(sigmas))
+        sized = []
+        real = forests._label_sizes
+
+        def spy(q):
+            size = real(q)
+            return lambda *key: sized.append(key) or size(*key)
+
+        with mock.patch.object(forests, "_label_sizes", spy):
+            counts = fiber_counts(p, sigmas)
+        spans = set()
         products = []
-        for row, sigma in enumerate(sigmas):
+        for sigma in sigmas:
             intervals = node_intervals(decreasing_tree(tuple(sigma)), 1)
-            assert intervals == {
-                i + 1: (lo[row, i], hi[row, i]) for i in range(len(sigma))
-            }
+            spans |= {(i, lo, hi) for i, (lo, hi) in intervals.items()}
             products.append(
                 math.prod(len(label_set(p, i, a, b)) for i, (a, b) in intervals.items())
             )
-        assert fiber_counts(p, sigmas) == products
+        assert sorted(sized) == sorted(spans)
+        assert counts == products
         assert fiber_counts(p, sigmas[:1]) == products[:1]
 
     @pytest.mark.parametrize("spec", [*BLOCK_RULES, "far", "lbs"])
@@ -385,13 +400,27 @@ class TestFibers:
     def test_products_beyond_int64_are_exact(self):
         # r! passes 2^63 at r = 21; the product must not wrap
         p = builtin("right")
-        for r in (21, 25):
+        for r in (21, 25, 300):
             identity = tuple(range(1, r + 1))
             counts = fiber_counts(p, [identity, identity[::-1]])
             assert counts == [math.factorial(r), 1]
             assert all(type(c) is int for c in counts)
             assert fiber_count(p, identity) == math.factorial(r)
         assert math.factorial(21) > 2**63
+
+    def test_one_long_outcome_counts_no_slots(self):
+        import tracemalloc
+
+        # at r = 300 a count per (spot, lo, hi) slot would take 302^3 int64s,
+        # 220 MB; one outcome has 300 keys and takes their set
+        p, identity = builtin("right"), tuple(range(1, 301))
+        tracemalloc.start()
+        try:
+            assert fiber_count(p, identity) == math.factorial(300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_batch_probes_each_node_and_span_once(self, monkeypatch):
         import parkline.enumeration as enumeration
