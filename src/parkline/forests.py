@@ -320,7 +320,8 @@ def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]] | np.ndarray) -> 
     n = r + 2
     # per row, first[i] is the first spot of the block ending at spot i and
     # last[i] the last spot of the block starting at i: i+1 and i-1 while i
-    # is free, as spots 0 and r+1 stay; -1..n fit the smallest signed type
+    # is free, as spots 0 and r+1 always are; -1..n fit the smallest signed
+    # type, which keeps the gathers fast
     first = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(-n - 1)), m)
     last = first - 2
     base = np.arange(0, m * n, n)
@@ -331,7 +332,8 @@ def fiber_counts(p: Procedure, sigmas: Iterable[Sequence[int]] | np.ndarray) -> 
         last[base + lo] = hi
         keys[car] = (spot * n + lo) * n + hi
     keys = keys.ravel()
-    # the distinct keys, counted per slot only in a batch with as many keys
+    # a count per slot takes (r+2)^3 entries, so only a batch with as many
+    # keys counts them; a smaller one takes the set of its keys
     if len(keys) >= n**3:
         uniq = np.flatnonzero(np.bincount(keys))
     else:
